@@ -16,13 +16,13 @@ from .weyl import (QuotientOptimizerConfig, ReductionSampler, ReflectionGroup,
                    RestrictedRootSystem, SectionSampler, quotient_distance,
                    reduction_isometry_check, restricted_roots,
                    section_orbit_check, weyl_group_closure)
-from .transversal import (OrbitGeodesic, TransversalSystem, a_tensor,
-                          conjugate_scan, discala_olmos_probe, focal_points,
+from .transversal import (OrbitGeodesic, TransversalSystem, conjugate_scan,
+                          discala_olmos_probe, focal_points,
                           jacobi_integrate, killing_restrictions,
                           n_jacobi_space, oneill_check, rescale_probe,
                           shape_operator, symplectic_form,
                           transversal_integrate, transversal_system,
-                          variational_completeness_probe, vertical_bundle)
+                          variational_completeness_probe)
 from .catalog import CatalogEntry, catalog_entry, catalog_list
 
 __version__ = "0.1.0"

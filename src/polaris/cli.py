@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from .polarity import OrthogonalRep, cohomogeneity, is_hyperpolar_homogeneous, \
     is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
 from .symspace import BrokenGeodesicSampler, ModelManifold, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
-from .transversal import OrbitGeodesic, claim_residuals, conjugate_scan, \
+from .transversal import MAX_STEP, OrbitGeodesic, claim_residuals, conjugate_scan, \
     discala_olmos_probe, focal_points, jacobi_integrate, n_jacobi_space, \
     oneill_check, rescale_probe, transversal_system, \
     variational_completeness_probe
@@ -569,6 +570,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_error(args) -> str | None:
+    """Why ``--step`` or ``--tol`` is unusable, or None when both are."""
+    if args.step is not None and not 0.0 < args.step <= MAX_STEP:
+        return f"--step must be a number in (0, {MAX_STEP:g}], got {args.step!r}"
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        return f"--tol must be a positive finite number, got {args.tol!r}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -576,6 +586,10 @@ def main(argv=None) -> int:
         for entry in catalog_list():
             print(f"{entry.name:20s} {entry.kind:24s} {entry.description}")
         return 0
+    problem = _option_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("POLARIS_SEED", "0"))

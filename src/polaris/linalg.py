@@ -3,8 +3,14 @@
 Every subspace question (membership, rank, kernel, equality) is reduced to a
 singular-value decision with a relative threshold, so verdicts do not depend
 on the conditioning of whatever basis the caller happens to hold.
-Orthonormalisation is modified Gram-Schmidt with one re-orthogonalisation
-pass, which keeps witness vectors reproducible run to run.
+Scalar orthonormalisation is modified Gram-Schmidt with one
+re-orthogonalisation pass, which keeps witness vectors reproducible run to
+run.  The stacked kernels take an (..., k, n) stack of matrices and answer
+for every matrix at once from one LAPACK call: ``svd_rank_stack`` and
+``row_space_stack`` from one stacked SVD, with the rank decided as in
+``svd_rank``; ``orthonormalize_stack`` from one stacked QR whose signs are
+fixed so that diag R > 0, which makes its rows the ones modified
+Gram-Schmidt gives for a full-rank matrix, to rounding.
 """
 
 from __future__ import annotations
@@ -77,6 +83,45 @@ def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> int
     if s.size == 0 or s[0] <= atol:
         return 0
     return int(np.sum(s > max(rtol * s[0], atol)))
+
+
+def _rank_mask(s: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """Singular values that count toward the rank, as in ``svd_rank``."""
+    return s > np.maximum(rtol * s[..., :1], atol)
+
+
+def svd_rank_stack(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+    """``svd_rank`` of every matrix of an (..., k, n) stack, from one stacked SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return np.count_nonzero(_rank_mask(s, rtol, atol), axis=-1)
+
+
+def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+    """Orthonormal row-space rows of every matrix of an (..., k, n) stack.
+
+    Returns an (..., min(k, n), n) stack from one stacked SVD.  The rows past
+    each matrix's rank (decided as in ``svd_rank``) are zero, so ``b.T @ b``
+    is the projector onto the row space and the padding drops out of sums.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh * _rank_mask(s, rtol, atol)[..., None]
+
+
+def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows for every full-rank (k, n) matrix of a stack, k <= n.
+
+    One stacked QR of the transposes, with each column of Q flipped so that
+    diag R > 0: row i of the result is the unit part of input row i
+    orthogonal to rows 0..i-1, the rows ``orthonormalize`` gives, to
+    rounding.  Rows are scaled to unit length first, which leaves that
+    result unchanged and makes its error, like Gram-Schmidt's, independent
+    of how unequal the row lengths are.  Nothing is dropped; callers screen
+    out rank-deficient matrices first (``svd_rank_stack``).
+    """
+    rows = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None, :]
+    return np.swapaxes(q, -1, -2)
 
 
 def kernel(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:

@@ -73,10 +73,15 @@ class OrthogonalRep:
                 f"(residual {worst:.2e})")
 
     def tangent_rows(self, v: np.ndarray) -> np.ndarray:
-        """Orbit tangent spanning set {A_i v} as rows."""
+        """Orbit tangent spanning set {A_i v} as rows.
+
+        A stack of points, shape (..., space_dim), gives a stack of row sets,
+        shape (..., n_generators, space_dim).
+        """
+        v = np.asarray(v, float)
         if self.n_generators == 0:
-            return np.zeros((0, self.space_dim))
-        return np.einsum("iab,b->ia", self.generators, np.asarray(v, float))
+            return np.zeros(v.shape[:-1] + (0, self.space_dim))
+        return np.einsum("iab,...b->...ia", self.generators, v)
 
     def orbit_rank(self, v: np.ndarray, rtol: float = RANK_RTOL) -> int:
         return linalg.svd_rank(self.tangent_rows(v), rtol)

@@ -8,6 +8,15 @@ top of the Jacobi layer sit the focal-point scan, the extended vertical and
 horizontal bundles V_t / H_t through singular times, the extended skew
 tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
 Morse-Sturm conjugate/index scan.
+
+Work on the grid is stacked: one closed-form evaluator gives the N-Jacobi
+matrix solution at every grid time at once, the focal scan reads its
+singular values from one stacked SVD, and the bundles come from stacked
+SVD/QR/eigh calls in ``linalg``.  Every RK4 integration (the Jacobi
+cross-check, the horizontal frame, the transversal Jacobi equation and the
+Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns each
+step's propagator of the linear system, so the remaining sequential loop is
+one small matmul per step.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ class OrbitGeodesic:
     def __init__(self, rep: OrthogonalRep, manifold: ModelManifold,
                  point, direction, span=(0.0, float(np.pi)),
                  step: float = DEFAULT_STEP):
+        if not (np.isfinite(step) and step > 0):
+            raise TransversalError(f"step size rejected (h = {step:g} must be positive and finite)")
         if step > MAX_STEP:
             raise TransversalError(f"step size rejected (h = {step:g} > {MAX_STEP:g})")
         point = np.asarray(point, float)
@@ -99,9 +110,7 @@ class OrbitGeodesic:
     def orbit_rank_profile(self) -> np.ndarray:
         key = "rank_profile"
         if key not in self._cache:
-            ranks = np.array([linalg.svd_rank(self.rep.tangent_rows(g))
-                              for g in self.gamma])
-            self._cache[key] = ranks
+            self._cache[key] = linalg.svd_rank_stack(self.rep.tangent_rows(self.gamma))
         return self._cache[key]
 
 
@@ -156,24 +165,27 @@ def n_jacobi_space(geod: OrbitGeodesic):
     return out
 
 
-def _mode_solution(geod: OrbitGeodesic, y0: np.ndarray, z0: np.ndarray,
-                   times: np.ndarray):
-    """Closed-form Jacobi solution with initial data at the basepoint time 0."""
+def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
+                 times: np.ndarray):
+    """Closed-form Jacobi fields at an array of times.
+
+    Columns of ``a`` and ``b`` (shape (m, n)) are the initial values and
+    covariant derivatives at the basepoint time 0, in the eigenbasis of the
+    curvature matrix.  Returns the frame values and derivatives of every
+    column at every time, each of shape (n_times, m, n).
+    """
     evals, q = geod._modes
-    a = q.T @ y0
-    b = q.T @ z0
-    tau = times
-    y = np.empty((times.shape[0], geod.dim))
-    dy = np.empty_like(y)
-    for i, w in enumerate(evals):
-        if w > 1e-12:
-            r = np.sqrt(w)
-            y[:, i] = a[i] * np.cos(r * tau) + b[i] * np.sin(r * tau) / r
-            dy[:, i] = -a[i] * r * np.sin(r * tau) + b[i] * np.cos(r * tau)
-        else:
-            y[:, i] = a[i] + tau * b[i]
-            dy[:, i] = b[i]
-    return y @ q.T, dy @ q.T
+    curved = evals > 1e-12
+    r = np.sqrt(np.where(curved, evals, 1.0))
+    times = np.asarray(times, float)
+    rt = np.multiply.outer(times, r)
+    cos = np.where(curved, np.cos(rt), 1.0)
+    sin = np.sin(rt)
+    val_b = np.where(curved, sin / r, times[:, None])
+    der_a = np.where(curved, -r * sin, 0.0)
+    y = q @ (cos[:, :, None] * a + val_b[:, :, None] * b)
+    dy = q @ (der_a[:, :, None] * a + cos[:, :, None] * b)
+    return y, dy
 
 
 def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form") -> GridField:
@@ -187,27 +199,68 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form") 
     y0 = geod.to_frame(geod.base_index, np.asarray(j0, float))
     z0 = geod.to_frame(geod.base_index, np.asarray(dj0, float))
     if method == "closed-form":
-        y, dy = _mode_solution(geod, y0, z0, geod.times)
-        return GridField(geod, y, dy)
+        q = geod._modes[1]
+        y, dy = _closed_form(geod, (q.T @ y0)[:, None], (q.T @ z0)[:, None], geod.times)
+        return GridField(geod, y[:, :, 0], dy[:, :, 0])
     if method != "rk4":
         raise TransversalError(f"unknown method {method!r}")
     if geod.base_index != 0:
         raise TransversalError("rk4 integration needs the grid to start at the basepoint")
-    r = geod.curvature
-    h = geod.step
-    n = geod.times.shape[0]
-    y = np.empty((n, geod.dim))
-    dy = np.empty_like(y)
-    y[0], dy[0] = y0, z0
-    for k in range(n - 1):
-        yk, zk = y[k], dy[k]
-        k1y, k1z = zk, -r @ yk
-        k2y, k2z = zk + 0.5 * h * k1z, -r @ (yk + 0.5 * h * k1y)
-        k3y, k3z = zk + 0.5 * h * k2z, -r @ (yk + 0.5 * h * k2y)
-        k4y, k4z = zk + h * k3z, -r @ (yk + h * k3y)
-        y[k + 1] = yk + h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
-        dy[k + 1] = zk + h * (k1z + 2 * k2z + 2 * k3z + k4z) / 6
-    return GridField(geod, y, dy)
+    m = geod.dim
+    gen = _pair_generator(-geod.curvature[None])
+    step = _rk4_steps(gen, gen, gen, geod.step)
+    states = _propagate(np.broadcast_to(step, (geod.times.shape[0] - 1, 2 * m, 2 * m)),
+                        np.concatenate([y0, z0]))
+    return GridField(geod, states[:, :m], states[:, m:])
+
+
+def _pair_generator(force: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+    """Stack of generators [[A, I], [F, A]] of y' = z + A y, z' = F y + A z.
+
+    ``force`` (and ``a``, zero when omitted) are (n, d, d) stacks; the state
+    is the pair (y, z) stacked into one vector or matrix of 2d rows.
+    """
+    n, d, _ = force.shape
+    out = np.zeros((n, 2 * d, 2 * d))
+    out[:, :d, d:] = np.eye(d)
+    out[:, d:, :d] = force
+    if a is not None:
+        out[:, :d, :d] = a
+        out[:, d:, d:] = a
+    return out
+
+
+def _rk4_steps(m_start: np.ndarray, m_mid: np.ndarray, m_end: np.ndarray,
+               dt: float) -> np.ndarray:
+    """Classical-RK4 step propagators of the linear system y' = M(t) y.
+
+    ``m_start``, ``m_mid`` and ``m_end`` are (n, d, d) stacks of M at the
+    start, midpoint and end of each step.  Step i maps y to P_i y, exactly
+    the update of the four RK4 stages, so integrating is one matmul per
+    step.  The stages are accumulated in place: two (n, d, d) temporaries.
+    """
+    prop = m_start.copy()           # sum of the stage matrices K_j, y-linear
+    stage = m_start.copy()
+    tmp = np.empty_like(prop)
+    for m, c, w in ((m_mid, dt / 2, 2.0), (m_mid, dt / 2, 2.0), (m_end, dt, 1.0)):
+        np.matmul(m, stage, out=tmp)        # K_j = M (I + c K_{j-1})
+        tmp *= c
+        tmp += m
+        stage, tmp = tmp, stage
+        np.multiply(stage, w, out=tmp)
+        prop += tmp
+    prop *= dt / 6
+    prop += np.eye(prop.shape[-1])
+    return prop
+
+
+def _propagate(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """States x_0 = start, x_{i+1} = steps[i] @ x_i, stacked along axis 0."""
+    out = np.empty((steps.shape[0] + 1,) + start.shape)
+    out[0] = start
+    for i, p in enumerate(steps):
+        np.matmul(p, out[i], out=out[i + 1])
+    return out
 
 
 def _basis_modes(geod: OrbitGeodesic):
@@ -226,35 +279,25 @@ def _basis_modes(geod: OrbitGeodesic):
     return geod._cache[key]
 
 
-def _matrix_solution_at(geod: OrbitGeodesic, t: float) -> np.ndarray:
-    """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
+def _matrix_solution(geod: OrbitGeodesic, times) -> np.ndarray:
+    """(n_times, m, m) stack whose columns are the N-Jacobi basis fields."""
     a, b, _ = _basis_modes(geod)
-    evals, q = geod._modes
-    tau = t
-    rows = np.empty_like(a)
-    for i, w in enumerate(evals):
-        if w > 1e-12:
-            r = np.sqrt(w)
-            rows[i] = a[i] * np.cos(r * tau) + b[i] * np.sin(r * tau) / r
-        else:
-            rows[i] = a[i] + tau * b[i]
-    return q @ rows
+    return _closed_form(geod, a, b, np.atleast_1d(times))[0]
 
 
 def lambda_fields(geod: OrbitGeodesic) -> list:
     """The N-Jacobi basis solved on the grid (closed form)."""
     key = "lambda_fields"
     if key not in geod._cache:
-        fields = []
-        for j0, dj0, label in n_jacobi_space(geod):
-            f = jacobi_integrate(geod, j0, dj0)
-            fields.append((f, label))
-        geod._cache[key] = fields
+        a, b, labels = _basis_modes(geod)
+        y, dy = _closed_form(geod, a, b, geod.times)
+        geod._cache[key] = [(GridField(geod, y[:, :, j], dy[:, :, j]), label)
+                            for j, label in enumerate(labels)]
     return geod._cache[key]
 
 
 def _min_singular(geod: OrbitGeodesic, t: float) -> float:
-    return float(np.linalg.svd(_matrix_solution_at(geod, t), compute_uv=False)[-1])
+    return float(np.linalg.svd(_matrix_solution(geod, t)[0], compute_uv=False)[-1])
 
 
 def focal_points(geod: OrbitGeodesic, window=None,
@@ -269,9 +312,7 @@ def focal_points(geod: OrbitGeodesic, window=None,
     times = geod.times
     lo = window[0] if window else times[0]
     hi = window[1] if window else times[-1]
-    svals = np.array([np.linalg.svd(_matrix_solution_at(geod, t), compute_uv=False)
-                      for t in times])
-    smin = svals[:, -1]
+    smin = np.linalg.svd(_matrix_solution(geod, times), compute_uv=False)[:, -1]
     out = []
     for k in range(1, times.shape[0] - 1):
         if not (lo < times[k] <= hi):
@@ -279,10 +320,8 @@ def focal_points(geod: OrbitGeodesic, window=None,
         if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
             t_star = _golden_min(lambda t: _min_singular(geod, t),
                                  times[k - 1], times[k + 1])
-            val = _min_singular(geod, t_star)
-            if val < sv_tol:
-                s_at = np.linalg.svd(_matrix_solution_at(geod, t_star),
-                                     compute_uv=False)
+            s_at = np.linalg.svd(_matrix_solution(geod, t_star)[0], compute_uv=False)
+            if s_at[-1] < sv_tol:
                 mult = int(np.sum(s_at < sv_tol))
                 if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
                     out.append((float(t_star), mult))
@@ -364,13 +403,12 @@ def variational_completeness_probe(geod: OrbitGeodesic, window=None,
     records = []
     worst = 0.0
     for t_star, mult in focal:
-        m_at = _matrix_solution_at(geod, t_star)
-        _, svals, vh = np.linalg.svd(m_at)
-        combos = vh[svals < sv_tol]
+        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star)[0])
+        combos = vh[svals < sv_tol].T
+        fields = _closed_form(geod, a @ combos, b @ combos, geod.times)[0]
         angle = 0.0
-        for c in combos:
-            field = _combo_field(geod, c)
-            flat = field.reshape(-1)
+        for c in range(combos.shape[1]):
+            flat = fields[:, :, c].reshape(-1)
             norm = np.linalg.norm(flat)
             if norm < 1e-14:
                 continue
@@ -382,14 +420,6 @@ def variational_completeness_probe(geod: OrbitGeodesic, window=None,
         worst = max(worst, angle)
         records.append(FocalKernelRecord(t_star, mult, angle))
     return VariationalCompletenessReport(worst < angle_tol, worst, records)
-
-
-def _combo_field(geod: OrbitGeodesic, coeffs: np.ndarray) -> np.ndarray:
-    fields = lambda_fields(geod)
-    out = np.zeros_like(fields[0][0].y)
-    for c, (f, _) in zip(coeffs, fields):
-        out += c * f.y
-    return out
 
 
 @dataclass
@@ -449,17 +479,16 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     s_max = 1.4 * float(np.max(1.0 / np.abs(lam)))
     times = np.arange(0.0, s_max, step)
     base_rank = linalg.svd_rank(rows)
+    # J(s) = (1 - lambda s) u is parallel to the unit u: its distance from the
+    # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05
+    span = linalg.row_space_stack(rep.tangent_rows(point + np.multiply.outer(times, xi)))
+    coef = eigvecs @ np.swapaxes(span, 1, 2)                     # (n_s, k, r)
+    dist = np.linalg.norm(eigvecs - coef @ span, axis=-1)
+    far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
+    tangency = np.max(np.where(far, dist, 0.0), axis=0, initial=0.0)
     records = []
     worst = 0.0
-    for l_val, u in zip(lam, eigvecs):
-        res = 0.0
-        for s in times:
-            j = (1.0 - l_val * s) * u
-            nj = np.linalg.norm(j)
-            if nj < 0.05:
-                continue
-            span = rep.tangent_rows(point + s * xi)
-            res = max(res, linalg.span_residual(linalg.orthonormalize(span), j / nj))
+    for l_val, res in zip(lam, tangency):
         records.append(EigenFieldRecord(float(l_val),
                                         float(1.0 / l_val) if abs(l_val) > 1e-12 else np.inf,
                                         float(res)))
@@ -479,7 +508,12 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 class TransversalSystem:
-    """Extended vertical/horizontal bundles, A_t and the Morse-Sturm operator."""
+    """Extended vertical/horizontal bundles, A_t and the Morse-Sturm operator.
+
+    The vertical fibre is {J(t)} + {J'(t) : J vanishing at t} over the
+    vertical Jacobi fields, with the division construction carrying the
+    rank through isolated zeros.
+    """
 
     def __init__(self, geod: OrbitGeodesic, rank_rtol: float = 1e-8):
         self.geod = geod
@@ -490,53 +524,54 @@ class TransversalSystem:
         dvals = np.array([f.dy for f, _ in fields])
         self.lambda_values = vals
         self.lambda_derivs = dvals
-        # vertical Jacobi fields: combinations tangent to orbits at all times
-        q = np.zeros((vals.shape[0], vals.shape[0]))
-        proj_perp = np.empty((n_t, m, m))
-        for k in range(n_t):
-            rows = geod.rep.tangent_rows(geod.gamma[k])
-            span = linalg.orthonormalize(
-                rows @ geod.frames[k]) if rows.size else np.zeros((0, m))
-            proj_perp[k] = np.eye(m) - span.T @ span
-            vk = vals[:, k, :]
-            q += vk @ proj_perp[k] @ vk.T
+        # vertical Jacobi fields: combinations tangent to orbits at all times,
+        # the null space of q = sum_k n_k n_k^T over the orbit-normal parts
+        # n_k = v_k (I - P_k) of the field values; forming q from the normal
+        # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
+        # that leaves null eigenvalues of order 1e-16 * sum |v|^2
+        span = linalg.row_space_stack(geod.rep.tangent_rows(geod.gamma) @ geod.frames)
+        normal = np.swapaxes(vals, 0, 1)
+        normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
+        q = np.einsum("tfm,tgm->fg", normal, normal)
+        del span, normal
         evals, evecs = np.linalg.eigh(q)
         scale = max(float(evals[-1]), 1.0)
         self.upsilon_coeffs = evecs[:, evals < 1e-10 * scale].T
         r = self.upsilon_coeffs.shape[0]
         self.rank = r
         self.vertical = np.zeros((n_t, r, m))
-        for k in range(n_t):
-            w = self.upsilon_coeffs @ vals[:, k, :]
-            if linalg.svd_rank(w, rank_rtol) < r:
-                vanish = linalg.kernel(w.T, 1e-6)
+        if r:
+            w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
+            full = linalg.svd_rank_stack(w, rank_rtol) == r
+            self.vertical[full] = linalg.orthonormalize_stack(w[full])
+            # division construction through isolated zeros of vertical fields
+            for k in np.flatnonzero(~full):
+                vanish = linalg.kernel(w[k].T, 1e-6)
                 dw = vanish @ (self.upsilon_coeffs @ dvals[:, k, :])
-                w = np.vstack([w, dw])
-            basis = linalg.orthonormalize(w)
-            if basis.shape[0] != r:
-                raise TransversalError(
-                    f"vertical rank {basis.shape[0]} != {r} at t = "
-                    f"{geod.times[k]:.4f}; a vertical-field zero is not "
-                    "isolated at grid resolution")
-            self.vertical[k] = basis
+                basis = linalg.orthonormalize(np.vstack([w[k], dw]))
+                if basis.shape[0] != r:
+                    raise TransversalError(
+                        f"vertical rank {basis.shape[0]} != {r} at t = "
+                        f"{geod.times[k]:.4f}; a vertical-field zero is not "
+                        "isolated at grid resolution")
+                self.vertical[k] = basis
+            del w
         self.p_v = np.einsum("trm,trn->tmn", self.vertical, self.vertical)
         self.p_h = np.eye(m)[None, :, :] - self.p_v
-        self.horizontal = np.zeros((n_t, m - r, m))
-        for k in range(n_t):
-            self.horizontal[k] = linalg.complement(self.vertical[k], m)
+        # eigenvalues of p_h ascend: r zeros (V_t), then m - r ones (H_t)
+        self.horizontal = np.swapaxes(np.linalg.eigh(self.p_h)[1][:, :, r:], 1, 2)
         # extended A-tensor from centered differences of the projectors
         dp_v = np.empty_like(self.p_v)
         h = geod.step
         dp_v[1:-1] = (self.p_v[2:] - self.p_v[:-2]) / (2 * h)
         dp_v[0] = (-3 * self.p_v[0] + 4 * self.p_v[1] - self.p_v[2]) / (2 * h)
         dp_v[-1] = (3 * self.p_v[-1] - 4 * self.p_v[-2] + self.p_v[-3]) / (2 * h)
-        a_raw = np.einsum("tmi,tin->tmn", self.p_h - self.p_v, dp_v)
+        a_raw = (self.p_h - self.p_v) @ dp_v
         self.a_asymmetry = float(np.max(np.abs(a_raw + np.transpose(a_raw, (0, 2, 1))))) / 2 \
             if n_t else 0.0
         self.a = (a_raw - np.transpose(a_raw, (0, 2, 1))) / 2
         rhat = geod.curvature
-        self.r_script = np.einsum("tmi,ij,tjn->tmn", self.p_h, rhat, self.p_h) \
-            - 3 * np.einsum("tmi,tin->tmn", self.a, self.a)
+        self.r_script = self.p_h @ rhat @ self.p_h - 3 * (self.a @ self.a)
         self._cache = {}
 
     # -- lookups --------------------------------------------------------------
@@ -560,51 +595,27 @@ def transversal_system(geod: OrbitGeodesic) -> TransversalSystem:
     return geod._cache[key]
 
 
-def vertical_bundle(geod: OrbitGeodesic) -> TransversalSystem:
-    """Assemble the extended V_t / H_t bundles (and with them A_t, R(t)).
-
-    The vertical fibre is {J(t)} + {J'(t) : J vanishing at t} over the
-    vertical Jacobi fields, with the division construction carrying the
-    rank through isolated zeros.
-    """
-    return transversal_system(geod)
-
-
-def a_tensor(system: TransversalSystem, t: float) -> np.ndarray:
-    """Extended O'Neill tensor A_t at the grid time nearest to t."""
-    return system.a_tensor(t)
-
-
 def horizontal_frame(system: TransversalSystem) -> np.ndarray:
     """A nabla^h-parallel orthonormal frame of H_t along the geodesic.
 
     The frame solves E' = A_t E (the extended-tensor transport equation)
-    with RK4 at double step and is re-orthonormalised within H_t after each
+    with RK4 and is projected into H_t and re-orthonormalised after each
     step; projection-only stepping would drift at first order in the step
     and mask the claim residuals this frame is used to verify.
     """
     key = "hframe"
     if key in system._cache:
         return system._cache[key]
-    g = system.geod
-    n_t = g.times.shape[0]
-    m = g.dim
-    q = system.horizontal.shape[1]
-    frame = np.zeros((n_t, m, q))
-    frame[0] = system.horizontal[0].T
-    h = g.step
-    for k in range(n_t - 1):
-        e = frame[k]
-        a0 = system.a[k]
-        a1 = system.a[k + 1]
-        am = (a0 + a1) / 2          # O(h^2) midpoint value of the tensor
-        k1 = a0 @ e
-        k2 = am @ (e + 0.5 * h * k1)
-        k3 = am @ (e + 0.5 * h * k2)
-        k4 = a1 @ (e + h * k3)
-        nxt = e + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        nxt = system.p_h[k + 1] @ nxt       # remove numerical vertical leakage
-        frame[k + 1] = linalg.orthonormalize(nxt.T).T
+    a = system.a
+    # the midpoint tensor (a_k + a_{k+1}) / 2 is O(h^2) accurate
+    steps = _rk4_steps(a[:-1], (a[:-1] + a[1:]) / 2, a[1:], system.geod.step)
+    np.matmul(system.p_h[1:], steps, out=steps)      # remove numerical vertical leakage
+    # A sign-fixed QR after every step only right-multiplies the frame by an
+    # upper-triangular matrix with positive diagonal, so the Q factor of the
+    # unnormalised product at each time is the stepwise re-orthonormalised
+    # frame: one stacked QR replaces one QR per step.
+    frame = _propagate(steps, system.horizontal[0].T)
+    frame = np.swapaxes(linalg.orthonormalize_stack(np.swapaxes(frame, 1, 2)), 1, 2)
     system._cache[key] = frame
     return frame
 
@@ -672,28 +683,16 @@ def transversal_integrate(system: TransversalSystem, y0, z0) -> HorizontalField:
     z0 = np.asarray(z0, float)
     if np.linalg.norm(system.p_v[0] @ y0) > 1e-8 * max(1.0, np.linalg.norm(y0)):
         raise TransversalError("initial value must be horizontal")
-    rhat = g.curvature
-    h = g.step
-    n_t = g.times.shape[0]
+    m = g.dim
 
-    def f(k, state):
-        y, z = state
-        force = -system.p_h[k] @ (rhat @ y) + 3 * system.a[k] @ (system.a[k] @ y)
-        return np.array([z + system.a[k] @ y, force + system.a[k] @ z])
+    def gen(ks):
+        a = system.a[ks]
+        return _pair_generator(3 * a @ a - system.p_h[ks] @ g.curvature, a)
 
-    idx = np.arange(0, n_t, 2)
-    ys = np.zeros((idx.shape[0], g.dim))
-    zs = np.zeros_like(ys)
-    state = np.array([y0, z0])
-    ys[0], zs[0] = state
-    for out_i, k in enumerate(idx[:-1]):
-        k1 = f(k, state)
-        k2 = f(k + 1, state + h * k1)
-        k3 = f(k + 1, state + h * k2)
-        k4 = f(k + 2, state + 2 * h * k3)
-        state = state + (2 * h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[out_i + 1], zs[out_i + 1] = state
-    return HorizontalField(system, idx, ys, zs)
+    idx = np.arange(0, g.times.shape[0], 2)
+    steps = _rk4_steps(gen(idx[:-1]), gen(idx[:-1] + 1), gen(idx[1:]), 2 * g.step)
+    states = _propagate(steps, np.concatenate([y0, z0]))
+    return HorizontalField(system, idx, states[:, :m], states[:, m:])
 
 
 def transversal_equation_residual(system: TransversalSystem, y: np.ndarray,
@@ -762,21 +761,10 @@ def conjugate_scan(system: TransversalSystem, n_elements: int = 64,
     r_red = np.einsum("iq,tqp,jp->tij", coeff0, r_frame, coeff0)
     h = g.step
     idx = np.arange(0, n_t, 2)
-    sol = np.zeros((idx.shape[0], q_dim, q_dim))
-    state = np.array([np.zeros((q_dim, q_dim)), np.eye(q_dim)])
-
-    def f(k, st):
-        y, z = st
-        return np.array([z, -r_red[k] @ y])
-
-    sol[0] = state[0]
-    for out_i, k in enumerate(idx[:-1]):
-        k1 = f(k, state)
-        k2 = f(k + 1, state + h * k1)
-        k3 = f(k + 1, state + h * k2)
-        k4 = f(k + 2, state + 2 * h * k3)
-        state = state + (2 * h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        sol[out_i + 1] = state[0]
+    steps = _rk4_steps(_pair_generator(-r_red[idx[:-1]]), _pair_generator(-r_red[idx[:-1] + 1]),
+                       _pair_generator(-r_red[idx[1:]]), 2 * h)
+    start = np.vstack([np.zeros((q_dim, q_dim)), np.eye(q_dim)])
+    sol = _propagate(steps, start)[:, :q_dim]
     times = g.times[idx]
     conj = _matrix_roots(sol, times, sv_tol)
     index = _pl_index(r_red[idx], times, q_dim, n_elements)
@@ -785,8 +773,9 @@ def conjugate_scan(system: TransversalSystem, n_elements: int = 64,
 
 
 def _matrix_roots(sol: np.ndarray, times: np.ndarray, sv_tol: float) -> list:
-    dets = np.array([np.linalg.det(s) for s in sol])
-    smin = np.array([np.linalg.svd(s, compute_uv=False)[-1] for s in sol])
+    dets = np.linalg.det(sol)
+    svals = np.linalg.svd(sol, compute_uv=False)
+    smin = svals[:, -1]
     n = times.shape[0]
     out = []
     for k in range(2, n - 1):
@@ -800,8 +789,7 @@ def _matrix_roots(sol: np.ndarray, times: np.ndarray, sv_tol: float) -> list:
             root = times[k]
         if root is not None:
             kk = int(np.argmin(np.abs(times - root)))
-            mult = int(np.sum(np.linalg.svd(sol[kk], compute_uv=False)
-                              < max(sv_tol, 2 * smin[kk])))
+            mult = int(np.sum(svals[kk] < max(sv_tol, 2 * smin[kk])))
             mult = max(mult, 1)
             if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
                 out.append((float(root), mult))

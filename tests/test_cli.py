@@ -189,6 +189,26 @@ def test_cli_analyze_entry_exit_codes(capsys, tmp_path):
     assert main(["analyze", "--entry", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("value", ["0.05", "-1e-3", "nan", "inf", "0"])
+def test_cli_rejects_unusable_step(capsys, value):
+    code = main(["analyze", "--entry", "hopf_s1_s3", "--checks", "jacobi-scan",
+                 f"--step={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --step")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+def test_cli_rejects_unusable_tol(capsys, value):
+    code = main(["analyze", "--entry", "hopf_s1_s3", "--checks", "jacobi-scan",
+                 f"--tol={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --tol")
+    assert captured.out == ""
+
+
 def test_cli_model_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(minimal_torus_doc()))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polaris import linalg
@@ -68,3 +68,35 @@ def test_orthonormalize_idempotent_span(rows):
     for r in rows:
         # residual after projecting r on q is zero: q spans the rows
         assert linalg.span_residual(q, r) < 1e-7 * max(1.0, np.linalg.norm(r))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 3),
+       st.integers(1, 6))
+def test_orthonormalize_stack_matches_gram_schmidt(seed, k, extra, n):
+    # well-conditioned full-rank stacks: the sign-fixed QR and modified
+    # Gram-Schmidt agree to rounding
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, k, k + extra))
+    s = np.linalg.svd(a, compute_uv=False)
+    assume(np.all(s[:, -1] > 1e-2 * s[:, 0]))
+    q = linalg.orthonormalize_stack(a)
+    for ai, qi in zip(a, q):
+        assert np.max(np.abs(qi - linalg.orthonormalize(ai))) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5))
+def test_stacked_rank_and_row_space_match_scalar(seed, k, n):
+    # ranks 0..k, zero rows included, decided as svd_rank decides them
+    rng = np.random.default_rng(seed)
+    m = k + 1
+    a = np.stack([rng.standard_normal((k, r)) @ rng.standard_normal((r, m))
+                  for r in rng.integers(0, k + 1, size=n)])
+    ranks = linalg.svd_rank_stack(a)
+    rows = linalg.row_space_stack(a)
+    for ai, ri, bi in zip(a, ranks, rows):
+        assert ri == linalg.svd_rank(ai)
+        assert np.allclose(bi @ bi.T, np.diag([1.0] * ri + [0.0] * (bi.shape[0] - ri)),
+                           atol=1e-12)
+        assert np.allclose(ai @ bi.T @ bi, ai, atol=1e-10)

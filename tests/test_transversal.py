@@ -11,6 +11,7 @@ from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
     rescale_probe, shape_operator, symplectic_form, \
     transversal_equation_residual, transversal_integrate, transversal_system, \
     variational_completeness_probe
+from polaris.transversal import _basis_modes, _golden_min, _matrix_solution, _rk4_steps
 
 PI = float(np.pi)
 
@@ -53,6 +54,14 @@ def test_step_cap(bundles):
                       step=0.05)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_step_must_be_positive_and_finite(bundles, step):
+    b = bundles["su2_adjoint"]
+    with pytest.raises(TransversalError):
+        OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
+                      step=step)
+
+
 def test_shape_operator_position_normal(bundles):
     # Euclidean orbit with the outward position normal: S = -(1/|p|) id
     b = bundles["su2_adjoint"]
@@ -92,6 +101,43 @@ def test_closed_form_vs_rk4(bundles):
         assert np.max(np.abs(a.y - b.y)) < 1e-8
 
 
+def test_rk4_steps_match_stagewise_rk4():
+    # a time-varying linear system integrated stage by stage, as the
+    # propagator form replaces it
+    def m_of(t):
+        return np.array([[0.1 * t, 1.0 + 0.3 * np.sin(t), 0.0],
+                         [-2.0 - np.cos(t), 0.0, 0.5 * t],
+                         [0.2, -0.4 * np.cos(2 * t), -0.1]])
+
+    h = 1e-2
+    ts = h * np.arange(201)
+    y = np.array([1.0, -0.5, 0.25])
+    ref = [y]
+    for t in ts[:-1]:
+        k1 = m_of(t) @ y
+        k2 = m_of(t + h / 2) @ (y + h / 2 * k1)
+        k3 = m_of(t + h / 2) @ (y + h / 2 * k2)
+        k4 = m_of(t + h) @ (y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ref.append(y)
+    steps = _rk4_steps(np.array([m_of(t) for t in ts[:-1]]),
+                       np.array([m_of(t + h / 2) for t in ts[:-1]]),
+                       np.array([m_of(t) for t in ts[1:]]), h)
+    y = ref[0]
+    for p, want in zip(steps, ref[1:]):
+        y = p @ y
+        assert np.max(np.abs(y - want)) < 1e-12
+
+
+def test_grid_evaluator_matches_jacobi_integrate(bundles):
+    for name in ("su2_adjoint", "hopf_s1_s3", "so3_s2xs2"):
+        geod = geod_for(bundles, name)
+        grid = _matrix_solution(geod, geod.times)
+        for j, (j0, dj0, _) in enumerate(n_jacobi_space(geod)):
+            field = jacobi_integrate(geod, j0, dj0)
+            assert np.max(np.abs(grid[:, :, j] - field.y)) < 1e-12, name
+
+
 def test_product_fields_solve_blockwise(bundles):
     geod = geod_for(bundles, "so3_s2xs2", span=(0.0, 2.0))
     # an initial value supported on the second factor stays there
@@ -128,6 +174,41 @@ def test_orbit_sphere_inward_focal_time(bundles):
     t, mult = focal[0]
     assert abs(t - 1.0) < 1e-8
     assert mult == 2
+
+
+def test_focal_points_match_per_point_scan(bundles):
+    # the per-grid-point scan the stacked scan replaced
+    geod = geod_for(bundles, "so3_sym_traceless")
+    a, b, _ = _basis_modes(geod)
+    evals, q = geod._modes
+
+    def matrix_at(t):
+        rows = np.empty_like(a)
+        for i, w in enumerate(evals):
+            if w > 1e-12:
+                r = np.sqrt(w)
+                rows[i] = a[i] * np.cos(r * t) + b[i] * np.sin(r * t) / r
+            else:
+                rows[i] = a[i] + t * b[i]
+        return q @ rows
+
+    def smin_at(t):
+        return np.linalg.svd(matrix_at(t), compute_uv=False)[-1]
+
+    times = geod.times
+    smin = np.array([smin_at(t) for t in times])
+    ref = []
+    for k in range(1, times.shape[0] - 1):
+        if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
+            t_star = _golden_min(smin_at, times[k - 1], times[k + 1])
+            if smin_at(t_star) < 1e-7:
+                mult = int(np.sum(np.linalg.svd(matrix_at(t_star), compute_uv=False) < 1e-7))
+                if not ref or abs(ref[-1][0] - t_star) > 10 * geod.step:
+                    ref.append((t_star, mult))
+    got = focal_points(geod)
+    assert len(ref) == 2
+    assert [m for _, m in got] == [m for _, m in ref]
+    assert np.max(np.abs(np.array([t for t, _ in got]) - [t for t, _ in ref])) < 1e-9
 
 
 def test_hopf_focal_pattern(bundles):
@@ -307,6 +388,26 @@ def test_flat_sections_of_polar_entries(bundles):
 
 
 # -- claims and the transversal equation ------------------------------------------------
+
+def test_horizontal_frame_matches_stepwise_orthonormalisation(bundles):
+    # RK4 step, projection into H_t and Gram-Schmidt at every step
+    system = transversal_system(geod_for(bundles, "hopf_s1_s3"))
+    h = system.geod.step
+    e = system.horizontal[0].T
+    frame = horizontal_frame(system)
+    worst = 0.0
+    for k in range(system.a.shape[0] - 1):
+        a0, a1 = system.a[k], system.a[k + 1]
+        am = (a0 + a1) / 2
+        k1 = a0 @ e
+        k2 = am @ (e + 0.5 * h * k1)
+        k3 = am @ (e + 0.5 * h * k2)
+        k4 = a1 @ (e + h * k3)
+        e = system.p_h[k + 1] @ (e + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        e = linalg.orthonormalize(e.T).T
+        worst = max(worst, float(np.max(np.abs(frame[k + 1] - e))))
+    assert worst < 1e-12
+
 
 def test_claims_hold_on_hopf(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
