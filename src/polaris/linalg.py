@@ -7,8 +7,8 @@ Scalar orthonormalisation is modified Gram-Schmidt with one
 re-orthogonalisation pass, which keeps witness vectors reproducible run to
 run.  The stacked kernels take an (..., k, n) stack of matrices and answer
 for every matrix at once from one LAPACK call: ``svd_rank_stack`` and
-``row_space_stack`` from one stacked SVD, with the rank decided as in
-``svd_rank``; ``orthonormalize_stack`` from one stacked QR whose signs are
+``row_space_stack`` from one stacked SVD, with the rank decided by the
+same singular-value cut as ``svd_rank`` and ``kernel``; ``orthonormalize_stack`` from one stacked QR whose signs are
 fixed so that diag R > 0, which makes its rows the ones modified
 Gram-Schmidt gives for a full-rank matrix, to rounding.
 """
@@ -80,23 +80,26 @@ def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> int
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= atol:
-        return 0
-    return int(np.sum(s > max(rtol * s[0], atol)))
+    return int(np.count_nonzero(_rank_mask(s, rtol, atol)))
 
 
-def _rank_mask(s: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """Singular values that count toward the rank, as in ``svd_rank``."""
+def _rank_mask(s: np.ndarray, rtol: float, atol: float = 1e-12) -> np.ndarray:
+    """Singular values that count toward the rank.
+
+    ``s`` is an (..., k) stack of descending singular values; a value counts
+    when it exceeds both ``rtol`` times the largest of its row and ``atol``.
+    Every rank and kernel decision in this module goes through this cut.
+    """
     return s > np.maximum(rtol * s[..., :1], atol)
 
 
-def svd_rank_stack(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+def svd_rank_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """``svd_rank`` of every matrix of an (..., k, n) stack, from one stacked SVD."""
     s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(_rank_mask(s, rtol, atol), axis=-1)
+    return np.count_nonzero(_rank_mask(s, rtol), axis=-1)
 
 
-def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+def row_space_stack(a: np.ndarray) -> np.ndarray:
     """Orthonormal row-space rows of every matrix of an (..., k, n) stack.
 
     Returns an (..., min(k, n), n) stack from one stacked SVD.  The rows past
@@ -104,7 +107,7 @@ def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12)
     is the projector onto the row space and the padding drops out of sums.
     """
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return vh * _rank_mask(s, rtol, atol)[..., None]
+    return vh * _rank_mask(s, RANK_RTOL)[..., None]
 
 
 def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
@@ -133,8 +136,7 @@ def kernel(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.nd
     if a.size == 0 or not np.any(a):
         return np.eye(n)
     _, s, vh = np.linalg.svd(a)
-    cut = max(rtol * s[0], atol) if s.size else 0.0
-    r = int(np.sum(s > cut))
+    r = int(np.count_nonzero(_rank_mask(s, rtol, atol)))
     return vh[r:].copy()
 
 

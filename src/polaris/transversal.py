@@ -33,6 +33,8 @@ from .weyl import QuotientOptimizerConfig, quotient_distance
 DEFAULT_STEP = 1e-3
 MAX_STEP = 1e-2
 FOCAL_SV_TOL = 1e-7
+# Times per stacked call in the eigenfield scan of discala_olmos_probe.
+_PROBE_BLOCK = 4096
 
 
 class TransversalError(ValueError):
@@ -476,16 +478,20 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     s, _ = shape_operator(rep, point, xi, tangent)
     lam, vec = np.linalg.eigh(s)
     eigvecs = vec.T @ tangent
-    s_max = 1.4 * float(np.max(1.0 / np.abs(lam)))
-    times = np.arange(0.0, s_max, step)
+    n_s = int(np.ceil(1.4 * float(np.max(1.0 / np.abs(lam))) / step))
     base_rank = linalg.svd_rank(rows)
     # J(s) = (1 - lambda s) u is parallel to the unit u: its distance from the
-    # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05
-    span = linalg.row_space_stack(rep.tangent_rows(point + np.multiply.outer(times, xi)))
-    coef = eigvecs @ np.swapaxes(span, 1, 2)                     # (n_s, k, r)
-    dist = np.linalg.norm(eigvecs - coef @ span, axis=-1)
-    far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
-    tangency = np.max(np.where(far, dist, 0.0), axis=0, initial=0.0)
+    # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05.  The times
+    # s = i * step are scanned in fixed-size blocks, so memory stays bounded
+    # however small the spectrum makes the step count.
+    tangency = np.zeros(lam.shape[0])
+    for lo in range(0, n_s, _PROBE_BLOCK):
+        times = np.arange(lo, min(lo + _PROBE_BLOCK, n_s)) * step
+        span = linalg.row_space_stack(rep.tangent_rows(point + np.multiply.outer(times, xi)))
+        coef = eigvecs @ np.swapaxes(span, 1, 2)                 # (block, k, r)
+        dist = np.linalg.norm(eigvecs - coef @ span, axis=-1)
+        far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
+        tangency = np.maximum(tangency, np.max(np.where(far, dist, 0.0), axis=0))
     records = []
     worst = 0.0
     for l_val, res in zip(lam, tangency):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polaris as pl
-from polaris import linalg
+from polaris import linalg, transversal
 from polaris.symspace import ModelManifold
 from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
@@ -48,18 +50,12 @@ def test_direction_must_be_unit_normal(bundles):
 
 
 def test_step_cap(bundles):
+    # above MAX_STEP, and not a positive finite number
     b = bundles["su2_adjoint"]
-    with pytest.raises(TransversalError):
-        OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
-                      step=0.05)
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
-def test_step_must_be_positive_and_finite(bundles, step):
-    b = bundles["su2_adjoint"]
-    with pytest.raises(TransversalError):
-        OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
-                      step=step)
+    for step in (0.05, 0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(TransversalError):
+            OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
+                          step=step)
 
 
 def test_shape_operator_position_normal(bundles):
@@ -297,6 +293,30 @@ def test_do_diag_double_tangency_violated(bundles):
     b = bundles["su2_diag_double"]
     report = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
     assert report.worst_tangency > 1e-3
+
+
+def test_do_scan_blocks_agree(bundles, monkeypatch):
+    # the eigenfield scan in many small blocks gives the one-block verdict
+    b = bundles["su2_diag_double"]
+    whole = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
+    monkeypatch.setattr(transversal, "_PROBE_BLOCK", 7)
+    blocked = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
+    assert blocked.worst_tangency == whole.worst_tangency
+    assert [r.tangency_residual for r in blocked.records] == \
+        [r.tangency_residual for r in whole.records]
+
+
+def test_do_scan_memory_bounded(bundles):
+    # a small step stands in for a small shape spectrum: four times the
+    # scanned times must not need a larger peak allocation
+    b = bundles["so3_sym_traceless"]
+    peaks = []
+    for step in (1e-4, 2.5e-5):
+        tracemalloc.start()
+        discala_olmos_probe(b["rep"], b["basepoint"], seed=4, step=step)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 def test_do_rejects_point_orbit():
