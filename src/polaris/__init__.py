@@ -1,8 +1,8 @@
 """Polarity, hyperpolarity and variational-completeness checks for isometric actions."""
 
-from .liealg import (CheckResult, LieAlgebra, Subspace, bracket, build_classical,
+from .liealg import (CheckResult, LieAlgebra, Subspace, build_classical,
                      centralizer_in, direct_sum, is_abelian_subspace,
-                     is_lie_triple_system, killing_form)
+                     is_lie_triple_system)
 from .linalg import IndeterminateVerdict
 from .polarity import (OrthogonalRep, PolarityVerdict, cohomogeneity,
                        find_regular_point, is_hyperpolar_homogeneous,

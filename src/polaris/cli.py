@@ -25,7 +25,7 @@ from .catalog import CatalogEntry, catalog_entry, catalog_list
 from .liealg import LieAlgebra, Subspace, is_lie_triple_system
 from .polarity import OrthogonalRep, cohomogeneity, is_hyperpolar_homogeneous, \
     is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
-from .symspace import BrokenGeodesicSampler, ModelManifold, \
+from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import MAX_STEP, OrbitGeodesic, claim_residuals, conjugate_scan, \
     discala_olmos_probe, focal_points, jacobi_integrate, n_jacobi_space, \
@@ -109,40 +109,81 @@ def _jsonable(x):
 # model loading
 # ---------------------------------------------------------------------------
 
+MAX_MODEL_DIM = 64          # the load-time Jacobi check holds dim^4 numbers
+
+
+def _array(value, field: str, dtype=float, shape=None) -> np.ndarray:
+    """A finite numeric array from a document field, reshaped to ``shape``."""
+    try:
+        arr = np.asarray(value, dtype)
+        arr = arr if shape is None else arr.reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{field}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{field}: entries must be finite numbers")
+    return arr
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ModelError(f"{key}: expected a list, got {type(value).__name__}")
+    return value or []
+
+
+def _squares(doc: dict, key: str, dtype=float) -> list:
+    """The flattened square matrices listed under ``key``, reshaped."""
+    out = []
+    for pos, flat in enumerate(_list(doc, key)):
+        flat = _array(flat, f"{key}[{pos}]", dtype)
+        side = int(round(np.sqrt(flat.size)))
+        if side * side != flat.size:
+            raise ModelError(f"{key}[{pos}]: not a flattened square matrix")
+        out.append(flat.reshape(side, side))
+    return out
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_model(source) -> dict:
     """Validate a model document and build its objects.
 
     ``source`` is a path, a JSON string, or an already-parsed dict.  Returns
     a bundle with the built model under its natural keys ("algebra",
-    "pair", "rep", ...), after running every load-time invariant.
+    "pair", "rep", ...), after running every load-time invariant.  Every
+    rejected document raises ``ModelError`` naming the offending field.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if os.path.exists(str(source)):
-            with open(source) as fh:
-                text = fh.read()
         try:
+            text = source
+            if os.path.exists(str(source)):
+                with open(source) as fh:
+                    text = fh.read()
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ModelError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelError(f"document: expected a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ModelError(f"schema: expected {SCHEMA_VERSION}, got {doc.get('schema')!r}")
     kind = doc.get("kind")
     if kind not in ("lie-algebra", "symmetric-pair", "representation"):
         raise ModelError(f"kind: unknown model kind {kind!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
-        raise ModelError(f"dim: must be a nonnegative integer, got {dim!r}")
+    if not (_is_int(dim) and 0 <= dim <= MAX_MODEL_DIM):
+        raise ModelError(f"dim: must be an integer in 0..{MAX_MODEL_DIM}, got {dim!r}")
     structure = np.zeros((dim, dim, dim))
     seen = set()
-    for pos, item in enumerate(doc.get("structure", [])):
-        if len(item) != 4:
+    for pos, item in enumerate(_list(doc, "structure")):
+        if not (isinstance(item, list) and len(item) == 4):
             raise ModelError(f"structure[{pos}]: expected [i, j, k, c]")
         i, j, k, c = item
-        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-            raise ModelError(f"structure[{pos}]: indices ({i},{j},{k}) out of range 1..{dim}")
+        if not all(_is_int(x) and 1 <= x <= dim for x in (i, j, k)):
+            raise ModelError(f"structure[{pos}]: indices ({i},{j},{k}) must be integers in 1..{dim}")
         if i >= j:
             raise ModelError(
                 f"structure[{pos}]: expected i < j (antisymmetry is implied); "
@@ -150,23 +191,17 @@ def load_model(source) -> dict:
         if (i, j, k) in seen:
             raise ModelError(f"structure[{pos}]: duplicate entry ({i},{j},{k})")
         seen.add((i, j, k))
-        structure[i - 1, j - 1, k - 1] = float(c)
-        structure[j - 1, i - 1, k - 1] = -float(c)
+        c = float(_array(c, f"structure[{pos}]", shape=()))
+        structure[i - 1, j - 1, k - 1] = c
+        structure[j - 1, i - 1, k - 1] = -c
     inner = np.eye(dim)
     if doc.get("inner") is not None:
-        inner = np.asarray(doc["inner"], float).reshape(dim, dim)
+        inner = _array(doc["inner"], "inner", shape=(dim, dim))
     realization = None
     if doc.get("realization") is not None:
-        realization = []
-        for pos, flat in enumerate(doc["realization"]):
-            flat = np.asarray(flat, complex)
-            side = int(round(np.sqrt(flat.size)))
-            if side * side != flat.size:
-                raise ModelError(f"realization[{pos}]: not a flattened square matrix")
-            realization.append(flat.reshape(side, side))
+        realization = tuple(_squares(doc, "realization", complex))
         if len(realization) != dim:
             raise ModelError(f"realization: expected {dim} matrices, got {len(realization)}")
-        realization = tuple(realization)
     name = doc.get("name", f"model({kind})")
     algebra = LieAlgebra(name, structure, inner, realization)
     try:
@@ -175,13 +210,15 @@ def load_model(source) -> dict:
         raise ModelError(f"algebra invariants: {exc}") from exc
     bundle = {"kind": kind, "algebra": algebra}
     if doc.get("subalgebra") is not None:
-        rows = np.asarray(doc["subalgebra"], float)
+        rows = np.atleast_2d(_array(doc["subalgebra"], "subalgebra"))
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise ModelError(f"subalgebra: expected rows of {dim} coordinates")
         bundle["subalgebra"] = Subspace(
             name, linalg.orthonormalize(rows, algebra.inner))
     if kind == "symmetric-pair":
         if doc.get("involution") is None:
             raise ModelError("involution: required for symmetric-pair models")
-        theta = np.asarray(doc["involution"], float).reshape(dim, dim)
+        theta = _array(doc["involution"], "involution", shape=(dim, dim))
         try:
             bundle["pair"] = cartan_decompose(algebra, theta)
         except Exception as exc:
@@ -189,34 +226,41 @@ def load_model(source) -> dict:
     if kind == "representation":
         if doc.get("generators") is None:
             raise ModelError("generators: required for representation models")
-        gens = []
-        for pos, flat in enumerate(doc["generators"]):
-            flat = np.asarray(flat, float)
-            side = int(round(np.sqrt(flat.size)))
-            if side * side != flat.size:
-                raise ModelError(f"generators[{pos}]: not a flattened square matrix")
-            gens.append(flat.reshape(side, side))
+        gens = _squares(doc, "generators")
         if len({g.shape for g in gens}) > 1:
             raise ModelError("generators: inconsistent dimensions")
         space_dim = gens[0].shape[0] if gens else 0
-        man = doc.get("manifold", {"kind": "euclidean"})
-        man_kind = man.get("kind", "euclidean")
-        sphere = man_kind in ("sphere", "unit-sphere")
-        if man_kind == "product-spheres":
-            bundle["manifold"] = ModelManifold(
-                "product-spheres", space_dim, radii=tuple(man.get("radii", (1.0, 1.0))),
-                split=tuple(man.get("split", (space_dim // 2, space_dim - space_dim // 2))))
-        else:
-            bundle["manifold"] = ModelManifold(
-                "sphere" if sphere else "euclidean", space_dim)
+        bundle["manifold"] = _manifold(doc.get("manifold"), space_dim)
         rep = OrthogonalRep(algebra, np.array(gens).reshape(len(gens), space_dim, space_dim),
-                            space_dim, restrict_to_sphere=sphere, name=name)
+                            space_dim, restrict_to_sphere=bundle["manifold"].kind == "sphere",
+                            name=name)
         try:
             rep.validate()
         except Exception as exc:
             raise ModelError(f"generators: {exc}") from exc
         bundle["rep"] = rep
     return bundle
+
+
+def _manifold(man, space_dim: int) -> ModelManifold:
+    """The model manifold of a representation document (Euclidean if absent)."""
+    man = {"kind": "euclidean"} if man is None else man
+    kind = man.get("kind", "euclidean") if isinstance(man, dict) else None
+    if kind not in ("euclidean", "sphere", "unit-sphere", "product-spheres"):
+        raise ModelError(f"manifold: expected an object whose kind is euclidean, "
+                         f"sphere or product-spheres, got {man!r}")
+    if kind != "product-spheres":
+        return ModelManifold("euclidean" if kind == "euclidean" else "sphere", space_dim)
+    radii = _array(man.get("radii", (1.0, 1.0)), "manifold.radii", shape=(2,))
+    split = man.get("split", [space_dim // 2, space_dim - space_dim // 2])
+    if not (isinstance(split, list) and len(split) == 2
+            and all(_is_int(d) and d > 0 for d in split)):
+        raise ModelError(f"manifold.split: expected two positive integers, got {split!r}")
+    try:
+        return ModelManifold("product-spheres", space_dim, radii=tuple(radii.tolist()),
+                             split=tuple(split))
+    except SymmetricSpaceError as exc:
+        raise ModelError(f"manifold: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +321,21 @@ def _check_cohomogeneity(bundle, seed, tol, step):
     return int(cohomogeneity(rep, seed)), {}, 0.0, None
 
 
+def _sample_points(rep, seed, points):
+    """Seeded points of the model space (unit vectors for sphere actions)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(points):
+        p = rng.standard_normal(rep.space_dim)
+        yield p / np.linalg.norm(p) if rep.restrict_to_sphere else p
+
+
 def _check_slice_scan(bundle, seed, tol, step, points: int = 12):
     tol = tol or 1e-8
     rep = _need(bundle, "rep", "slice-scan")
-    rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
-    for _ in range(points):
-        p = rng.standard_normal(rep.space_dim)
-        if rep.restrict_to_sphere:
-            p /= np.linalg.norm(p)
-        sl = slice_rep(rep, p)
-        v = is_polar_rep(sl, seed, tol)
+    for p in _sample_points(rep, seed, points):
+        v = is_polar_rep(slice_rep(rep, p), seed, tol)
         worst = max(worst, v.residual)
         ok = ok and v.polar
     return ok, {"points": points}, worst, tol
@@ -297,13 +344,9 @@ def _check_slice_scan(bundle, seed, tol, step, points: int = 12):
 def _check_orbifold_points(bundle, seed, tol, step, points: int = 8):
     tol = tol or 1e-8
     rep = _need(bundle, "rep", "orbifold-points")
-    rng = np.random.default_rng(seed)
     worst = 0.0
     sampled_ok = True
-    for _ in range(points):
-        p = rng.standard_normal(rep.space_dim)
-        if rep.restrict_to_sphere:
-            p /= np.linalg.norm(p)
+    for p in _sample_points(rep, seed, points):
         res = orbifold_point_test(rep, p, seed, tol)
         worst = max(worst, res.residual)
         sampled_ok = sampled_ok and res.ok

@@ -70,10 +70,6 @@ class Subspace:
         if res > tol:
             raise LieAlgebraError(f"subspace basis not orthonormal (residual {res:.2e})")
 
-    def contains(self, x: np.ndarray, gram: np.ndarray | None = None,
-                 tol: float = SPAN_TOL) -> bool:
-        return linalg.span_residual(self.basis, x, gram) < tol * max(1.0, linalg.gram_norm(x, gram))
-
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -312,14 +308,6 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 
 
 # -- operations ----------------------------------------------------------------
-
-def bracket(algebra: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return algebra.bracket(x, y)
-
-
-def killing_form(algebra: LieAlgebra, x: np.ndarray, y: np.ndarray) -> float:
-    return algebra.killing(x, y)
-
 
 def is_lie_triple_system(algebra: LieAlgebra, m: Subspace, tol: float = SPAN_TOL,
                          floor: float = WITNESS_FLOOR) -> CheckResult:

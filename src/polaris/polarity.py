@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import linalg
 from .liealg import CheckResult, LieAlgebra, Subspace, is_abelian_subspace, \
@@ -23,6 +22,7 @@ from .linalg import RANK_RTOL, SPAN_TOL, WITNESS_FLOOR
 from .symspace import SymmetricPair
 
 PAIRING_TOL = 1e-8
+REGULAR_DRAWS = 64          # seeded draws searching for a regular point or conjugate
 
 
 class PolarityError(ValueError):
@@ -86,10 +86,6 @@ class OrthogonalRep:
     def orbit_rank(self, v: np.ndarray, rtol: float = RANK_RTOL) -> int:
         return linalg.svd_rank(self.tangent_rows(v), rtol)
 
-    def apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Action of the algebra element with coordinates x on the point v."""
-        return np.einsum("i,iab,b->a", np.asarray(x, float), self.generators, v)
-
 
 @dataclass(frozen=True)
 class PolarityVerdict:
@@ -104,12 +100,12 @@ class PolarityVerdict:
         return self.polar
 
 
-def find_regular_point(rep: OrthogonalRep, seed: int = 0, draws: int = 64) -> np.ndarray:
-    """Seeded point of maximal orbit-tangent rank among ``draws`` samples."""
+def find_regular_point(rep: OrthogonalRep, seed: int = 0) -> np.ndarray:
+    """Seeded point of maximal orbit-tangent rank among ``REGULAR_DRAWS`` samples."""
     rng = np.random.default_rng(seed)
     best_rank = -1
     best = None
-    for _ in range(draws):
+    for _ in range(REGULAR_DRAWS):
         v = rng.standard_normal(rep.space_dim)
         if rep.restrict_to_sphere:
             v = v / np.linalg.norm(v)
@@ -238,12 +234,13 @@ def _check_subalgebra(alg: LieAlgebra, h: Subspace, tol: float = 1e-8) -> None:
                     f"(residual {res:.2e})")
 
 
-def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0,
-                         draws: int = 64) -> Subspace:
+def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Subspace:
     """Conjugate h so the basepoint orbit dimension is maximal over draws.
 
-    Conjugation acts through Ad(exp Z) = expm(ad Z) for seeded random Z, so
-    no matrix realization is needed.
+    Conjugation acts through Ad(exp Z) = exp(ad Z) for seeded random Z, so
+    no matrix realization is needed.  With the ad-invariant inner product
+    G = L L^T, the matrix S = L^T (ad Z) L^-T is skew, so every exp(-ad Z)
+    = L^-T exp(-S) L^T comes from one stacked eigendecomposition of iS.
     """
     alg = pair.algebra
     rng = np.random.default_rng(seed)
@@ -252,13 +249,23 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0,
         proj = np.array([pair.project_p(b) for b in basis])
         return linalg.svd_rank(proj)
 
+    zs = []
+    for _ in range(REGULAR_DRAWS):
+        z = rng.standard_normal(alg.dim)
+        zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
+    chol = np.linalg.cholesky(alg.inner)
+    ad = np.einsum("di,ijk->dkj", np.array(zs), alg.structure)     # ad(z) per draw
+    skew = chol.T @ np.swapaxes(np.linalg.solve(chol, np.swapaxes(ad, 1, 2)), 1, 2)
+    asym = float(np.max(np.abs(skew + np.swapaxes(skew, 1, 2)), initial=0.0))
+    if asym > 1e-8 * max(1.0, float(np.max(np.abs(skew), initial=0.0))):
+        raise PolarityError(f"inner product is not ad-invariant (residual {asym:.2e})")
+    lam, vec = np.linalg.eigh(1j * skew)
+    rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
+    ad_inv = np.linalg.solve(chol.T, rot @ chol.T)                 # exp(-ad z)
     best_basis = h.basis
     best_rank = orbit_rank_of(h.basis)
-    for _ in range(draws):
-        z = rng.standard_normal(alg.dim)
-        z = z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5)
-        ad_inv = expm(-alg.ad(z))
-        cand = linalg.orthonormalize(h.basis @ ad_inv.T, alg.inner)
+    for m in ad_inv:
+        cand = linalg.orthonormalize(h.basis @ m.T, alg.inner)
         r = orbit_rank_of(cand)
         if r > best_rank:
             best_rank, best_basis = r, cand

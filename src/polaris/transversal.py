@@ -11,12 +11,15 @@ Morse-Sturm conjugate/index scan.
 
 Work on the grid is stacked: one closed-form evaluator gives the N-Jacobi
 matrix solution at every grid time at once, the focal scan reads its
-singular values from one stacked SVD, and the bundles come from stacked
-SVD/QR/eigh calls in ``linalg``.  Every RK4 integration (the Jacobi
-cross-check, the horizontal frame, the transversal Jacobi equation and the
-Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns each
-step's propagator of the linear system, so the remaining sequential loop is
-one small matmul per step.
+singular values from one stacked SVD, and the vertical bundle comes from
+stacked SVD/QR calls in ``linalg``; the horizontal bundle is kept as its
+projector p_h, and only the start of the horizontal frame needs a basis of
+it.  Every RK4 integration (the Jacobi cross-check, the horizontal frame,
+the transversal Jacobi equation and the Morse-Sturm scan) goes through one
+helper, ``_rk4_steps``, that returns each step's propagator of the linear
+system, so the remaining sequential loop is one small matmul per step.  The
+O'Neill check and the rescale probe share one quotient-curvature estimator.
+Tolerances, grid strides and draw counts are module constants.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ from .weyl import QuotientOptimizerConfig, quotient_distance
 
 DEFAULT_STEP = 1e-3
 MAX_STEP = 1e-2
-FOCAL_SV_TOL = 1e-7
+FOCAL_SV_TOL = 1e-7         # singular values below it mark focal/conjugate times
+GOLDEN_ITERS = 90
+VERTICAL_RANK_RTOL = 1e-8   # relative rank cut of the vertical Jacobi fields
+CLAIM_STRIDE = 50           # grid stride of the vertical-derivative claim check
+INDEX_ELEMENTS = 64         # elements of the piecewise-linear Morse-Sturm index form
+PROBE_DRAWS = 64            # normal directions drawn by the eigenfield probe
+PROBE_MIN_EIG = 1e-6        # least |shape-operator eigenvalue| the probe accepts
+ONEILL_SEPARATION = 0.08    # larger separation of the O'Neill quotient estimate
+RESCALE_ETA = 0.3           # rescale-probe separation / distance to the singular point
 # Times per stacked call in the eigenfield scan of discala_olmos_probe.
 _PROBE_BLOCK = 4096
 
@@ -87,27 +98,17 @@ class OrbitGeodesic:
         self._modes = (np.clip(evals, 0.0, None), evecs)
         self.orbit_tangent = linalg.orthonormalize(rows) if rows.size \
             else np.zeros((0, rep.space_dim))
-        self.normal_basis = self._normal_basis()
-        self.shape_operator, self.shape_asymmetry = self._shape_operator()
+        base = self.frames[self.base_index]
+        comp = linalg.complement(self.orbit_tangent @ base, self.dim)
+        self.normal_basis = comp @ base.T if comp.size else np.zeros((0, rep.space_dim))
+        self.shape_operator, self.shape_asymmetry = shape_operator(
+            rep, point, direction, self.orbit_tangent)
         self._cache = {}
 
     # -- frame bookkeeping ---------------------------------------------------
 
     def to_frame(self, k: int, ambient_vec: np.ndarray) -> np.ndarray:
         return self.frames[k].T @ ambient_vec
-
-    def to_ambient(self, k: int, coords: np.ndarray) -> np.ndarray:
-        return self.frames[k] @ coords
-
-    def _normal_basis(self) -> np.ndarray:
-        base = self.frames[self.base_index]
-        tangent_frame = self.orbit_tangent @ base             # (k, m)
-        comp = linalg.complement(tangent_frame, self.dim)
-        return comp @ base.T if comp.size else np.zeros((0, self.rep.space_dim))
-
-    def _shape_operator(self):
-        return shape_operator(self.rep, self.point, self.direction,
-                              self.orbit_tangent)
 
     def orbit_rank_profile(self) -> np.ndarray:
         key = "rank_profile"
@@ -302,40 +303,35 @@ def _min_singular(geod: OrbitGeodesic, t: float) -> float:
     return float(np.linalg.svd(_matrix_solution(geod, t)[0], compute_uv=False)[-1])
 
 
-def focal_points(geod: OrbitGeodesic, window=None,
-                 sv_tol: float = FOCAL_SV_TOL) -> list:
+def focal_points(geod: OrbitGeodesic) -> list:
     """Focal times of the start orbit: roots of the matrix-solution sigma_min.
 
     Interior local minima of the smallest singular value on the grid are
-    refined by golden-section search; a refined minimum below ``sv_tol``
-    counts as a focal time with multiplicity the number of singular values
-    below the threshold there.
+    refined by golden-section search; a refined minimum below
+    ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the number of
+    singular values below the threshold there.
     """
     times = geod.times
-    lo = window[0] if window else times[0]
-    hi = window[1] if window else times[-1]
     smin = np.linalg.svd(_matrix_solution(geod, times), compute_uv=False)[:, -1]
     out = []
     for k in range(1, times.shape[0] - 1):
-        if not (lo < times[k] <= hi):
-            continue
         if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
             t_star = _golden_min(lambda t: _min_singular(geod, t),
                                  times[k - 1], times[k + 1])
             s_at = np.linalg.svd(_matrix_solution(geod, t_star)[0], compute_uv=False)
-            if s_at[-1] < sv_tol:
-                mult = int(np.sum(s_at < sv_tol))
+            if s_at[-1] < FOCAL_SV_TOL:
+                mult = int(np.sum(s_at < FOCAL_SV_TOL))
                 if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
                     out.append((float(t_star), mult))
     return out
 
 
-def _golden_min(f, a: float, b: float, iters: int = 90) -> float:
+def _golden_min(f, a: float, b: float) -> float:
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
@@ -390,23 +386,22 @@ class VariationalCompletenessReport:
     records: list
 
 
-def variational_completeness_probe(geod: OrbitGeodesic, window=None,
-                                   angle_tol: float = 1e-6,
-                                   sv_tol: float = FOCAL_SV_TOL) -> VariationalCompletenessReport:
+def variational_completeness_probe(geod: OrbitGeodesic,
+                                   angle_tol: float = 1e-6) -> VariationalCompletenessReport:
     """Check that every vanishing N-Jacobi field is a Killing restriction.
 
     At each focal time the kernel of the matrix solution is compared, as a
     space of grid functions, against the span of the Killing restrictions;
     the report carries the worst principal angle.
     """
-    focal = focal_points(geod, window, sv_tol)
+    focal = focal_points(geod)
     killing = killing_restrictions(geod)
     a, b, _ = _basis_modes(geod)
     records = []
     worst = 0.0
     for t_star, mult in focal:
         _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star)[0])
-        combos = vh[svals < sv_tol].T
+        combos = vh[svals < FOCAL_SV_TOL].T
         fields = _closed_form(geod, a @ combos, b @ combos, geod.times)[0]
         angle = 0.0
         for c in range(combos.shape[1]):
@@ -441,8 +436,7 @@ class DiScalaOlmosReport:
 
 
 def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
-                        step: float = DEFAULT_STEP, draws: int = 64,
-                        min_eig: float = 1e-6) -> DiScalaOlmosReport:
+                        step: float = DEFAULT_STEP) -> DiScalaOlmosReport:
     """Eigenfield tangency test along a normal line of a Euclidean orbit.
 
     For a normal direction whose shape operator has fully nonzero spectrum,
@@ -460,7 +454,7 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     rng = np.random.default_rng(seed)
     normal = linalg.complement(tangent, rep.space_dim)
     best = None
-    for _ in range(draws):
+    for _ in range(PROBE_DRAWS):
         # draw a unit normal and keep the most nondegenerate shape spectrum
         coeff = rng.standard_normal(normal.shape[0])
         xi = coeff @ normal
@@ -470,10 +464,10 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
         score = float(np.min(np.abs(lam)))
         if best is None or score > best[0]:
             best = (score, xi)
-    if best[0] < min_eig:
+    if best[0] < PROBE_MIN_EIG:
         raise TransversalError(
             f"no normal direction with fully nonzero shape spectrum after "
-            f"{draws} draws (best min |eigenvalue| {best[0]:.2e})")
+            f"{PROBE_DRAWS} draws (best min |eigenvalue| {best[0]:.2e})")
     xi = best[1]
     s, _ = shape_operator(rep, point, xi, tangent)
     lam, vec = np.linalg.eigh(s)
@@ -521,7 +515,7 @@ class TransversalSystem:
     rank through isolated zeros.
     """
 
-    def __init__(self, geod: OrbitGeodesic, rank_rtol: float = 1e-8):
+    def __init__(self, geod: OrbitGeodesic):
         self.geod = geod
         n_t = geod.times.shape[0]
         m = geod.dim
@@ -548,7 +542,7 @@ class TransversalSystem:
         self.vertical = np.zeros((n_t, r, m))
         if r:
             w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
-            full = linalg.svd_rank_stack(w, rank_rtol) == r
+            full = linalg.svd_rank_stack(w, VERTICAL_RANK_RTOL) == r
             self.vertical[full] = linalg.orthonormalize_stack(w[full])
             # division construction through isolated zeros of vertical fields
             for k in np.flatnonzero(~full):
@@ -564,8 +558,6 @@ class TransversalSystem:
             del w
         self.p_v = np.einsum("trm,trn->tmn", self.vertical, self.vertical)
         self.p_h = np.eye(m)[None, :, :] - self.p_v
-        # eigenvalues of p_h ascend: r zeros (V_t), then m - r ones (H_t)
-        self.horizontal = np.swapaxes(np.linalg.eigh(self.p_h)[1][:, :, r:], 1, 2)
         # extended A-tensor from centered differences of the projectors
         dp_v = np.empty_like(self.p_v)
         h = geod.step
@@ -586,9 +578,6 @@ class TransversalSystem:
         g = self.geod
         k = int(round((t - g.times[0]) / g.step))
         return min(max(k, 0), g.times.shape[0] - 1)
-
-    def a_tensor(self, t: float) -> np.ndarray:
-        return self.a[self.index_at(t)]
 
     def gamma_coords(self, k: int) -> np.ndarray:
         return self.geod.to_frame(k, self.geod.dgamma[k])
@@ -616,17 +605,19 @@ def horizontal_frame(system: TransversalSystem) -> np.ndarray:
     # the midpoint tensor (a_k + a_{k+1}) / 2 is O(h^2) accurate
     steps = _rk4_steps(a[:-1], (a[:-1] + a[1:]) / 2, a[1:], system.geod.step)
     np.matmul(system.p_h[1:], steps, out=steps)      # remove numerical vertical leakage
+    # eigenvalues of p_h ascend: r zeros (V_t), then m - r ones (H_t)
+    start = np.linalg.eigh(system.p_h[0])[1][:, system.rank:]
     # A sign-fixed QR after every step only right-multiplies the frame by an
     # upper-triangular matrix with positive diagonal, so the Q factor of the
     # unnormalised product at each time is the stepwise re-orthonormalised
     # frame: one stacked QR replaces one QR per step.
-    frame = _propagate(steps, system.horizontal[0].T)
+    frame = _propagate(steps, start)
     frame = np.swapaxes(linalg.orthonormalize_stack(np.swapaxes(frame, 1, 2)), 1, 2)
     system._cache[key] = frame
     return frame
 
 
-def claim_residuals(system: TransversalSystem, stride: int = 50) -> dict:
+def claim_residuals(system: TransversalSystem) -> dict:
     """Grid residuals of the two structure claims of the extended tensor.
 
     ``vertical-derivative``: for N-Jacobi fields made horizontal at a time
@@ -640,7 +631,7 @@ def claim_residuals(system: TransversalSystem, stride: int = 50) -> dict:
     vals = system.lambda_values
     dvals = system.lambda_derivs
     ups = system.upsilon_coeffs
-    for k in range(stride, n_t - stride, stride):
+    for k in range(CLAIM_STRIDE, n_t - CLAIM_STRIDE, CLAIM_STRIDE):
         wk = ups @ vals[:, k, :] if ups.size else np.zeros((0, g.dim))
         dwk = ups @ dvals[:, k, :] if ups.size else np.zeros((0, g.dim))
         for j in range(vals.shape[0]):
@@ -701,8 +692,7 @@ def transversal_integrate(system: TransversalSystem, y0, z0) -> HorizontalField:
     return HorizontalField(system, idx, states[:, :m], states[:, m:])
 
 
-def transversal_equation_residual(system: TransversalSystem, y: np.ndarray,
-                                  stride: int = 1) -> float:
+def transversal_equation_residual(system: TransversalSystem, y: np.ndarray) -> float:
     """Sup residual of the transversal Jacobi equation for a field on the grid.
 
     ``y`` holds horizontal frame coordinates per grid point; derivatives are
@@ -723,12 +713,9 @@ def transversal_equation_residual(system: TransversalSystem, y: np.ndarray,
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def symplectic_form(f1: GridField, f2: GridField, k: int | None = None):
-    """omega(J1, J2) = <J1', J2> - <J1, J2'> at one grid index or all of them."""
-    w = np.einsum("tm,tm->t", f1.dy, f2.y) - np.einsum("tm,tm->t", f1.y, f2.dy)
-    if k is None:
-        return w
-    return float(w[k])
+def symplectic_form(f1: GridField, f2: GridField) -> np.ndarray:
+    """omega(J1, J2) = <J1', J2> - <J1, J2'> at every grid index."""
+    return np.einsum("tm,tm->t", f1.dy, f2.y) - np.einsum("tm,tm->t", f1.y, f2.dy)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +729,7 @@ class ConjugateScanReport:
     sturm_consistent: bool
 
 
-def conjugate_scan(system: TransversalSystem, n_elements: int = 64,
-                   sv_tol: float = FOCAL_SV_TOL) -> ConjugateScanReport:
+def conjugate_scan(system: TransversalSystem) -> ConjugateScanReport:
     """Conjugate points and Morse index of Y'' + R(t) Y = 0 on the horizontal.
 
     The matrix solution with Y(a) = 0, Y'(a) = I runs in a nabla^h-parallel
@@ -772,13 +758,13 @@ def conjugate_scan(system: TransversalSystem, n_elements: int = 64,
     start = np.vstack([np.zeros((q_dim, q_dim)), np.eye(q_dim)])
     sol = _propagate(steps, start)[:, :q_dim]
     times = g.times[idx]
-    conj = _matrix_roots(sol, times, sv_tol)
-    index = _pl_index(r_red[idx], times, q_dim, n_elements)
+    conj = _matrix_roots(sol, times)
+    index = _pl_index(r_red[idx], times, q_dim)
     interior = sum(m for t, m in conj if t < times[-1] - 2 * h)
     return ConjugateScanReport(conj, index, index == interior)
 
 
-def _matrix_roots(sol: np.ndarray, times: np.ndarray, sv_tol: float) -> list:
+def _matrix_roots(sol: np.ndarray, times: np.ndarray) -> list:
     dets = np.linalg.det(sol)
     svals = np.linalg.svd(sol, compute_uv=False)
     smin = svals[:, -1]
@@ -791,24 +777,21 @@ def _matrix_roots(sol: np.ndarray, times: np.ndarray, sv_tol: float) -> list:
             d0, d1 = dets[k], dets[k + 1]
             root = t0 if d0 == 0 else t0 - d0 * (t1 - t0) / (d1 - d0)
         elif smin[k] < smin[k - 1] and smin[k] <= smin[k + 1] \
-                and smin[k] < 100 * sv_tol:
+                and smin[k] < 100 * FOCAL_SV_TOL:
             root = times[k]
         if root is not None:
             kk = int(np.argmin(np.abs(times - root)))
-            mult = int(np.sum(svals[kk] < max(sv_tol, 2 * smin[kk])))
+            mult = int(np.sum(svals[kk] < max(FOCAL_SV_TOL, 2 * smin[kk])))
             mult = max(mult, 1)
             if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
                 out.append((float(root), mult))
     return out
 
 
-def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int,
-              n_elements: int) -> int:
+def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int) -> int:
     """Negative-eigenvalue count of the piecewise-linear index form."""
-    if q_dim == 0:
-        return 0
     n = times.shape[0]
-    node_idx = np.unique(np.linspace(0, n - 1, n_elements + 1).astype(int))
+    node_idx = np.unique(np.linspace(0, n - 1, INDEX_ELEMENTS + 1).astype(int))
     n_nodes = node_idx.shape[0]
     dim = (n_nodes - 2) * q_dim
     if dim <= 0:
@@ -844,22 +827,18 @@ def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int,
     return int(np.sum(evals < -1e-9 * scale))
 
 
-def index_form_quadrature(system: TransversalSystem, values: np.ndarray,
-                          lo: int = 0, hi: int | None = None) -> float:
+def index_form_quadrature(system: TransversalSystem, values: np.ndarray) -> float:
     """I(Z, Z) by trapezoid quadrature for a horizontal field on the grid."""
     g = system.geod
-    hi = hi if hi is not None else g.times.shape[0] - 1
     h = g.step
-    seg = values[lo:hi + 1]
-    dz = np.empty_like(seg)
-    dz[1:-1] = (seg[2:] - seg[:-2]) / (2 * h)
-    dz[0] = (seg[1] - seg[0]) / h
-    dz[-1] = (seg[-1] - seg[-2]) / h
-    zprime = np.einsum("tmn,tn->tm", system.p_h[lo:hi + 1], dz)
+    dz = np.empty_like(values)
+    dz[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+    dz[0] = (values[1] - values[0]) / h
+    dz[-1] = (values[-1] - values[-2]) / h
+    zprime = np.einsum("tmn,tn->tm", system.p_h, dz)
     kinetic = np.einsum("tm,tm->t", zprime, zprime)
-    potential = np.einsum("tm,tmn,tn->t", seg, system.r_script[lo:hi + 1], seg)
-    ts = g.times[lo:hi + 1]
-    return float(np.trapezoid(kinetic - potential, ts))
+    potential = np.einsum("tm,tmn,tn->t", values, system.r_script, values)
+    return float(np.trapezoid(kinetic - potential, g.times))
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +854,24 @@ class ONeillReport:
     residual: float
 
 
+def _quotient_curvature(rep: OrthogonalRep, manifold: ModelManifold, point,
+                        x, y, s: float, config: QuotientOptimizerConfig) -> float:
+    """Base curvature of the plane (x, y) at ``point`` from quotient distances.
+
+    With d the orbit-space distance between exp(s x) and exp(s y) for an
+    orthonormal pair, 12 (sqrt(2) s - d) / (sqrt(2) s^3) = K + O(s^2); the
+    estimates at s and s/2 are Richardson-combined to cancel the O(s^2) term.
+    """
+    est = []
+    for sep in (s, s / 2):
+        d = quotient_distance(rep, manifold.exp(point, sep * x),
+                              manifold.exp(point, sep * y), config).value
+        est.append(12.0 * (np.sqrt(2.0) * sep - d) / (np.sqrt(2.0) * sep ** 3))
+    return (4 * est[1] - est[0]) / 3
+
+
 def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
-                 step: float = 2.5e-4, s_values=(0.08, 0.04),
+                 step: float = 2.5e-4,
                  qconfig: QuotientOptimizerConfig | None = None) -> ONeillReport:
     """Compare K(sigma*) = K(sigma) + 3|A_X Y|^2 against a quotient estimate.
 
@@ -898,16 +893,7 @@ def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
     a_sq = float(np.dot(a_xy, a_xy))
     k_formula = k_sigma + 3 * a_sq
     cfg = qconfig or QuotientOptimizerConfig(restarts=4, evals=1500, probes=100)
-    ks = []
-    for s in s_values:
-        px = manifold.exp(point, s * x)
-        py = manifold.exp(point, s * y)
-        d = quotient_distance(rep, px, py, cfg).value
-        ks.append(12.0 * (np.sqrt(2.0) * s - d) / (np.sqrt(2.0) * s ** 3))
-    if len(ks) >= 2 and abs(s_values[1] * 2 - s_values[0]) < 1e-12:
-        k_est = (4 * ks[1] - ks[0]) / 3
-    else:
-        k_est = ks[-1]
+    k_est = _quotient_curvature(rep, manifold, point, x, y, ONEILL_SEPARATION, cfg)
     return ONeillReport(k_sigma, a_sq, k_formula, float(k_est),
                         float(abs(k_est - k_formula)))
 
@@ -922,8 +908,7 @@ class RescaleReport:
 
 
 def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125, 0.015625),
-                  seed: int = 0, eta: float = 0.3,
-                  qconfig: QuotientOptimizerConfig | None = None) -> RescaleReport:
+                  seed: int = 0) -> RescaleReport:
     """Blow-up probe at a singular point of a sphere action.
 
     Points q are pulled toward the singular point along the geodesic from
@@ -941,7 +926,7 @@ def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125,
     if rho < 1e-10:
         raise TransversalError("q must differ from the base point")
     prediction = orbifold_point_test(rep, point, seed).ok
-    cfg = qconfig or QuotientOptimizerConfig(restarts=4, evals=2500, probes=200, seed=seed)
+    cfg = QuotientOptimizerConfig(restarts=4, evals=2500, probes=200, seed=seed)
     rng = np.random.default_rng(seed)
     values = []
     estimates = []
@@ -960,14 +945,8 @@ def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125,
             else:
                 c = linalg.orthonormalize(rng.standard_normal((2, hor.shape[0])))
                 bx, by = c @ hor
-            s1 = eta * lam * rho
-            est = []
-            for s in (s1, s1 / 2):
-                px = manifold.exp(x, s * bx)
-                py = manifold.exp(x, s * by)
-                d = quotient_distance(rep, px, py, cfg).value
-                est.append(12.0 * (np.sqrt(2.0) * s - d) / (np.sqrt(2.0) * s ** 3))
-            best = max(best, (4 * est[1] - est[0]) / 3)
+            best = max(best, _quotient_curvature(rep, manifold, x, bx, by,
+                                                 RESCALE_ETA * lam * rho, cfg))
         estimates.append(float(best))
         values.append(float(lam ** 2 * best))
     consistent = (not prediction) or (abs(values[-1]) < 1e-2)

@@ -21,7 +21,8 @@ from .liealg import Subspace, is_abelian_subspace
 from .polarity import OrthogonalRep
 from .symspace import SymmetricPair
 
-CLUSTER_TOL = 1e-6
+CLUSTER_TOL = 1e-6          # eigenvalues of (ad H)^2 closer than this share a cluster
+MAX_GROUP_ORDER = 4096      # a larger reflection closure means wrong root data
 
 
 class WeylError(ValueError):
@@ -94,8 +95,7 @@ def _nearest_index(m: np.ndarray, mats: list, tol: float):
     return None
 
 
-def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0,
-                     cluster_tol: float = CLUSTER_TOL) -> RestrictedRootSystem:
+def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> RestrictedRootSystem:
     """Diagonalise (ad H)^2 for generic H in a and cluster the spectrum.
 
     Requires ``a`` abelian (maximal abelian in practice); eigenvalue clusters
@@ -126,21 +126,21 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0,
     vectors = vectors[:, order]
     clusters: list[list[int]] = [[0]]
     for idx in range(1, eigvals.size):
-        if eigvals[idx] - eigvals[clusters[-1][-1]] > cluster_tol:
+        if eigvals[idx] - eigvals[clusters[-1][-1]] > CLUSTER_TOL:
             clusters.append([idx])
         else:
             clusters[-1].append(idx)
     centers = [float(np.mean(eigvals[c])) for c in clusters]
     for i in range(len(centers) - 1):
         gap = abs(centers[i + 1] - centers[i])
-        if gap < 3 * cluster_tol:
+        if gap < 3 * CLUSTER_TOL:
             raise WeylError(
                 f"eigenvalue clustering ambiguous: centers {centers[i]:.3e} and "
-                f"{centers[i + 1]:.3e} separated by {gap:.3e} (tol {cluster_tol:.1e})")
+                f"{centers[i + 1]:.3e} separated by {gap:.3e} (tol {CLUSTER_TOL:.1e})")
     roots = []
     g0_dim = 0
     for cluster, center in zip(clusters, centers):
-        if abs(center) <= max(10 * cluster_tol, 1e-8):
+        if abs(center) <= max(10 * CLUSTER_TOL, 1e-8):
             g0_dim += len(cluster)
             continue
         if center > 0:
@@ -170,8 +170,7 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0,
     return system
 
 
-def weyl_group_closure(system: RestrictedRootSystem, tol: float = 1e-8,
-                       max_order: int = 4096) -> ReflectionGroup:
+def weyl_group_closure(system: RestrictedRootSystem) -> ReflectionGroup:
     """Close the root reflections s_lam(v) = v - 2(<v,lam>/<lam,lam>)lam."""
     k = system.a.dim
     eye = np.eye(k)
@@ -191,9 +190,9 @@ def weyl_group_closure(system: RestrictedRootSystem, tol: float = 1e-8,
                 if _nearest_index(prod, elements, 1e-6) is None:
                     elements.append(prod)
                     nxt.append(prod)
-                    if len(elements) > max_order:
+                    if len(elements) > MAX_GROUP_ORDER:
                         raise WeylError(
-                            f"reflection closure exceeded {max_order} elements; "
+                            f"reflection closure exceeded {MAX_GROUP_ORDER} elements; "
                             "root data is likely wrong")
         frontier = nxt
     group = ReflectionGroup(tuple(gens), tuple(elements))

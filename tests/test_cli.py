@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polaris as pl
 from polaris.catalog import R_PRODUCT, catalog_list
@@ -86,6 +87,58 @@ def test_load_rejects_non_antisymmetric_generator():
            "generators": [[0.0, 1.0, 1.0, 0.0]]}
     with pytest.raises(ModelError):
         load_model(doc)
+
+
+def circle_rep_doc():
+    return {"schema": 1, "kind": "representation", "dim": 1, "structure": [],
+            "generators": [[0.0, -1.0, 1.0, 0.0]], "manifold": {"kind": "euclidean"}}
+
+
+def su2_pair_doc():
+    return {**cyclic_su2_doc(), "kind": "symmetric-pair",
+            "involution": [[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]],
+            "subalgebra": [[1.0, 0, 0]]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({**cyclic_su2_doc(), "structure": [[1, 2, 3, "one"]]}, "structure[0]"),
+    ({**cyclic_su2_doc(), "inner": [1.0, 0.0, 0.0, 1.0]}, "inner"),
+    ({**minimal_torus_doc(), "dim": True}, "dim"),
+    ([minimal_torus_doc()], "document"),
+    ({**cyclic_su2_doc(), "structure": [7]}, "structure[0]"),
+    ({**circle_rep_doc(), "manifold": "sphere"}, "manifold"),
+    ({**circle_rep_doc(), "manifold": {"kind": "hyperbolic"}}, "manifold"),
+])
+def test_load_rejects_malformed_field_naming_it(doc, field):
+    with pytest.raises(ModelError) as err:
+        load_model(json.dumps(doc))
+    assert str(err.value).startswith(field + ":")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10)
+FIELDS = ("schema", "kind", "dim", "structure", "inner", "realization", "name",
+          "involution", "subalgebra", "generators", "manifold")
+# valid documents with up to three fields replaced by arbitrary JSON values
+NEAR_VALID = st.builds(
+    lambda base, changes: {**base, **changes},
+    st.sampled_from([minimal_torus_doc(), cyclic_su2_doc(), su2_pair_doc(),
+                     circle_rep_doc()]),
+    st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | NEAR_VALID)
+def test_any_json_value_loads_or_raises_model_error(value):
+    try:
+        bundle = load_model(json.dumps(value))
+    except ModelError:
+        return
+    assert bundle["kind"] == value["kind"]
+    assert bundle["algebra"].dim == value["dim"]
 
 
 # -- catalog ---------------------------------------------------------------------

@@ -83,12 +83,12 @@ def test_bracket_dimension_mismatch(su2):
 
 def test_killing_su2_cyclic_basis(su2):
     # ad e1 assembled from the cyclic constants has trace(ad^2) = -2
-    assert abs(pl.killing_form(su2, EYE3[0], EYE3[0]) + 2.0) < 1e-12
+    assert abs(su2.killing(EYE3[0], EYE3[0]) + 2.0) < 1e-12
 
 
 def test_killing_torus_vanishes():
     t2 = pl.build_classical("torus", 2)
-    assert pl.killing_form(t2, np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 0.0
+    assert t2.killing(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 0.0
 
 
 def test_killing_symmetric_and_ad_invariant_seeded():

@@ -228,6 +228,16 @@ def test_regularize_basepoint_maximises_orbit_rank(bundles):
     assert after == 2
 
 
+def test_regularize_basepoint_needs_an_ad_invariant_metric(su2):
+    # the split along diag(1, -1, -1) passes every pair check under the
+    # metric diag(1, 2, 3), which is not ad-invariant: conjugation is then
+    # not skew in orthonormal coordinates
+    alg = pl.LieAlgebra(su2.name, su2.structure, np.diag([1.0, 2.0, 3.0]))
+    pair = pl.cartan_decompose(alg, np.diag([1.0, -1.0, -1.0]))
+    with pytest.raises(PolarityError, match="ad-invariant"):
+        regularize_basepoint(pair, Subspace(alg.name, np.eye(3)[:1]))
+
+
 # -- orbifold points ----------------------------------------------------------------
 
 def test_orbifold_regular_point(bundles):

@@ -186,6 +186,27 @@ def test_probe_agrees_with_lts_on_seeded_subspaces(su3_conj_pair, swap_pair):
             assert lts.ok == probe.ok
 
 
+def test_pair_probe_is_one_algebraic_evaluation(su3_conj_pair):
+    # transport by the group makes every sample the same algebraic test, so
+    # the report does not depend on the sample count and a failure is
+    # witnessed by the first sample's legs
+    alg = su3_conj_pair.algebra
+    rng = np.random.default_rng(31)
+    rows = linalg.orthonormalize(
+        rng.standard_normal((2, su3_conj_pair.p.dim)) @ su3_conj_pair.p.basis, alg.inner)
+    sub = Subspace(alg.name, rows)
+    sampler = BrokenGeodesicSampler(count=100, seed=5)
+    res = cartan_hermann_probe(su3_conj_pair, None, sub, sampler)
+    assert not res.ok
+    legs = np.random.default_rng(5).uniform(sampler.leg_min, sampler.leg_max, 2)
+    assert res.witness == (0, *legs)
+    assert abs(res.residual - pl.is_lie_triple_system(alg, sub).residual) < 1e-12
+    assert cartan_hermann_probe(su3_conj_pair, None, sub,
+                                BrokenGeodesicSampler(count=1, seed=5)) == res
+    with pytest.raises(SymmetricSpaceError):
+        BrokenGeodesicSampler(count=0)
+
+
 def test_probe_on_model_manifolds():
     # Euclidean space is flat: every subspace passes
     euc = ModelManifold("euclidean", 4)
