@@ -58,6 +58,10 @@ def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL
     a = as_matrix(rows)
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
+    # Rescale by a power of two so the largest entry lies in [0.5, 1): the
+    # squared norms below then neither underflow nor overflow, and since the
+    # scaling is exact the result is bitwise the same for ordinary inputs.
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
     scale = max(gram_norm(v, gram) for v in a)
     if scale == 0.0:
         return np.zeros((0, a.shape[1]))
