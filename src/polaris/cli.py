@@ -23,7 +23,8 @@ import numpy as np
 from . import linalg
 from .catalog import CatalogEntry, catalog_entry, catalog_list
 from .liealg import LieAlgebra, Subspace, is_lie_triple_system
-from .polarity import OrthogonalRep, cohomogeneity, is_hyperpolar_homogeneous, \
+from .polarity import OrthogonalRep, PolarityError, _check_ad_invariant, \
+    _check_subalgebra, cohomogeneity, is_hyperpolar_homogeneous, \
     is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
@@ -215,7 +216,15 @@ def load_model(source) -> dict:
             raise ModelError(f"subalgebra: expected rows of {dim} coordinates")
         bundle["subalgebra"] = Subspace(
             name, linalg.orthonormalize(rows, algebra.inner))
+        try:
+            _check_subalgebra(algebra, bundle["subalgebra"])
+        except PolarityError as exc:
+            raise ModelError(f"subalgebra: {exc}") from exc
     if kind == "symmetric-pair":
+        try:
+            _check_ad_invariant(algebra)
+        except PolarityError as exc:
+            raise ModelError(f"inner: {exc}; symmetric-pair models need one") from exc
         if doc.get("involution") is None:
             raise ModelError("involution: required for symmetric-pair models")
         theta = _array(doc["involution"], "involution", shape=(dim, dim))

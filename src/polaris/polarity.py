@@ -234,6 +234,15 @@ def _check_subalgebra(alg: LieAlgebra, h: Subspace, tol: float = 1e-8) -> None:
                     f"(residual {res:.2e})")
 
 
+def _check_ad_invariant(alg: LieAlgebra, tol: float = 1e-8) -> None:
+    """<[x, y], z> = -<y, [x, z]>: G ad(e_i) is skew for every basis vector."""
+    g_ad = alg.inner @ np.swapaxes(alg.structure, 1, 2)
+    scale = max(1.0, float(np.max(np.abs(g_ad), initial=0.0)))
+    res = float(np.max(np.abs(g_ad + np.swapaxes(g_ad, 1, 2)), initial=0.0)) / scale
+    if res > tol:
+        raise PolarityError(f"inner product is not ad-invariant (relative residual {res:.2e})")
+
+
 def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Subspace:
     """Conjugate h so the basepoint orbit dimension is maximal over draws.
 
@@ -253,12 +262,10 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     for _ in range(REGULAR_DRAWS):
         z = rng.standard_normal(alg.dim)
         zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
+    _check_ad_invariant(alg)
     chol = np.linalg.cholesky(alg.inner)
     ad = np.einsum("di,ijk->dkj", np.array(zs), alg.structure)     # ad(z) per draw
     skew = chol.T @ np.swapaxes(np.linalg.solve(chol, np.swapaxes(ad, 1, 2)), 1, 2)
-    asym = float(np.max(np.abs(skew + np.swapaxes(skew, 1, 2)), initial=0.0))
-    if asym > 1e-8 * max(1.0, float(np.max(np.abs(skew), initial=0.0))):
-        raise PolarityError(f"inner product is not ad-invariant (residual {asym:.2e})")
     lam, vec = np.linalg.eigh(1j * skew)
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
     ad_inv = np.linalg.solve(chol.T, rot @ chol.T)                 # exp(-ad z)

@@ -860,13 +860,14 @@ def _quotient_curvature(rep: OrthogonalRep, manifold: ModelManifold, point,
 
     With d the orbit-space distance between exp(s x) and exp(s y) for an
     orthonormal pair, 12 (sqrt(2) s - d) / (sqrt(2) s^3) = K + O(s^2); the
-    estimates at s and s/2 are Richardson-combined to cancel the O(s^2) term.
+    estimates at s and s/2, from one stacked distance call, are
+    Richardson-combined to cancel the O(s^2) term.
     """
-    est = []
-    for sep in (s, s / 2):
-        d = quotient_distance(rep, manifold.exp(point, sep * x),
-                              manifold.exp(point, sep * y), config).value
-        est.append(12.0 * (np.sqrt(2.0) * sep - d) / (np.sqrt(2.0) * sep ** 3))
+    seps = np.array([s, s / 2])
+    d = quotient_distance(rep, np.array([manifold.exp(point, sep * x) for sep in seps]),
+                          np.array([manifold.exp(point, sep * y) for sep in seps]),
+                          config).value
+    est = 12.0 * (np.sqrt(2.0) * seps - d) / (np.sqrt(2.0) * seps ** 3)
     return (4 * est[1] - est[0]) / 3
 
 

@@ -4,8 +4,11 @@ Roots are extracted from the spectrum of (ad H)^2 for a seeded generic H in
 a maximal abelian subspace: eigenvalue clusters -lambda(H)^2 are matched to
 linear functionals by evaluating mixed traces against a basis of a.  The
 reflection group closes the root reflections under multiplication.  Orbit
-space distances come from multi-start BFGS descent with an analytic gradient
-over coordinates of the group and are compared with the section/Weyl distance.
+space distances come from a multi-start BFGS descent with an analytic
+gradient over coordinates of the group, run in lockstep over every start of
+every pair of a stacked call, and are compared with the section/Weyl
+distance.  Group elements are exponentiated from eigendecompositions of
+Hermitian matrices, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from . import linalg
 from .liealg import Subspace, is_abelian_subspace
@@ -23,6 +24,10 @@ from .symspace import SymmetricPair
 
 CLUSTER_TOL = 1e-6          # eigenvalues of (ad H)^2 closer than this share a cluster
 MAX_GROUP_ORDER = 4096      # a larger reflection closure means wrong root data
+GTOL = 1e-10                # max|grad| at which a quotient-distance start has converged
+ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking search
+ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
+SAMPLE_BLOCK = 1024         # group elements exponentiated per stacked eigh
 
 
 class WeylError(ValueError):
@@ -207,7 +212,7 @@ def weyl_group_closure(system: RestrictedRootSystem) -> ReflectionGroup:
 @dataclass(frozen=True)
 class QuotientOptimizerConfig:
     restarts: int = 32
-    evals: int = 500          # BFGS iteration cap per start
+    evals: int = 500          # BFGS iteration cap per start; the lockstep loop keeps it
     probes: int = 400         # cheap global samples used to place the starts
     box: float = float(np.pi)
     seed: int = 0
@@ -215,15 +220,17 @@ class QuotientOptimizerConfig:
 
 @dataclass(frozen=True)
 class QuotientDistance:
-    value: float
-    params: np.ndarray
+    value: float | np.ndarray       # (B,) for stacked pairs
+    params: np.ndarray              # (n,), or (B, n) for stacked pairs
 
 
 class _Pairing:
     """f(t) = -<p, g(t) q> for g(t) = E_0(t_0) ... E_{n-1}(t_{n-1}), E_i(t) = exp(t A_i).
 
     Each E_i comes from the eigendecomposition of the Hermitian matrix i A_i.
-    ``t`` may carry leading batch axes; f and its gradient share them.
+    ``t``, ``p`` and ``q`` may carry leading batch axes, which broadcast; f
+    and its gradient carry the broadcast batch shape.  ``rows`` selects rows
+    of a stacked ``p`` and ``q``.
     """
 
     def __init__(self, rep: OrthogonalRep, p: np.ndarray, q: np.ndarray):
@@ -231,31 +238,85 @@ class _Pairing:
         self._lam, self._vec = np.linalg.eigh(1j * self.gens)
         self._vec_h = np.conj(np.swapaxes(self._vec, -1, -2))
 
-    def sweep(self, t: np.ndarray):
+    def sweep(self, t: np.ndarray, rows=slice(None)):
         """The factors E_i(t_i) and the suffixes E_i ... E_{n-1} q, i = 0..n."""
         t = np.asarray(t, float)
         phase = np.exp(-1j * t[..., None] * self._lam)
         exps = ((self._vec * phase[..., None, :]) @ self._vec_h).real
-        suffix = [self.q]
+        suffix = [self.q[rows]]
         for i in range(t.shape[-1] - 1, -1, -1):
             suffix.insert(0, (exps[..., i, :, :] @ suffix[0][..., None])[..., 0])
         return exps, suffix
 
-    def __call__(self, t: np.ndarray):
+    def __call__(self, t: np.ndarray, rows=slice(None)):
         """(f(t), grad f(t)) with d_i f = -<p, E_0...E_{i-1} A_i E_i...E_{n-1} q>."""
-        exps, suffix = self.sweep(t)
-        row = self.p                       # (E_0 ... E_{i-1})^T p
-        grad = np.empty(np.shape(t))
+        exps, suffix = self.sweep(t, rows)
+        row = self.p[rows]                 # (E_0 ... E_{i-1})^T p
+        grad = np.empty(suffix[0].shape[:-1] + np.shape(t)[-1:])
         for i in range(grad.shape[-1]):
             grad[..., i] = -np.sum((row @ self.gens[i]) * suffix[i], axis=-1)
             row = (row[..., None, :] @ exps[..., i, :, :])[..., 0, :]
-        return -(suffix[0] @ self.p), grad
+        return -np.sum(suffix[0] * self.p[rows], axis=-1), grad
 
 
-def _ambient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray) -> float:
+def _lockstep_bfgs(fun, t: np.ndarray, noise: np.ndarray, iterations: int) -> np.ndarray:
+    """Minimise B independent problems at once by BFGS with Armijo backtracking.
+
+    ``fun(t, rows)`` gives the values and gradients of problems ``rows`` at
+    ``t`` (k, n).  Each problem keeps its own n x n inverse-Hessian
+    approximation, scaled by s^T y / y^T y before its first update, and skips
+    the update when s^T y <= 0.  A problem retires when max|grad| <= GTOL or
+    when its line search can no longer decrease f by more than ``noise``, its
+    rounding level; every call evaluates the searching rows only.  Nocedal
+    and Wright, Numerical Optimization, Algorithms 3.1 and 6.1.
+    """
+    t = np.array(t, float)
+    f, g = fun(t, np.arange(t.shape[0]))
+    eye = np.eye(t.shape[1])
+    h = np.tile(eye, (t.shape[0], 1, 1))
+    fresh = np.ones(t.shape[0], bool)
+    active = np.max(np.abs(g), axis=1) > GTOL
+    for _ in range(iterations):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        d = -(h[idx] @ g[idx, :, None])[..., 0]
+        slope = np.sum(g[idx] * d, axis=1)
+        step = np.ones(idx.size)
+        f_new, g_new = np.empty(idx.size), np.empty((idx.size, t.shape[1]))
+        accepted = np.zeros(idx.size, bool)
+        trial = np.arange(idx.size)
+        while trial.size:
+            rows = idx[trial]
+            fv, gv = fun(t[rows] + step[trial, None] * d[trial], rows)
+            ok = fv <= f[rows] + ARMIJO_C1 * step[trial] * slope[trial]
+            accepted[trial[ok]] = True
+            f_new[trial[ok]], g_new[trial[ok]] = fv[ok], gv[ok]
+            trial = trial[~ok]
+            step[trial] *= 0.5
+            trial = trial[-step[trial] * slope[trial] > noise[idx[trial]]]
+        active[idx[~accepted]] = False          # stalled at rounding level
+        idx, s = idx[accepted], (step[:, None] * d)[accepted]
+        y = g_new[accepted] - g[idx]
+        t[idx] += s
+        f[idx], g[idx] = f_new[accepted], g_new[accepted]
+        active[idx] = np.max(np.abs(g[idx]), axis=1) > GTOL
+        sy = np.sum(s * y, axis=1)
+        keep = sy > 0
+        idx, s, y, sy = idx[keep], s[keep], y[keep], sy[keep]
+        first = fresh[idx]
+        h[idx[first]] = (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None] * eye
+        fresh[idx] = False
+        rho = (1.0 / sy)[:, None, None]
+        left = eye - rho * s[:, :, None] * y[:, None, :]
+        h[idx] = left @ h[idx] @ np.swapaxes(left, 1, 2) + rho * s[:, :, None] * s[:, None, :]
+    return t
+
+
+def _ambient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if rep.restrict_to_sphere:
-        return float(np.arccos(np.clip(np.dot(p, q), -1.0, 1.0)))
-    return float(np.linalg.norm(p - q))
+        return np.arccos(np.clip(np.sum(p * q, axis=-1), -1.0, 1.0))
+    return np.linalg.norm(p - q, axis=-1)
 
 
 def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
@@ -268,26 +329,40 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     ``restarts`` of them start a BFGS descent of -<p, g(t) q> with its
     analytic gradient, ``evals`` iterations at most.  The least ambient
     distance at a final t approximates an infimum and is an upper bound.
+
+    ``p`` and ``q`` may be stacks of B pairs, shape (B, d); then ``value``
+    has shape (B,) and ``params`` (B, n).  Every pair shares the one probe
+    set drawn from ``config.seed``, and one lockstep BFGS runs all B x
+    restarts starts together.
     """
     cfg = config or QuotientOptimizerConfig()
     p = np.asarray(p, float)
     q = np.asarray(q, float)
+    single = p.ndim == 1
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
     n = rep.n_generators
     if n == 0:
-        return QuotientDistance(_ambient_distance(rep, p, q), np.zeros(0))
-    pairing = _Pairing(rep, p, q)
-    rng = np.random.default_rng(cfg.seed)
-    samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
-    samples[0] = 0.0
-    order = np.argsort(pairing(samples)[0])
-    best = QuotientDistance(np.inf, np.zeros(n))
-    for t0 in samples[order[:max(cfg.restarts, 1)]]:
-        t = minimize(pairing, t0, jac=True, method="BFGS",
-                     options={"maxiter": cfg.evals, "gtol": 1e-10}).x
-        d = _ambient_distance(rep, p, pairing.sweep(t)[1][0])
-        if d < best.value:
-            best = QuotientDistance(d, t)
-    return best
+        value, params = _ambient_distance(rep, p, q), np.zeros((p.shape[0], 0))
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
+        samples[0] = 0.0
+        pairing = _Pairing(rep, p, q)
+        scores = pairing(samples[:, None, :])[0]                     # (probes, B)
+        restarts = min(max(cfg.restarts, 1), cfg.probes)
+        starts = samples[np.argsort(scores, axis=0)[:restarts].T]    # (B, restarts, n)
+        owner = np.repeat(np.arange(p.shape[0]), restarts)           # pair of each start
+        noise = ROUNDING * np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
+        t = _lockstep_bfgs(lambda t, rows: pairing(t, owner[rows]), starts.reshape(-1, n),
+                           noise[owner], cfg.evals)
+        moved = pairing.sweep(t, owner)[1][0]                        # g(t) q per start
+        dist = _ambient_distance(rep, p[owner], moved).reshape(-1, restarts)
+        best = np.argmin(dist, axis=1)
+        pick = np.arange(p.shape[0])
+        value, params = dist[pick, best], t.reshape(-1, restarts, n)[pick, best]
+    if single:
+        return QuotientDistance(float(value[0]), params[0])
+    return QuotientDistance(value, params)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +387,9 @@ class SectionOrbitReport:
 
 
 def _weyl_images(section: Subspace, group: ReflectionGroup, p: np.ndarray) -> np.ndarray:
-    coords = section.basis @ np.asarray(p, float)
-    return np.array([(np.asarray(w) @ coords) @ section.basis for w in group.elements])
+    """The Weyl images of p (..., d) as an (..., |W|, d) stack."""
+    coords = np.asarray(p, float) @ section.basis.T
+    return np.einsum("wij,...j->...wi", np.array(group.elements), coords) @ section.basis
 
 
 def section_orbit_check(rep: OrthogonalRep, section: Subspace,
@@ -323,7 +399,9 @@ def section_orbit_check(rep: OrthogonalRep, section: Subspace,
 
     Group elements are sampled as exp(sum t_i A_i); samples landing within
     ``near_tol`` of the section span must be within ``match_tol`` of the
-    Weyl orbit of p.  No near-section samples is reported, not failed.
+    Weyl orbit of p.  No near-section samples is reported, not failed.  The
+    exponentials of each block of ``SAMPLE_BLOCK`` samples come from one
+    stacked eigendecomposition of the Hermitian matrices i sum t_i A_i.
     """
     cfg = sampler or SectionSampler()
     p = np.asarray(p, float)
@@ -333,14 +411,17 @@ def section_orbit_check(rep: OrthogonalRep, section: Subspace,
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     n_near = 0
-    for _ in range(cfg.count):
-        t = rng.uniform(-cfg.box, cfg.box, rep.n_generators)
-        g = expm(np.einsum("i,iab->ab", t, rep.generators))
+    for start in range(0, cfg.count, SAMPLE_BLOCK):
+        t = rng.uniform(-cfg.box, cfg.box, (min(SAMPLE_BLOCK, cfg.count - start),
+                                            rep.n_generators))
+        lam, vec = np.linalg.eigh(1j * np.einsum("si,iab->sab", t, rep.generators))
+        g = ((vec * np.exp(-1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
         q = g @ p
-        if linalg.span_residual(section.basis, q) < cfg.near_tol:
-            n_near += 1
-            d = float(np.min(np.linalg.norm(images - q[None, :], axis=1)))
-            worst = max(worst, d)
+        near = q[np.linalg.norm(q - (q @ section.basis.T) @ section.basis, axis=1)
+                 < cfg.near_tol]
+        n_near += near.shape[0]
+        dist = np.linalg.norm(images[None, :, :] - near[:, None, :], axis=2)
+        worst = max(worst, float(np.max(np.min(dist, axis=1), initial=0.0)))
     ok = worst < cfg.match_tol
     return SectionOrbitReport(ok, worst, n_near, cfg.count)
 
@@ -367,22 +448,20 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
 
     The quotient distance can only exceed the section/W value by optimizer
     slack (it is an infimum over a larger set), so the one-sided excess is
-    reported separately from the relative discrepancy.
+    reported separately from the relative discrepancy.  All pairs are drawn
+    first and go to one stacked ``quotient_distance`` call; without a
+    ``config`` it runs ``QuotientOptimizerConfig(seed=sampler.seed + 1)``.
     """
     cfg = sampler or ReductionSampler()
     rng = np.random.default_rng(cfg.seed)
-    worst_rel = 0.0
-    worst_excess = -np.inf
-    for idx in range(cfg.pairs):
-        x = (rng.uniform(-cfg.box, cfg.box, section.dim)) @ section.basis
-        y = (rng.uniform(-cfg.box, cfg.box, section.dim)) @ section.basis
-        if rep.restrict_to_sphere:
-            x = x / np.linalg.norm(x)
-            y = y / np.linalg.norm(y)
-        images = _weyl_images(section, group, y)
-        dw = float(np.min([_ambient_distance(rep, x, im) for im in images]))
-        dq = quotient_distance(rep, x, y,
-                               config or QuotientOptimizerConfig(seed=cfg.seed + idx + 1)).value
-        worst_rel = max(worst_rel, abs(dq - dw) / max(dw, 1e-3))
-        worst_excess = max(worst_excess, dq - dw)
-    return ReductionReport(worst_rel, worst_excess, cfg.pairs)
+    x, y = np.moveaxis(rng.uniform(-cfg.box, cfg.box, (cfg.pairs, 2, section.dim))
+                       @ section.basis, 1, 0)
+    if rep.restrict_to_sphere:
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        y = y / np.linalg.norm(y, axis=1, keepdims=True)
+    dw = np.min(_ambient_distance(rep, x[:, None, :], _weyl_images(section, group, y)), axis=1)
+    dq = quotient_distance(rep, x, y,
+                           config or QuotientOptimizerConfig(seed=cfg.seed + 1)).value
+    rel = np.abs(dq - dw) / np.maximum(dw, 1e-3)
+    return ReductionReport(float(np.max(rel, initial=0.0)),
+                           float(np.max(dq - dw, initial=-np.inf)), cfg.pairs)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,8 @@ def su2_pair_doc():
     ({**cyclic_su2_doc(), "structure": [7]}, "structure[0]"),
     ({**circle_rep_doc(), "manifold": "sphere"}, "manifold"),
     ({**circle_rep_doc(), "manifold": {"kind": "hyperbolic"}}, "manifold"),
+    ({**su2_pair_doc(), "subalgebra": [[1.0, 0, 0], [0, 1.0, 0]]}, "subalgebra"),
+    ({**su2_pair_doc(), "inner": [2.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]}, "inner"),
 ])
 def test_load_rejects_malformed_field_naming_it(doc, field):
     with pytest.raises(ModelError) as err:
@@ -139,6 +145,14 @@ def test_any_json_value_loads_or_raises_model_error(value):
         return
     assert bundle["kind"] == value["kind"]
     assert bundle["algebra"].dim == value["dim"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must run on numpy alone
+    env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c",
+                    "import polaris, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 # -- catalog ---------------------------------------------------------------------

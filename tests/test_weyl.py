@@ -172,6 +172,26 @@ def test_sym_traceless_near_section_matches_sorting(bundles, su3_conj_pair):
     assert report.worst_distance < 0.75
 
 
+def test_section_orbit_check_matches_expm_loop(bundles):
+    from scipy.linalg import expm
+    from polaris.weyl import _weyl_images
+    rep, section, group = weyl_for_rep(bundles, "so3_sym_traceless")
+    p = np.random.default_rng(9).standard_normal(2) @ section.basis
+    sampler = SectionSampler(count=2500, near_tol=0.2, match_tol=0.75, seed=10)
+    report = section_orbit_check(rep, section, group, p, sampler)
+    # reference: one expm per sample, drawn in the same seeded order
+    images = _weyl_images(section, group, p)
+    rng = np.random.default_rng(sampler.seed)
+    dists = []
+    for _ in range(sampler.count):
+        t = rng.uniform(-sampler.box, sampler.box, rep.n_generators)
+        q = expm(np.einsum("i,iab->ab", t, rep.generators)) @ p
+        if linalg.span_residual(section.basis, q) < sampler.near_tol:
+            dists.append(np.min(np.linalg.norm(images - q, axis=1)))
+    assert report.n_near == len(dists) > 0
+    assert abs(report.worst_distance - max(dists)) < 1e-12
+
+
 # -- quotient distances ----------------------------------------------------------------
 
 def test_same_orbit_distance_vanishes(bundles):
@@ -224,6 +244,64 @@ def test_trivial_rep_distance_exact():
     p, q = np.array([1.0, 2, 2]), np.array([0.0, -1, 1])
     d = quotient_distance(rep, p, q)
     assert abs(d.value - np.linalg.norm(p - q)) < 1e-14
+
+
+def test_no_generators_stacked_distance_exact():
+    rep = pl.OrthogonalRep(pl.build_classical("torus", 1), np.zeros((0, 3, 3)), 3,
+                           name="no-generators")
+    p, q = np.random.default_rng(2).standard_normal((2, 4, 3))
+    d = quotient_distance(rep, p, q)
+    assert np.array_equal(d.value, np.linalg.norm(p - q, axis=1))
+    assert d.params.shape == (4, 0)
+
+
+# -- stacked quotient distances ---------------------------------------------------------
+
+STACK_CONFIG = QuotientOptimizerConfig(restarts=3, evals=500, probes=60, seed=21)
+
+
+def random_pairs(rep, count, seed):
+    p, q = np.random.default_rng(seed).standard_normal((2, count, rep.space_dim))
+    if rep.restrict_to_sphere:
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return p, q
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", "hopf_s1_s3"])
+def test_stacked_distance_matches_per_row_calls(bundles, name):
+    rep = bundles[name]["rep"]
+    p, q = random_pairs(rep, 12, 17)
+    stacked = quotient_distance(rep, p, q, STACK_CONFIG)
+    assert stacked.value.shape == (12,)
+    assert stacked.params.shape == (12, rep.n_generators)
+    for i in range(12):
+        assert abs(quotient_distance(rep, p[i], q[i], STACK_CONFIG).value
+                   - stacked.value[i]) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", "hopf_s1_s3",
+                                  "su2_diag_double", "so2_s2"])
+def test_stacked_rows_end_converged_or_at_rounding_level(bundles, name):
+    # a row that stopped short of GTOL must have stalled at rounding level:
+    # no steepest-descent step from it lowers f by more than that
+    rep = bundles[name]["rep"]
+    p, q = random_pairs(rep, 40, 23)
+    params = quotient_distance(rep, p, q, STACK_CONFIG).params
+    f, grad = _Pairing(rep, p, q)(params)
+    steps = np.logspace(-12, -1, 45)[:, None]
+    for i in np.flatnonzero(np.max(np.abs(grad), axis=1) > 1e-10):
+        line = params[i] - steps * grad[i] / np.linalg.norm(grad[i])
+        drop = f[i] - np.min(_Pairing(rep, p[i], q[i])(line)[0])
+        assert drop <= 1e-13 * np.linalg.norm(p[i]) * np.linalg.norm(q[i])
+
+
+def test_single_pair_returns_float_and_parameter_vector(bundles):
+    rep = bundles["so3_sym_traceless"]["rep"]
+    p, q = random_pairs(rep, 1, 5)
+    d = quotient_distance(rep, p[0], q[0], STACK_CONFIG)
+    assert isinstance(d.value, float)
+    assert d.params.shape == (rep.n_generators,)
 
 
 def test_eigenvalue_sorting_oracle_short(bundles, su3_conj_pair):
