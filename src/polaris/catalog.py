@@ -69,14 +69,9 @@ def su2su2_swap_pair() -> SymmetricPair:
     return cartan_decompose(both, theta)
 
 
-def _adjoint_generators(alg: LieAlgebra) -> np.ndarray:
-    eye = np.eye(alg.dim)
-    return np.array([alg.ad(eye[i]) for i in range(alg.dim)])
-
-
 def _su2_adjoint(params) -> dict:
     alg = su2_cyclic()
-    rep = OrthogonalRep(alg, _adjoint_generators(alg), 3, name="su2_adjoint")
+    rep = OrthogonalRep(alg, alg.ad(np.eye(3)), 3, name="su2_adjoint")
     rep.validate()
     pair = su2su2_swap_pair()
     p_map = np.zeros((3, 6))
@@ -97,12 +92,11 @@ def _so3_sym_traceless(params) -> dict:
     pair = su3_pair_conjugation()
     alg = pair.algebra
     k, p = pair.k, pair.p
-    gens = np.zeros((k.dim, p.dim, p.dim))
-    for a in range(k.dim):
-        for b in range(p.dim):
-            br = alg.bracket(k.basis[a], p.basis[b])
-            gens[a, :, b] = p.basis @ alg.inner @ br
-    sub = _restricted_algebra(alg, k)
+    # gens[a, c, b] = <p_c, [k_a, p_b]>: ad(k_a) on p in the basis of p
+    br = alg.bracket(k.basis[:, None], p.basis[None])
+    gens = np.swapaxes(br @ alg.inner @ p.basis.T, 1, 2)
+    sub = alg.restrict(k.basis, f"{alg.name}|sub")
+    sub.validate()
     rep = OrthogonalRep(sub, gens, p.dim, name="so3_sym_traceless")
     rep.validate()
     d1 = alg.coordinates(1j * np.diag([1.0, -1.0, 0.0]))
@@ -122,24 +116,9 @@ def _so3_sym_traceless(params) -> dict:
     }
 
 
-def _restricted_algebra(alg: LieAlgebra, sub: Subspace) -> LieAlgebra:
-    k = sub.dim
-    structure = np.zeros((k, k, k))
-    for a in range(k):
-        for b in range(k):
-            br = alg.bracket(sub.basis[a], sub.basis[b])
-            structure[a, b] = sub.basis @ alg.inner @ br
-    realization = None
-    if alg.realization is not None:
-        realization = tuple(alg.realize(sub.basis[a]) for a in range(k))
-    out = LieAlgebra(f"{alg.name}|sub", structure, np.eye(k), realization)
-    out.validate()
-    return out
-
-
 def _su2_diag_double(params) -> dict:
     alg = su2_cyclic()
-    ad = _adjoint_generators(alg)
+    ad = alg.ad(np.eye(3))
     gens = np.zeros((3, 6, 6))
     gens[:, :3, :3] = ad
     gens[:, 3:, 3:] = ad

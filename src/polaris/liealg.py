@@ -3,8 +3,11 @@
 A :class:`LieAlgebra` stores the bracket as a rank-3 tensor ``c`` with
 ``[e_i, e_j] = sum_k c[i, j, k] e_k``, an inner product on the coordinate
 space, and (optionally) a faithful matrix realization used for exponentials
-and for building involutions.  All subspace predicates (abelian, Lie triple
-system, centralizer) are singular-value rank tests.
+and for building involutions.  ``bracket`` and ``ad`` broadcast over leading
+axes, so each predicate over basis pairs or triples (abelian, Lie triple
+system, centralizer, restriction) is one stacked bracket and one stacked
+span residual.  One commutator helper checks realizations and, through ad,
+the Jacobi identity.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import RANK_RTOL, SPAN_TOL, WITNESS_FLOOR
+from .linalg import SPAN_TOL
 
 JACOBI_TOL = 1e-10
+CLOSURE_TOL = 1e-7          # out-of-span bracket residual a restricted basis may have
 
 FAMILIES = ("special-unitary", "special-orthogonal", "unitary", "torus")
 
@@ -100,20 +104,27 @@ class LieAlgebra:
     # -- basic arithmetic ---------------------------------------------------
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[x, y] for vectors or (..., dim) stacks that broadcast together.
+
+        It builds ad(x) per vector of ``x``: pass the smaller stack first.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,) or y.shape[-1:] != (self.dim,):
             raise LieAlgebraError(
                 f"bracket arguments must have dimension {self.dim}, "
                 f"got {x.shape} and {y.shape}")
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return (self.ad(x) @ y[..., None])[..., 0]
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(x) acting on coordinates: ad(x) e_j = [x, e_j]."""
+        """Matrix of ad(x) acting on coordinates: ad(x) e_j = [x, e_j].
+
+        An (..., dim) stack of vectors gives an (..., dim, dim) stack.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise LieAlgebraError(f"ad argument must have dimension {self.dim}")
-        return np.einsum("i,ijk->kj", x, self.structure)
+        return np.swapaxes(np.tensordot(x, self.structure, 1), -1, -2)
 
     def killing(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.trace(self.ad(x) @ self.ad(y)))
@@ -126,6 +137,22 @@ class LieAlgebra:
 
     def full_space(self) -> Subspace:
         return Subspace(self.name, linalg.orthonormalize(np.eye(self.dim), self.inner))
+
+    def restrict(self, basis: np.ndarray, name: str) -> LieAlgebra:
+        """The subalgebra spanned by inner-orthonormal ``basis`` rows, in that basis.
+
+        Raises LieAlgebraError when a bracket leaves the span by more than
+        ``CLOSURE_TOL``.  Not validated: callers pick the Jacobi tolerance.
+        """
+        basis = np.asarray(basis, dtype=float)
+        br = self.bracket(basis[:, None], basis[None])
+        res = float(np.max(linalg.span_residual(basis, br, self.inner), initial=0.0))
+        if res > CLOSURE_TOL:
+            raise LieAlgebraError(f"basis not closed under the bracket (residual {res:.2e})")
+        realization = None
+        if self.realization is not None and len(basis):
+            realization = tuple(self.realize(b) for b in basis)
+        return LieAlgebra(name, br @ self.inner @ basis.T, np.eye(len(basis)), realization)
 
     # -- realization helpers -------------------------------------------------
 
@@ -157,13 +184,11 @@ class LieAlgebra:
         if anti > tol:
             idx = np.unravel_index(np.argmax(np.abs(c + np.swapaxes(c, 0, 1))), c.shape)
             raise LieAlgebraError(f"bracket not antisymmetric at {idx}: residual {anti:.2e}")
-        # Jacobi identity: [e_i,[e_j,e_k]] + cyclic = 0 on all basis triples.
-        if n:
-            d = np.einsum("jkm,imr->ijkr", c, c)
-            jac = d + np.einsum("ijkr->jkir", d) + np.einsum("ijkr->kijr", d)
-            worst = float(np.max(np.abs(jac)))
-            if worst > jacobi_tol:
-                raise LieAlgebraError(f"Jacobi identity residual {worst:.2e} > {jacobi_tol:.1e}")
+        # Given antisymmetry, the Jacobi identity on all basis triples says
+        # exactly that ad is a homomorphism: [ad e_i, ad e_j] = sum_k c_ijk ad e_k.
+        worst = commutator_residual(self.ad(np.eye(n)), c)
+        if worst > jacobi_tol:
+            raise LieAlgebraError(f"Jacobi identity residual {worst:.2e} > {jacobi_tol:.1e}")
         g = self.inner
         if g.shape != (n, n):
             raise LieAlgebraError(f"inner product must be ({n},{n})")
@@ -175,25 +200,29 @@ class LieAlgebra:
         if self.realization is not None:
             if len(self.realization) != n:
                 raise LieAlgebraError("realization must list one matrix per basis vector")
-            worst = 0.0
-            for i in range(n):
-                for j in range(n):
-                    comm = self.realization[i] @ self.realization[j] \
-                        - self.realization[j] @ self.realization[i]
-                    model = sum(c[i, j, k] * self.realization[k] for k in range(n)) \
-                        if n else comm * 0
-                    worst = max(worst, float(np.max(np.abs(comm - model))) if n else 0.0)
+            worst = commutator_residual(np.array(self.realization), c)
             if worst > 1e-8:
                 raise LieAlgebraError(
                     f"realization commutators do not match structure constants "
                     f"(residual {worst:.2e})")
 
 
+def _commutator_rows(mats: np.ndarray):
+    """Yield [M_i, M_j] for every j as an (n, D, D) stack, one i at a time.
+
+    Holding one first index at a time keeps memory at n D^2, not n^2 D^2.
+    """
+    for m in mats:
+        yield m @ mats - mats @ m
+
+
+def commutator_residual(mats: np.ndarray, structure: np.ndarray) -> float:
+    """max over i, j of |[M_i, M_j] - sum_k c_ijk M_k| (0 for no matrices)."""
+    return max((float(np.max(np.abs(comm - np.tensordot(c_i, mats, 1)), initial=0.0))
+                for c_i, comm in zip(structure, _commutator_rows(mats))), default=0.0)
+
+
 # -- constructors -------------------------------------------------------------
-
-def _re_trace(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.trace(a @ b).real)
-
 
 def _raw_basis(family: str, n: int) -> list[np.ndarray]:
     if family == "torus":
@@ -253,7 +282,7 @@ def build_classical(family: str, n: int, metric_scale: float = 1.0,
     raw = _raw_basis(family, n)
 
     def form(a, b):
-        return -metric_scale * _re_trace(a, b)
+        return -metric_scale * float(np.trace(a @ b).real)
 
     # Gram-Schmidt on matrices against the chosen trace form.
     basis: list[np.ndarray] = []
@@ -265,17 +294,14 @@ def build_classical(family: str, n: int, metric_scale: float = 1.0,
         nw = np.sqrt(max(form(w, w), 0.0))
         if nw > 1e-12:
             basis.append(w / nw)
-    dim = len(basis)
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            for k in range(dim):
-                c[i, j, k] = form(comm, basis[k])
+    mats = np.array(basis)
+    # c_ijk = form([b_i, b_j], b_k) = -scale Re tr([b_i, b_j] b_k)
+    c = np.array([-metric_scale * np.einsum("jab,kba->jk", comm, mats).real
+                  for comm in _commutator_rows(mats)])
     if family == "special-orthogonal":
         basis = [b.real.copy() for b in basis]
     label = name or f"{family}({n})"
-    alg = LieAlgebra(label, c, np.eye(dim), tuple(basis))
+    alg = LieAlgebra(label, c, np.eye(len(basis)), tuple(basis))
     alg.validate()
     return alg
 
@@ -309,44 +335,43 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
 
 # -- operations ----------------------------------------------------------------
 
-def is_lie_triple_system(algebra: LieAlgebra, m: Subspace, tol: float = SPAN_TOL,
-                         floor: float = WITNESS_FLOOR) -> CheckResult:
-    """Test [u, [v, w]] in span(m) over all basis triples of m."""
-    worst = 0.0
-    witness = None
-    for i, u in enumerate(m.basis):
-        for j, v in enumerate(m.basis):
-            for k, w in enumerate(m.basis):
-                d = algebra.bracket(u, algebra.bracket(v, w))
-                res = linalg.span_residual(m.basis, d, algebra.inner)
-                if res > worst:
-                    worst = res
-                    witness = (i, j, k, res)
-    failed = linalg.robust_failure(worst, tol, floor, "Lie triple system test")
-    return CheckResult(not failed, worst, tol, witness if failed else None)
+def triple_residuals(algebra: LieAlgebra, m: Subspace) -> np.ndarray:
+    """res[i, j, k]: distance of [u_i, [u_j, u_k]] from span(m), all basis triples.
+
+    One first index at a time, so memory is dim(m)^2 n rather than dim(m)^3 n.
+    """
+    b = m.basis
+    inner = algebra.bracket(b[:, None], b[None])                 # [u_j, u_k]
+    res = [linalg.span_residual(b, algebra.bracket(u, inner), algebra.inner) for u in b]
+    return np.reshape(res, (m.dim,) * 3)
 
 
-def is_abelian_subspace(algebra: LieAlgebra, m: Subspace, tol: float = SPAN_TOL,
-                        floor: float = WITNESS_FLOOR) -> CheckResult:
+def is_lie_triple_system(algebra: LieAlgebra, m: Subspace,
+                         tol: float = SPAN_TOL) -> CheckResult:
+    """Test [u, [v, w]] in span(m) over all basis triples; witness: the worst triple."""
+    res = triple_residuals(algebra, m)
+    worst = float(np.max(res, initial=0.0))
+    if not linalg.robust_failure(worst, tol, "Lie triple system test"):
+        return CheckResult(True, worst, tol)
+    return CheckResult(False, worst, tol, linalg.first_max(res) + (worst,))
+
+
+def is_abelian_subspace(algebra: LieAlgebra, m: Subspace,
+                        tol: float = SPAN_TOL) -> CheckResult:
     """Test pairwise vanishing of brackets; witness is the first failing pair."""
-    worst = 0.0
-    witness = None
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            res = algebra.norm(algebra.bracket(m.basis[i], m.basis[j]))
-            if witness is None and res > tol:
-                witness = (i, j, res)
-            worst = max(worst, res)
-    failed = linalg.robust_failure(worst, tol, floor, "abelian subspace test")
-    return CheckResult(not failed, worst, tol, witness if failed else None)
+    i, j = np.triu_indices(m.dim, 1)
+    res = linalg.gram_norm(algebra.bracket(m.basis[:, None], m.basis[None])[i, j],
+                           algebra.inner)
+    worst = float(np.max(res, initial=0.0))
+    if not linalg.robust_failure(worst, tol, "abelian subspace test"):
+        return CheckResult(True, worst, tol)
+    first = int(np.argmax(res > tol))
+    return CheckResult(False, worst, tol, (int(i[first]), int(j[first]), float(res[first])))
 
 
-def centralizer_in(algebra: LieAlgebra, x: np.ndarray, w: Subspace,
-                   rtol: float = RANK_RTOL) -> Subspace:
+def centralizer_in(algebra: LieAlgebra, x: np.ndarray, w: Subspace) -> Subspace:
     """Orthonormal basis of {Y in span(w) : [x, Y] = 0} as a numeric kernel."""
     if w.dim == 0:
         return w
-    cols = np.array([algebra.bracket(x, b) for b in w.basis])  # rows: [x, w_j]
-    coeffs = linalg.kernel(cols.T, rtol)
-    vecs = coeffs @ w.basis
-    return Subspace(w.ambient, linalg.orthonormalize(vecs, algebra.inner, rtol))
+    coeffs = linalg.kernel(algebra.bracket(x, w.basis).T)    # rows: [x, w_j]
+    return Subspace(w.ambient, linalg.orthonormalize(coeffs @ w.basis, algebra.inner))

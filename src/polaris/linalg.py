@@ -10,7 +10,8 @@ for every matrix at once from one LAPACK call: ``svd_rank_stack`` and
 ``row_space_stack`` from one stacked SVD, with the rank decided by the
 same singular-value cut as ``svd_rank`` and ``kernel``; ``orthonormalize_stack`` from one stacked QR whose signs are
 fixed so that diag R > 0, which makes its rows the ones modified
-Gram-Schmidt gives for a full-rank matrix, to rounding.
+Gram-Schmidt gives for a full-rank matrix, to rounding.  ``gram_norm``,
+``project_span`` and ``span_residual`` also take an (..., n) stack of vectors.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ RANK_RTOL = 1e-9
 SPAN_TOL = 1e-8
 # Residual a negative verdict must reach before it is reported as robust.
 WITNESS_FLOOR = 1e-6
+# Entries this close (relative) to the largest count as a maximum for witnesses.
+TIE_RTOL = 1e-12
 
 
 class IndeterminateVerdict(RuntimeError):
@@ -44,8 +47,12 @@ def gram_dot(x: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None) -> fl
     return float(x @ gram @ y)
 
 
-def gram_norm(x: np.ndarray, gram: np.ndarray | None = None) -> float:
-    return float(np.sqrt(max(gram_dot(x, x, gram), 0.0)))
+def gram_norm(x: np.ndarray, gram: np.ndarray | None = None):
+    """Norm of one vector (a float) or of every vector of an (..., n) stack."""
+    if x.ndim == 1:
+        return float(np.sqrt(max(gram_dot(x, x, gram), 0.0)))
+    sq = np.einsum("...i,...i->...", x if gram is None else x @ gram, x)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -168,18 +175,23 @@ def complement(rows, ambient_dim: int, gram: np.ndarray | None = None,
 
 def project_span(basis_rows: np.ndarray, x: np.ndarray,
                  gram: np.ndarray | None = None) -> np.ndarray:
-    """Projection of ``x`` onto the span of gram-orthonormal ``basis_rows``."""
+    """Projection of ``x``, one vector or an (..., n) stack, onto the span of
+    gram-orthonormal ``basis_rows`` (``gram`` symmetric)."""
     b = as_matrix(basis_rows)
+    x = np.asarray(x, dtype=float)
     if b.shape[0] == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    coeff = b @ (x if gram is None else gram @ x)
-    return coeff @ b
+        return np.zeros_like(x)
+    return ((x if gram is None else x @ gram) @ b.T) @ b
 
 
 def span_residual(basis_rows: np.ndarray, x: np.ndarray,
-                  gram: np.ndarray | None = None) -> float:
-    """Distance from ``x`` to the span of gram-orthonormal ``basis_rows``."""
-    return gram_norm(np.asarray(x, float) - project_span(basis_rows, x, gram), gram)
+                  gram: np.ndarray | None = None):
+    """Distance from ``x`` to the span of gram-orthonormal ``basis_rows``.
+
+    A float for one vector; for an (..., n) stack, the array of distances.
+    """
+    x = np.asarray(x, float)
+    return gram_norm(x - project_span(basis_rows, x, gram), gram)
 
 
 def principal_angles(a_rows: np.ndarray, b_rows: np.ndarray,
@@ -206,18 +218,29 @@ def subspaces_equal(a_rows: np.ndarray, b_rows: np.ndarray,
     return bool(np.max(ang) < tol)
 
 
+def first_max(values: np.ndarray) -> tuple:
+    """Index (C order) of the first entry within ``TIE_RTOL`` of the largest.
+
+    Residuals that are equal in exact arithmetic (by the antisymmetry of a
+    bracket, say) then give the same witness whatever their rounding.
+    """
+    top = np.max(values)
+    flat = np.argmax(values >= top - TIE_RTOL * abs(top))
+    return tuple(int(i) for i in np.unravel_index(flat, values.shape))
+
+
 def robust_failure(residual: float, tol: float = SPAN_TOL,
-                   floor: float = WITNESS_FLOOR, what: str = "span test") -> bool:
+                   what: str = "span test") -> bool:
     """True when ``residual`` is a robust failure, False when it passes.
 
-    Residuals between ``tol`` and ``floor`` are neither rounding noise nor a
-    trustworthy witness; those raise IndeterminateVerdict.
+    Residuals between ``tol`` and ``WITNESS_FLOOR`` are neither rounding
+    noise nor a trustworthy witness; those raise IndeterminateVerdict.
     """
     if residual < tol:
         return False
-    if residual >= floor:
+    if residual >= WITNESS_FLOOR:
         return True
     raise IndeterminateVerdict(
         f"{what}: residual {residual:.3e} lies between the pass tolerance "
-        f"{tol:.1e} and the witness floor {floor:.1e}; adjust tolerances"
+        f"{tol:.1e} and the witness floor {WITNESS_FLOOR:.1e}; adjust tolerances"
     )

@@ -3,10 +3,12 @@
 The representation test is exact up to rounding: a section candidate is the
 normal space of a regular orbit, and orthogonality of the candidate against
 every orbit it meets reduces, by bilinearity, to the finite pairing test
-<A_i v, w> = 0 over basis pairs of the candidate.  Subgroup actions on a
-symmetric pair are decided by the Lie-triple-system condition on
-m = p \\cap h^perp together with [m, m] perp h, after conjugating h into a
-regular position.
+<A_i v, w> = 0 over basis pairs of the candidate, one stacked product over
+all generators.  Subgroup actions on a symmetric pair are decided by the
+Lie-triple-system condition on m = p \\cap h^perp together with
+[m, m] perp h, after conjugating h into a regular position; both are stacked
+bracket tests (see ``liealg``).  Every witness is the first entry, in
+lexicographic order, within rounding of the largest (``linalg.first_max``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .liealg import CheckResult, LieAlgebra, Subspace, is_abelian_subspace, \
-    is_lie_triple_system
-from .linalg import RANK_RTOL, SPAN_TOL, WITNESS_FLOOR
+from .liealg import CheckResult, LieAlgebra, LieAlgebraError, Subspace, \
+    commutator_residual, is_abelian_subspace, is_lie_triple_system
+from .linalg import SPAN_TOL
 from .symspace import SymmetricPair
 
 PAIRING_TOL = 1e-8
@@ -60,13 +62,7 @@ class OrthogonalRep:
             anti = float(np.max(np.abs(g + np.transpose(g, (0, 2, 1)))))
             if anti > tol:
                 raise PolarityError(f"generators not antisymmetric (residual {anti:.2e})")
-        c = self.algebra.structure
-        worst = 0.0
-        for i in range(g.shape[0]):
-            for j in range(g.shape[0]):
-                comm = g[i] @ g[j] - g[j] @ g[i]
-                model = np.einsum("k,kab->ab", c[i, j], g)
-                worst = max(worst, float(np.max(np.abs(comm - model))))
+        worst = commutator_residual(g, self.algebra.structure)
         if worst > tol:
             raise PolarityError(
                 f"generator commutators do not reproduce structure constants "
@@ -83,8 +79,8 @@ class OrthogonalRep:
             return np.zeros(v.shape[:-1] + (0, self.space_dim))
         return np.einsum("iab,...b->...ia", self.generators, v)
 
-    def orbit_rank(self, v: np.ndarray, rtol: float = RANK_RTOL) -> int:
-        return linalg.svd_rank(self.tangent_rows(v), rtol)
+    def orbit_rank(self, v: np.ndarray) -> int:
+        return linalg.svd_rank(self.tangent_rows(v))
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,8 @@ def cohomogeneity(rep: OrthogonalRep, seed: int = 0) -> int:
     return c - 1 if rep.restrict_to_sphere else c
 
 
-def is_polar_rep(rep: OrthogonalRep, seed: int = 0, tol: float = PAIRING_TOL,
-                 floor: float = WITNESS_FLOOR) -> PolarityVerdict:
+def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
+                 tol: float = PAIRING_TOL) -> PolarityVerdict:
     """Exact polarity test at a regular point.
 
     The candidate section is the normal space of the orbit of a regular
@@ -135,35 +131,26 @@ def is_polar_rep(rep: OrthogonalRep, seed: int = 0, tol: float = PAIRING_TOL,
         else np.eye(rep.space_dim)
     if section.shape[0] == 0:
         section = np.zeros((0, rep.space_dim))
-    worst = 0.0
-    witness = None
-    for i in range(rep.n_generators):
-        pair = section @ rep.generators[i] @ section.T
-        if pair.size == 0:
-            continue
-        idx = np.unravel_index(np.argmax(np.abs(pair)), pair.shape)
-        val = float(np.abs(pair[idx]))
-        if val > worst:
-            worst = val
-            witness = (i, section[idx[0]].copy(), section[idx[1]].copy(), float(pair[idx]))
+    pair = section @ rep.generators @ section.T          # pair[i, a, b] = <A_i v_a, v_b>
+    size = np.abs(pair)
+    worst = float(np.max(size, initial=0.0))
     cohom = section.shape[0] - (1 if rep.restrict_to_sphere else 0)
-    failed = linalg.robust_failure(worst, tol, floor, "polar pairing test")
-    if failed:
+    if linalg.robust_failure(worst, tol, "polar pairing test"):
+        i, a, b = linalg.first_max(size)
+        witness = (i, section[a].copy(), section[b].copy(), float(pair[i, a, b]))
         return PolarityVerdict(False, cohom, None, witness, worst, tol)
     return PolarityVerdict(True, cohom, Subspace(f"{rep.name}:V", section),
                            None, worst, tol)
 
 
-def isotropy_subalgebra(rep: OrthogonalRep, point: np.ndarray,
-                        rtol: float = RANK_RTOL) -> np.ndarray:
+def isotropy_subalgebra(rep: OrthogonalRep, point: np.ndarray) -> np.ndarray:
     """Coordinate rows spanning {X : X . point = 0}, orthonormal in the metric."""
     rows = rep.tangent_rows(point)           # row i = A_i point
-    coeffs = linalg.kernel(rows.T, rtol)     # combos annihilating the point
-    return linalg.orthonormalize(coeffs, rep.algebra.inner, rtol)
+    coeffs = linalg.kernel(rows.T)           # combos annihilating the point
+    return linalg.orthonormalize(coeffs, rep.algebra.inner)
 
 
-def slice_rep(rep: OrthogonalRep, point: np.ndarray,
-              rtol: float = RANK_RTOL) -> OrthogonalRep:
+def slice_rep(rep: OrthogonalRep, point: np.ndarray) -> OrthogonalRep:
     """Representation of the isotropy algebra on the normal space at ``point``.
 
     On sphere actions the radial line is removed from the slice.
@@ -171,34 +158,19 @@ def slice_rep(rep: OrthogonalRep, point: np.ndarray,
     point = np.asarray(point, float)
     if rep.restrict_to_sphere and np.linalg.norm(point) < 1e-12:
         raise PolarityError("sphere actions need a nonzero base point")
-    iso = isotropy_subalgebra(rep, point, rtol)
+    iso = isotropy_subalgebra(rep, point)
     tangent = rep.tangent_rows(point)
     blocked = tangent
     if rep.restrict_to_sphere:
         blocked = np.vstack([tangent, point[None, :]])
     normal = linalg.complement(blocked, rep.space_dim)
-    alg = rep.algebra
-    k = iso.shape[0]
-    structure = np.zeros((k, k, k))
-    for a in range(k):
-        for b in range(k):
-            br = alg.bracket(iso[a], iso[b])
-            res = linalg.span_residual(iso, br, alg.inner)
-            if res > 1e-7:
-                raise PolarityError(f"isotropy candidate not closed (residual {res:.2e})")
-            for c in range(k):
-                structure[a, b, c] = linalg.gram_dot(br, iso[c], alg.inner)
-    realization = None
-    if alg.realization is not None and k:
-        realization = tuple(alg.realize(iso[a]) for a in range(k))
-    sub = LieAlgebra(f"iso({rep.name})", structure, np.eye(k), realization)
+    try:
+        sub = rep.algebra.restrict(iso, f"iso({rep.name})")
+    except LieAlgebraError as exc:
+        raise PolarityError(f"isotropy candidate: {exc}") from exc
     sub.validate(jacobi_tol=1e-8)
-    m = normal.shape[0]
-    gens = np.zeros((k, m, m))
-    for a in range(k):
-        big = np.einsum("i,iab->ab", iso[a], rep.generators)
-        gens[a] = normal @ big @ normal.T
-    out = OrthogonalRep(sub, gens, m, False, name=f"slice({rep.name})")
+    gens = normal @ np.tensordot(iso, rep.generators, 1) @ normal.T
+    out = OrthogonalRep(sub, gens, normal.shape[0], False, name=f"slice({rep.name})")
     out.validate()
     return out
 
@@ -224,14 +196,15 @@ def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def _check_subalgebra(alg: LieAlgebra, h: Subspace, tol: float = 1e-8) -> None:
-    for i in range(h.dim):
-        for j in range(h.dim):
-            res = linalg.span_residual(h.basis, alg.bracket(h.basis[i], h.basis[j]),
-                                       alg.inner)
-            if res > tol:
-                raise PolarityError(
-                    f"h is not a subalgebra: bracket ({i},{j}) leaves the span "
-                    f"(residual {res:.2e})")
+    """Raise for the first basis pair (i, j) whose bracket leaves span(h)."""
+    res = linalg.span_residual(h.basis, alg.bracket(h.basis[:, None], h.basis[None]),
+                               alg.inner)
+    bad = np.argwhere(res > tol)
+    if bad.size:
+        i, j = bad[0]
+        raise PolarityError(
+            f"h is not a subalgebra: bracket ({i},{j}) leaves the span "
+            f"(residual {res[i, j]:.2e})")
 
 
 def _check_ad_invariant(alg: LieAlgebra, tol: float = 1e-8) -> None:
@@ -255,8 +228,7 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     rng = np.random.default_rng(seed)
 
     def orbit_rank_of(basis: np.ndarray) -> int:
-        proj = np.array([pair.project_p(b) for b in basis])
-        return linalg.svd_rank(proj)
+        return linalg.svd_rank(pair.project_p(basis))
 
     zs = []
     for _ in range(REGULAR_DRAWS):
@@ -264,7 +236,7 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
         zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
     _check_ad_invariant(alg)
     chol = np.linalg.cholesky(alg.inner)
-    ad = np.einsum("di,ijk->dkj", np.array(zs), alg.structure)     # ad(z) per draw
+    ad = alg.ad(np.array(zs))                                      # ad(z) per draw
     skew = chol.T @ np.swapaxes(np.linalg.solve(chol, np.swapaxes(ad, 1, 2)), 1, 2)
     lam, vec = np.linalg.eigh(1j * skew)
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
@@ -280,8 +252,7 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
 
 
 def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,
-                         tol: float = SPAN_TOL,
-                         floor: float = WITNESS_FLOOR) -> PolarityVerdict:
+                         tol: float = SPAN_TOL) -> PolarityVerdict:
     """Polarity of the subgroup action with Lie algebra h on the pair's space.
 
     After regularizing the basepoint, the action is polar iff
@@ -296,37 +267,30 @@ def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,
     coeffs = linalg.kernel(constraints)
     m = Subspace(f"{alg.name}:m",
                  linalg.orthonormalize(coeffs @ pair.p.basis, alg.inner))
-    lts = is_lie_triple_system(alg, m, tol, floor)
-    perp_worst = 0.0
-    perp_witness = None
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            br = alg.bracket(m.basis[i], m.basis[j])
-            for a in range(hreg.dim):
-                val = abs(linalg.gram_dot(br, hreg.basis[a], alg.inner))
-                if val > perp_worst:
-                    perp_worst = val
-                    perp_witness = (i, j, a, val)
-    perp_failed = linalg.robust_failure(perp_worst, tol, floor,
-                                        "[m,m] perp h test")
+    lts = is_lie_triple_system(alg, m, tol)
+    i, j = np.triu_indices(m.dim, 1)
+    br = alg.bracket(m.basis[:, None], m.basis[None])[i, j]       # [m_i, m_j], i < j
+    perp = np.abs(br @ alg.inner @ hreg.basis.T)                    # perp[pair, a]
+    perp_worst = float(np.max(perp, initial=0.0))
+    perp_failed = linalg.robust_failure(perp_worst, tol, "[m,m] perp h test")
     polar = lts.ok and not perp_failed
     residual = max(lts.residual, perp_worst)
     witness = None
     if not lts.ok:
         witness = ("lts",) + tuple(lts.witness or ())
     elif perp_failed:
-        witness = ("bracket-pairing",) + perp_witness
+        p, a = linalg.first_max(perp)
+        witness = ("bracket-pairing", int(i[p]), int(j[p]), a, perp_worst)
     return PolarityVerdict(polar, m.dim, m if polar else None, witness, residual, tol)
 
 
 def is_hyperpolar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,
-                              tol: float = SPAN_TOL,
-                              floor: float = WITNESS_FLOOR) -> CheckResult:
+                              tol: float = SPAN_TOL) -> CheckResult:
     """Hyperpolarity: the polar criterion plus m abelian (flat section)."""
-    verdict = is_polar_homogeneous(pair, h, seed, tol, floor)
+    verdict = is_polar_homogeneous(pair, h, seed, tol)
     if not verdict.polar:
         return CheckResult(False, verdict.residual, tol, ("not-polar",))
-    ab = is_abelian_subspace(pair.algebra, verdict.section, tol, floor)
+    ab = is_abelian_subspace(pair.algebra, verdict.section, tol)
     residual = max(verdict.residual, ab.residual)
     if not ab.ok:
         return CheckResult(False, residual, tol, ("section-not-flat",) + tuple(ab.witness or ()))

@@ -3,10 +3,12 @@
 Covers the Cartan split of an algebra along an involution, maximal abelian
 subspaces of the -1 eigenspace with a maximality certificate, the curvature
 tensor R(X,Y)Z = -[[X,Y],Z] of compact type, and a sampled totally-geodesic
-probe along once-broken geodesics.  The model manifolds (Euclidean space,
-the unit sphere, a product of two round spheres) carry closed-form
-geodesics, parallel transport and curvature so that every downstream
-derivative check has an exact cross-check path.
+probe along once-broken geodesics.  The pair's invariants (automorphism,
+bracket grading) are stacked brackets over all basis pairs, and on a pair
+the probe's residual is the Lie-triple-system residual of ``liealg``.  The
+model manifolds (Euclidean space, the unit sphere, a product of two round
+spheres) carry closed-form geodesics, parallel transport and curvature so
+that every downstream derivative check has an exact cross-check path.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .liealg import CheckResult, LieAlgebra, Subspace, centralizer_in, is_abelian_subspace
-from .linalg import SPAN_TOL, WITNESS_FLOOR
+from .liealg import CheckResult, LieAlgebra, Subspace, centralizer_in, \
+    is_abelian_subspace, triple_residuals
+from .linalg import SPAN_TOL
 
 GRADING_TOL = 1e-10
+INVOLUTION_TOL = 1e-8       # involutive, orthogonal and automorphism residuals
+DEGENERATE_PLANE_TOL = 1e-10  # relative Gram determinant of a degenerate plane
 ABELIAN_ATTEMPTS = 16       # generic draws maximal_abelian tries
 ABELIAN_CERTIFICATES = 8    # independent draws that must reproduce a candidate
 ABELIAN_ANGLE_TOL = 1e-8    # principal-angle tolerance for two centralizers to agree
@@ -279,10 +284,11 @@ class SymmetricPair:
     def name(self) -> str:
         return self.algebra.name
 
-    def validate(self, tol: float = 1e-8, grading_tol: float = GRADING_TOL) -> None:
+    def validate(self) -> None:
         alg = self.algebra
         n = alg.dim
         theta = self.involution
+        tol = INVOLUTION_TOL
         if theta.shape != (n, n):
             raise SymmetricSpaceError(f"involution must be {n}x{n}")
         res = float(np.max(np.abs(theta @ theta - np.eye(n))))
@@ -291,13 +297,10 @@ class SymmetricPair:
         res = float(np.max(np.abs(theta.T @ alg.inner @ theta - alg.inner)))
         if res > tol:
             raise SymmetricSpaceError(f"involution not orthogonal (residual {res:.2e})")
-        worst = 0.0
-        eye = np.eye(n)
-        for i in range(n):
-            for j in range(n):
-                lhs = theta @ alg.bracket(eye[i], eye[j])
-                rhs = alg.bracket(theta @ eye[i], theta @ eye[j])
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        t = theta.T                          # row i is theta e_i
+        # theta [e_i, e_j] - [theta e_i, theta e_j] over all basis pairs
+        auto = alg.structure @ t - alg.bracket(t[:, None], t[None])
+        worst = float(np.max(np.abs(auto), initial=0.0))
         if worst > tol:
             raise SymmetricSpaceError(f"involution not an automorphism (residual {worst:.2e})")
         if self.k.dim + self.p.dim != n:
@@ -309,7 +312,7 @@ class SymmetricPair:
             if ang.size and float(np.min(ang)) < np.pi / 2 - 1e-8:
                 raise SymmetricSpaceError("k and p are not orthogonal")
         res = self.grading_residual()
-        if res > grading_tol:
+        if res > GRADING_TOL:
             raise SymmetricSpaceError(f"bracket grading residual {res:.2e}")
 
     def grading_residual(self) -> float:
@@ -319,10 +322,9 @@ class SymmetricPair:
         for left, right, target in ((self.k, self.k, self.k),
                                     (self.k, self.p, self.p),
                                     (self.p, self.p, self.k)):
-            for u in left.basis:
-                for v in right.basis:
-                    worst = max(worst, linalg.span_residual(
-                        target.basis, alg.bracket(u, v), alg.inner))
+            br = alg.bracket(left.basis[:, None], right.basis[None])
+            worst = max(worst, float(np.max(
+                linalg.span_residual(target.basis, br, alg.inner), initial=0.0)))
         return worst
 
     def project_p(self, x: np.ndarray) -> np.ndarray:
@@ -392,23 +394,22 @@ def maximal_abelian(pair: SymmetricPair, seed: int = 0) -> Subspace:
 
 
 def curvature_operator(pair: SymmetricPair, x: np.ndarray, y: np.ndarray,
-                       z: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
+                       z: np.ndarray) -> np.ndarray:
     """R(X,Y)Z = -[[X,Y],Z] on p (compact-type sign convention)."""
     alg = pair.algebra
     for name, v in (("X", x), ("Y", y), ("Z", z)):
         res = linalg.span_residual(pair.p.basis, np.asarray(v, float), alg.inner)
-        if res > tol * max(1.0, alg.norm(v)):
+        if res > SPAN_TOL * max(1.0, alg.norm(v)):
             raise SymmetricSpaceError(f"{name} not in p (projection residual {res:.2e})")
     return -alg.bracket(alg.bracket(x, y), z)
 
 
-def sectional_curvature(pair: SymmetricPair, x: np.ndarray, y: np.ndarray,
-                        dep_tol: float = 1e-10) -> float:
+def sectional_curvature(pair: SymmetricPair, x: np.ndarray, y: np.ndarray) -> float:
     alg = pair.algebra
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     denom = alg.dot(x, x) * alg.dot(y, y) - alg.dot(x, y) ** 2
-    if denom <= dep_tol * max(alg.dot(x, x) * alg.dot(y, y), 1e-300):
+    if denom <= DEGENERATE_PLANE_TOL * max(alg.dot(x, x) * alg.dot(y, y), 1e-300):
         raise SymmetricSpaceError("plane is numerically degenerate")
     return alg.dot(curvature_operator(pair, x, y, y), x) / denom
 
@@ -431,20 +432,21 @@ class BrokenGeodesicSampler:
             raise SymmetricSpaceError("sampler legs must satisfy 0 < leg_min < leg_max")
 
 
-def _triple_residual(rows: np.ndarray, curvature, gram: np.ndarray | None = None) -> float:
+def _triple_residual(rows: np.ndarray, curvature) -> float:
+    """Worst out-of-span residual of curvature(u, v, w) over orthonormal rows."""
     worst = 0.0
     k = rows.shape[0]
     for i in range(k):
         for j in range(k):
             for l in range(k):
                 r = curvature(rows[i], rows[j], rows[l])
-                worst = max(worst, linalg.span_residual(rows, r, gram))
+                worst = max(worst, linalg.span_residual(rows, r))
     return worst
 
 
 def cartan_hermann_probe(space, base, s: Subspace,
                          sampler: BrokenGeodesicSampler | None = None,
-                         tol: float = SPAN_TOL, floor: float = WITNESS_FLOOR) -> CheckResult:
+                         tol: float = SPAN_TOL) -> CheckResult:
     """Sampled curvature-invariance test along once-broken geodesics.
 
     For each sampled broken geodesic the basis of ``s`` is parallel
@@ -453,8 +455,9 @@ def cartan_hermann_probe(space, base, s: Subspace,
     residual of R(u,v)w against the transported span is reported.  On a
     symmetric pair the transport is by the group, i.e. the identity in the
     left-translated frame, so every sample gives the same purely algebraic
-    residual: it is evaluated once, and a failure is witnessed by the first
-    sample's legs.
+    residual, the Lie-triple-system residual of s (the residuals of
+    -[[u, v], w] and [w, [u, v]] are the same set): it is evaluated once, and
+    a failure is witnessed by the first sample's legs.
     """
     sampler = sampler or BrokenGeodesicSampler()
     rng = np.random.default_rng(sampler.seed)
@@ -462,16 +465,11 @@ def cartan_hermann_probe(space, base, s: Subspace,
     witness = None
     if isinstance(space, SymmetricPair):
         alg = space.algebra
-        for b in s.basis:
-            res = linalg.span_residual(space.p.basis, b, alg.inner)
-            if res > 1e-8:
-                raise SymmetricSpaceError("probe subspace must lie inside p")
-
-        def curv(u, v, w):
-            return -alg.bracket(alg.bracket(u, v), w)
-
+        outside = linalg.span_residual(space.p.basis, s.basis, alg.inner)
+        if np.max(outside, initial=0.0) > 1e-8:
+            raise SymmetricSpaceError("probe subspace must lie inside p")
         len1, len2 = rng.uniform(sampler.leg_min, sampler.leg_max, size=2)
-        worst = _triple_residual(s.basis, curv, alg.inner)
+        worst = float(np.max(triple_residuals(alg, s), initial=0.0))
         witness = (0, float(len1), float(len2))
     else:
         manifold: ModelManifold = space
@@ -496,7 +494,7 @@ def cartan_hermann_probe(space, base, s: Subspace,
             res = _triple_residual(rows2, curv)
             if res > worst:
                 worst, witness = res, (idx, float(len1), float(len2))
-    failed = linalg.robust_failure(worst, tol, floor, "Cartan/Hermann probe")
+    failed = linalg.robust_failure(worst, tol, "Cartan/Hermann probe")
     return CheckResult(not failed, worst, tol, witness if failed else None)
 
 

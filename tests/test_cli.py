@@ -306,6 +306,28 @@ def test_cli_failing_check_exits_one(tmp_path, capsys):
     assert "witness" in rec["value"]
 
 
+def test_cli_indeterminate_verdict_is_a_record(capsys):
+    # residual 5.7e-18 lies between --tol and the witness floor
+    code = main(["analyze", "--entry", "su2_adjoint", "--checks", "polarity",
+                 "--tol", "1e-20"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["status"] == "indeterminate"
+    (rec,) = doc["records"]
+    assert rec["status"] == "indeterminate" and rec["verdict"] is None
+    assert "witness floor" in rec["value"]["reason"]
+
+
+def test_cli_indeterminate_keeps_every_entry(capsys):
+    code = main(["analyze", "--entry", "all", "--checks", "polarity", "--tol", "1e-20"])
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["entry"] for r in doc["reports"]] == [e.name for e in catalog_list()]
+    assert all(len(r["records"]) == 1 for r in doc["reports"])
+    statuses = [r["records"][0]["status"] for r in doc["reports"]]
+    assert "indeterminate" in statuses
+    assert code == (1 if "fail" in statuses else 3)
+
+
 def test_cli_out_file(tmp_path):
     target = tmp_path / "report.json"
     code = main(["analyze", "--entry", "hermann_su3", "--out", str(target)])

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
 from polaris import linalg
-from polaris.liealg import LieAlgebraError, Subspace
+from polaris.liealg import LieAlgebra, LieAlgebraError, Subspace
 
 EYE3 = np.eye(3)
 
@@ -79,6 +81,45 @@ def test_bracket_antisymmetry_and_abelian(su2):
 def test_bracket_dimension_mismatch(su2):
     with pytest.raises(LieAlgebraError):
         su2.bracket(np.ones(2), np.ones(3))
+    with pytest.raises(LieAlgebraError):
+        su2.bracket(np.ones((4, 3)), np.ones((4, 2)))
+
+
+def test_bracket_and_ad_broadcast_over_stacks(su2):
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, 4, 3))
+    pairs = su2.bracket(x[:, None], y[None])
+    assert pairs.shape == (4, 4, 3)
+    for i in range(4):
+        assert np.allclose(su2.ad(x)[i], su2.ad(x[i]), atol=1e-15)
+        for j in range(4):
+            assert np.allclose(pairs[i, j], su2.bracket(x[i], y[j]), atol=1e-15)
+
+
+def test_restrict_reads_structure_and_rejects_non_closed(su3_conj_pair):
+    alg = su3_conj_pair.algebra
+    k = alg.restrict(su3_conj_pair.k.basis, "so3")
+    k.validate()
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        image = k.structure[a, b] @ su3_conj_pair.k.basis
+        bracket = alg.bracket(su3_conj_pair.k.basis[a], su3_conj_pair.k.basis[b])
+        assert np.allclose(image, bracket, atol=1e-12)
+    assert len(k.realization) == 3
+    with pytest.raises(LieAlgebraError, match="not closed"):
+        alg.restrict(su3_conj_pair.p.basis[:2], "p")     # [p, p] lies in k
+
+
+def test_validate_jacobi_memory_is_cubic_in_dim():
+    # dim 64 is MAX_MODEL_DIM; a dim^4 Jacobi tensor alone would take 128 MB
+    alg = LieAlgebra("t64", np.zeros((64, 64, 64)), np.eye(64))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        alg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_killing_su2_cyclic_basis(su2):

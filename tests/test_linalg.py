@@ -51,6 +51,20 @@ def test_span_residual_inside_and_outside():
     assert abs(linalg.span_residual(basis, np.array([0, 0, 3.0, 4.0])) - 5.0) < 1e-12
 
 
+def test_span_residual_accepts_stacks():
+    rng = np.random.default_rng(4)
+    gram = np.diag([1.0, 2.0, 3.0, 4.0])
+    basis = linalg.orthonormalize(rng.standard_normal((2, 4)), gram)
+    x = rng.standard_normal((3, 2, 4))
+    res = linalg.span_residual(basis, x, gram)
+    assert res.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            one = linalg.span_residual(basis, x[i, j], gram)
+            assert isinstance(one, float)
+            assert abs(res[i, j] - one) < 1e-12
+
+
 def test_robust_failure_gray_zone_raises():
     assert not linalg.robust_failure(1e-10)
     assert linalg.robust_failure(1e-3)
