@@ -5,7 +5,7 @@ A :class:`LieAlgebra` stores the bracket as a rank-3 tensor ``c`` with
 space, and (optionally) a faithful matrix realization used for exponentials
 and for building involutions.  ``bracket`` and ``ad`` broadcast over leading
 axes, so each predicate over basis pairs or triples (abelian, Lie triple
-system, centralizer, restriction) is one stacked bracket and one stacked
+system, centralizer, restriction) is a stacked bracket and a stacked
 span residual.  One commutator helper checks realizations and, through ad,
 the Jacobi identity.
 """
