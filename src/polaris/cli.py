@@ -287,6 +287,17 @@ def _need(bundle, key, check):
     return bundle[key]
 
 
+def _linear_rep(bundle, check):
+    """The representation, for a check of its linear action on the ambient
+    space, which on a product of spheres is not the action the model means."""
+    rep = _need(bundle, "rep", check)
+    manifold = bundle.get("manifold")
+    if manifold is not None and manifold.kind == "product-spheres":
+        raise Inapplicable(f"{check} decides the linear action on R^{rep.space_dim}, "
+                           f"not the action on the product-spheres manifold")
+    return rep
+
+
 def _geodesic(bundle, step):
     rep = _need(bundle, "rep", "geodesic checks")
     manifold = _need(bundle, "manifold", "geodesic checks")
@@ -307,7 +318,7 @@ def _geodesic(bundle, step):
 def _check_polarity(bundle, seed, tol, step):
     tol = tol or 1e-8
     if bundle.get("rep") is not None:
-        v = is_polar_rep(bundle["rep"], seed, tol)
+        v = is_polar_rep(_linear_rep(bundle, "polarity"), seed, tol)
         value = {"cohomogeneity": v.cohomogeneity}
         if v.witness is not None:
             value["witness"] = {"generator": v.witness[0],
@@ -331,7 +342,7 @@ def _check_hyperpolarity(bundle, seed, tol, step):
 
 
 def _check_cohomogeneity(bundle, seed, tol, step):
-    rep = _need(bundle, "rep", "cohomogeneity")
+    rep = _linear_rep(bundle, "cohomogeneity")
     return int(cohomogeneity(rep, seed)), {}, 0.0, None
 
 
@@ -345,7 +356,7 @@ def _sample_points(rep, seed, points):
 
 def _check_slice_scan(bundle, seed, tol, step):
     tol = tol or 1e-8
-    rep = _need(bundle, "rep", "slice-scan")
+    rep = _linear_rep(bundle, "slice-scan")
     worst = 0.0
     ok = True
     for p in _sample_points(rep, seed, SLICE_SCAN_POINTS):
@@ -357,7 +368,7 @@ def _check_slice_scan(bundle, seed, tol, step):
 
 def _check_orbifold_points(bundle, seed, tol, step):
     tol = tol or 1e-8
-    rep = _need(bundle, "rep", "orbifold-points")
+    rep = _linear_rep(bundle, "orbifold-points")
     worst = 0.0
     sampled_ok = True
     for p in _sample_points(rep, seed, ORBIFOLD_POINTS):

@@ -20,6 +20,8 @@ from . import linalg
 from .linalg import SPAN_TOL
 
 JACOBI_TOL = 1e-10
+STRUCTURE_TOL = 1e-9        # bracket antisymmetry and inner-product symmetry residual
+ORTHONORMAL_TOL = 1e-8      # Gram residual of a subspace basis
 CLOSURE_TOL = 1e-7          # out-of-span bracket residual a restricted basis may have
 
 FAMILIES = ("special-unitary", "special-orthogonal", "unitary", "torus")
@@ -66,12 +68,12 @@ class Subspace:
     def ambient_dim(self) -> int:
         return int(self.basis.shape[1])
 
-    def validate(self, gram: np.ndarray | None = None, tol: float = 1e-8) -> None:
+    def validate(self, gram: np.ndarray | None = None) -> None:
         if self.dim == 0:
             return
         g = self.basis @ (self.basis.T if gram is None else gram @ self.basis.T)
         res = float(np.max(np.abs(g - np.eye(self.dim))))
-        if res > tol:
+        if res > ORTHONORMAL_TOL:
             raise LieAlgebraError(f"subspace basis not orthonormal (residual {res:.2e})")
 
 
@@ -175,13 +177,13 @@ class LieAlgebra:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, jacobi_tol: float = JACOBI_TOL, tol: float = 1e-9) -> None:
+    def validate(self, jacobi_tol: float = JACOBI_TOL) -> None:
         c = self.structure
         n = self.dim
         if c.shape != (n, n, n):
             raise LieAlgebraError(f"structure tensor must be ({n},{n},{n}), got {c.shape}")
         anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1)))) if n else 0.0
-        if anti > tol:
+        if anti > STRUCTURE_TOL:
             idx = np.unravel_index(np.argmax(np.abs(c + np.swapaxes(c, 0, 1))), c.shape)
             raise LieAlgebraError(f"bracket not antisymmetric at {idx}: residual {anti:.2e}")
         # Given antisymmetry, the Jacobi identity on all basis triples says
@@ -193,7 +195,7 @@ class LieAlgebra:
         if g.shape != (n, n):
             raise LieAlgebraError(f"inner product must be ({n},{n})")
         if n:
-            if float(np.max(np.abs(g - g.T))) > tol:
+            if float(np.max(np.abs(g - g.T))) > STRUCTURE_TOL:
                 raise LieAlgebraError("inner product not symmetric")
             if float(np.min(np.linalg.eigvalsh((g + g.T) / 2))) <= 0.0:
                 raise LieAlgebraError("inner product not positive definite")

@@ -9,6 +9,8 @@ Lie-triple-system condition on m = p \\cap h^perp together with
 [m, m] perp h, after conjugating h into a regular position; both are stacked
 bracket tests (see ``liealg``).  Every witness is the first entry, in
 lexicographic order, within rounding of the largest (``linalg.first_max``).
+The regular point and the regular conjugate of h are each the first of
+``REGULAR_DRAWS`` seeded draws of maximal rank, all ranked by one stacked SVD.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .linalg import SPAN_TOL
 from .symspace import SymmetricPair
 
 PAIRING_TOL = 1e-8
+MODEL_TOL = 1e-8            # generator, subalgebra-closure and ad-invariance residuals
 REGULAR_DRAWS = 64          # seeded draws searching for a regular point or conjugate
 
 
@@ -52,7 +55,7 @@ class OrthogonalRep:
     def n_generators(self) -> int:
         return int(self.generators.shape[0])
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         g = self.generators
         if g.shape != (self.algebra.dim, self.space_dim, self.space_dim):
             raise PolarityError(
@@ -60,10 +63,10 @@ class OrthogonalRep:
                 f"{self.space_dim}), got {g.shape}")
         if g.shape[0]:
             anti = float(np.max(np.abs(g + np.transpose(g, (0, 2, 1)))))
-            if anti > tol:
+            if anti > MODEL_TOL:
                 raise PolarityError(f"generators not antisymmetric (residual {anti:.2e})")
         worst = commutator_residual(g, self.algebra.structure)
-        if worst > tol:
+        if worst > MODEL_TOL:
             raise PolarityError(
                 f"generator commutators do not reproduce structure constants "
                 f"(residual {worst:.2e})")
@@ -97,18 +100,14 @@ class PolarityVerdict:
 
 
 def find_regular_point(rep: OrthogonalRep, seed: int = 0) -> np.ndarray:
-    """Seeded point of maximal orbit-tangent rank among ``REGULAR_DRAWS`` samples."""
-    rng = np.random.default_rng(seed)
-    best_rank = -1
-    best = None
-    for _ in range(REGULAR_DRAWS):
-        v = rng.standard_normal(rep.space_dim)
-        if rep.restrict_to_sphere:
-            v = v / np.linalg.norm(v)
-        r = rep.orbit_rank(v)
-        if r > best_rank:
-            best_rank, best = r, v
-    return best
+    """Seeded point of maximal orbit-tangent rank among ``REGULAR_DRAWS`` samples.
+
+    One stacked SVD ranks them all and the first of maximal rank wins; rank
+    is scale-invariant, so a sphere action normalises only the winner.
+    """
+    draws = np.random.default_rng(seed).standard_normal((REGULAR_DRAWS, rep.space_dim))
+    best = draws[np.argmax(linalg.svd_rank_stack(rep.tangent_rows(draws)))]
+    return best / np.linalg.norm(best) if rep.restrict_to_sphere else best
 
 
 def cohomogeneity(rep: OrthogonalRep, seed: int = 0) -> int:
@@ -195,11 +194,11 @@ def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,
 # subgroup actions on a symmetric pair
 # ---------------------------------------------------------------------------
 
-def _check_subalgebra(alg: LieAlgebra, h: Subspace, tol: float = 1e-8) -> None:
+def _check_subalgebra(alg: LieAlgebra, h: Subspace) -> None:
     """Raise for the first basis pair (i, j) whose bracket leaves span(h)."""
     res = linalg.span_residual(h.basis, alg.bracket(h.basis[:, None], h.basis[None]),
                                alg.inner)
-    bad = np.argwhere(res > tol)
+    bad = np.argwhere(res > MODEL_TOL)
     if bad.size:
         i, j = bad[0]
         raise PolarityError(
@@ -207,12 +206,12 @@ def _check_subalgebra(alg: LieAlgebra, h: Subspace, tol: float = 1e-8) -> None:
             f"(residual {res[i, j]:.2e})")
 
 
-def _check_ad_invariant(alg: LieAlgebra, tol: float = 1e-8) -> None:
+def _check_ad_invariant(alg: LieAlgebra) -> None:
     """<[x, y], z> = -<y, [x, z]>: G ad(e_i) is skew for every basis vector."""
     g_ad = alg.inner @ np.swapaxes(alg.structure, 1, 2)
     scale = max(1.0, float(np.max(np.abs(g_ad), initial=0.0)))
     res = float(np.max(np.abs(g_ad + np.swapaxes(g_ad, 1, 2)), initial=0.0)) / scale
-    if res > tol:
+    if res > MODEL_TOL:
         raise PolarityError(f"inner product is not ad-invariant (relative residual {res:.2e})")
 
 
@@ -223,13 +222,11 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     no matrix realization is needed.  With the ad-invariant inner product
     G = L L^T, the matrix S = L^T (ad Z) L^-T is skew, so every exp(-ad Z)
     = L^-T exp(-S) L^T comes from one stacked eigendecomposition of iS.
+    One stacked SVD ranks h (draw 0) and its conjugates; Gram-Schmidt keeps
+    the rank, so only the first of maximal rank is orthonormalised.
     """
     alg = pair.algebra
     rng = np.random.default_rng(seed)
-
-    def orbit_rank_of(basis: np.ndarray) -> int:
-        return linalg.svd_rank(pair.project_p(basis))
-
     zs = []
     for _ in range(REGULAR_DRAWS):
         z = rng.standard_normal(alg.dim)
@@ -241,14 +238,10 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     lam, vec = np.linalg.eigh(1j * skew)
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
     ad_inv = np.linalg.solve(chol.T, rot @ chol.T)                 # exp(-ad z)
-    best_basis = h.basis
-    best_rank = orbit_rank_of(h.basis)
-    for m in ad_inv:
-        cand = linalg.orthonormalize(h.basis @ m.T, alg.inner)
-        r = orbit_rank_of(cand)
-        if r > best_rank:
-            best_rank, best_basis = r, cand
-    return Subspace(h.ambient, best_basis)
+    conj = np.concatenate([h.basis[None], h.basis @ np.swapaxes(ad_inv, 1, 2)])
+    best = int(np.argmax(linalg.svd_rank_stack(pair.project_p(conj))))
+    return Subspace(h.ambient,
+                    h.basis if best == 0 else linalg.orthonormalize(conj[best], alg.inner))
 
 
 def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,

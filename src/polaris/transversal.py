@@ -123,21 +123,17 @@ def shape_operator(rep: OrthogonalRep, point, direction,
 
     Entries are <grad_{u_a} X_b^*, xi> for Killing fields realising the basis;
     the matrix is symmetrised and the asymmetry residual returned with it.
+    S_xi is linear in xi, so an (..., D) stack of directions gives an
+    (..., k, k) stack of matrices and an (...) stack of residuals from one
+    contraction.
     """
     rows = rep.tangent_rows(np.asarray(point, float))
     basis = orbit_basis if orbit_basis is not None else linalg.orthonormalize(rows)
-    k = basis.shape[0]
-    if k == 0:
-        return np.zeros((0, 0)), 0.0
-    s = np.zeros((k, k))
-    pinv = np.linalg.pinv(rows.T)
-    for b in range(k):
-        coeff = pinv @ basis[b]
-        big = np.einsum("i,iab->ab", coeff, rep.generators)
-        for a in range(k):
-            s[a, b] = float(big @ basis[a] @ np.asarray(direction, float))
-    asym = float(np.max(np.abs(s - s.T)))
-    return (s + s.T) / 2, asym
+    # kill[b, :, a] = X_b u_a, X_b the Killing field realising basis[b]
+    kill = np.tensordot(basis @ np.linalg.pinv(rows.T).T, rep.generators, 1) @ basis.T
+    s = np.einsum("...x,bxa->...ab", np.asarray(direction, float), kill)
+    st = np.swapaxes(s, -1, -2)
+    return (s + st) / 2, np.max(np.abs(s - st), axis=(-2, -1), initial=0.0)
 
 
 @dataclass
@@ -453,24 +449,19 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
         raise TransversalError("orbit is a point; no eigenfields to probe")
     rng = np.random.default_rng(seed)
     normal = linalg.complement(tangent, rep.space_dim)
-    best = None
-    for _ in range(PROBE_DRAWS):
-        # draw a unit normal and keep the most nondegenerate shape spectrum
-        coeff = rng.standard_normal(normal.shape[0])
-        xi = coeff @ normal
-        xi /= np.linalg.norm(xi)
-        s, _ = shape_operator(rep, point, xi, tangent)
-        lam = np.linalg.eigvalsh(s)
-        score = float(np.min(np.abs(lam)))
-        if best is None or score > best[0]:
-            best = (score, xi)
-    if best[0] < PROBE_MIN_EIG:
+    # Keep the first unit normal whose shape spectrum is, within rounding, the most
+    # nondegenerate: on a one-dimensional normal space every draw ties exactly.
+    xis = rng.standard_normal((PROBE_DRAWS, normal.shape[0])) @ normal
+    xis /= np.linalg.norm(xis, axis=-1, keepdims=True)
+    shapes, _ = shape_operator(rep, point, xis, tangent)
+    scores = np.min(np.abs(np.linalg.eigvalsh(shapes)), axis=-1)
+    best, = linalg.first_max(scores)
+    if scores[best] < PROBE_MIN_EIG:
         raise TransversalError(
             f"no normal direction with fully nonzero shape spectrum after "
-            f"{PROBE_DRAWS} draws (best min |eigenvalue| {best[0]:.2e})")
-    xi = best[1]
-    s, _ = shape_operator(rep, point, xi, tangent)
-    lam, vec = np.linalg.eigh(s)
+            f"{PROBE_DRAWS} draws (best min |eigenvalue| {scores[best]:.2e})")
+    xi = xis[best]
+    lam, vec = np.linalg.eigh(shapes[best])
     eigvecs = vec.T @ tangent
     n_s = int(np.ceil(1.4 * float(np.max(1.0 / np.abs(lam))) / step))
     base_rank = linalg.svd_rank(rows)

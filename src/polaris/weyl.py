@@ -28,6 +28,7 @@ GTOL = 1e-10                # max|grad| at which a quotient-distance start has c
 ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking search
 ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
 SAMPLE_BLOCK = 1024         # group elements exponentiated per stacked eigh
+VALIDATE_TOL = 1e-8         # root +- pairing and reflection residuals of validate()
 
 
 class WeylError(ValueError):
@@ -43,13 +44,13 @@ class RestrictedRootSystem:
     g0_dim: int
     ambient_dim: int
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         total = 0
         for vec, mult in self.roots:
             if mult < 1:
                 raise WeylError("root multiplicities must be >= 1")
             total += mult
-            if not any(np.linalg.norm(np.asarray(vec) + np.asarray(w)) < tol
+            if not any(np.linalg.norm(np.asarray(vec) + np.asarray(w)) < VALIDATE_TOL
                        for w, _ in self.roots):
                 raise WeylError("roots do not come in +- pairs")
         if total + self.g0_dim != self.ambient_dim:
@@ -77,14 +78,14 @@ class ReflectionGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         for g in self.generators:
             g = np.asarray(g)
-            if np.max(np.abs(g @ g - np.eye(g.shape[0]))) > tol:
+            if np.max(np.abs(g @ g - np.eye(g.shape[0]))) > VALIDATE_TOL:
                 raise WeylError("generator is not an involution")
             ev = np.sort(np.linalg.eigvalsh((g + g.T) / 2))
             expected = np.concatenate([[-1.0], np.ones(g.shape[0] - 1)])
-            if np.max(np.abs(ev - expected)) > tol:
+            if np.max(np.abs(ev - expected)) > VALIDATE_TOL:
                 raise WeylError("generator is not a reflection")
         mats = [np.asarray(e) for e in self.elements]
         for x in mats:

@@ -306,6 +306,29 @@ def test_cli_failing_check_exits_one(tmp_path, capsys):
     assert "witness" in rec["value"]
 
 
+@pytest.mark.parametrize("source", ["entry", "model"])
+def test_linear_checks_skip_a_product_of_spheres(source, tmp_path, capsys):
+    # the diagonal SO(3) on R^3 + R^3 is not polar, its action on S^2 x S^2 is
+    checks = ["--checks", "polarity,cohomogeneity,slice-scan,orbifold-points"]
+    if source == "entry":
+        args = ["--entry", "so3_s2xs2"]
+    else:
+        from polaris.catalog import catalog_entry
+        rep = catalog_entry("so3_s2xs2").build()["rep"]
+        doc = dict(cyclic_su2_doc(), kind="representation",
+                   generators=[g.reshape(-1).tolist() for g in rep.generators],
+                   manifold={"kind": "product-spheres", "radii": [1.0, R_PRODUCT],
+                             "split": [3, 3]})
+        path = tmp_path / "s2xs2.json"
+        path.write_text(json.dumps(doc))
+        args = ["--model", str(path)]
+    code = main(["analyze", *args, *checks])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["status"] == "pass"
+    assert [r["status"] for r in doc["records"]] == ["skipped"] * 4
+    assert all("product-spheres" in r["value"]["reason"] for r in doc["records"])
+
+
 def test_cli_indeterminate_verdict_is_a_record(capsys):
     # residual 5.7e-18 lies between --tol and the witness floor
     code = main(["analyze", "--entry", "su2_adjoint", "--checks", "polarity",
