@@ -1,10 +1,12 @@
 """Built-in fixture catalog: classical actions with known verdicts.
 
-Every entry reconstructs its models deterministically from the stored
-parameters.  Expected values carry a provenance tag: ``classical`` for
-textbook facts (e.g. orthogonal diagonalisation of symmetric matrices),
-``closed-form`` for values with an exact formula on the model manifolds,
-``computed`` for values frozen from an independent oracle in the tests.
+Every entry reconstructs its models deterministically from a builder that
+takes no arguments: the fixture's constants (such as the second radius
+``R_PRODUCT`` of the product of spheres) live in the builder.  Expected
+values carry a provenance tag: ``classical`` for textbook facts (e.g.
+orthogonal diagonalisation of symmetric matrices), ``closed-form`` for
+values with an exact formula on the model manifolds, ``computed`` for
+values frozen from an independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ class CatalogEntry:
     kind: str                    # representation | homogeneous-pair |
     #                              sphere-action | product-spheres-action
     description: str
-    params: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
     default_checks: tuple = ()
 
     def build(self) -> dict:
-        return _BUILDERS[self.name](self.params)
+        return _BUILDERS[self.name]()
 
 
 def su2_cyclic() -> LieAlgebra:
@@ -69,7 +70,7 @@ def su2su2_swap_pair() -> SymmetricPair:
     return cartan_decompose(both, theta)
 
 
-def _su2_adjoint(params) -> dict:
+def _su2_adjoint() -> dict:
     alg = su2_cyclic()
     rep = OrthogonalRep(alg, alg.ad(np.eye(3)), 3, name="su2_adjoint")
     rep.validate()
@@ -88,7 +89,7 @@ def _su2_adjoint(params) -> dict:
     }
 
 
-def _so3_sym_traceless(params) -> dict:
+def _so3_sym_traceless() -> dict:
     pair = su3_pair_conjugation()
     alg = pair.algebra
     k, p = pair.k, pair.p
@@ -116,7 +117,7 @@ def _so3_sym_traceless(params) -> dict:
     }
 
 
-def _su2_diag_double(params) -> dict:
+def _su2_diag_double() -> dict:
     alg = su2_cyclic()
     ad = alg.ad(np.eye(3))
     gens = np.zeros((3, 6, 6))
@@ -138,7 +139,7 @@ def _su2_diag_double(params) -> dict:
     }
 
 
-def _hopf(params) -> dict:
+def _hopf() -> dict:
     alg = build_classical("torus", 1, name="u1")
     k = np.zeros((4, 4))
     k[0, 1], k[1, 0] = -1.0, 1.0
@@ -156,7 +157,7 @@ def _hopf(params) -> dict:
     }
 
 
-def _so2_s2(params) -> dict:
+def _so2_s2() -> dict:
     alg = build_classical("special-orthogonal", 2, name="so2")
     gen = np.zeros((3, 3))
     gen[0, 1], gen[1, 0] = -1.0, 1.0
@@ -172,7 +173,7 @@ def _so2_s2(params) -> dict:
     }
 
 
-def _t2_cp2(params) -> dict:
+def _t2_cp2() -> dict:
     pair = su3_pair_block()
     alg = pair.algebra
     t1 = alg.coordinates(1j * np.diag([1.0, -1.0, 0.0]))
@@ -181,7 +182,7 @@ def _t2_cp2(params) -> dict:
     return {"pair": pair, "subalgebra": h}
 
 
-def _hermann_su3(params) -> dict:
+def _hermann_su3() -> dict:
     pair = su3_pair_conjugation()
     block = su3_pair_block()
     h = Subspace(pair.algebra.name, block.k.basis)
@@ -207,8 +208,7 @@ def footnote_curve(times: np.ndarray, radius: float = R_PRODUCT):
     return gam, dgam
 
 
-def _so3_s2xs2(params) -> dict:
-    r = params.get("radius", R_PRODUCT)
+def _so3_s2xs2() -> dict:
     alg = so3_cyclic()
     mats = [m.real for m in alg.realization]
     gens = np.zeros((3, 6, 6))
@@ -217,15 +217,16 @@ def _so3_s2xs2(params) -> dict:
         gens[i, 3:, 3:] = m
     rep = OrthogonalRep(alg, gens, 6, name="so3_s2xs2")
     rep.validate()
-    manifold = ModelManifold("product-spheres", 6, radii=(1.0, r), split=(3, 3))
-    gam, dgam = footnote_curve(np.array([0.0]), r)
+    manifold = ModelManifold("product-spheres", 6, radii=(1.0, R_PRODUCT),
+                             split=(3, 3))
+    gam, dgam = footnote_curve(np.array([0.0]))
     return {
         "rep": rep,
         "manifold": manifold,
         "basepoint": gam[0],
         "direction": dgam[0],
         "span": (0.0, float(np.pi)),
-        "curve": lambda times: footnote_curve(times, r),
+        "curve": footnote_curve,
     }
 
 
@@ -349,7 +350,6 @@ _ENTRIES = (
     CatalogEntry(
         "so3_s2xs2", "product-spheres-action",
         "diagonal rotations of S^2(1) x S^2(R); cohomogeneity one",
-        params={"radius": R_PRODUCT},
         expected={
             "variational-completeness": {
                 "value": {"probe": True, "eigenfield_tangency": None},

@@ -6,7 +6,9 @@ tolerance, seed and runtime.  When the entry carries an expected value for a
 check, pass/fail compares against it (that is how the negative fixtures stay
 green in the full-suite run); otherwise a negative verdict fails the run.
 A residual between the pass tolerance and the witness floor makes an
-``indeterminate`` record carrying the reason, never a traceback.
+``indeterminate`` record carrying the reason, never a traceback, and a
+library error raised by a check (an ambiguous root clustering, say) makes
+an ``error`` record carrying its message.
 Timing fields are excluded from the determinism contract.
 """
 
@@ -24,17 +26,17 @@ import numpy as np
 
 from . import linalg
 from .catalog import CatalogEntry, catalog_entry, catalog_list
-from .liealg import LieAlgebra, Subspace
+from .liealg import LieAlgebra, LieAlgebraError, Subspace
 from .polarity import OrthogonalRep, PolarityError, _check_ad_invariant, \
     _check_subalgebra, cohomogeneity, is_hyperpolar_homogeneous, \
     is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
-from .transversal import MAX_STEP, OrbitGeodesic, claim_residuals, conjugate_scan, \
-    discala_olmos_probe, focal_points, jacobi_integrate, n_jacobi_space, \
-    oneill_check, rescale_probe, transversal_system, \
+from .transversal import MAX_STEP, OrbitGeodesic, TransversalError, claim_residuals, \
+    conjugate_scan, discala_olmos_probe, focal_points, jacobi_integrate, \
+    n_jacobi_space, oneill_check, rescale_probe, transversal_system, \
     variational_completeness_probe
-from .weyl import QuotientOptimizerConfig, ReductionSampler, \
+from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
 SCHEMA_VERSION = 1
@@ -46,6 +48,9 @@ ALL_CHECKS = ("polarity", "hyperpolarity", "cohomogeneity", "slice-scan",
 SLICE_SCAN_POINTS = 12      # seeded points whose slice representation is tested
 ORBIFOLD_POINTS = 8         # seeded points of the orbifold-point scan
 REDUCTION_PAIRS = 200       # seeded section pairs of the reduction-isometry check
+# What a check may raise on a model it cannot decide; each becomes an error record.
+LIBRARY_ERRORS = (WeylError, PolarityError, SymmetricSpaceError, TransversalError,
+                  LieAlgebraError)
 
 
 class ModelError(ValueError):
@@ -59,7 +64,7 @@ class Inapplicable(Exception):
 @dataclasses.dataclass
 class CheckRecord:
     check: str
-    status: str                  # pass | fail | indeterminate | skipped
+    status: str                  # pass | fail | indeterminate | error | skipped
     verdict: object
     value: object
     residual: float | None
@@ -543,8 +548,9 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     Deterministic given (entry, checks, seed, tolerances); inapplicable
     checks are reported as skipped records, not failures, and a check whose
     residual is neither a pass nor a robust witness as an indeterminate
-    record.  The report fails if any record fails, and is otherwise
-    indeterminate if any record is.
+    record, and one that raises a library error as an error record.  The
+    report fails if any record fails, and is otherwise error if any record
+    is, and otherwise indeterminate if any record is.
     """
     if isinstance(entry, str):
         entry = catalog_entry(entry)
@@ -575,17 +581,18 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
             else:
                 ok = verdict is not False
             status = "pass" if ok else "fail"
-        except (Inapplicable, linalg.IndeterminateVerdict) as exc:
+        except (Inapplicable, linalg.IndeterminateVerdict, *LIBRARY_ERRORS) as exc:
             verdict, value, residual, tolerance = None, {"reason": str(exc)}, None, None
-            status = "skipped" if isinstance(exc, Inapplicable) else "indeterminate"
+            status = "skipped" if isinstance(exc, Inapplicable) else \
+                "indeterminate" if isinstance(exc, linalg.IndeterminateVerdict) else "error"
         records.append(CheckRecord(check, status, verdict, value, residual,
                                    tolerance, seed, time.perf_counter() - t0))
     return AnalysisReport(name, records, _overall([r.status for r in records]))
 
 
 def _overall(statuses) -> str:
-    """fail if any status fails, else indeterminate if any is, else pass."""
-    return next((s for s in ("fail", "indeterminate") if s in statuses), "pass")
+    """fail if any status fails, else error, else indeterminate, else pass."""
+    return next((s for s in ("fail", "error", "indeterminate") if s in statuses), "pass")
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
@@ -683,7 +690,8 @@ def main(argv=None) -> int:
             fh.write(out + "\n")
     else:
         print(out)
-    return {"pass": 0, "fail": 1, "indeterminate": 3}[_overall([r.status for r in reports])]
+    return {"pass": 0, "fail": 1, "indeterminate": 3, "error": 4}[
+        _overall([r.status for r in reports])]
 
 
 if __name__ == "__main__":

@@ -281,29 +281,17 @@ def build_classical(family: str, n: int, metric_scale: float = 1.0,
         raise LieAlgebraError(f"family {family!r} needs n >= 2 (got {n})")
     if metric_scale <= 0:
         raise LieAlgebraError("metric_scale must be positive")
-    raw = _raw_basis(family, n)
-
-    def form(a, b):
-        return -metric_scale * float(np.trace(a @ b).real)
-
-    # Gram-Schmidt on matrices against the chosen trace form.
-    basis: list[np.ndarray] = []
-    for m in raw:
-        w = m.astype(complex)
-        for _ in range(2):
-            for q in basis:
-                w = w - form(w, q) * q
-        nw = np.sqrt(max(form(w, w), 0.0))
-        if nw > 1e-12:
-            basis.append(w / nw)
-    mats = np.array(basis)
-    # c_ijk = form([b_i, b_j], b_k) = -scale Re tr([b_i, b_j] b_k)
+    raw = np.array(_raw_basis(family, n), dtype=complex)
+    # Gram-Schmidt in coefficients against the trace form's Gram matrix
+    gram = -metric_scale * np.einsum("iab,jba->ij", raw, raw).real
+    mats = np.tensordot(linalg.orthonormalize(np.eye(len(raw)), gram), raw, 1)
+    # c_ijk = <[b_i, b_j], b_k> = -scale Re tr([b_i, b_j] b_k)
     c = np.array([-metric_scale * np.einsum("jab,kba->jk", comm, mats).real
                   for comm in _commutator_rows(mats)])
     if family == "special-orthogonal":
-        basis = [b.real.copy() for b in basis]
+        mats = mats.real
     label = name or f"{family}({n})"
-    alg = LieAlgebra(label, c, np.eye(len(basis)), tuple(basis))
+    alg = LieAlgebra(label, c, np.eye(len(mats)), tuple(mats))
     alg.validate()
     return alg
 

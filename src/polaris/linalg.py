@@ -151,10 +151,9 @@ def kernel(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.nd
     return vh[r:].copy()
 
 
-def complement(rows, ambient_dim: int, gram: np.ndarray | None = None,
-               rtol: float = RANK_RTOL) -> np.ndarray:
-    """Gram-orthonormal basis of the orthogonal complement of ``rows``."""
-    base = orthonormalize(rows, gram, rtol) if np.size(rows) else np.zeros((0, ambient_dim))
+def complement(rows, ambient_dim: int) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of ``rows``."""
+    base = orthonormalize(rows) if np.size(rows) else np.zeros((0, ambient_dim))
     out: list[np.ndarray] = []
     for i in range(ambient_dim):
         v = np.zeros(ambient_dim)
@@ -162,10 +161,10 @@ def complement(rows, ambient_dim: int, gram: np.ndarray | None = None,
         w = v
         for _ in range(2):
             for q in base:
-                w = w - gram_dot(w, q, gram) * q
+                w = w - gram_dot(w, q) * q
             for q in out:
-                w = w - gram_dot(w, q, gram) * q
-        nw = gram_norm(w, gram)
+                w = w - gram_dot(w, q) * q
+        nw = gram_norm(w)
         if nw > 1e-7:
             out.append(w / nw)
         if len(out) + base.shape[0] == ambient_dim:

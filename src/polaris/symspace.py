@@ -7,13 +7,16 @@ probe along once-broken geodesics.  The pair's invariants (automorphism,
 bracket grading) are stacked brackets over all basis pairs, and on a pair
 the probe's residual is the Lie-triple-system residual of ``liealg``.  The
 model manifolds (Euclidean space, the unit sphere, a product of two round
-spheres) carry closed-form geodesics, parallel transport and curvature so
-that every downstream derivative check has an exact cross-check path.
+spheres) are Riemannian products of flat and round-sphere factors: each
+carries closed-form geodesics, parallel transport, curvature, distance and
+log, one pass over its factors, so that every downstream derivative check
+has an exact cross-check path.  On a manifold the probe transports a whole
+basis per leg and reads all basis triples from one stacked curvature call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,66 +45,64 @@ class SymmetricSpaceError(ValueError):
 class ModelManifold:
     """Euclidean space, the unit sphere, or a product of two round spheres.
 
-    ``split`` gives the ambient dimensions of the two factors for the
-    product kind; ``radii`` their radii (the first factor of the product has
-    radius 1 in every built-in fixture, but any positive radii work).
+    Each is a Riemannian product of factors, each a block of ambient
+    coordinates that is flat (radius 0) or a round sphere of a positive
+    radius: ``euclidean`` is one flat factor, ``sphere`` one unit sphere and
+    ``product-spheres`` two spheres of ``radii`` whose ambient dimensions are
+    ``split``.  Every method is one pass over the factors.  Tangent vectors
+    of ``project_tangent``, ``transport`` and ``curvature`` may be (..., D)
+    stacks, whose leading axes broadcast.
     """
 
     kind: str                       # "euclidean" | "sphere" | "product-spheres"
     ambient_dim: int
     radii: tuple = ()
     split: tuple | None = None
+    factors: tuple = field(init=False, repr=False, compare=False)  # (slice, radius)
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "sphere", "product-spheres"):
-            raise SymmetricSpaceError(f"unknown manifold kind {self.kind!r}")
-        if self.kind == "sphere":
+        d = self.ambient_dim
+        if self.kind == "euclidean":
+            factors = ((slice(0, d), 0.0),)
+        elif self.kind == "sphere":
             r = self.radii or (1.0,)
             if abs(r[0] - 1.0) > 1e-12:
                 raise SymmetricSpaceError("sphere model is the unit sphere")
             object.__setattr__(self, "radii", (1.0,))
-        if self.kind == "product-spheres":
+            factors = ((slice(0, d), 1.0),)
+        elif self.kind == "product-spheres":
             if self.split is None or len(self.split) != 2:
                 raise SymmetricSpaceError("product-spheres needs split=(d1, d2)")
-            if sum(self.split) != self.ambient_dim:
+            if sum(self.split) != d:
                 raise SymmetricSpaceError("split does not sum to ambient dimension")
             if len(self.radii) != 2 or min(self.radii) <= 0:
                 raise SymmetricSpaceError("product-spheres needs two positive radii")
+            d1 = self.split[0]
+            factors = ((slice(0, d1), float(self.radii[0])),
+                       (slice(d1, d), float(self.radii[1])))
+        else:
+            raise SymmetricSpaceError(f"unknown manifold kind {self.kind!r}")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
-        if self.kind == "euclidean":
-            return self.ambient_dim
-        if self.kind == "sphere":
-            return self.ambient_dim - 1
-        return self.ambient_dim - 2
-
-    def _factors(self, x: np.ndarray):
-        d1 = self.split[0]
-        return x[:d1], x[d1:]
+        return sum(s.stop - s.start - (r > 0) for s, r in self.factors)
 
     def validate_point(self, p: np.ndarray, tol: float = 1e-9) -> None:
         p = np.asarray(p, float)
         if p.shape != (self.ambient_dim,):
             raise SymmetricSpaceError(f"point must have dimension {self.ambient_dim}")
-        if self.kind == "sphere" and abs(np.linalg.norm(p) - 1.0) > tol:
-            raise SymmetricSpaceError("point not on the unit sphere")
-        if self.kind == "product-spheres":
-            for pi, ri in zip(self._factors(p), self.radii):
-                if abs(np.linalg.norm(pi) - ri) > tol:
-                    raise SymmetricSpaceError("point not on the product of spheres")
+        for s, r in self.factors:
+            if r and abs(np.linalg.norm(p[s]) - r) > tol:
+                raise SymmetricSpaceError(f"point not on the sphere of radius {r:g} "
+                                          f"in coordinates {s.start}..{s.stop - 1}")
 
     def project_tangent(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        p = np.asarray(p, float)
         x = np.asarray(x, float)
-        if self.kind == "euclidean":
-            return x.copy()
-        if self.kind == "sphere":
-            return x - np.dot(x, p) * p
-        x1, x2 = self._factors(x)
-        p1, p2 = self._factors(p)
-        r1, r2 = self.radii
-        return np.concatenate([x1 - np.dot(x1, p1) * p1 / r1**2,
-                               x2 - np.dot(x2, p2) * p2 / r2**2])
+        return np.concatenate([
+            x[..., s] - (x[..., s] @ p[s])[..., None] * p[s] / r**2 if r else x[..., s]
+            for s, r in self.factors], axis=-1)
 
     # closed-form geodesics -------------------------------------------------
 
@@ -110,17 +111,11 @@ class ModelManifold:
         times = np.asarray(times, float)
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        if self.kind == "euclidean":
-            gam = p[None, :] + times[:, None] * v[None, :]
-            dgam = np.broadcast_to(v, gam.shape).copy()
-            return gam, dgam
-        if self.kind == "sphere":
-            return _sphere_geodesic(p, v, 1.0, times)
-        p1, p2 = self._factors(p)
-        v1, v2 = self._factors(v)
-        g1, d1 = _sphere_geodesic(p1, v1, self.radii[0], times)
-        g2, d2 = _sphere_geodesic(p2, v2, self.radii[1], times)
-        return np.concatenate([g1, g2], axis=1), np.concatenate([d1, d2], axis=1)
+        parts = [_sphere_geodesic(p[s], v[s], r, times) if r else
+                 (p[s] + times[:, None] * v[s], np.broadcast_to(v[s], times.shape + v[s].shape))
+                 for s, r in self.factors]
+        return (np.concatenate([g for g, _ in parts], axis=1),
+                np.concatenate([dg for _, dg in parts], axis=1))
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         gam, _ = self.geodesic(p, v, np.array([1.0]))
@@ -128,85 +123,64 @@ class ModelManifold:
 
     def transport(self, p: np.ndarray, v: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
         """Parallel transport of tangent x along s -> exp_p(s v) from 0 to t."""
+        p = np.asarray(p, float)
+        v = np.asarray(v, float)
         x = np.asarray(x, float)
-        if self.kind == "euclidean":
-            return x.copy()
-        if self.kind == "sphere":
-            return _sphere_transport(p, v, 1.0, t, x)
-        p1, p2 = self._factors(p)
-        v1, v2 = self._factors(v)
-        x1, x2 = self._factors(x)
-        return np.concatenate([_sphere_transport(p1, v1, self.radii[0], t, x1),
-                               _sphere_transport(p2, v2, self.radii[1], t, x2)])
+        return np.concatenate([
+            _sphere_transport(p[s], v[s], r, t, x[..., s]) if r else x[..., s]
+            for s, r in self.factors], axis=-1)
 
     def curvature(self, p: np.ndarray, u: np.ndarray, v: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
-        """R(u, v)w at p, with R(u, v)w = K(<v,w>u - <u,w>v) on each factor."""
-        if self.kind == "euclidean":
-            return np.zeros_like(np.asarray(u, float))
-        if self.kind == "sphere":
-            return np.dot(v, w) * u - np.dot(u, w) * v
-        u1, u2 = self._factors(np.asarray(u, float))
-        v1, v2 = self._factors(np.asarray(v, float))
-        w1, w2 = self._factors(np.asarray(w, float))
-        r1, r2 = self.radii
+        """R(u, v)w at p, with R(u, v)w = (<v,w>u - <u,w>v) / r^2 on a sphere
+        factor of radius r and 0 on a flat one."""
+        u, v, w = np.broadcast_arrays(*(np.asarray(a, float) for a in (u, v, w)))
         return np.concatenate([
-            (np.dot(v1, w1) * u1 - np.dot(u1, w1) * v1) / r1**2,
-            (np.dot(v2, w2) * u2 - np.dot(u2, w2) * v2) / r2**2,
-        ])
+            (_dot(v[..., s], w[..., s])[..., None] * u[..., s]
+             - _dot(u[..., s], w[..., s])[..., None] * v[..., s]) / r**2 if r
+            else np.zeros_like(u[..., s]) for s, r in self.factors], axis=-1)
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> float:
-        if self.kind == "euclidean":
-            return float(np.linalg.norm(np.asarray(p, float) - q))
-        if self.kind == "sphere":
-            return float(np.arccos(np.clip(np.dot(p, q), -1.0, 1.0)))
-        p1, p2 = self._factors(np.asarray(p, float))
-        q1, q2 = self._factors(np.asarray(q, float))
-        r1, r2 = self.radii
-        a1 = np.arccos(np.clip(np.dot(p1, q1) / r1**2, -1.0, 1.0))
-        a2 = np.arccos(np.clip(np.dot(p2, q2) / r2**2, -1.0, 1.0))
-        return float(np.hypot(r1 * a1, r2 * a2))
+        p = np.asarray(p, float)
+        q = np.asarray(q, float)
+        # the hypot of the factor distances; one factor gives its own distance
+        return float(np.hypot.reduce([
+            r * np.arccos(np.clip(np.dot(p[s], q[s]) / r**2, -1.0, 1.0)) if r
+            else np.linalg.norm(p[s] - q[s]) for s, r in self.factors]))
 
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Inverse exponential (sphere kind only; used by the rescale probe)."""
-        if self.kind == "euclidean":
-            return np.asarray(q, float) - p
-        if self.kind != "sphere":
-            raise SymmetricSpaceError("log implemented for euclidean and sphere kinds")
-        c = np.clip(np.dot(p, q), -1.0, 1.0)
-        theta = float(np.arccos(c))
-        if theta < 1e-14:
-            return np.zeros_like(p)
-        w = q - c * p
-        return theta * w / np.linalg.norm(w)
+        """Inverse exponential: the v with exp(p, v) = q of least length."""
+        p = np.asarray(p, float)
+        q = np.asarray(q, float)
+        return np.concatenate([_sphere_log(p[s], q[s], r) if r else q[s] - p[s]
+                               for s, r in self.factors])
 
     def parallel_frames(self, p: np.ndarray, v: np.ndarray, times: np.ndarray):
         """Parallel orthonormal frames F(t) of the tangent space along exp(tv).
 
         Returns (frames, curvature_matrix): frames has shape (n_t, D, m) and
-        the matrix of R(., gamma')gamma' is constant in these frames.
+        the matrix of R(., gamma')gamma' is constant in these frames.  Each
+        factor contributes a diagonal block.
         """
         times = np.asarray(times, float)
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         n_t = times.shape[0]
-        if self.kind == "euclidean":
-            frames = np.broadcast_to(np.eye(self.ambient_dim),
-                                     (n_t, self.ambient_dim, self.ambient_dim)).copy()
-            return frames, np.zeros((self.ambient_dim, self.ambient_dim))
-        if self.kind == "sphere":
-            cols, curv = _sphere_frames(p, v, 1.0, times)
-            return cols, np.diag(curv)
-        p1, p2 = self._factors(p)
-        v1, v2 = self._factors(v)
-        f1, c1 = _sphere_frames(p1, v1, self.radii[0], times)
-        f2, c2 = _sphere_frames(p2, v2, self.radii[1], times)
-        d1 = self.split[0]
-        m = f1.shape[2] + f2.shape[2]
-        frames = np.zeros((n_t, self.ambient_dim, m))
-        frames[:, :d1, :f1.shape[2]] = f1
-        frames[:, d1:, f1.shape[2]:] = f2
-        return frames, np.diag(np.concatenate([c1, c2]))
+        frames = np.zeros((n_t, self.ambient_dim, self.dim))
+        curv = []
+        col = 0
+        for s, r in self.factors:
+            d = s.stop - s.start
+            f, c = _sphere_frames(p[s], v[s], r, times) if r else (np.eye(d), np.zeros(d))
+            frames[:, s, col:col + c.shape[0]] = f
+            curv.append(c)
+            col += c.shape[0]
+        return frames, np.diag(np.concatenate(curv))
+
+
+def _dot(a, b):
+    """<a, b> over the last axis of broadcasting stacks; np.dot's value on vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _sphere_geodesic(p, v, radius, times):
@@ -225,18 +199,28 @@ def _sphere_geodesic(p, v, radius, times):
 
 
 def _sphere_transport(p, v, radius, t, x):
+    """Transport of a vector or an (..., d) stack x along one sphere factor."""
     s = np.linalg.norm(v)
     if s < 1e-15:
-        return np.asarray(x, float).copy()
+        return x
     ang = s * t / radius
     phat = p / radius
     vhat = v / s
-    a = np.dot(x, phat)
-    b = np.dot(x, vhat)
+    a = (x @ phat)[..., None]
+    b = (x @ vhat)[..., None]
     rest = x - a * phat - b * vhat
     phat_t = np.cos(ang) * phat + np.sin(ang) * vhat
     vhat_t = -np.sin(ang) * phat + np.cos(ang) * vhat
     return rest + a * phat_t + b * vhat_t
+
+
+def _sphere_log(p, q, radius):
+    c = np.clip(np.dot(p, q) / radius**2, -1.0, 1.0)
+    theta = float(np.arccos(c))
+    if theta < 1e-14:
+        return np.zeros_like(p)
+    w = q - c * p
+    return radius * theta * w / np.linalg.norm(w)
 
 
 def _sphere_frames(p, v, radius, times):
@@ -432,18 +416,6 @@ class BrokenGeodesicSampler:
             raise SymmetricSpaceError("sampler legs must satisfy 0 < leg_min < leg_max")
 
 
-def _triple_residual(rows: np.ndarray, curvature) -> float:
-    """Worst out-of-span residual of curvature(u, v, w) over orthonormal rows."""
-    worst = 0.0
-    k = rows.shape[0]
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                r = curvature(rows[i], rows[j], rows[l])
-                worst = max(worst, linalg.span_residual(rows, r))
-    return worst
-
-
 def cartan_hermann_probe(space, base, s: Subspace,
                          sampler: BrokenGeodesicSampler | None = None,
                          tol: float = SPAN_TOL) -> CheckResult:
@@ -474,24 +446,21 @@ def cartan_hermann_probe(space, base, s: Subspace,
     else:
         manifold: ModelManifold = space
         manifold.validate_point(base)
-        for b in s.basis:
-            if np.linalg.norm(b - manifold.project_tangent(base, b)) > 1e-8:
-                raise SymmetricSpaceError("probe subspace must be tangent at base")
+        off = linalg.gram_norm(s.basis - manifold.project_tangent(base, s.basis))
+        if np.max(off, initial=0.0) > 1e-8:
+            raise SymmetricSpaceError("probe subspace must be tangent at base")
         for idx in range(sampler.count):
             len1, len2 = rng.uniform(sampler.leg_min, sampler.leg_max, size=2)
             u1 = _draw_unit(rng, s.dim) @ s.basis
-            rows1 = np.array([manifold.transport(base, u1, len1, b) for b in s.basis])
-            rows1 = linalg.orthonormalize(rows1)
+            rows1 = linalg.orthonormalize(manifold.transport(base, u1, len1, s.basis))
             q1 = manifold.exp(base, len1 * u1)
             u2 = _draw_unit(rng, rows1.shape[0]) @ rows1
-            rows2 = np.array([manifold.transport(q1, u2, len2, b) for b in rows1])
-            rows2 = linalg.orthonormalize(rows2)
+            rows2 = linalg.orthonormalize(manifold.transport(q1, u2, len2, rows1))
             q2 = manifold.exp(q1, len2 * u2)
-
-            def curv(u, v, w, _q=q2):
-                return manifold.curvature(_q, u, v, w)
-
-            res = _triple_residual(rows2, curv)
+            # R(u_i, u_j)u_l over all basis triples, in one stacked evaluation
+            curv = manifold.curvature(q2, rows2[:, None, None], rows2[None, :, None],
+                                      rows2[None, None])
+            res = float(np.max(linalg.span_residual(rows2, curv), initial=0.0))
             if res > worst:
                 worst, witness = res, (idx, float(len1), float(len2))
     failed = linalg.robust_failure(worst, tol, "Cartan/Hermann probe")

@@ -351,6 +351,28 @@ def test_cli_indeterminate_keeps_every_entry(capsys):
     assert code == (1 if "fail" in statuses else 3)
 
 
+def test_cli_library_error_is_a_record(capsys):
+    # at seed 125 the random H sits so near a root wall that (ad H)^2 has an
+    # eigenvalue of -2.5e-6, inside the clustering tolerance: a WeylError
+    code = main(["analyze", "--entry", "so3_sym_traceless", "--checks", "weyl",
+                 "--seed", "125"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 4 and doc["status"] == "error"
+    (rec,) = doc["records"]
+    assert rec["status"] == "error" and rec["verdict"] is None
+    assert "clustering ambiguous" in rec["value"]["reason"]
+
+
+def test_cli_library_error_keeps_every_entry(capsys):
+    code = main(["analyze", "--entry", "all", "--checks", "weyl", "--seed", "125"])
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["entry"] for r in doc["reports"]] == [e.name for e in catalog_list()]
+    assert all(len(r["records"]) == 1 for r in doc["reports"])
+    statuses = [r["records"][0]["status"] for r in doc["reports"]]
+    assert statuses.count("error") == 1 and "fail" not in statuses
+    assert code == 4
+
+
 def test_cli_out_file(tmp_path):
     target = tmp_path / "report.json"
     code = main(["analyze", "--entry", "hermann_su3", "--out", str(target)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
-from polaris import linalg
+from polaris import liealg, linalg
 from polaris.liealg import LieAlgebra, LieAlgebraError, Subspace
 
 EYE3 = np.eye(3)
@@ -51,6 +51,38 @@ def test_dimensions_of_families():
     assert pl.build_classical("special-unitary", 3).dim == 8
     assert pl.build_classical("special-orthogonal", 4).dim == 6
     assert pl.build_classical("unitary", 2).dim == 4
+
+
+def matrix_gram_schmidt_reference(family, n, scale):
+    """Basis and structure constants by Gram-Schmidt on the matrices themselves."""
+    def form(a, b):
+        return -scale * float(np.trace(a @ b).real)
+
+    basis = []
+    for m in liealg._raw_basis(family, n):
+        w = m.astype(complex)
+        for _ in range(2):
+            for q in basis:
+                w = w - form(w, q) * q
+        nw = np.sqrt(max(form(w, w), 0.0))
+        if nw > 1e-12:
+            basis.append(w / nw)
+    mats = np.array(basis)
+    c = np.array([[[form(mi @ mj - mj @ mi, mk) for mk in mats] for mj in mats]
+                  for mi in mats])
+    return mats, c
+
+
+# every family, size and metric scale the catalog builds
+@pytest.mark.parametrize("family, n, scale", [
+    ("special-unitary", 2, 2.0), ("special-orthogonal", 3, 0.5),
+    ("special-unitary", 3, 1.0), ("torus", 1, 1.0), ("special-orthogonal", 2, 1.0)])
+def test_build_classical_matches_matrix_gram_schmidt(family, n, scale):
+    alg = pl.build_classical(family, n, metric_scale=scale)
+    mats, c = matrix_gram_schmidt_reference(family, n, scale)
+    assert alg.structure.shape == c.shape
+    assert np.max(np.abs(alg.structure - c)) < 1e-12
+    assert np.max(np.abs(np.array(alg.realization) - mats)) < 1e-12
 
 
 def test_build_rejects_bad_input():

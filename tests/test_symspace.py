@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polaris as pl
 from polaris import linalg
@@ -275,3 +276,120 @@ def test_frames_are_parallel_orthonormal():
         moved = man.transport(p, v, 2.0, frames[0][:, col])
         assert np.max(np.abs(moved - frames[100][:, col])) < 1e-10
     assert np.min(np.diag(curv)) >= 0.0
+
+
+@st.composite
+def manifolds(draw):
+    """A model manifold of each kind, with drawn dimensions, radii and split."""
+    kind = draw(st.sampled_from(("euclidean", "sphere", "product-spheres")))
+    if kind != "product-spheres":
+        return ModelManifold(kind, draw(st.integers(2, 5)))
+    split = (draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    radii = (draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0)))
+    return ModelManifold(kind, sum(split), radii=radii, split=split)
+
+
+def point_on(man, rng):
+    p = rng.standard_normal(man.ambient_dim)
+    for s, r in man.factors:
+        if r:
+            p[s] *= r / np.linalg.norm(p[s])
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(man=manifolds(), seed=st.integers(0, 2 ** 16), a=st.integers(1, 3),
+       b=st.integers(1, 3))
+def test_tangent_methods_broadcast_over_stacks(man, seed, a, b):
+    rng = np.random.default_rng(seed)
+    d = man.ambient_dim
+    p = point_on(man, rng)
+    v = man.project_tangent(p, rng.standard_normal(d))
+    x = rng.standard_normal((a, b, d))
+    tx = man.project_tangent(p, x)
+    y, z = man.project_tangent(p, rng.standard_normal((2, a, b, d)))
+    moved = man.transport(p, v, 0.7, tx)
+    curv = man.curvature(p, tx, y, z[:1])         # z broadcasts along the first axis
+    assert tx.shape == moved.shape == curv.shape == (a, b, d)
+    for i in range(a):
+        for j in range(b):
+            one = man.project_tangent(p, x[i, j])
+            np.testing.assert_allclose(tx[i, j], one, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(moved[i, j], man.transport(p, v, 0.7, tx[i, j]),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(curv[i, j], man.curvature(p, tx[i, j], y[i, j],
+                                                                 z[0, j]),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_unit_product_is_the_two_spheres_joined():
+    prod = ModelManifold("product-spheres", 7, radii=(1.0, 1.0), split=(3, 4))
+    s1, s2 = ModelManifold("sphere", 3), ModelManifold("sphere", 4)
+    rng = np.random.default_rng(4)
+    p1, p2 = point_on(s1, rng), point_on(s2, rng)
+    q1, q2 = point_on(s1, rng), point_on(s2, rng)
+    v1, v2 = s1.project_tangent(p1, rng.standard_normal(3)), \
+        s2.project_tangent(p2, rng.standard_normal(4))
+    x1, x2 = (s.project_tangent(q, rng.standard_normal((3, s.ambient_dim)))
+              for s, q in ((s1, p1), (s2, p2)))
+    p, q, v, x = (np.concatenate(pair, axis=-1)
+                  for pair in ((p1, p2), (q1, q2), (v1, v2), (x1, x2)))
+    times = np.linspace(0.0, 2.0, 5)
+
+    def same(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    assert prod.dim == s1.dim + s2.dim
+    prod.validate_point(p)
+    with pytest.raises(SymmetricSpaceError):
+        prod.validate_point(np.concatenate([p1, 2.0 * p2]))
+    same(prod.project_tangent(p, np.concatenate([q1, q2])),
+         np.concatenate([s1.project_tangent(p1, q1), s2.project_tangent(p2, q2)]))
+    for got, one, two in zip(prod.geodesic(p, v, times), s1.geodesic(p1, v1, times),
+                             s2.geodesic(p2, v2, times)):
+        same(got, np.concatenate([one, two], axis=1))
+    same(prod.exp(p, v), np.concatenate([s1.exp(p1, v1), s2.exp(p2, v2)]))
+    same(prod.transport(p, v, 0.8, x),
+         np.concatenate([s1.transport(p1, v1, 0.8, x1), s2.transport(p2, v2, 0.8, x2)],
+                        axis=-1))
+    same(prod.curvature(p, x[0], x[1], x[2]),
+         np.concatenate([s1.curvature(p1, *x1), s2.curvature(p2, *x2)]))
+    same(prod.distance(p, q), np.hypot(s1.distance(p1, q1), s2.distance(p2, q2)))
+    same(prod.log(p, q), np.concatenate([s1.log(p1, q1), s2.log(p2, q2)]))
+    frames, curv = prod.parallel_frames(p, v, times)
+    (f1, c1), (f2, c2) = s1.parallel_frames(p1, v1, times), s2.parallel_frames(p2, v2, times)
+    same(frames[:, :3, :2], f1)
+    same(frames[:, 3:, 2:], f2)
+    same(frames[:, :3, 2:], 0.0)
+    same(frames[:, 3:, :2], 0.0)
+    same(curv, np.block([[c1, np.zeros((2, 3))], [np.zeros((3, 2)), c2]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(man=manifolds(), seed=st.integers(0, 2 ** 16))
+def test_frame_curvature_matrix_is_the_curvature_in_frames(man, seed):
+    rng = np.random.default_rng(seed)
+    p = point_on(man, rng)
+    v = man.project_tangent(p, rng.standard_normal(man.ambient_dim))
+    times = np.linspace(0.0, 3.0, 31)
+    gam, dgam = man.geodesic(p, v, times)
+    frames, curv = man.parallel_frames(p, v, times)
+    assert frames.shape == (31, man.ambient_dim, man.dim)
+    for t in range(times.shape[0]):
+        f = frames[t]
+        # column a of R(f_a, gamma')gamma', in frame coordinates
+        image = man.curvature(gam[t], f.T, dgam[t], dgam[t]) @ f
+        np.testing.assert_allclose(image.T, curv, rtol=0, atol=1e-12 * max(1.0, np.max(curv)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(man=manifolds(), seed=st.integers(0, 2 ** 16))
+def test_log_inverts_exp(man, seed):
+    rng = np.random.default_rng(seed)
+    p = point_on(man, rng)
+    v = man.project_tangent(p, rng.standard_normal(man.ambient_dim))
+    for s, r in man.factors:
+        if r:       # each sphere factor's leg shorter than half its great circle
+            v[s] *= rng.uniform(0.1, 0.9) * np.pi * r / np.linalg.norm(v[s])
+    np.testing.assert_allclose(man.log(p, man.exp(p, v)), v, rtol=0, atol=1e-10)
+    assert abs(man.distance(p, man.exp(p, v)) - np.linalg.norm(v)) < 1e-10
