@@ -430,9 +430,9 @@ def _check_jacobi_scan(bundle, seed, tol, step):
     tol = tol or 1e-8
     geod = _geodesic(bundle, step)
     focal = focal_points(geod)
-    j0, dj0, _ = n_jacobi_space(geod)[0]
-    exact = jacobi_integrate(geod, j0, dj0)
-    rk = jacobi_integrate(geod, j0, dj0, method="rk4")
+    j0, dj0 = n_jacobi_space(geod)
+    exact = jacobi_integrate(geod, j0[0], dj0[0])
+    rk = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
     resid = float(np.max(np.abs(exact.y - rk.y)))
     verdict = {"focal": [[round(t, 6), m] for t, m in focal]}
     ok = resid < tol

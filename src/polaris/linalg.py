@@ -8,7 +8,8 @@ re-orthogonalisation pass, which keeps witness vectors reproducible run to
 run.  The stacked kernels take an (..., k, n) stack of matrices and answer
 for every matrix at once from one LAPACK call: ``svd_rank_stack`` and
 ``row_space_stack`` from one stacked SVD, with the rank decided by the
-same singular-value cut as ``svd_rank`` and ``kernel``; ``orthonormalize_stack`` from one stacked QR whose signs are
+same singular-value cut as ``svd_rank`` and ``kernel``;
+``orthonormalize_stack`` from one stacked QR whose signs are
 fixed so that diag R > 0, which makes its rows the ones modified
 Gram-Schmidt gives for a full-rank matrix, to rounding.  ``gram_norm``,
 ``project_span`` and ``span_residual`` also take an (..., n) stack of vectors.
@@ -104,21 +105,22 @@ def _rank_mask(s: np.ndarray, rtol: float, atol: float = 1e-12) -> np.ndarray:
     return s > np.maximum(rtol * s[..., :1], atol)
 
 
-def svd_rank_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def svd_rank_stack(a: np.ndarray) -> np.ndarray:
     """``svd_rank`` of every matrix of an (..., k, n) stack, from one stacked SVD."""
     s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(_rank_mask(s, rtol), axis=-1)
+    return np.count_nonzero(_rank_mask(s, RANK_RTOL), axis=-1)
 
 
-def row_space_stack(a: np.ndarray) -> np.ndarray:
+def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal row-space rows of every matrix of an (..., k, n) stack.
 
     Returns an (..., min(k, n), n) stack from one stacked SVD.  The rows past
-    each matrix's rank (decided as in ``svd_rank``) are zero, so ``b.T @ b``
-    is the projector onto the row space and the padding drops out of sums.
+    each matrix's rank (decided as in ``svd_rank`` at the relative threshold
+    ``rtol``) are zero, so ``b.T @ b`` is the projector onto the row space,
+    the padding drops out of sums, and the count of nonzero rows is the rank.
     """
     _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return vh * _rank_mask(s, RANK_RTOL)[..., None]
+    return vh * _rank_mask(s, rtol)[..., None]
 
 
 def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
@@ -129,8 +131,8 @@ def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
     orthogonal to rows 0..i-1, the rows ``orthonormalize`` gives, to
     rounding.  Rows are scaled to unit length first, which leaves that
     result unchanged and makes its error, like Gram-Schmidt's, independent
-    of how unequal the row lengths are.  Nothing is dropped; callers screen
-    out rank-deficient matrices first (``svd_rank_stack``).
+    of how unequal the row lengths are.  Nothing is dropped, so every
+    matrix must have full row rank.
     """
     rows = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
     q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))

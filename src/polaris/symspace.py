@@ -449,6 +449,9 @@ def cartan_hermann_probe(space, base, s: Subspace,
         off = linalg.gram_norm(s.basis - manifold.project_tangent(base, s.basis))
         if np.max(off, initial=0.0) > 1e-8:
             raise SymmetricSpaceError("probe subspace must be tangent at base")
+        if s.dim == 0:
+            # a point is totally geodesic, and it has no direction to draw
+            return CheckResult(True, 0.0, tol, None)
         for idx in range(sampler.count):
             len1, len2 = rng.uniform(sampler.leg_min, sampler.leg_max, size=2)
             u1 = _draw_unit(rng, s.dim) @ s.basis

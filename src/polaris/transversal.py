@@ -9,17 +9,21 @@ horizontal bundles V_t / H_t through singular times, the extended skew
 tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
 Morse-Sturm conjugate/index scan.
 
-Work on the grid is stacked: one closed-form evaluator gives the N-Jacobi
-matrix solution at every grid time at once, the focal scan reads its
-singular values from one stacked SVD, and the vertical bundle comes from
-stacked SVD/QR calls in ``linalg``; the horizontal bundle is kept as its
-projector p_h, and only the start of the horizontal frame needs a basis of
-it.  Every RK4 integration (the Jacobi cross-check, the horizontal frame,
-the transversal Jacobi equation and the Morse-Sturm scan) goes through one
-helper, ``_rk4_steps``, that returns each step's propagator of the linear
-system, so the remaining sequential loop is one small matmul per step.  The
-O'Neill check and the rescale probe share one quotient-curvature estimator.
-Tolerances, grid strides and draw counts are module constants.
+Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
+its initial data as two (dim M, D) arrays, its fields on the grid as two
+(n_fields, n_t, m) arrays from one closed-form evaluator, which also gives
+the matrix solution at any times for the focal scan's stacked SVD.  One
+stacked SVD of the vertical fields (``linalg.row_space_stack``) gives both
+the rank test and the rows of the vertical fibre; the bundles are kept as
+projectors p_v and p_h, and only the start of the horizontal frame needs a
+basis of H_t.  The vertical-derivative claim is one stacked least-squares
+solve over every strided time and field.  Every RK4 integration (the
+Jacobi cross-check, the horizontal frame, the transversal Jacobi equation
+and the Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that
+returns each step's propagator of the linear system, so the remaining
+sequential loop is one small matmul per step.  The O'Neill check and the
+rescale probe share one quotient-curvature estimator.  Tolerances, grid
+strides and draw counts are module constants.
 """
 
 from __future__ import annotations
@@ -151,17 +155,14 @@ class GridField:
 def n_jacobi_space(geod: OrbitGeodesic):
     """Initial conditions spanning the N-Jacobi space (dimension dim M).
 
-    Orbit-tangent directions u carry J(0)=u, J'(0)=-S_xi u; orbit-normal
-    directions w carry J(0)=0, J'(0)=w.
+    Returns ambient ``(j0, dj0)``, two (dim M, D) arrays whose rows are the
+    values and covariant derivatives at the basepoint: first the
+    orbit-tangent directions u with J(0)=u, J'(0)=-S_xi u, then the
+    orbit-normal directions w with J(0)=0, J'(0)=w.
     """
-    out = []
-    s = geod.shape_operator
-    for a, u in enumerate(geod.orbit_tangent):
-        du = -(s[a] @ geod.orbit_tangent) if s.size else np.zeros_like(u)
-        out.append((u, du, ("tangent", a)))
-    for b, w in enumerate(geod.normal_basis):
-        out.append((np.zeros_like(w), w, ("normal", b)))
-    return out
+    tangent, normal = geod.orbit_tangent, geod.normal_basis
+    return (np.vstack([tangent, np.zeros_like(normal)]),
+            np.vstack([-(geod.shape_operator @ tangent), normal]))
 
 
 def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
@@ -263,35 +264,32 @@ def _propagate(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def _basis_modes(geod: OrbitGeodesic):
-    """Mode coefficients of the N-Jacobi basis for continuous-time evaluation."""
+    """Mode coefficients (a, b), each (m, dim M), of the N-Jacobi basis."""
     key = "basis_modes"
     if key not in geod._cache:
-        evals, q = geod._modes
-        a_cols = []
-        b_cols = []
-        labels = []
-        for j0, dj0, label in n_jacobi_space(geod):
-            a_cols.append(q.T @ geod.to_frame(geod.base_index, j0))
-            b_cols.append(q.T @ geod.to_frame(geod.base_index, dj0))
-            labels.append(label)
-        geod._cache[key] = (np.array(a_cols).T, np.array(b_cols).T, labels)
+        j0, dj0 = n_jacobi_space(geod)
+        to_modes = geod.frames[geod.base_index] @ geod._modes[1]
+        geod._cache[key] = ((j0 @ to_modes).T, (dj0 @ to_modes).T)
     return geod._cache[key]
 
 
 def _matrix_solution(geod: OrbitGeodesic, times) -> np.ndarray:
     """(n_times, m, m) stack whose columns are the N-Jacobi basis fields."""
-    a, b, _ = _basis_modes(geod)
-    return _closed_form(geod, a, b, np.atleast_1d(times))[0]
+    return _closed_form(geod, *_basis_modes(geod), np.atleast_1d(times))[0]
 
 
-def lambda_fields(geod: OrbitGeodesic) -> list:
-    """The N-Jacobi basis solved on the grid (closed form)."""
+def lambda_fields(geod: OrbitGeodesic):
+    """The N-Jacobi basis solved on the grid (closed form).
+
+    Returns ``(y, dy)``, the frame values and covariant derivatives of every
+    basis field, each of shape (n_fields, n_t, m) in the row order of
+    ``n_jacobi_space``.
+    """
     key = "lambda_fields"
     if key not in geod._cache:
-        a, b, labels = _basis_modes(geod)
-        y, dy = _closed_form(geod, a, b, geod.times)
-        geod._cache[key] = [(GridField(geod, y[:, :, j], dy[:, :, j]), label)
-                            for j, label in enumerate(labels)]
+        y, dy = _closed_form(geod, *_basis_modes(geod), geod.times)
+        geod._cache[key] = (np.ascontiguousarray(np.moveaxis(y, 2, 0)),
+                            np.ascontiguousarray(np.moveaxis(dy, 2, 0)))
     return geod._cache[key]
 
 
@@ -352,15 +350,9 @@ class KillingFields:
 def killing_restrictions(geod: OrbitGeodesic) -> KillingFields:
     key = "killing"
     if key not in geod._cache:
-        n_gen = geod.rep.n_generators
-        n_t = geod.times.shape[0]
-        raw = np.zeros((n_gen, n_t, geod.dim))
-        for i in range(n_gen):
-            vals = geod.gamma @ geod.rep.generators[i].T          # (n_t, D)
-            raw[i] = np.einsum("tdm,td->tm", geod.frames, vals)
-        flat = raw.reshape(n_gen, -1)
-        basis = linalg.orthonormalize(flat) if n_gen else np.zeros((0, n_t * geod.dim))
-        geod._cache[key] = KillingFields(raw, basis)
+        raw = np.einsum("tid,tdm->itm", geod.rep.tangent_rows(geod.gamma), geod.frames)
+        flat = raw.reshape(raw.shape[0], raw.shape[1] * raw.shape[2])
+        geod._cache[key] = KillingFields(raw, linalg.orthonormalize(flat))
     return geod._cache[key]
 
 
@@ -392,7 +384,7 @@ def variational_completeness_probe(geod: OrbitGeodesic,
     """
     focal = focal_points(geod)
     killing = killing_restrictions(geod)
-    a, b, _ = _basis_modes(geod)
+    a, b = _basis_modes(geod)
     records = []
     worst = 0.0
     for t_star, mult in focal:
@@ -510,9 +502,7 @@ class TransversalSystem:
         self.geod = geod
         n_t = geod.times.shape[0]
         m = geod.dim
-        fields = lambda_fields(geod)
-        vals = np.array([f.y for f, _ in fields])      # (n_fields, n_t, m)
-        dvals = np.array([f.dy for f, _ in fields])
+        vals, dvals = lambda_fields(geod)           # (n_fields, n_t, m) each
         self.lambda_values = vals
         self.lambda_derivs = dvals
         # vertical Jacobi fields: combinations tangent to orbits at all times,
@@ -530,13 +520,15 @@ class TransversalSystem:
         self.upsilon_coeffs = evecs[:, evals < 1e-10 * scale].T
         r = self.upsilon_coeffs.shape[0]
         self.rank = r
-        self.vertical = np.zeros((n_t, r, m))
+        self.p_v = np.zeros((n_t, m, m))
         if r:
+            # one SVD gives the rank test and the rows of the vertical fibre
             w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
-            full = linalg.svd_rank_stack(w, VERTICAL_RANK_RTOL) == r
-            self.vertical[full] = linalg.orthonormalize_stack(w[full])
-            # division construction through isolated zeros of vertical fields
-            for k in np.flatnonzero(~full):
+            rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
+            np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
+            # division construction through isolated zeros of vertical fields,
+            # the times where fewer than r rows survive the rank cut
+            for k in np.flatnonzero(np.count_nonzero(np.any(rows, axis=-1), axis=-1) != r):
                 vanish = linalg.kernel(w[k].T, 1e-6)
                 dw = vanish @ (self.upsilon_coeffs @ dvals[:, k, :])
                 basis = linalg.orthonormalize(np.vstack([w[k], dw]))
@@ -545,9 +537,8 @@ class TransversalSystem:
                         f"vertical rank {basis.shape[0]} != {r} at t = "
                         f"{geod.times[k]:.4f}; a vertical-field zero is not "
                         "isolated at grid resolution")
-                self.vertical[k] = basis
-            del w
-        self.p_v = np.einsum("trm,trn->tmn", self.vertical, self.vertical)
+                self.p_v[k] = basis.T @ basis
+            del w, rows
         self.p_h = np.eye(m)[None, :, :] - self.p_v
         # extended A-tensor from centered differences of the projectors
         dp_v = np.empty_like(self.p_v)
@@ -617,26 +608,25 @@ def claim_residuals(system: TransversalSystem) -> dict:
     under centered differencing.
     """
     g = system.geod
-    n_t = g.times.shape[0]
-    worst_v = 0.0
-    vals = system.lambda_values
-    dvals = system.lambda_derivs
-    ups = system.upsilon_coeffs
-    for k in range(CLAIM_STRIDE, n_t - CLAIM_STRIDE, CLAIM_STRIDE):
-        wk = ups @ vals[:, k, :] if ups.size else np.zeros((0, g.dim))
-        dwk = ups @ dvals[:, k, :] if ups.size else np.zeros((0, g.dim))
-        for j in range(vals.shape[0]):
-            v = vals[j, k]
-            dv = dvals[j, k]
-            vert = system.p_v[k] @ v
-            if wk.shape[0]:
-                alpha, res, *_ = np.linalg.lstsq(wk.T, vert, rcond=None)
-                if np.linalg.norm(wk.T @ alpha - vert) > 1e-8:
-                    continue        # vertical value not matchable (vanishing time)
-                v = v - alpha @ wk
-                dv = dv - alpha @ dwk
-            resid = np.linalg.norm(system.p_v[k] @ dv + system.a[k] @ v)
-            worst_v = max(worst_v, float(resid))
+    ks = np.arange(CLAIM_STRIDE, g.times.shape[0] - CLAIM_STRIDE, CLAIM_STRIDE)
+    v = np.swapaxes(system.lambda_values[:, ks], 0, 1)          # (n_k, n_f, m)
+    dv = np.swapaxes(system.lambda_derivs[:, ks], 0, 1)
+    w = system.upsilon_coeffs @ v                                # (n_k, r, m)
+    dw = system.upsilon_coeffs @ dv
+    p_vt = np.swapaxes(system.p_v[ks], 1, 2)
+    vert = v @ p_vt
+    # minimum-norm least-squares alpha with alpha @ w = v^v, for every field and
+    # time; one refinement step brings the product with the explicit
+    # pseudo-inverse to the accuracy of a per-system least-squares solve
+    pinv = np.linalg.pinv(w)
+    alpha = vert @ pinv
+    alpha += (vert - alpha @ w) @ pinv
+    # a vertical value the vertical fields cannot match marks a vanishing time
+    matched = np.linalg.norm(alpha @ w - vert, axis=-1) <= 1e-8
+    v = v - alpha @ w
+    dv = dv - alpha @ dw
+    resid = np.linalg.norm(dv @ p_vt + v @ np.swapaxes(system.a[ks], 1, 2), axis=-1)
+    worst_v = float(np.max(resid[matched], initial=0.0))
     frame = horizontal_frame(system)
     h = g.step
     de = (frame[2:] - frame[:-2]) / (2 * h)

@@ -16,10 +16,11 @@ from polaris.catalog import catalog_entry, catalog_list, footnote_curve
 from polaris.cli import analyze
 from polaris.liealg import Subspace
 from polaris.symspace import BrokenGeodesicSampler, cartan_hermann_probe
-from polaris.transversal import OrbitGeodesic, claim_residuals, conjugate_scan, \
-    discala_olmos_probe, horizontal_frame, lambda_fields, oneill_check, \
-    rescale_probe, symplectic_form, transversal_equation_residual, \
-    transversal_system, variational_completeness_probe
+from polaris.transversal import GridField, OrbitGeodesic, claim_residuals, \
+    conjugate_scan, discala_olmos_probe, horizontal_frame, lambda_fields, \
+    oneill_check, rescale_probe, symplectic_form, \
+    transversal_equation_residual, transversal_system, \
+    variational_completeness_probe
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
@@ -137,8 +138,8 @@ def test_criterion_06_transversal_jacobi(bundles):
     scan = conjugate_scan(system)
     assert abs(scan.conjugate_points[0][0] - PI / 2) < 1e-4
     worst = 0.0
-    for f, _ in lambda_fields(geod):
-        proj = np.einsum("tmn,tn->tm", system.p_h, f.y)
+    for y in lambda_fields(geod)[0]:
+        proj = np.einsum("tmn,tn->tm", system.p_h, y)
         worst = max(worst, transversal_equation_residual(system, proj))
     assert worst < 1e-6
     claims = claim_residuals(system)
@@ -158,7 +159,7 @@ def test_criterion_07_symplectic(bundles):
             d = linalg.complement(rows, b["rep"].space_dim)[0]
         geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                              span=(0.0, PI), step=1e-3)
-        fields = [f for f, _ in lambda_fields(geod)]
+        fields = [GridField(geod, y, dy) for y, dy in zip(*lambda_fields(geod))]
         for i, f1 in enumerate(fields):
             for f2 in fields[i:]:
                 w = symplectic_form(f1, f2)

@@ -3,6 +3,8 @@ import pytest
 
 import polaris as pl
 from polaris import linalg
+from polaris.catalog import catalog_list
+from polaris.cli import SLICE_SCAN_POINTS, _sample_points
 from polaris.liealg import Subspace
 from polaris.polarity import PolarityError, isotropy_subalgebra, \
     regularize_basepoint
@@ -137,6 +139,23 @@ def test_slice_of_polar_is_polar_50_points(bundles):
             p = rng.standard_normal(rep.space_dim)
             sl = pl.slice_rep(rep, p)
             assert pl.is_polar_rep(sl, seed=1).polar
+
+
+def test_slice_rep_is_valid_where_the_scans_call_it():
+    # slice_rep does not validate its result, which holds by construction;
+    # check that at the slice-scan points (the orbifold-points scan draws the
+    # first eight of them) and at the designated orbifold points
+    for entry in catalog_list():
+        bundle = entry.build()
+        if "rep" not in bundle or bundle["manifold"].kind == "product-spheres":
+            continue
+        rep = bundle["rep"]
+        points = [*_sample_points(rep, 0, SLICE_SCAN_POINTS),
+                  *(bundle.get("orbifold_points") or {}).values()]
+        for p in points:
+            sl = pl.slice_rep(rep, p)
+            sl.algebra.validate(jacobi_tol=1e-8)
+            sl.validate()
 
 
 def test_sphere_slice_requires_nonzero_point(bundles):

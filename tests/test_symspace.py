@@ -231,6 +231,16 @@ def test_probe_on_model_manifolds():
     assert not res.ok and res.residual > 1e-3
 
 
+def test_probe_on_empty_subspace_is_totally_geodesic(su3_conj_pair):
+    # a point is totally geodesic; the manifold branch has no direction to draw
+    res = cartan_hermann_probe(ModelManifold("euclidean", 4), np.zeros(4),
+                               Subspace("R4", np.zeros((0, 4))))
+    assert res == pl.CheckResult(True, 0.0, linalg.SPAN_TOL, None)
+    alg = su3_conj_pair.algebra
+    res = cartan_hermann_probe(su3_conj_pair, None, Subspace(alg.name, np.zeros((0, alg.dim))))
+    assert res == pl.CheckResult(True, 0.0, linalg.SPAN_TOL, None)
+
+
 def test_probe_rejects_degenerate_sampler():
     with pytest.raises(SymmetricSpaceError):
         BrokenGeodesicSampler(count=5, leg_min=0.0)

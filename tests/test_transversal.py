@@ -91,9 +91,9 @@ def test_sphere_field_sin_times_parallel(bundles):
 def test_closed_form_vs_rk4(bundles):
     for name in ("hopf_s1_s3", "so3_s2xs2"):
         geod = geod_for(bundles, name, span=(0.0, 1.5), step=1e-3)
-        j0, dj0, _ = n_jacobi_space(geod)[0]
-        a = jacobi_integrate(geod, j0, dj0)
-        b = jacobi_integrate(geod, j0, dj0, method="rk4")
+        j0, dj0 = n_jacobi_space(geod)
+        a = jacobi_integrate(geod, j0[0], dj0[0])
+        b = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
         assert np.max(np.abs(a.y - b.y)) < 1e-8
 
 
@@ -129,7 +129,7 @@ def test_grid_evaluator_matches_jacobi_integrate(bundles):
     for name in ("su2_adjoint", "hopf_s1_s3", "so3_s2xs2"):
         geod = geod_for(bundles, name)
         grid = _matrix_solution(geod, geod.times)
-        for j, (j0, dj0, _) in enumerate(n_jacobi_space(geod)):
+        for j, (j0, dj0) in enumerate(zip(*n_jacobi_space(geod))):
             field = jacobi_integrate(geod, j0, dj0)
             assert np.max(np.abs(grid[:, :, j] - field.y)) < 1e-12, name
 
@@ -148,7 +148,8 @@ def test_n_jacobi_space_dimension(bundles):
     for name, dim in (("su2_adjoint", 3), ("hopf_s1_s3", 3),
                       ("so3_sym_traceless", 5), ("so3_s2xs2", 4)):
         geod = geod_for(bundles, name)
-        assert len(n_jacobi_space(geod)) == dim
+        j0, dj0 = n_jacobi_space(geod)
+        assert j0.shape == dj0.shape == (dim, geod.rep.space_dim)
 
 
 # -- focal points --------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_orbit_sphere_inward_focal_time(bundles):
 def test_focal_points_match_per_point_scan(bundles):
     # the per-grid-point scan the stacked scan replaced
     geod = geod_for(bundles, "so3_sym_traceless")
-    a, b, _ = _basis_modes(geod)
+    a, b = _basis_modes(geod)
     evals, q = geod._modes
 
     def matrix_at(t):
@@ -333,7 +334,7 @@ def test_vertical_rank_constant(bundles):
                        ("so3_sym_traceless", 3), ("so3_s2xs2", 3)):
         system = transversal_system(geod_for(bundles, name))
         assert system.rank == rank
-        assert system.vertical.shape[1] == rank
+        assert np.max(np.abs(np.trace(system.p_v, axis1=1, axis2=2) - rank)) < 1e-12
 
 
 def test_vertical_rank_through_origin_rotation():
@@ -346,7 +347,8 @@ def test_vertical_rank_through_origin_rotation():
     assert system.rank == 1
     k = system.index_at(1.0)                    # gamma(1) = origin
     assert np.linalg.norm(geod.gamma[k]) < 1e-12
-    assert system.vertical[k].shape == (1, 2)
+    # rank 1 at every grid time, the origin crossing included
+    assert np.max(np.abs(np.trace(system.p_v, axis1=1, axis2=2) - 1.0)) < 1e-12
 
 
 def test_trivial_action_rank_zero():
@@ -429,6 +431,86 @@ def test_horizontal_frame_matches_stepwise_orthonormalisation(bundles):
     assert worst < 1e-12
 
 
+GEODESIC_FIXTURES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
+                     "hopf_s1_s3", "so2_s2", "so3_s2xs2")
+
+
+@pytest.fixture(scope="module")
+def fixture_systems(bundles):
+    return {name: transversal_system(geod_for(bundles, name)) for name in GEODESIC_FIXTURES}
+
+
+def qr_vertical_projector(system):
+    """p_v from a rank SVD, QR rows of the vertical fields and the division
+    construction at the times where their rank drops, one time at a time."""
+    vals, dvals = system.lambda_values, system.lambda_derivs
+    ups = system.upsilon_coeffs
+    w = np.einsum("rf,ftm->trm", ups, vals)
+    s = np.linalg.svd(w, compute_uv=False)
+    full = np.all(s > np.maximum(transversal.VERTICAL_RANK_RTOL * s[:, :1], 1e-12), axis=-1)
+    vertical = np.zeros(w.shape)
+    vertical[full] = linalg.orthonormalize_stack(w[full])
+    for k in np.flatnonzero(~full):
+        vanish = linalg.kernel(w[k].T, 1e-6)
+        vertical[k] = linalg.orthonormalize(np.vstack([w[k], vanish @ (ups @ dvals[:, k])]))
+    return np.einsum("trm,trn->tmn", vertical, vertical)
+
+
+def lstsq_vertical_claim(system):
+    """The vertical-derivative claim with one least-squares solve per
+    strided time and field."""
+    vals, dvals = system.lambda_values, system.lambda_derivs
+    ups = system.upsilon_coeffs
+    worst = 0.0
+    for k in range(transversal.CLAIM_STRIDE, vals.shape[1] - transversal.CLAIM_STRIDE,
+                   transversal.CLAIM_STRIDE):
+        wk = ups @ vals[:, k]
+        dwk = ups @ dvals[:, k]
+        for j in range(vals.shape[0]):
+            v, dv = vals[j, k], dvals[j, k]
+            vert = system.p_v[k] @ v
+            if wk.shape[0]:
+                alpha = np.linalg.lstsq(wk.T, vert, rcond=None)[0]
+                if np.linalg.norm(wk.T @ alpha - vert) > 1e-8:
+                    continue
+                v = v - alpha @ wk
+                dv = dv - alpha @ dwk
+            worst = max(worst, float(np.linalg.norm(system.p_v[k] @ dv + system.a[k] @ v)))
+    return worst
+
+
+def test_vertical_projector_matches_qr_rows(fixture_systems):
+    systems = dict(fixture_systems)
+    # the orbit collapses at the origin: the division construction runs there
+    geod = OrbitGeodesic(rotation_rep_r2(), ModelManifold("euclidean", 2),
+                         np.array([1.0, 0.0]), np.array([-1.0, 0.0]), span=(0.0, 2.0))
+    systems["rotation_r2"] = transversal_system(geod)
+    for name, system in systems.items():
+        assert np.max(np.abs(system.p_v - qr_vertical_projector(system))) < 1e-12, name
+
+
+def test_stacked_claim_matches_lstsq_loop(fixture_systems):
+    for name, system in fixture_systems.items():
+        claim = claim_residuals(system)["vertical-derivative"]
+        assert abs(claim - lstsq_vertical_claim(system)) < 1e-12, name
+
+
+def test_system_and_claims_make_no_qr_or_lstsq_call(bundles, monkeypatch):
+    calls = []
+    for fn in ("qr", "lstsq"):
+        def counted(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, counted)
+    for name in GEODESIC_FIXTURES:
+        system = transversal.TransversalSystem(geod_for(bundles, name))
+        made = len(calls)
+        horizontal_frame(system)        # its one stacked QR is not counted
+        del calls[made:]
+        claim_residuals(system)
+        assert calls == [], name
+
+
 def test_claims_hold_on_hopf(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
     claims = claim_residuals(system)
@@ -439,8 +521,8 @@ def test_claims_hold_on_hopf(bundles):
 def test_projected_fields_satisfy_transversal_equation(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
     worst = 0.0
-    for f, _ in lambda_fields(system.geod):
-        proj = np.einsum("tmn,tn->tm", system.p_h, f.y)
+    for y in lambda_fields(system.geod)[0]:
+        proj = np.einsum("tmn,tn->tm", system.p_h, y)
         worst = max(worst, transversal_equation_residual(system, proj))
     assert worst < 1e-6
 
@@ -480,10 +562,10 @@ def test_hopf_base_conjugate_time(bundles):
 
 def test_symplectic_antisymmetry_and_drift(bundles):
     geod = geod_for(bundles, "hopf_s1_s3")
-    fields = lambda_fields(geod)
-    f0 = fields[0][0]
+    y, dy = lambda_fields(geod)
+    f0 = GridField(geod, y[0], dy[0])
     assert np.max(np.abs(symplectic_form(f0, f0))) < 1e-14
-    j0, dj0, _ = n_jacobi_space(geod)[0]
+    j0, dj0 = (x[0] for x in n_jacobi_space(geod))
     other = jacobi_integrate(geod, dj0 if np.linalg.norm(dj0) else
                              geod.normal_basis[0], j0)
     w = symplectic_form(f0, other)
@@ -494,7 +576,7 @@ def test_lambda_lagrangian_upsilon_isotropic(bundles):
     for name in ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                  "hopf_s1_s3", "so2_s2", "so3_s2xs2"):
         geod = geod_for(bundles, name)
-        fields = [f for f, _ in lambda_fields(geod)]
+        fields = [GridField(geod, y, dy) for y, dy in zip(*lambda_fields(geod))]
         worst = 0.0
         for i, f1 in enumerate(fields):
             for f2 in fields[i:]:
