@@ -313,8 +313,7 @@ def _geodesic(bundle, step):
     if direction is None:
         rows = rep.tangent_rows(point)
         blocked = np.vstack([rows, point[None, :]]) if rep.restrict_to_sphere else rows
-        comp = linalg.complement(blocked, rep.space_dim)
-        direction = comp[0]
+        direction = linalg.kernel(blocked)[0]
     span = bundle.get("span", (0.0, float(np.pi)))
     return OrbitGeodesic(rep, manifold, point, direction, span=span,
                          step=step or 1e-3)

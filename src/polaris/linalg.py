@@ -2,17 +2,21 @@
 
 Every subspace question (membership, rank, kernel, equality) is reduced to a
 singular-value decision with a relative threshold, so verdicts do not depend
-on the conditioning of whatever basis the caller happens to hold.
-Scalar orthonormalisation is modified Gram-Schmidt with one
-re-orthogonalisation pass, which keeps witness vectors reproducible run to
-run.  The stacked kernels take an (..., k, n) stack of matrices and answer
-for every matrix at once from one LAPACK call: ``svd_rank_stack`` and
-``row_space_stack`` from one stacked SVD, with the rank decided by the
-same singular-value cut as ``svd_rank`` and ``kernel``;
-``orthonormalize_stack`` from one stacked QR whose signs are
-fixed so that diag R > 0, which makes its rows the ones modified
-Gram-Schmidt gives for a full-rank matrix, to rounding.  ``gram_norm``,
-``project_span`` and ``span_residual`` also take an (..., n) stack of vectors.
+on the conditioning of whatever basis the caller happens to hold.  An
+orthogonal complement is a kernel: ``kernel`` reads it off one SVD, past the
+rank that the module's one singular-value cut (``_rank_mask``) decides.
+Gram-Schmidt remains only in ``orthonormalize``, modified Gram-Schmidt with
+one re-orthogonalisation pass: its row i is the unit part of input row i
+orthogonal to rows 0..i-1, which fixes basis conventions (the cyclic su(2)
+basis of ``build_classical``, say) and keeps witness vectors reproducible
+run to run.  The stacked kernels take an (..., k, n) stack of matrices and
+answer for every matrix at once from one LAPACK call: ``svd_rank`` and
+``row_space_stack`` from one stacked SVD; ``orthonormalize_stack`` from
+one stacked QR whose signs are fixed so that diag R > 0, which makes its
+rows the ones modified Gram-Schmidt gives for a full-rank matrix, to
+rounding.  ``gram_norm``, ``project_span`` and ``span_residual`` also take
+an (..., n) stack of vectors.  Principal angles come from cosines and
+sines together, so angles below the square root of rounding are not lost.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 
 # Relative singular-value threshold for all rank/kernel decisions.
 RANK_RTOL = 1e-9
+# Singular values at or below it never count toward a rank.
+RANK_ATOL = 1e-12
 # Residual below which a span test counts as "inside".
 SPAN_TOL = 1e-8
 # Residual a negative verdict must reach before it is reported as robust.
@@ -87,28 +93,23 @@ def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL
     return np.array(out)
 
 
-def svd_rank(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> int:
+def svd_rank(a: np.ndarray):
+    """Rank of a matrix (an int), or of every matrix of an (..., k, n) stack
+    (an integer array), from one stacked SVD."""
     a = as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(_rank_mask(s, rtol, atol)))
+    ranks = np.count_nonzero(_rank_mask(np.linalg.svd(a, compute_uv=False)), axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
-def _rank_mask(s: np.ndarray, rtol: float, atol: float = 1e-12) -> np.ndarray:
+def _rank_mask(s: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Singular values that count toward the rank.
 
     ``s`` is an (..., k) stack of descending singular values; a value counts
-    when it exceeds both ``rtol`` times the largest of its row and ``atol``.
-    Every rank and kernel decision in this module goes through this cut.
+    when it exceeds both ``rtol`` times the largest of its row and
+    ``RANK_ATOL``.  Every rank and kernel decision in this module goes
+    through this cut.
     """
-    return s > np.maximum(rtol * s[..., :1], atol)
-
-
-def svd_rank_stack(a: np.ndarray) -> np.ndarray:
-    """``svd_rank`` of every matrix of an (..., k, n) stack, from one stacked SVD."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(_rank_mask(s, RANK_RTOL), axis=-1)
+    return s > np.maximum(rtol * s[..., :1], RANK_ATOL)
 
 
 def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -140,38 +141,19 @@ def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
     return np.swapaxes(q, -1, -2)
 
 
-def kernel(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
-    """Orthonormal rows spanning the null space of ``a`` (standard metric)."""
+def kernel(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal rows spanning the null space of ``a`` (standard metric):
+    the right singular vectors past the rank; a zero ``a`` gives the identity."""
     a = as_matrix(a)
-    n = a.shape[1]
-    if n == 0:
-        return np.zeros((0, 0))
-    if a.size == 0 or not np.any(a):
-        return np.eye(n)
+    if not np.any(a):
+        return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    r = int(np.count_nonzero(_rank_mask(s, rtol, atol)))
-    return vh[r:].copy()
+    return vh[np.count_nonzero(_rank_mask(s, rtol)):]
 
 
 def complement(rows, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``rows``."""
-    base = orthonormalize(rows) if np.size(rows) else np.zeros((0, ambient_dim))
-    out: list[np.ndarray] = []
-    for i in range(ambient_dim):
-        v = np.zeros(ambient_dim)
-        v[i] = 1.0
-        w = v
-        for _ in range(2):
-            for q in base:
-                w = w - gram_dot(w, q) * q
-            for q in out:
-                w = w - gram_dot(w, q) * q
-        nw = gram_norm(w)
-        if nw > 1e-7:
-            out.append(w / nw)
-        if len(out) + base.shape[0] == ambient_dim:
-            break
-    return np.array(out) if out else np.zeros((0, ambient_dim))
+    """Orthonormal basis of the orthogonal complement of ``rows`` in R^ambient_dim."""
+    return kernel(np.reshape(rows, (-1, ambient_dim)))
 
 
 def project_span(basis_rows: np.ndarray, x: np.ndarray,
@@ -197,14 +179,24 @@ def span_residual(basis_rows: np.ndarray, x: np.ndarray,
 
 def principal_angles(a_rows: np.ndarray, b_rows: np.ndarray,
                      gram: np.ndarray | None = None) -> np.ndarray:
-    """Principal angles between two subspaces given by gram-orthonormal rows."""
+    """Principal angles between two subspaces given by gram-orthonormal rows.
+
+    The cosines are the singular values of the cross pairing, the sines those
+    of the part of ``b`` outside span(``a``), in the metric; ``arctan2`` of
+    the two keeps small angles, which ``arccos`` rounds to zero below about
+    1.5e-8.  Ascending sines pair with descending cosines.
+    """
     a = as_matrix(a_rows)
     b = as_matrix(b_rows)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros(0)
-    m = a @ (b.T if gram is None else gram @ b.T)
-    s = np.linalg.svd(m, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    m = a @ (b.T if gram is None else gram @ b.T)       # m[i, j] = <a_i, b_j>
+    cos = np.linalg.svd(m, compute_uv=False)
+    perp = b - m.T @ a
+    if gram is not None:
+        perp = perp @ np.linalg.cholesky(gram)
+    sin = np.linalg.svd(perp, compute_uv=False)[::-1][:cos.shape[0]]
+    return np.arctan2(sin, cos)
 
 
 def subspaces_equal(a_rows: np.ndarray, b_rows: np.ndarray,

@@ -106,7 +106,7 @@ def find_regular_point(rep: OrthogonalRep, seed: int = 0) -> np.ndarray:
     is scale-invariant, so a sphere action normalises only the winner.
     """
     draws = np.random.default_rng(seed).standard_normal((REGULAR_DRAWS, rep.space_dim))
-    best = draws[np.argmax(linalg.svd_rank_stack(rep.tangent_rows(draws)))]
+    best = draws[np.argmax(linalg.svd_rank(rep.tangent_rows(draws)))]
     return best / np.linalg.norm(best) if rep.restrict_to_sphere else best
 
 
@@ -124,12 +124,7 @@ def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
     point; by bilinearity it is orthogonal to every orbit it meets exactly
     when <A_i v, w> vanishes for all generators and basis pairs v, w.
     """
-    p = find_regular_point(rep, seed)
-    tangent = rep.tangent_rows(p)
-    section = linalg.complement(tangent, rep.space_dim) if tangent.size \
-        else np.eye(rep.space_dim)
-    if section.shape[0] == 0:
-        section = np.zeros((0, rep.space_dim))
+    section = linalg.kernel(rep.tangent_rows(find_regular_point(rep, seed)))
     pair = section @ rep.generators @ section.T          # pair[i, a, b] = <A_i v_a, v_b>
     size = np.abs(pair)
     worst = float(np.max(size, initial=0.0))
@@ -162,7 +157,7 @@ def slice_rep(rep: OrthogonalRep, point: np.ndarray) -> OrthogonalRep:
     blocked = tangent
     if rep.restrict_to_sphere:
         blocked = np.vstack([tangent, point[None, :]])
-    normal = linalg.complement(blocked, rep.space_dim)
+    normal = linalg.kernel(blocked)
     try:
         sub = rep.algebra.restrict(iso, f"iso({rep.name})")
     except LieAlgebraError as exc:
@@ -238,7 +233,7 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
     ad_inv = np.linalg.solve(chol.T, rot @ chol.T)                 # exp(-ad z)
     conj = np.concatenate([h.basis[None], h.basis @ np.swapaxes(ad_inv, 1, 2)])
-    best = int(np.argmax(linalg.svd_rank_stack(pair.project_p(conj))))
+    best = int(np.argmax(linalg.svd_rank(pair.project_p(conj))))
     return Subspace(h.ambient,
                     h.basis if best == 0 else linalg.orthonormalize(conj[best], alg.inner))
 

@@ -230,18 +230,17 @@ def _sphere_frames(p, v, radius, times):
     n_t = times.shape[0]
     phat = p / radius
     if s < 1e-15:
-        rest = linalg.complement(phat[None, :], d)
+        rest = linalg.kernel(phat)
         cols = np.broadcast_to(rest.T, (n_t, d, d - 1)).copy()
         return cols, np.zeros(d - 1)
     vhat = v / s
     ang = s * times / radius
     vel = (-np.sin(ang)[:, None] * phat[None, :]
            + np.cos(ang)[:, None] * vhat[None, :])     # unit, parallel
-    rest = linalg.complement(np.array([phat, vhat]), d)
+    rest = linalg.kernel(np.array([phat, vhat]))
     cols = np.zeros((n_t, d, d - 1))
     cols[:, :, 0] = vel
-    if rest.shape[0]:
-        cols[:, :, 1:] = np.broadcast_to(rest.T, (n_t, d, rest.shape[0]))
+    cols[:, :, 1:] = rest.T
     curv = np.concatenate([[0.0], np.full(d - 2, (s / radius) ** 2)])
     return cols, curv
 

@@ -17,7 +17,8 @@ stacked SVD of the vertical fields (``linalg.row_space_stack``) gives both
 the rank test and the rows of the vertical fibre; the bundles are kept as
 projectors p_v and p_h, and only the start of the horizontal frame needs a
 basis of H_t.  The vertical-derivative claim is one stacked least-squares
-solve over every strided time and field.  Every RK4 integration (the
+solve over every strided time and field, skipping the times where the
+vertical fields lose rank.  Every RK4 integration (the
 Jacobi cross-check, the horizontal frame, the transversal Jacobi equation
 and the Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that
 returns each step's propagator of the linear system, so the remaining
@@ -100,11 +101,9 @@ class OrbitGeodesic:
         if float(np.min(evals)) < -1e-10:
             raise TransversalError("model curvature operator must be positive semidefinite")
         self._modes = (np.clip(evals, 0.0, None), evecs)
-        self.orbit_tangent = linalg.orthonormalize(rows) if rows.size \
-            else np.zeros((0, rep.space_dim))
+        self.orbit_tangent = linalg.orthonormalize(rows)
         base = self.frames[self.base_index]
-        comp = linalg.complement(self.orbit_tangent @ base, self.dim)
-        self.normal_basis = comp @ base.T if comp.size else np.zeros((0, rep.space_dim))
+        self.normal_basis = linalg.kernel(self.orbit_tangent @ base) @ base.T
         self.shape_operator, self.shape_asymmetry = shape_operator(
             rep, point, direction, self.orbit_tangent)
         self._cache = {}
@@ -117,7 +116,7 @@ class OrbitGeodesic:
     def orbit_rank_profile(self) -> np.ndarray:
         key = "rank_profile"
         if key not in self._cache:
-            self._cache[key] = linalg.svd_rank_stack(self.rep.tangent_rows(self.gamma))
+            self._cache[key] = linalg.svd_rank(self.rep.tangent_rows(self.gamma))
         return self._cache[key]
 
 
@@ -440,7 +439,7 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     if tangent.shape[0] == 0:
         raise TransversalError("orbit is a point; no eigenfields to probe")
     rng = np.random.default_rng(seed)
-    normal = linalg.complement(tangent, rep.space_dim)
+    normal = linalg.kernel(tangent)
     # Keep the first unit normal whose shape spectrum is, within rounding, the most
     # nondegenerate: on a one-dimensional normal space every draw ties exactly.
     xis = rng.standard_normal((PROBE_DRAWS, normal.shape[0])) @ normal
@@ -521,6 +520,8 @@ class TransversalSystem:
         r = self.upsilon_coeffs.shape[0]
         self.rank = r
         self.p_v = np.zeros((n_t, m, m))
+        # grid indices where the vertical fields lose rank
+        self.vanishing = np.zeros(0, int)
         if r:
             # one SVD gives the rank test and the rows of the vertical fibre
             w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
@@ -528,7 +529,8 @@ class TransversalSystem:
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
             # division construction through isolated zeros of vertical fields,
             # the times where fewer than r rows survive the rank cut
-            for k in np.flatnonzero(np.count_nonzero(np.any(rows, axis=-1), axis=-1) != r):
+            self.vanishing = np.flatnonzero(np.count_nonzero(np.any(rows, axis=-1), axis=-1) != r)
+            for k in self.vanishing:
                 vanish = linalg.kernel(w[k].T, 1e-6)
                 dw = vanish @ (self.upsilon_coeffs @ dvals[:, k, :])
                 basis = linalg.orthonormalize(np.vstack([w[k], dw]))
@@ -621,8 +623,10 @@ def claim_residuals(system: TransversalSystem) -> dict:
     pinv = np.linalg.pinv(w)
     alpha = vert @ pinv
     alpha += (vert - alpha @ w) @ pinv
-    # a vertical value the vertical fields cannot match marks a vanishing time
-    matched = np.linalg.norm(alpha @ w - vert, axis=-1) <= 1e-8
+    # the claim is skipped where the vertical fields lose rank, and where they
+    # cannot match a field's vertical value
+    matched = (np.linalg.norm(alpha @ w - vert, axis=-1) <= 1e-8) \
+        & ~np.isin(ks, system.vanishing)[:, None]
     v = v - alpha @ w
     dv = dv - alpha @ dw
     resid = np.linalg.norm(dv @ p_vt + v @ np.swapaxes(system.a[ks], 1, 2), axis=-1)
@@ -915,7 +919,7 @@ def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125,
     for lam in lambdas:
         x = manifold.exp(point, lam * v)
         rows = np.vstack([rep.tangent_rows(x), x[None, :]])
-        hor = linalg.complement(rows, rep.space_dim)
+        hor = linalg.kernel(rows)
         if hor.shape[0] < 2:
             raise TransversalError("quotient is lower than two-dimensional; no "
                                    "curvature plane to estimate")

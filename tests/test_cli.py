@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
+from polaris import cli
 from polaris.catalog import R_PRODUCT, catalog_list
 from polaris.cli import AnalysisReport, ModelError, analyze, emit_report, \
     load_model, main
+from polaris.weyl import WeylError
 
 
 def minimal_torus_doc():
@@ -351,11 +353,24 @@ def test_cli_indeterminate_keeps_every_entry(capsys):
     assert code == (1 if "fail" in statuses else 3)
 
 
-def test_cli_library_error_is_a_record(capsys):
-    # at seed 125 the random H sits so near a root wall that (ad H)^2 has an
-    # eigenvalue of -2.5e-6, inside the clustering tolerance: a WeylError
-    code = main(["analyze", "--entry", "so3_sym_traceless", "--checks", "weyl",
-                 "--seed", "125"])
+def _roots_fail_once(monkeypatch):
+    """Make the first restricted_roots call raise a library error."""
+    real = cli.restricted_roots
+    calls = []
+
+    def failing(pair, a, seed=0):
+        calls.append(seed)
+        if len(calls) == 1:
+            raise WeylError("eigenvalue clustering ambiguous: centers -1.000e-06 and "
+                            "0.000e+00 separated by 1.000e-06 (tol 1.0e-06)")
+        return real(pair, a, seed)
+
+    monkeypatch.setattr(cli, "restricted_roots", failing)
+
+
+def test_cli_library_error_is_a_record(capsys, monkeypatch):
+    _roots_fail_once(monkeypatch)
+    code = main(["analyze", "--entry", "so3_sym_traceless", "--checks", "weyl"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 4 and doc["status"] == "error"
     (rec,) = doc["records"]
@@ -363,8 +378,9 @@ def test_cli_library_error_is_a_record(capsys):
     assert "clustering ambiguous" in rec["value"]["reason"]
 
 
-def test_cli_library_error_keeps_every_entry(capsys):
-    code = main(["analyze", "--entry", "all", "--checks", "weyl", "--seed", "125"])
+def test_cli_library_error_keeps_every_entry(capsys, monkeypatch):
+    _roots_fail_once(monkeypatch)
+    code = main(["analyze", "--entry", "all", "--checks", "weyl"])
     doc = json.loads(capsys.readouterr().out)
     assert [r["entry"] for r in doc["reports"]] == [e.name for e in catalog_list()]
     assert all(len(r["records"]) == 1 for r in doc["reports"])

@@ -31,11 +31,20 @@ def test_kernel_orthogonal_to_rows():
     assert np.max(np.abs(a @ k.T)) < 1e-12
 
 
-def test_complement_dimensions():
-    rows = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    comp = linalg.complement(rows, 4)
-    assert comp.shape == (2, 4)
-    assert np.max(np.abs(rows @ comp.T)) < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 7),
+       st.integers(0, 6), st.integers(0, 2))
+def test_complement_dimensions(seed, n, k, r, zeros):
+    # rank-deficient, full-rank and (0, n) rows, with zero rows mixed in
+    rng = np.random.default_rng(seed)
+    r = min(r, k, n)
+    rows = rng.standard_normal((k, r)) @ rng.standard_normal((r, n))
+    rows = np.insert(rows, rng.integers(0, k + 1, size=zeros), 0.0, axis=0)
+    comp = linalg.complement(rows, n)
+    assert comp.shape == (n - linalg.svd_rank(rows), n)
+    assert np.allclose(comp @ comp.T, np.eye(comp.shape[0]), atol=1e-12)
+    scale = max(1.0, np.max(np.abs(rows), initial=0.0))
+    assert np.max(np.abs(rows @ comp.T), initial=0.0) < 1e-12 * scale
 
 
 def test_principal_angles_detect_equality_and_orthogonality():
@@ -43,6 +52,25 @@ def test_principal_angles_detect_equality_and_orthogonality():
     assert np.max(linalg.principal_angles(a, a)) < 1e-12
     b = np.eye(3)[2:]
     assert abs(np.max(linalg.principal_angles(a, b)) - np.pi / 2) < 1e-12
+
+
+def test_principal_angles_resolve_small_angles():
+    rng = np.random.default_rng(0)
+    gram = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    for metric in (None, gram):
+        for _ in range(100):
+            # another orthonormal basis of the same plane reads as equal
+            a = linalg.orthonormalize(rng.standard_normal((2, 5)), metric)
+            t = rng.uniform(0.0, 2 * np.pi)
+            b = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]) @ a
+            assert np.max(linalg.principal_angles(a, b, metric)) < 1e-12
+            assert linalg.subspaces_equal(a, b, metric)
+        # angles far below arccos resolution are kept, and orthogonal planes read pi/2
+        e = linalg.orthonormalize(np.eye(5), metric)
+        tilted = np.array([np.cos(1e-10) * e[0] + np.sin(1e-10) * e[2], e[1]])
+        assert abs(np.max(linalg.principal_angles(e[:2], tilted, metric)) - 1e-10) < 1e-20
+        assert np.allclose(linalg.principal_angles(e[:2], e[2:4], metric), np.pi / 2,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_span_residual_inside_and_outside():
@@ -107,7 +135,7 @@ def test_stacked_rank_and_row_space_match_scalar(seed, k, n):
     m = k + 1
     a = np.stack([rng.standard_normal((k, r)) @ rng.standard_normal((r, m))
                   for r in rng.integers(0, k + 1, size=n)])
-    ranks = linalg.svd_rank_stack(a)
+    ranks = linalg.svd_rank(a)
     rows = linalg.row_space_stack(a)
     for ai, ri, bi in zip(a, ranks, rows):
         assert ri == linalg.svd_rank(ai)

@@ -5,6 +5,7 @@ import pytest
 
 import polaris as pl
 from polaris import linalg, transversal
+from polaris.cli import analyze
 from polaris.symspace import ModelManifold
 from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
@@ -458,7 +459,8 @@ def qr_vertical_projector(system):
 
 def lstsq_vertical_claim(system):
     """The vertical-derivative claim with one least-squares solve per
-    strided time and field."""
+    strided time and field, skipping times where the vertical fields lose
+    rank."""
     vals, dvals = system.lambda_values, system.lambda_derivs
     ups = system.upsilon_coeffs
     worst = 0.0
@@ -466,6 +468,9 @@ def lstsq_vertical_claim(system):
                    transversal.CLAIM_STRIDE):
         wk = ups @ vals[:, k]
         dwk = ups @ dvals[:, k]
+        s = np.linalg.svd(wk, compute_uv=False)
+        if np.any(s <= np.maximum(transversal.VERTICAL_RANK_RTOL * s[:1], 1e-12)):
+            continue
         for j in range(vals.shape[0]):
             v, dv = vals[j, k], dvals[j, k]
             vert = system.p_v[k] @ v
@@ -493,6 +498,16 @@ def test_stacked_claim_matches_lstsq_loop(fixture_systems):
     for name, system in fixture_systems.items():
         claim = claim_residuals(system)["vertical-derivative"]
         assert abs(claim - lstsq_vertical_claim(system)) < 1e-12, name
+
+
+def test_claims_skip_the_origin_crossing(bundles):
+    # the su2_adjoint geodesic crosses the origin at t = 1, where every
+    # vertical Jacobi field vanishes and the claim is not defined
+    system = transversal_system(geod_for(bundles, "su2_adjoint"))
+    assert 1000 in system.vanishing
+    assert claim_residuals(system)["vertical-derivative"] < 1e-10
+    (rec,) = analyze("su2_adjoint", ["transversal"], seed=0).records
+    assert rec.status == "pass" and rec.residual < 1e-10
 
 
 def test_system_and_claims_make_no_qr_or_lstsq_call(bundles, monkeypatch):
