@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -285,6 +286,9 @@ def _manifold(man, space_dim: int) -> ModelManifold:
 # ---------------------------------------------------------------------------
 # check runners
 # ---------------------------------------------------------------------------
+# Each runner takes (bundle, seed, tol, step, geodesic), where geodesic(h) is
+# analyze's per-call memo of _geodesic(bundle, h), and returns
+# (verdict, value, residual, tolerance).
 
 def _need(bundle, key, check):
     if bundle.get(key) is None:
@@ -315,11 +319,10 @@ def _geodesic(bundle, step):
         blocked = np.vstack([rows, point[None, :]]) if rep.restrict_to_sphere else rows
         direction = linalg.kernel(blocked)[0]
     span = bundle.get("span", (0.0, float(np.pi)))
-    return OrbitGeodesic(rep, manifold, point, direction, span=span,
-                         step=step or 1e-3)
+    return OrbitGeodesic(rep, manifold, point, direction, span=span, step=step)
 
 
-def _check_polarity(bundle, seed, tol, step):
+def _check_polarity(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     if bundle.get("rep") is not None:
         v = is_polar_rep(_linear_rep(bundle, "polarity"), seed, tol)
@@ -337,7 +340,7 @@ def _check_polarity(bundle, seed, tol, step):
     return v.polar, value, v.residual, tol
 
 
-def _check_hyperpolarity(bundle, seed, tol, step):
+def _check_hyperpolarity(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     pair = _need(bundle, "pair", "hyperpolarity")
     h = _need(bundle, "subalgebra", "hyperpolarity")
@@ -345,7 +348,7 @@ def _check_hyperpolarity(bundle, seed, tol, step):
     return res.ok, {}, res.residual, tol
 
 
-def _check_cohomogeneity(bundle, seed, tol, step):
+def _check_cohomogeneity(bundle, seed, tol, step, geodesic):
     rep = _linear_rep(bundle, "cohomogeneity")
     return int(cohomogeneity(rep, seed)), {}, 0.0, None
 
@@ -358,7 +361,7 @@ def _sample_points(rep, seed, points):
         yield p / np.linalg.norm(p) if rep.restrict_to_sphere else p
 
 
-def _check_slice_scan(bundle, seed, tol, step):
+def _check_slice_scan(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     rep = _linear_rep(bundle, "slice-scan")
     worst = 0.0
@@ -370,7 +373,7 @@ def _check_slice_scan(bundle, seed, tol, step):
     return ok, {"points": SLICE_SCAN_POINTS}, worst, tol
 
 
-def _check_orbifold_points(bundle, seed, tol, step):
+def _check_orbifold_points(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     rep = _linear_rep(bundle, "orbifold-points")
     worst = 0.0
@@ -404,14 +407,14 @@ def _weyl_data(bundle, seed):
     return v, roots, group
 
 
-def _check_weyl(bundle, seed, tol, step):
+def _check_weyl(bundle, seed, tol, step, geodesic):
     _, roots, group = _weyl_data(bundle, seed)
     verdict = {"roots": len(roots.roots), "order": group.order}
     mults = sorted(int(m) for _, m in roots.roots)
     return verdict, {"multiplicities": mults, "g0_dim": roots.g0_dim}, 0.0, None
 
 
-def _check_reduction(bundle, seed, tol, step):
+def _check_reduction(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-3
     v, roots, group = _weyl_data(bundle, seed)
     rep = bundle["rep"]
@@ -425,9 +428,9 @@ def _check_reduction(bundle, seed, tol, step):
     return ok, value, report.max_relative_error, tol
 
 
-def _check_jacobi_scan(bundle, seed, tol, step):
+def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
-    geod = _geodesic(bundle, step)
+    geod = geodesic(step or 1e-3)
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
     exact = jacobi_integrate(geod, j0[0], dj0[0])
@@ -438,9 +441,9 @@ def _check_jacobi_scan(bundle, seed, tol, step):
     return verdict if ok else False, {"integrator_residual": resid}, resid, tol
 
 
-def _check_vc(bundle, seed, tol, step):
+def _check_vc(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-6
-    geod = _geodesic(bundle, step)
+    geod = geodesic(step or 1e-3)
     probe = variational_completeness_probe(geod, angle_tol=tol)
     tangency = None
     rep = bundle["rep"]
@@ -451,7 +454,7 @@ def _check_vc(bundle, seed, tol, step):
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol
 
 
-def _check_oneill(bundle, seed, tol, step):
+def _check_oneill(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-2
     rep = _need(bundle, "rep", "oneill")
     pair_xy = bundle.get("horizontal_pair")
@@ -465,9 +468,9 @@ def _check_oneill(bundle, seed, tol, step):
     return (report.k_star_estimate if ok else False), value, report.residual, tol
 
 
-def _check_transversal(bundle, seed, tol, step):
+def _check_transversal(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-5
-    geod = _geodesic(bundle, min(step or 2.5e-4, 1e-3))
+    geod = geodesic(min(step or 2.5e-4, 1e-3))
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     claims = claim_residuals(system)
@@ -479,7 +482,7 @@ def _check_transversal(bundle, seed, tol, step):
     return verdict if ok else False, {"claims": claims}, worst, tol
 
 
-def _check_cartan_probe(bundle, seed, tol, step):
+def _check_cartan_probe(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     srep = bundle.get("srep")
     pair = srep[0] if srep is not None else _need(bundle, "pair", "cartan-probe")
@@ -489,7 +492,7 @@ def _check_cartan_probe(bundle, seed, tol, step):
     return res.ok, {}, res.residual, tol
 
 
-def _check_rescale(bundle, seed, tol, step):
+def _check_rescale(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-2
     rep = _need(bundle, "rep", "rescale-probe")
     sing = bundle.get("sphere_singular")
@@ -549,7 +552,9 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     residual is neither a pass nor a robust witness as an indeterminate
     record, and one that raises a library error as an error record.  The
     report fails if any record fails, and is otherwise error if any record
-    is, and otherwise indeterminate if any record is.
+    is, and otherwise indeterminate if any record is.  The geodesic checks
+    share one ``OrbitGeodesic`` per effective step within a call, so its
+    focal scan and grid data are computed once.
     """
     if isinstance(entry, str):
         entry = catalog_entry(entry)
@@ -564,13 +569,17 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
                           else "model")
         expected = {}
         checks = list(checks) if checks is not None else list(ALL_CHECKS)
+    # one geodesic per effective step for this call; a build that raises is
+    # not cached, so every check that needs it gets its own record
+    geodesic = functools.cache(functools.partial(_geodesic, bundle))
     records = []
     for check in checks:
         if check not in _RUNNERS:
             raise ModelError(f"unknown check {check!r}; known: {', '.join(ALL_CHECKS)}")
         t0 = time.perf_counter()
         try:
-            verdict, value, residual, tolerance = _RUNNERS[check](bundle, seed, tol, step)
+            verdict, value, residual, tolerance = _RUNNERS[check](
+                bundle, seed, tol, step, geodesic)
             if check in expected:
                 ok = _match_expected(expected[check], verdict)
             elif isinstance(verdict, bool):

@@ -18,17 +18,20 @@ the rank test and the rows of the vertical fibre; the bundles are kept as
 projectors p_v and p_h, and only the start of the horizontal frame needs a
 basis of H_t.  The vertical-derivative claim is one stacked least-squares
 solve over every strided time and field, skipping the times where the
-vertical fields lose rank.  Every RK4 integration (the
-Jacobi cross-check, the horizontal frame, the transversal Jacobi equation
-and the Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that
-returns each step's propagator of the linear system, so the remaining
-sequential loop is one small matmul per step.  The O'Neill check and the
-rescale probe share one quotient-curvature estimator.  Tolerances, grid
-strides and draw counts are module constants.
+vertical fields lose rank.  Every RK4 integration (the Jacobi cross-check,
+the horizontal frame, the transversal Jacobi equation and the Morse-Sturm
+scan) goes through one helper, ``_rk4_steps``, that returns each step's
+propagator of the linear system, and one blocked scan, ``_propagate``, that
+chains n propagators with about 2 sqrt(n) stacked matmuls instead of one
+per step.  The focal scan is cached on the geodesic like the N-Jacobi
+fields, so checks that share a geodesic run it once.  The O'Neill check
+and the rescale probe share one quotient-curvature estimator.  Tolerances,
+grid strides and draw counts are module constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,12 +257,37 @@ def _rk4_steps(m_start: np.ndarray, m_mid: np.ndarray, m_end: np.ndarray,
 
 
 def _propagate(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States x_0 = start, x_{i+1} = steps[i] @ x_i, stacked along axis 0."""
-    out = np.empty((steps.shape[0] + 1,) + start.shape)
-    out[0] = start
-    for i, p in enumerate(steps):
-        np.matmul(p, out[i], out=out[i + 1])
-    return out
+    """States x_0 = start, x_{i+1} = steps[i] @ x_i, stacked along axis 0.
+
+    A blocked scan: the n steps are cut into blocks of b = ceil(sqrt(n)).
+    Every block's local prefix products are formed together, one stacked
+    matmul per position in a block; the block-start states are carried
+    sequentially, one matmul per block; one final stacked matmul applies
+    each local product to its block's start.  That is about 2 sqrt(n)
+    Python-level matmuls instead of n, and one (n, d, d) temporary.
+    ``steps`` may be a read-only broadcast stack; ``start`` is (d,) or (d, k).
+    """
+    n, d = steps.shape[0], start.shape[0]
+    x0 = start[:, None] if start.ndim == 1 else start
+    b = math.isqrt(n - 1) + 1 if n else 1
+    n_blocks = -(-n // b)
+    # padded to whole blocks, so both stacks reshape to (n_blocks, b, ...);
+    # the padding's products land past state n and are dropped
+    local = np.empty((n_blocks * b, d, d))
+    local[n:] = 0.0
+    local[:n:b] = steps[::b]
+    for i in range(1, b):
+        rows = steps[i::b]          # position i of every block that has one
+        count = rows.shape[0]
+        np.matmul(rows, local[i - 1::b][:count], out=local[i::b][:count])
+    out = np.empty((n_blocks * b + 1,) + x0.shape)
+    out[0] = x0
+    for j in range(1, n_blocks):
+        np.matmul(local[j * b - 1], out[(j - 1) * b], out=out[j * b])
+    starts = out[:n_blocks * b:b, None].copy()
+    np.matmul(local.reshape(n_blocks, b, d, d), starts,
+              out=out[1:].reshape(n_blocks, b, *x0.shape))
+    return out[:n + 1].reshape((n + 1,) + start.shape)
 
 
 def _basis_modes(geod: OrbitGeodesic):
@@ -302,8 +330,12 @@ def focal_points(geod: OrbitGeodesic) -> list:
     Interior local minima of the smallest singular value on the grid are
     refined by golden-section search; a refined minimum below
     ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the number of
-    singular values below the threshold there.
+    singular values below the threshold there.  The scan is cached on
+    ``geod``; every call returns a fresh list.
     """
+    key = "focal_points"
+    if key in geod._cache:
+        return list(geod._cache[key])
     times = geod.times
     smin = np.linalg.svd(_matrix_solution(geod, times), compute_uv=False)[:, -1]
     out = []
@@ -316,7 +348,8 @@ def focal_points(geod: OrbitGeodesic) -> list:
                 mult = int(np.sum(s_at < FOCAL_SV_TOL))
                 if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
                     out.append((float(t_star), mult))
-    return out
+    geod._cache[key] = out
+    return list(out)
 
 
 def _golden_min(f, a: float, b: float) -> float:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
-from polaris import cli
-from polaris.catalog import R_PRODUCT, catalog_list
+from polaris import cli, transversal
+from polaris.catalog import R_PRODUCT, catalog_entry, catalog_list
 from polaris.cli import AnalysisReport, ModelError, analyze, emit_report, \
     load_model, main
 from polaris.weyl import WeylError
@@ -155,6 +155,14 @@ def test_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c",
                     "import polaris, sys; assert 'scipy' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(pl.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "polaris", "list"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "hermann_su3" in done.stdout
 
 
 # -- catalog ---------------------------------------------------------------------
@@ -420,3 +428,67 @@ def test_determinism_modulo_timing():
     c = analyze("hermann_su3", seed=3)
     d = analyze("hermann_su3", seed=3)
     assert stripped(c) == stripped(d)
+
+
+# -- one geodesic per step within an analyze call ---------------------------------
+
+GEODESIC_CHECKS = ["jacobi-scan", "variational-completeness", "transversal"]
+
+
+def record_docs(report):
+    """Each record as canonical JSON, runtime aside (NaN tolerances compare)."""
+    out = []
+    for rec in report.to_doc()["records"]:
+        rec.pop("runtime")
+        out.append(json.dumps(rec, sort_keys=True))
+    return out
+
+
+def test_geodesic_checks_share_one_geodesic(monkeypatch):
+    bundle = catalog_entry("so3_s2xs2").build()
+    before = dict(bundle)
+    arrays = {k: v.copy() for k, v in bundle.items() if isinstance(v, np.ndarray)}
+    singles = [record_docs(analyze(bundle, [check]))[0] for check in GEODESIC_CHECKS]
+
+    builds, grid_scans = [], []
+
+    def counting_geodesic(*args, **kwargs):
+        builds.append(kwargs.get("step"))
+        return transversal.OrbitGeodesic(*args, **kwargs)
+
+    real_solution = transversal._matrix_solution
+
+    def counting_solution(geod, times):
+        if np.size(times) > 1:
+            grid_scans.append(geod)
+        return real_solution(geod, times)
+
+    monkeypatch.setattr(cli, "OrbitGeodesic", counting_geodesic)
+    monkeypatch.setattr(transversal, "_matrix_solution", counting_solution)
+    shared = analyze(bundle, GEODESIC_CHECKS)
+    # jacobi-scan and variational-completeness at step 1e-3, transversal at 2.5e-4
+    assert sorted(builds) == [2.5e-4, 1e-3]
+    assert len(grid_scans) == 1
+    assert bundle.keys() == before.keys()
+    assert all(bundle[k] is before[k] for k in before)
+    assert all(np.array_equal(bundle[k], v) for k, v in arrays.items())
+    assert record_docs(shared) == singles
+
+
+SANE_STEPS = st.none() | st.floats(1e-3, 1e-2)
+HOSTILE_STEPS = st.sampled_from([0.0, -1e-3, 0.011, float("nan"), float("inf")])
+SANE_TOLS = st.none() | st.floats(1e-10, 1e-2)
+HOSTILE_TOLS = st.sampled_from([0.0, -1.0, float("nan"), 1e300])
+
+
+@settings(max_examples=20, deadline=None)
+@given(entry=st.sampled_from([e.name for e in catalog_list()]),
+       checks=st.lists(st.sampled_from(GEODESIC_CHECKS), min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 2 ** 16), tol=SANE_TOLS | HOSTILE_TOLS,
+       step=SANE_STEPS | HOSTILE_STEPS)
+def test_geodesic_checks_end_in_the_records_of_one_check_calls(entry, checks, seed, tol, step):
+    report = analyze(entry, checks, seed=seed, tol=tol, step=step)
+    assert [r.check for r in report.records] == checks
+    singles = [record_docs(analyze(entry, [c], seed=seed, tol=tol, step=step))[0]
+               for c in checks]
+    assert record_docs(report) == singles

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polaris as pl
 from polaris import linalg, transversal
@@ -14,7 +15,8 @@ from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
     rescale_probe, shape_operator, symplectic_form, \
     transversal_equation_residual, transversal_integrate, transversal_system, \
     variational_completeness_probe
-from polaris.transversal import _basis_modes, _golden_min, _matrix_solution, _rk4_steps
+from polaris.transversal import _basis_modes, _golden_min, _matrix_solution, _propagate, \
+    _rk4_steps
 
 PI = float(np.pi)
 
@@ -124,6 +126,48 @@ def test_rk4_steps_match_stagewise_rk4():
     for p, want in zip(steps, ref[1:]):
         y = p @ y
         assert np.max(np.abs(y - want)) < 1e-12
+
+
+def propagate_loop(steps, start):
+    # the per-step loop the blocked scan replaced
+    out = np.empty((steps.shape[0] + 1,) + start.shape)
+    out[0] = start
+    for i, p in enumerate(steps):
+        out[i + 1] = p @ out[i]
+    return out
+
+
+# step counts around the block size: squares and squares +- 1 up to 400
+STEP_COUNTS = st.integers(0, 400) | st.builds(
+    lambda r, off: max(0, r * r + off), st.integers(0, 20), st.sampled_from((-1, 0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=STEP_COUNTS, d=st.integers(1, 10), cols=st.sampled_from((None, 0, 1, 3)),
+       broadcast=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_matches_per_step_loop(n, d, cols, broadcast, seed):
+    rng = np.random.default_rng(seed)
+    # RK4-like propagators: near the identity, with growth over 400 steps
+    steps = np.eye(d) + rng.uniform(0.0, 0.05) * rng.standard_normal((n, d, d)) / np.sqrt(d)
+    if broadcast:
+        steps = np.broadcast_to(steps[:1] if n else np.eye(d)[None], (n, d, d))
+    start = rng.standard_normal((d,) if cols is None else (d, cols))
+    got = _propagate(steps, start)
+    want = propagate_loop(steps, start)
+    assert got.shape == want.shape
+    if n <= 1:
+        assert np.array_equal(got, want)
+    diff = np.abs(got - want).reshape(n + 1, -1)
+    scale = np.abs(want).reshape(n + 1, -1)
+    assert np.all(diff <= 1e-12 * np.max(scale, axis=1, keepdims=True, initial=0.0))
+
+
+def test_rk4_on_an_empty_span_keeps_the_start(bundles):
+    geod = geod_for(bundles, "hopf_s1_s3", span=(0.0, 0.0))
+    j0, dj0 = n_jacobi_space(geod)
+    field = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
+    assert field.y.shape == (1, geod.dim)
+    assert np.array_equal(field.y[0], geod.to_frame(0, j0[0]))
 
 
 def test_grid_evaluator_matches_jacobi_integrate(bundles):
