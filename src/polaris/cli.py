@@ -33,10 +33,10 @@ from .polarity import OrthogonalRep, PolarityError, _check_ad_invariant, \
     is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
-from .transversal import MAX_STEP, OrbitGeodesic, TransversalError, claim_residuals, \
-    conjugate_scan, discala_olmos_probe, focal_points, jacobi_integrate, \
-    n_jacobi_space, oneill_check, rescale_probe, transversal_system, \
-    variational_completeness_probe
+from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
+    claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
+    jacobi_integrate, n_jacobi_space, oneill_check, rescale_probe, \
+    transversal_system, variational_completeness_probe
 from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
@@ -430,7 +430,7 @@ def _check_reduction(bundle, seed, tol, step, geodesic):
 
 def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
-    geod = geodesic(step or 1e-3)
+    geod = geodesic(step or DEFAULT_STEP)
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
     exact = jacobi_integrate(geod, j0[0], dj0[0])
@@ -443,12 +443,12 @@ def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
 
 def _check_vc(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-6
-    geod = geodesic(step or 1e-3)
+    geod = geodesic(step or DEFAULT_STEP)
     probe = variational_completeness_probe(geod, angle_tol=tol)
     tangency = None
     rep = bundle["rep"]
     if not rep.restrict_to_sphere and bundle.get("manifold").kind == "euclidean":
-        do = discala_olmos_probe(rep, bundle["basepoint"], seed)
+        do = discala_olmos_probe(rep, bundle["basepoint"], seed, step or DEFAULT_STEP)
         tangency = bool(do.worst_tangency < 1e-3)
     verdict = {"probe": probe.ok, "eigenfield_tangency": tangency}
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol
@@ -554,8 +554,14 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     report fails if any record fails, and is otherwise error if any record
     is, and otherwise indeterminate if any record is.  The geodesic checks
     share one ``OrbitGeodesic`` per effective step within a call, so its
-    focal scan and grid data are computed once.
+    focal scan and grid data are computed once.  Without ``step``,
+    ``jacobi-scan`` and ``variational-completeness`` use the grid step
+    1e-3 and ``transversal`` and ``oneill`` 2.5e-4; ``transversal`` caps a
+    given step at 1e-3 and ``oneill`` at 2.5e-4.  ``seed`` must be a
+    non-negative integer, or ``ModelError`` is raised.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelError(f"seed must be a non-negative integer, got {seed!r}")
     if isinstance(entry, str):
         entry = catalog_entry(entry)
     if isinstance(entry, CatalogEntry):
@@ -653,6 +659,19 @@ def _option_error(args) -> str | None:
     return None
 
 
+def _seed(args) -> int:
+    """``--seed``, else ``POLARIS_SEED``, else 0 (``analyze`` rejects a
+    negative seed)."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("POLARIS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelError(f"POLARIS_SEED must be a non-negative integer, "
+                         f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -664,12 +683,10 @@ def main(argv=None) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("POLARIS_SEED", "0"))
     checks = args.checks.split(",") if args.checks else None
     fmt = "text" if args.text else "json"
     try:
+        seed = _seed(args)
         if args.model:
             targets = [load_model(args.model)]
         elif args.entry == "all":

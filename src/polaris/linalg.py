@@ -10,16 +10,21 @@ one re-orthogonalisation pass: its row i is the unit part of input row i
 orthogonal to rows 0..i-1, which fixes basis conventions (the cyclic su(2)
 basis of ``build_classical``, say) and keeps witness vectors reproducible
 run to run.  The stacked kernels take an (..., k, n) stack of matrices and
-answer for every matrix at once from one LAPACK call: ``svd_rank`` and
-``row_space_stack`` from one stacked SVD; ``orthonormalize_stack`` from
-one stacked QR whose signs are fixed so that diag R > 0, which makes its
-rows the ones modified Gram-Schmidt gives for a full-rank matrix, to
-rounding.  ``gram_norm``, ``project_span`` and ``span_residual`` also take
-an (..., n) stack of vectors.  Principal angles come from cosines and
-sines together, so angles below the square root of rounding are not lost.
+answer for every matrix at once: ``svd_rank`` from one stacked SVD;
+``orthonormalize_stack`` from one stacked QR whose signs are fixed so that
+diag R > 0, which makes its rows the ones modified Gram-Schmidt gives for
+a full-rank matrix, to rounding; ``row_space_stack`` from one-sided
+Jacobi rotations vectorised over the stack, with the same rank cut, since
+on the thousands of tiny matrices of a geodesic grid LAPACK's per-matrix
+overhead dominates a stacked SVD.  ``gram_norm``, ``project_span`` and
+``span_residual`` also take an (..., n) stack of vectors.  Principal
+angles come from cosines and sines together, so angles below the square
+root of rounding are not lost.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +38,8 @@ SPAN_TOL = 1e-8
 WITNESS_FLOOR = 1e-6
 # Entries this close (relative) to the largest count as a maximum for witnesses.
 TIE_RTOL = 1e-12
+# Most sweeps of the row-space Jacobi rotations before they count as failed.
+JACOBI_SWEEPS = 30
 
 
 class IndeterminateVerdict(RuntimeError):
@@ -115,13 +122,69 @@ def _rank_mask(s: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal row-space rows of every matrix of an (..., k, n) stack.
 
-    Returns an (..., min(k, n), n) stack from one stacked SVD.  The rows past
-    each matrix's rank (decided as in ``svd_rank`` at the relative threshold
-    ``rtol``) are zero, so ``b.T @ b`` is the projector onto the row space,
-    the padding drops out of sums, and the count of nonzero rows is the rank.
+    Returns an (..., min(k, n), n) stack from one-sided (Hestenes) Jacobi
+    rotations of the rows, applied to every matrix of the stack at once
+    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): a pair of
+    rows is rotated until it is orthogonal to within sqrt(n) times
+    rounding, and the mutually orthogonal rows left span the row space with
+    the singular values as their lengths.  Each matrix is first scaled by a
+    power of two so that its largest entry lies in [0.5, 1); the rows are
+    then sorted longest first and cut at the relative threshold ``rtol`` as
+    ``svd_rank`` cuts singular values, on the unscaled lengths.  The rows
+    past each matrix's rank are zero, so ``b.T @ b`` is the projector onto
+    the row space, the padding drops out of sums, and the count of nonzero
+    rows is the rank.  Raises ``np.linalg.LinAlgError`` on non-finite
+    entries and when ``JACOBI_SWEEPS`` sweeps leave a pair unconverged.
     """
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    return vh * _rank_mask(s, rtol)[..., None]
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise np.linalg.LinAlgError("row space of a matrix with non-finite entries")
+    *stack, k, n = a.shape
+    r, count = min(k, n), math.prod(stack)
+    # b[i] is row i of every matrix, an (n, matrices) array, so each step
+    # below is a few elementwise operations on contiguous arrays
+    b = np.ascontiguousarray(a.reshape(count, k * n).T)
+    exp = np.frexp(np.max(np.abs(b), axis=0, initial=0.0))[1]
+    b = np.ldexp(b, -exp)
+    eps = np.finfo(float).eps
+    # rows shorter than eps times the matrix norm, which the rotations keep,
+    # are rounding noise, and rotating two of them need never converge
+    floor = eps ** 2 * np.einsum("it,it->t", b, b)
+    b = b.reshape(k, n, count)
+    threshold = np.sqrt(n) * eps
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i, j in pairs:
+            bi, bj = b[i], b[j]
+            alpha = np.einsum("nt,nt->t", bi, bi)
+            beta = np.einsum("nt,nt->t", bj, bj)
+            gamma = np.einsum("nt,nt->t", bi, bj)
+            rotate = (np.abs(gamma) > threshold * np.sqrt(alpha * beta)) \
+                & (alpha > floor) & (beta > floor)
+            if not np.any(rotate):
+                continue
+            rotated = True
+            # tan of the angle that makes the pair orthogonal, the smaller root
+            # of t^2 + 2 zeta t - 1 = 0; t = 0 leaves a converged pair as it is
+            zeta = (beta - alpha) / (2.0 * np.where(rotate, gamma, 1.0))
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            t = np.where(rotate, t, 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            b[i], b[j] = c * bi - s * bj, s * bi + c * bj
+        if not rotated:
+            break
+    else:
+        raise np.linalg.LinAlgError(
+            f"row-space Jacobi rotations did not converge in {JACOBI_SWEEPS} sweeps")
+    norms = np.sqrt(np.einsum("knt,knt->kt", b, b))
+    order = np.argsort(-norms, axis=0, kind="stable")[:r]
+    norms = np.take_along_axis(norms, order, axis=0)
+    keep = _rank_mask(np.ldexp(norms, exp).T, rtol).T
+    scale = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
+    rows = np.take_along_axis(b, order[:, None, :], axis=0) * scale[:, None, :]
+    return np.ascontiguousarray(rows.transpose(2, 0, 1)).reshape(*stack, r, n)
 
 
 def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:

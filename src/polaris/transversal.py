@@ -12,21 +12,22 @@ Morse-Sturm conjugate/index scan.
 Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
 its initial data as two (dim M, D) arrays, its fields on the grid as two
 (n_fields, n_t, m) arrays from one closed-form evaluator, which also gives
-the matrix solution at any times for the focal scan's stacked SVD.  One
-stacked SVD of the vertical fields (``linalg.row_space_stack``) gives both
-the rank test and the rows of the vertical fibre; the bundles are kept as
-projectors p_v and p_h, and only the start of the horizontal frame needs a
-basis of H_t.  The vertical-derivative claim is one stacked least-squares
-solve over every strided time and field, skipping the times where the
-vertical fields lose rank.  Every RK4 integration (the Jacobi cross-check,
-the horizontal frame, the transversal Jacobi equation and the Morse-Sturm
-scan) goes through one helper, ``_rk4_steps``, that returns each step's
-propagator of the linear system, and one blocked scan, ``_propagate``, that
-chains n propagators with about 2 sqrt(n) stacked matmuls instead of one
-per step.  The focal scan is cached on the geodesic like the N-Jacobi
-fields, so checks that share a geodesic run it once.  The O'Neill check
-and the rescale probe share one quotient-curvature estimator.  Tolerances,
-grid strides and draw counts are module constants.
+the matrix solution at any times for the focal scan's stacked SVD.  The
+orbit-tangent span and the vertical fibre at every grid time come from
+``linalg.row_space_stack``, one vectorised Jacobi kernel over the stacked
+rows, which also gives the rank test of the vertical fields; the bundles
+are kept as projectors p_v and p_h, and only the start of the horizontal
+frame needs a basis of H_t.  The vertical-derivative claim is one stacked
+least-squares solve over every strided time and field, skipping the times
+where the vertical fields lose rank.  Every RK4 integration (the Jacobi
+cross-check, the horizontal frame, the transversal Jacobi equation and the
+Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns
+each step's propagator of the linear system, and one blocked scan,
+``_propagate``, that chains n propagators with about 2 sqrt(n) stacked
+matmuls instead of one per step.  The focal scan is cached on the geodesic
+like the N-Jacobi fields, so checks that share a geodesic run it once.  The
+O'Neill check and the rescale probe share one quotient-curvature estimator.
+Tolerances, grid strides and draw counts are module constants.
 """
 
 from __future__ import annotations
@@ -556,7 +557,7 @@ class TransversalSystem:
         # grid indices where the vertical fields lose rank
         self.vanishing = np.zeros(0, int)
         if r:
-            # one SVD gives the rank test and the rows of the vertical fibre
+            # one row-space call gives the rank test and the vertical fibre's rows
             w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
             rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)

@@ -415,6 +415,37 @@ def test_cli_seed_env_var_and_flag_precedence(capsys, monkeypatch):
     assert out_flag["records"][0]["seed"] == 4
 
 
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], "-3"), ([], "abc")])
+def test_cli_rejects_unusable_seed(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("POLARIS_SEED", env)
+    code = main(["analyze", "--entry", "su2_adjoint", "--checks", "polarity", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_analyze_rejects_negative_seed():
+    with pytest.raises(ModelError):
+        analyze("su2_adjoint", ["polarity"], seed=-1)
+
+
+@pytest.mark.parametrize("step", [None, 1e-2])
+def test_eigenfield_probe_scans_at_the_given_step(monkeypatch, step):
+    steps = []
+    real_probe = cli.discala_olmos_probe
+
+    def recording_probe(rep, point, seed, probe_step):
+        steps.append(probe_step)
+        return real_probe(rep, point, seed, probe_step)
+
+    monkeypatch.setattr(cli, "discala_olmos_probe", recording_probe)
+    (rec,) = analyze("su2_adjoint", ["variational-completeness"], step=step).records
+    assert rec.status == "pass"
+    assert steps == [step or transversal.DEFAULT_STEP]
+
+
 def test_determinism_modulo_timing():
     def stripped(report):
         doc = report.to_doc()
@@ -492,3 +523,17 @@ def test_geodesic_checks_end_in_the_records_of_one_check_calls(entry, checks, se
     singles = [record_docs(analyze(entry, [c], seed=seed, tol=tol, step=step))[0]
                for c in checks]
     assert record_docs(report) == singles
+
+
+OTHER_CHECKS = [c for c in cli.ALL_CHECKS if c not in GEODESIC_CHECKS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(entry=st.sampled_from([e.name for e in catalog_list()]),
+       checks=st.lists(st.sampled_from(OTHER_CHECKS), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2 ** 16), tol=SANE_TOLS | HOSTILE_TOLS)
+def test_other_checks_end_in_records(entry, checks, seed, tol):
+    report = analyze(entry, checks, seed=seed, tol=tol)
+    assert [r.check for r in report.records] == checks
+    assert {r.status for r in report.records} <= {"pass", "fail", "skipped",
+                                                   "indeterminate", "error"}

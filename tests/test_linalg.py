@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polaris import linalg
+from polaris.transversal import OrbitGeodesic, TransversalSystem
 
 
 def test_orthonormalize_drops_dependent_rows():
@@ -142,3 +143,78 @@ def test_stacked_rank_and_row_space_match_scalar(seed, k, n):
         assert np.allclose(bi @ bi.T, np.diag([1.0] * ri + [0.0] * (bi.shape[0] - ri)),
                            atol=1e-12)
         assert np.allclose(ai @ bi.T @ bi, ai, atol=1e-10)
+
+
+def lapack_row_space(a, rtol=linalg.RANK_RTOL):
+    """Row-space rows and singular values of a stack from LAPACK's SVD."""
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh * linalg._rank_mask(s, rtol)[..., None], s
+
+
+def hostile_matrix(data, rng, k, n):
+    """A (k, n) matrix times 1e-11..1e150: zero and duplicated rows inserted
+    into a block whose singular values lie in [0.1, 1], where the rank
+    counts them, and in [1e-16, 1e-12], below the rank cut."""
+    zeros = data.draw(st.integers(0, k - 1))
+    dups = data.draw(st.integers(0, k - 1 - zeros))
+    base = k - zeros - dups
+    big = data.draw(st.integers(0, min(base, n)))
+    small = data.draw(st.integers(0, min(base, n) - big)) if big else 0
+    s = np.concatenate([rng.uniform(0.1, 1.0, big), 10.0 ** rng.uniform(-16, -12, small)])
+    u = np.linalg.qr(rng.standard_normal((base, base)))[0][:, :s.size]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :s.size]
+    m = (u * s) @ v.T
+    for _ in range(dups):
+        m = np.insert(m, rng.integers(0, m.shape[0] + 1), m[rng.integers(0, base)], axis=0)
+    m = np.insert(m, rng.integers(0, m.shape[0] + 1, size=zeros), 0.0, axis=0)
+    return m * 10.0 ** data.draw(st.floats(-11, 150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 7),
+       st.integers(1, 4))
+def test_row_space_stack_matches_lapack(data, seed, k, n, count):
+    rng = np.random.default_rng(seed)
+    a = np.stack([hostile_matrix(data, rng, k, n) for _ in range(count)])
+    rows = linalg.row_space_stack(a)
+    want, s = lapack_row_space(a)
+    assert rows.shape == want.shape == (count, min(k, n), n)
+    cut = np.maximum(linalg.RANK_RTOL * s[:, :1], linalg.RANK_ATOL)
+    clear = np.all((s > 10 * cut) | (s < cut / 10), axis=-1)
+    for b, ref, sure in zip(rows, want, clear):
+        rank = np.count_nonzero(np.any(b, axis=-1))
+        assert not np.any(b[rank:])                  # nonzero rows first
+        if not sure:
+            continue
+        assert rank == np.count_nonzero(np.any(ref, axis=-1))
+        assert np.max(np.abs(b.T @ b - ref.T @ ref)) < 1e-12
+        assert np.max(np.abs(b[:rank] @ b[:rank].T - np.eye(rank)), initial=0.0) < 2e-15
+
+
+def test_row_space_stack_raises_past_the_sweep_cap_and_on_nan(monkeypatch):
+    a = np.random.default_rng(0).standard_normal((8, 3, 4))
+    linalg.row_space_stack(a)
+    monkeypatch.setattr(linalg, "JACOBI_SWEEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.row_space_stack(a)
+    monkeypatch.undo()
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.row_space_stack(np.where(np.eye(3, 4) > 0, np.nan, a))
+
+
+def test_transversal_system_makes_no_svd_call(bundles, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    for name in ("hopf_s1_s3", "so3_s2xs2"):
+        b = bundles[name]
+        geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], b["direction"])
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        system = TransversalSystem(geod)
+        monkeypatch.undo()
+        assert system.vanishing.size == 0
+        assert calls == [], name
