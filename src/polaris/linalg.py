@@ -13,13 +13,13 @@ run to run.  The stacked kernels take an (..., k, n) stack of matrices and
 answer for every matrix at once: ``svd_rank`` from one stacked SVD;
 ``orthonormalize_stack`` from one stacked QR whose signs are fixed so that
 diag R > 0, which makes its rows the ones modified Gram-Schmidt gives for
-a full-rank matrix, to rounding; ``row_space_stack`` from one-sided
-Jacobi rotations vectorised over the stack, with the same rank cut, since
-on the thousands of tiny matrices of a geodesic grid LAPACK's per-matrix
-overhead dominates a stacked SVD.  ``gram_norm``, ``project_span`` and
-``span_residual`` also take an (..., n) stack of vectors.  Principal
-angles come from cosines and sines together, so angles below the square
-root of rounding are not lost.
+a full-rank matrix, to rounding; ``row_space_stack`` from one stacked SVD
+or, for matrices of at most three short rows such as a geodesic grid's
+orbit tangent spans, where LAPACK's per-matrix overhead dominates, from
+one-sided Jacobi rotations vectorised over the stack, with the same rank
+cut.  ``gram_norm``, ``project_span`` and ``span_residual`` also take an
+(..., n) stack of vectors.  Principal angles come from cosines and sines
+together, so angles below the square root of rounding are not lost.
 """
 
 from __future__ import annotations
@@ -38,8 +38,18 @@ SPAN_TOL = 1e-8
 WITNESS_FLOOR = 1e-6
 # Entries this close (relative) to the largest count as a maximum for witnesses.
 TIE_RTOL = 1e-12
-# Most sweeps of the row-space Jacobi rotations before they count as failed.
+# Most sweeps of the row-space Jacobi rotations before they count as failed;
+# hostile matrices (zero and duplicated rows, singular values down to 1e-16,
+# scales 1e-11 to 1e150) took at most 6 on the shapes row_space_stack gives
+# them, and 17 at 64 x 64.
 JACOBI_SWEEPS = 30
+# row_space_stack hands stacks of matrices with at most JACOBI_MAX_ROWS rows
+# of length at most JACOBI_MAX_COLS to the Jacobi rotations, the rest to
+# LAPACK: the rotations cost k(k - 1)/2 pair steps of a dozen numpy passes
+# per sweep, so LAPACK wins on more or longer rows.  The choice depends on
+# the matrices' shape only, so a stack split into blocks gives the same rows.
+JACOBI_MAX_ROWS = 3
+JACOBI_MAX_COLS = 16
 
 
 class IndeterminateVerdict(RuntimeError):
@@ -122,23 +132,38 @@ def _rank_mask(s: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
 def row_space_stack(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal row-space rows of every matrix of an (..., k, n) stack.
 
-    Returns an (..., min(k, n), n) stack from one-sided (Hestenes) Jacobi
-    rotations of the rows, applied to every matrix of the stack at once
-    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992): a pair of
-    rows is rotated until it is orthogonal to within sqrt(n) times
-    rounding, and the mutually orthogonal rows left span the row space with
-    the singular values as their lengths.  Each matrix is first scaled by a
-    power of two so that its largest entry lies in [0.5, 1); the rows are
-    then sorted longest first and cut at the relative threshold ``rtol`` as
-    ``svd_rank`` cuts singular values, on the unscaled lengths.  The rows
-    past each matrix's rank are zero, so ``b.T @ b`` is the projector onto
-    the row space, the padding drops out of sums, and the count of nonzero
-    rows is the rank.  Raises ``np.linalg.LinAlgError`` on non-finite
-    entries and when ``JACOBI_SWEEPS`` sweeps leave a pair unconverged.
+    Returns an (..., min(k, n), n) stack.  The rows past each matrix's rank
+    (decided as in ``svd_rank`` at the relative threshold ``rtol``) are
+    zero, so ``b.T @ b`` is the projector onto the row space, the padding
+    drops out of sums, and the count of nonzero rows is the rank.  Stacks
+    of matrices with at most ``JACOBI_MAX_ROWS`` rows of length at most
+    ``JACOBI_MAX_COLS`` go to ``_jacobi_row_space``, the rest to one
+    stacked SVD.  Raises ``np.linalg.LinAlgError`` on non-finite entries
+    and when either method fails to converge.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("row space of a matrix with non-finite entries")
+    if a.shape[-2] <= JACOBI_MAX_ROWS and a.shape[-1] <= JACOBI_MAX_COLS:
+        return _jacobi_row_space(a, rtol)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    return vh * _rank_mask(s, rtol)[..., None]
+
+
+def _jacobi_row_space(a: np.ndarray, rtol: float) -> np.ndarray:
+    """``row_space_stack`` of a finite stack by one-sided Jacobi rotations.
+
+    One-sided (Hestenes) Jacobi rotations of the rows, applied to every
+    matrix of the stack at once (Demmel and Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1992): a pair of rows is rotated until it is orthogonal to
+    within sqrt(n) times rounding, and the mutually orthogonal rows left
+    span the row space with the singular values as their lengths.  Each
+    matrix is first scaled by a power of two so that its largest entry lies
+    in [0.5, 1); the rows are then sorted longest first and cut at ``rtol``
+    as ``svd_rank`` cuts singular values, on the unscaled lengths.  Raises
+    ``np.linalg.LinAlgError`` when ``JACOBI_SWEEPS`` sweeps leave a pair
+    unconverged.
+    """
     *stack, k, n = a.shape
     r, count = min(k, n), math.prod(stack)
     # b[i] is row i of every matrix, an (n, matrices) array, so each step

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
-from polaris import cli, transversal
+from polaris import cli, linalg, transversal
 from polaris.catalog import R_PRODUCT, catalog_entry, catalog_list
 from polaris.cli import AnalysisReport, ModelError, analyze, emit_report, \
     load_model, main
@@ -444,6 +444,14 @@ def test_eigenfield_probe_scans_at_the_given_step(monkeypatch, step):
     (rec,) = analyze("su2_adjoint", ["variational-completeness"], step=step).records
     assert rec.status == "pass"
     assert steps == [step or transversal.DEFAULT_STEP]
+
+
+def test_row_space_failure_ends_in_error_records(monkeypatch):
+    # with no sweep allowed the row-space rotations always fail to converge
+    monkeypatch.setattr(linalg, "JACOBI_SWEEPS", 0)
+    report = analyze("su2_adjoint", ["variational-completeness", "transversal"])
+    assert [r.status for r in report.records] == ["error", "error"]
+    assert all("did not converge" in r.value["reason"] for r in report.records)
 
 
 def test_determinism_modulo_timing():

@@ -171,12 +171,13 @@ def hostile_matrix(data, rng, k, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 7),
-       st.integers(1, 4))
-def test_row_space_stack_matches_lapack(data, seed, k, n, count):
+@given(st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 7),
+       st.integers(1, linalg.JACOBI_MAX_COLS), st.integers(1, 4))
+def test_jacobi_row_space_matches_lapack(data, seed, k, n, count):
+    # the kernel itself, on more rows than row_space_stack ever gives it
     rng = np.random.default_rng(seed)
     a = np.stack([hostile_matrix(data, rng, k, n) for _ in range(count)])
-    rows = linalg.row_space_stack(a)
+    rows = linalg._jacobi_row_space(a, linalg.RANK_RTOL)
     want, s = lapack_row_space(a)
     assert rows.shape == want.shape == (count, min(k, n), n)
     cut = np.maximum(linalg.RANK_RTOL * s[:, :1], linalg.RANK_ATOL)
@@ -189,6 +190,34 @@ def test_row_space_stack_matches_lapack(data, seed, k, n, count):
         assert rank == np.count_nonzero(np.any(ref, axis=-1))
         assert np.max(np.abs(b.T @ b - ref.T @ ref)) < 1e-12
         assert np.max(np.abs(b[:rank] @ b[:rank].T - np.eye(rank)), initial=0.0) < 2e-15
+
+
+@pytest.mark.parametrize("shape, jacobi", [
+    ((500, linalg.JACOBI_MAX_ROWS, linalg.JACOBI_MAX_COLS), True),
+    ((2, 3, 1, 3), True),
+    ((500, linalg.JACOBI_MAX_ROWS + 1, 4), False),
+    ((500, 3, linalg.JACOBI_MAX_COLS + 1), False),
+    ((64, 28, 8), False),
+])
+def test_row_space_stack_takes_jacobi_only_for_few_short_rows(shape, jacobi, monkeypatch):
+    *stack, k, n = shape
+    rng = np.random.default_rng(1)
+    r = max(min(k, n) - 1, 1)
+    a = rng.standard_normal((*stack, k, r)) @ rng.standard_normal((*stack, r, n))
+    calls = []
+    kernel = linalg._jacobi_row_space
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_jacobi_row_space", counted)
+    rows = linalg.row_space_stack(a)
+    assert bool(calls) == jacobi
+    want, _ = lapack_row_space(a)
+    assert rows.shape == want.shape
+    proj = np.swapaxes(rows, -1, -2) @ rows - np.swapaxes(want, -1, -2) @ want
+    assert np.max(np.abs(proj)) < 1e-12
 
 
 def test_row_space_stack_raises_past_the_sweep_cap_and_on_nan(monkeypatch):
