@@ -35,8 +35,8 @@ from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError,
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    jacobi_integrate, n_jacobi_space, oneill_check, rescale_probe, \
-    transversal_system, variational_completeness_probe
+    jacobi_integrate, lambda_fields, n_jacobi_space, oneill_check, \
+    rescale_probe, transversal_system, variational_completeness_probe
 from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
@@ -313,13 +313,8 @@ def _geodesic(bundle, step):
     point = bundle.get("basepoint")
     if point is None:
         raise Inapplicable("geodesic checks need a basepoint")
-    direction = bundle.get("direction")
-    if direction is None:
-        rows = rep.tangent_rows(point)
-        blocked = np.vstack([rows, point[None, :]]) if rep.restrict_to_sphere else rows
-        direction = linalg.kernel(blocked)[0]
-    span = bundle.get("span", (0.0, float(np.pi)))
-    return OrbitGeodesic(rep, manifold, point, direction, span=span, step=step)
+    return OrbitGeodesic(rep, manifold, point, bundle.get("direction"),
+                         span=bundle.get("span", (0.0, float(np.pi))), step=step)
 
 
 def _check_polarity(bundle, seed, tol, step, geodesic):
@@ -433,9 +428,8 @@ def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
     geod = geodesic(step or DEFAULT_STEP)
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
-    exact = jacobi_integrate(geod, j0[0], dj0[0])
     rk = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
-    resid = float(np.max(np.abs(exact.y - rk.y)))
+    resid = float(np.max(np.abs(lambda_fields(geod)[0][0] - rk.y)))
     verdict = {"focal": [[round(t, 6), m] for t, m in focal]}
     ok = resid < tol
     return verdict if ok else False, {"integrator_residual": resid}, resid, tol
@@ -448,7 +442,7 @@ def _check_vc(bundle, seed, tol, step, geodesic):
     tangency = None
     rep = bundle["rep"]
     if not rep.restrict_to_sphere and bundle.get("manifold").kind == "euclidean":
-        do = discala_olmos_probe(rep, bundle["basepoint"], seed, step or DEFAULT_STEP)
+        do = discala_olmos_probe(rep, bundle["basepoint"], seed, geod.step)
         tangency = bool(do.worst_tangency < 1e-3)
     verdict = {"probe": probe.ok, "eigenfield_tangency": tangency}
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol
@@ -470,7 +464,7 @@ def _check_oneill(bundle, seed, tol, step, geodesic):
 
 def _check_transversal(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-5
-    geod = geodesic(min(step or 2.5e-4, 1e-3))
+    geod = geodesic(min(step or DEFAULT_STEP, DEFAULT_STEP))
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     claims = claim_residuals(system)
@@ -553,11 +547,11 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     record, and one that raises a library error as an error record.  The
     report fails if any record fails, and is otherwise error if any record
     is, and otherwise indeterminate if any record is.  The geodesic checks
+    (``jacobi-scan``, ``variational-completeness`` and ``transversal``)
     share one ``OrbitGeodesic`` per effective step within a call, so its
-    focal scan and grid data are computed once.  Without ``step``,
-    ``jacobi-scan`` and ``variational-completeness`` use the grid step
-    1e-3 and ``transversal`` and ``oneill`` 2.5e-4; ``transversal`` caps a
-    given step at 1e-3 and ``oneill`` at 2.5e-4.  ``seed`` must be a
+    fields over the grid and its focal scan are computed once.  They
+    default to the grid step 1e-3, and ``transversal`` caps a given step
+    at 1e-3; ``oneill`` defaults to and caps at 2.5e-4.  ``seed`` must be a
     non-negative integer, or ``ModelError`` is raised.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:

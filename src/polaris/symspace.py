@@ -16,6 +16,7 @@ basis per leg and reads all basis triples from one stacked curvature call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,7 @@ class ModelManifold:
         if p.shape != (self.ambient_dim,):
             raise SymmetricSpaceError(f"point must have dimension {self.ambient_dim}")
         for s, r in self.factors:
-            if r and abs(np.linalg.norm(p[s]) - r) > tol:
+            if r and abs(math.hypot(*p[s]) - r) > tol:      # hypot cannot overflow
                 raise SymmetricSpaceError(f"point not on the sphere of radius {r:g} "
                                           f"in coordinates {s.start}..{s.stop - 1}")
 

@@ -11,23 +11,27 @@ Morse-Sturm conjugate/index scan.
 
 Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
 its initial data as two (dim M, D) arrays, its fields on the grid as two
-(n_fields, n_t, m) arrays from one closed-form evaluator, which also gives
-the matrix solution at any times for the focal scan's stacked SVD.  The
-orbit-tangent span and the vertical fibre at every grid time come from
-one ``linalg.row_space_stack`` call each over the stacked rows (vectorised
-Jacobi rotations for up to three short rows per time, else one stacked
-SVD), which also gives the rank test of the vertical fields; the bundles
-are kept as projectors p_v and p_h, and only the start of the horizontal
-frame needs a basis of H_t.  The vertical-derivative claim is one stacked
-least-squares solve over every strided time and field, skipping the times
-where the vertical fields lose rank.  Every RK4 integration (the Jacobi
-cross-check, the horizontal frame, the transversal Jacobi equation and the
-Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns
-each step's propagator of the linear system, and one blocked scan,
-``_propagate``, that chains n propagators with about 2 sqrt(n) stacked
-matmuls instead of one per step.  The focal scan is cached on the geodesic
-like the N-Jacobi fields, so checks that share a geodesic run it once.  The
-O'Neill check and the rescale probe share one quotient-curvature estimator.
+(n_fields, n_t, m) arrays, evaluated in closed form once per geodesic and
+cached on it.  The focal scan's stacked SVD, the kernel fields of the
+variational-completeness probe and the transversal system read those
+values; the closed form runs again only at single times (the
+golden-section search and the focal times).  The orbit-tangent span (from
+the cached Killing restrictions) and the vertical fibre at every grid
+time come from one ``linalg.row_space_stack`` call each over the stacked
+rows (vectorised Jacobi rotations for up to three short rows per time,
+else one stacked SVD), which also gives the rank test of the vertical
+fields; the bundles are kept as projectors p_v and p_h, and only the start
+of the horizontal frame needs a basis of H_t.  The vertical-derivative
+claim is one stacked least-squares solve over every strided time and
+field, skipping the times where the vertical fields lose rank.  Every RK4
+integration (the Jacobi cross-check, the horizontal frame, the transversal
+Jacobi equation and the Morse-Sturm scan) goes through one helper,
+``_rk4_steps``, that returns each step's propagator of the linear system,
+and one blocked scan, ``_propagate``, that chains n propagators with about
+2 sqrt(n) stacked matmuls instead of one per step.  The focal scan is
+cached on the geodesic like the N-Jacobi fields, so checks that share a
+geodesic run it once.  The O'Neill check and the rescale probe share one
+quotient-curvature estimator.
 Tolerances, grid strides and draw counts are module constants.
 """
 
@@ -56,18 +60,33 @@ ONEILL_SEPARATION = 0.08    # larger separation of the O'Neill quotient estimate
 RESCALE_ETA = 0.3           # rescale-probe separation / distance to the singular point
 # Times per stacked call in the eigenfield scan of discala_olmos_probe.
 _PROBE_BLOCK = 4096
+# Most grid times x D^2 that one geodesic or eigenfield scan may take on a
+# D-dimensional ambient space: about 9x the largest catalog grid.
+MAX_GRID_ENTRIES = 2 ** 22
 
 
 class TransversalError(ValueError):
     pass
 
 
+def _check_grid(times: float, dim: int) -> None:
+    """Raise unless ``times`` grid times of dim x dim matrices fit the budget;
+    called with the float count, before anything is allocated."""
+    if not times * dim * dim <= MAX_GRID_ENTRIES:
+        raise TransversalError(
+            f"a grid of {times:.4g} times x {dim}^2 entries exceeds "
+            f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
+
+
 class OrbitGeodesic:
     """A horizontal geodesic with its grid, parallel frames and shape data.
 
     ``direction`` must be a unit normal to the orbit at ``point`` (tangent
-    to the model).  The sign convention of the shape operator is fixed by
-    the position normal on a Euclidean orbit: S_(p/|p|) = -(1/|p|) id.
+    to the model); None takes the first unit normal from ``linalg.kernel``
+    (orthogonal to ``point`` too on a sphere action).  The point, the
+    direction and the span must be finite, and the grid within
+    ``MAX_GRID_ENTRIES``.  The sign convention of the shape operator is
+    fixed by the position normal on a Euclidean orbit: S_(p/|p|) = -(1/|p|) id.
     """
 
     def __init__(self, rep: OrthogonalRep, manifold: ModelManifold,
@@ -78,13 +97,26 @@ class OrbitGeodesic:
         if step > MAX_STEP:
             raise TransversalError(f"step size rejected (h = {step:g} > {MAX_STEP:g})")
         point = np.asarray(point, float)
-        direction = np.asarray(direction, float)
+        given = [point] if direction is None else [point, np.asarray(direction, float)]
+        if not all(np.all(np.isfinite(x)) for x in given):
+            raise TransversalError("the basepoint and direction must be finite")
+        lo, hi = float(span[0]), float(span[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0 <= hi):
+            raise TransversalError("the grid span must be finite and contain the basepoint time 0")
+        _check_grid((hi - lo) / step + 1, point.size)
         manifold.validate_point(point)
+        rows = rep.tangent_rows(point)
+        if direction is None:
+            blocked = np.vstack([rows, point[None, :]]) if rep.restrict_to_sphere else rows
+            normals = linalg.kernel(blocked)
+            if normals.shape[0] == 0:
+                raise TransversalError("the orbit has no normal direction at the basepoint")
+            direction = normals[0]
+        direction = np.asarray(direction, float)
         if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
             raise TransversalError("direction must be a unit vector")
         if np.linalg.norm(direction - manifold.project_tangent(point, direction)) > 1e-9:
             raise TransversalError("direction must be tangent to the model")
-        rows = rep.tangent_rows(point)
         if rows.size and float(np.max(np.abs(rows @ direction))) > 1e-10:
             raise TransversalError("direction must be normal to the orbit")
         self.rep = rep
@@ -92,11 +124,9 @@ class OrbitGeodesic:
         self.point = point
         self.direction = direction
         self.step = float(step)
-        if not (span[0] <= 0.0 <= span[1]):
-            raise TransversalError("the grid span must contain the basepoint time 0")
-        n = int(round((span[1] - span[0]) / step)) + 1
-        self.times = span[0] + step * np.arange(n)
-        self.base_index = int(round(-span[0] / step))
+        n = int(round((hi - lo) / step)) + 1
+        self.times = lo + step * np.arange(n)
+        self.base_index = int(round(-lo / step))
         if abs(self.times[self.base_index]) > 1e-12:
             raise TransversalError("span start must be an integer number of steps")
         self.gamma, self.dgamma = manifold.geodesic(point, direction, self.times)
@@ -302,9 +332,9 @@ def _basis_modes(geod: OrbitGeodesic):
     return geod._cache[key]
 
 
-def _matrix_solution(geod: OrbitGeodesic, times) -> np.ndarray:
-    """(n_times, m, m) stack whose columns are the N-Jacobi basis fields."""
-    return _closed_form(geod, *_basis_modes(geod), np.atleast_1d(times))[0]
+def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
+    """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
+    return _closed_form(geod, *_basis_modes(geod), np.array([t]))[0][0]
 
 
 def lambda_fields(geod: OrbitGeodesic):
@@ -323,7 +353,7 @@ def lambda_fields(geod: OrbitGeodesic):
 
 
 def _min_singular(geod: OrbitGeodesic, t: float) -> float:
-    return float(np.linalg.svd(_matrix_solution(geod, t)[0], compute_uv=False)[-1])
+    return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
 
 
 def focal_points(geod: OrbitGeodesic) -> list:
@@ -339,13 +369,14 @@ def focal_points(geod: OrbitGeodesic) -> list:
     if key in geod._cache:
         return list(geod._cache[key])
     times = geod.times
-    smin = np.linalg.svd(_matrix_solution(geod, times), compute_uv=False)[:, -1]
+    # the matrix solution on the grid is the cached fields, one column each
+    smin = np.linalg.svd(np.moveaxis(lambda_fields(geod)[0], 0, 2), compute_uv=False)[:, -1]
     out = []
     for k in range(1, times.shape[0] - 1):
         if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
             t_star = _golden_min(lambda t: _min_singular(geod, t),
                                  times[k - 1], times[k + 1])
-            s_at = np.linalg.svd(_matrix_solution(geod, t_star)[0], compute_uv=False)
+            s_at = np.linalg.svd(_matrix_solution(geod, t_star), compute_uv=False)
             if s_at[-1] < FOCAL_SV_TOL:
                 mult = int(np.sum(s_at < FOCAL_SV_TOL))
                 if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
@@ -418,16 +449,14 @@ def variational_completeness_probe(geod: OrbitGeodesic,
     """
     focal = focal_points(geod)
     killing = killing_restrictions(geod)
-    a, b = _basis_modes(geod)
+    values = lambda_fields(geod)[0]
+    values = values.reshape(values.shape[0], -1)      # one grid function per row
     records = []
     worst = 0.0
     for t_star, mult in focal:
-        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star)[0])
-        combos = vh[svals < FOCAL_SV_TOL].T
-        fields = _closed_form(geod, a @ combos, b @ combos, geod.times)[0]
+        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star))
         angle = 0.0
-        for c in range(combos.shape[1]):
-            flat = fields[:, :, c].reshape(-1)
+        for flat in vh[svals < FOCAL_SV_TOL] @ values:
             norm = np.linalg.norm(flat)
             if norm < 1e-14:
                 continue
@@ -498,7 +527,9 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     xi = xis[best]
     lam, vec = np.linalg.eigh(shapes[best])
     eigvecs = vec.T @ tangent
-    n_s = int(np.ceil(1.4 * float(np.max(1.0 / np.abs(lam))) / step))
+    n_s = 1.4 * float(np.max(1.0 / np.abs(lam))) / step
+    _check_grid(n_s, point.size)
+    n_s = int(np.ceil(n_s))
     base_rank = linalg.svd_rank(rows)
     # J(s) = (1 - lambda s) u is parallel to the unit u: its distance from the
     # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05.  The times
@@ -544,6 +575,8 @@ class TransversalSystem:
     def __init__(self, geod: OrbitGeodesic):
         self.geod = geod
         n_t = geod.times.shape[0]
+        if n_t < 3:
+            raise TransversalError("the transversal system needs at least 3 grid times")
         m = geod.dim
         vals, dvals = lambda_fields(geod)           # (n_fields, n_t, m) each
         self.lambda_values = vals
@@ -553,7 +586,7 @@ class TransversalSystem:
         # n_k = v_k (I - P_k) of the field values; forming q from the normal
         # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
         # that leaves null eigenvalues of order 1e-16 * sum |v|^2
-        span = _row_space(geod.rep.tangent_rows(geod.gamma) @ geod.frames)
+        span = _row_space(np.swapaxes(killing_restrictions(geod).raw, 0, 1))
         normal = np.swapaxes(vals, 0, 1)
         normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
         q = np.einsum("tfm,tgm->fg", normal, normal)

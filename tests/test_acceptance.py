@@ -148,6 +148,16 @@ def test_criterion_06_transversal_jacobi(bundles):
     report(6, "transversal Jacobi equation")
 
 
+def test_criterion_06_holds_for_the_default_step_record():
+    # the record users see runs on analyze's shared default grid, not on
+    # the finer grid of the criterion above
+    (rec,) = analyze("hopf_s1_s3", ["transversal"]).records
+    assert rec.status == "pass"
+    assert abs(rec.verdict["first_conjugate"] - PI / 2) < 1e-4
+    assert rec.value["claims"]["vertical-derivative"] < 1e-6
+    assert rec.value["claims"]["frame-derivative"] < 1e-6
+
+
 def test_criterion_07_symplectic(bundles):
     geodesic_entries = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                         "hopf_s1_s3", "so2_s2", "so3_s2xs2")

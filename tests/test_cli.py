@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -487,31 +488,37 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
     bundle = catalog_entry("so3_s2xs2").build()
     before = dict(bundle)
     arrays = {k: v.copy() for k, v in bundle.items() if isinstance(v, np.ndarray)}
-    singles = [record_docs(analyze(bundle, [check]))[0] for check in GEODESIC_CHECKS]
-
-    builds, grid_scans = [], []
+    builds, grid_evaluations = [], []
 
     def counting_geodesic(*args, **kwargs):
         builds.append(kwargs.get("step"))
         return transversal.OrbitGeodesic(*args, **kwargs)
 
-    real_solution = transversal._matrix_solution
+    real_closed_form = transversal._closed_form
 
-    def counting_solution(geod, times):
+    def counting_closed_form(geod, a, b, times):
         if np.size(times) > 1:
-            grid_scans.append(geod)
-        return real_solution(geod, times)
+            grid_evaluations.append(id(geod))
+        return real_closed_form(geod, a, b, times)
 
-    monkeypatch.setattr(cli, "OrbitGeodesic", counting_geodesic)
-    monkeypatch.setattr(transversal, "_matrix_solution", counting_solution)
-    shared = analyze(bundle, GEODESIC_CHECKS)
-    # jacobi-scan and variational-completeness at step 1e-3, transversal at 2.5e-4
-    assert sorted(builds) == [2.5e-4, 1e-3]
-    assert len(grid_scans) == 1
+    # without a step all three checks run at 1e-3; a coarser step is capped
+    # at 1e-3 for transversal only, which then gets its own geodesic
+    for step, steps in ((None, [1e-3]), (2e-3, [1e-3, 2e-3])):
+        singles = [record_docs(analyze(bundle, [check], step=step))[0]
+                   for check in GEODESIC_CHECKS]
+        builds.clear()
+        grid_evaluations.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "OrbitGeodesic", counting_geodesic)
+            patch.setattr(transversal, "_closed_form", counting_closed_form)
+            shared = analyze(bundle, GEODESIC_CHECKS, step=step)
+        assert sorted(builds) == steps
+        # the fields over the grid are evaluated once per geodesic
+        assert len(grid_evaluations) == len(set(grid_evaluations)) == len(steps)
+        assert record_docs(shared) == singles
     assert bundle.keys() == before.keys()
     assert all(bundle[k] is before[k] for k in before)
     assert all(np.array_equal(bundle[k], v) for k, v in arrays.items())
-    assert record_docs(shared) == singles
 
 
 SANE_STEPS = st.none() | st.floats(1e-3, 1e-2)
@@ -531,6 +538,53 @@ def test_geodesic_checks_end_in_the_records_of_one_check_calls(entry, checks, se
     singles = [record_docs(analyze(entry, [c], seed=seed, tol=tol, step=step))[0]
                for c in checks]
     assert record_docs(report) == singles
+
+
+GEODESIC_ENTRIES = ["su2_adjoint", "so3_sym_traceless", "su2_diag_double",
+                    "hopf_s1_s3", "so2_s2", "so3_s2xs2"]
+
+
+@pytest.mark.parametrize("field, value", [("basepoint", [np.nan, 0.64, 0.48]),
+                                          ("basepoint", [np.inf, 0.64, 0.48]),
+                                          ("direction", [np.nan, 0.0, 0.0])])
+def test_non_finite_geodesic_input_ends_in_error_records(field, value):
+    bundle = dict(catalog_entry("su2_adjoint").build(), **{field: np.array(value)})
+    report = analyze(bundle, GEODESIC_CHECKS)
+    assert [r.status for r in report.records] == ["error"] * 3
+    assert all("must be finite" in r.value["reason"] for r in report.records)
+
+
+def test_oversized_grid_ends_in_error_records():
+    bundle = dict(catalog_entry("hopf_s1_s3").build(), span=(0.0, 1e9))
+    report = analyze(bundle, GEODESIC_CHECKS)
+    assert [r.status for r in report.records] == ["error"] * 3
+    assert all("MAX_GRID_ENTRIES" in r.value["reason"] for r in report.records)
+
+
+SPAN_ENDS = st.sampled_from([-np.inf, np.inf, np.nan, 1e9, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=st.sampled_from(GEODESIC_ENTRIES),
+       checks=st.lists(st.sampled_from(GEODESIC_CHECKS), min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_hostile_geodesic_fields_end_in_records(entry, checks, data):
+    bundle = catalog_entry(entry).build()
+    point = bundle["basepoint"].copy()
+    for i in data.draw(st.lists(st.integers(0, point.size - 1), unique=True)):
+        point[i] = data.draw(st.sampled_from([np.nan, np.inf, 1e300]))
+    bundle["basepoint"] = point
+    if data.draw(st.booleans()):
+        bundle["direction"] = np.full(point.size, np.nan)
+    if data.draw(st.booleans()):
+        bundle["span"] = (data.draw(SPAN_ENDS), data.draw(SPAN_ENDS))
+    step = data.draw(st.sampled_from([None, 1e-12, 1e-9]))
+    t0 = time.perf_counter()
+    report = analyze(bundle, checks, step=step)
+    assert time.perf_counter() - t0 < 10
+    assert [r.check for r in report.records] == checks
+    assert {r.status for r in report.records} <= {"pass", "fail", "skipped",
+                                                   "indeterminate", "error"}
 
 
 OTHER_CHECKS = [c for c in cli.ALL_CHECKS if c not in GEODESIC_CHECKS]

@@ -15,8 +15,7 @@ from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
     rescale_probe, shape_operator, symplectic_form, \
     transversal_equation_residual, transversal_integrate, transversal_system, \
     variational_completeness_probe
-from polaris.transversal import _basis_modes, _golden_min, _matrix_solution, _propagate, \
-    _rk4_steps
+from polaris.transversal import _basis_modes, _golden_min, _propagate, _rk4_steps
 
 PI = float(np.pi)
 
@@ -59,6 +58,50 @@ def test_step_cap(bundles):
         with pytest.raises(TransversalError):
             OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
                           step=step)
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "hopf_s1_s3", "so3_sym_traceless"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_point_or_direction_rejected(bundles, name, bad):
+    b = bundles[name]
+    point = b["basepoint"].copy()
+    point[0] = bad
+    unit = np.zeros_like(point)
+    unit[0] = bad
+    for p, d in ((point, b["direction"]), (b["basepoint"], unit)):
+        with pytest.raises(TransversalError, match="finite"):
+            OrbitGeodesic(b["rep"], b["manifold"], p, d)
+
+
+@pytest.mark.parametrize("span", [(0.0, float("inf")), (-float("inf"), 1.0),
+                                  (0.0, float("nan")), (-1e308, 1e308)])
+def test_unbounded_span_rejected(bundles, span):
+    b = bundles["su2_adjoint"]
+    with pytest.raises(TransversalError):
+        OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"], span=span)
+
+
+def test_grid_budget_checked_before_allocation(bundles):
+    b = bundles["su2_adjoint"]
+    tracemalloc.start()
+    try:
+        # 1e12 grid times, and about 3e9 from a tiny step over the default span
+        for span, step in (((0.0, 1e9), 1e-3), ((0.0, PI), 1e-9)):
+            with pytest.raises(TransversalError, match="MAX_GRID_ENTRIES"):
+                OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
+                              span=span, step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # the largest grid of the catalog fits, 9x over
+    assert 12567 * 6 ** 2 * 9 < transversal.MAX_GRID_ENTRIES
+
+
+def test_eigenfield_scan_within_the_grid_budget(bundles):
+    b = bundles["su2_adjoint"]
+    with pytest.raises(TransversalError, match="MAX_GRID_ENTRIES"):
+        discala_olmos_probe(b["rep"], b["basepoint"], seed=0, step=1e-9)
 
 
 def test_shape_operator_position_normal(bundles):
@@ -173,10 +216,11 @@ def test_rk4_on_an_empty_span_keeps_the_start(bundles):
 def test_grid_evaluator_matches_jacobi_integrate(bundles):
     for name in ("su2_adjoint", "hopf_s1_s3", "so3_s2xs2"):
         geod = geod_for(bundles, name)
-        grid = _matrix_solution(geod, geod.times)
+        grid, dgrid = lambda_fields(geod)
         for j, (j0, dj0) in enumerate(zip(*n_jacobi_space(geod))):
             field = jacobi_integrate(geod, j0, dj0)
-            assert np.max(np.abs(grid[:, :, j] - field.y)) < 1e-12, name
+            assert np.max(np.abs(grid[j] - field.y)) < 1e-12, name
+            assert np.max(np.abs(dgrid[j] - field.dy)) < 1e-12, name
 
 
 def test_product_fields_solve_blockwise(bundles):
