@@ -21,8 +21,7 @@ from .transversal import (OrbitGeodesic, TransversalSystem, conjugate_scan,
                           jacobi_integrate, killing_restrictions,
                           n_jacobi_space, oneill_check, rescale_probe,
                           shape_operator, symplectic_form,
-                          transversal_integrate, transversal_system,
-                          variational_completeness_probe)
+                          transversal_system, variational_completeness_probe)
 from .catalog import CatalogEntry, catalog_entry, catalog_list
 
 __version__ = "0.1.0"

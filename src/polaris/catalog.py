@@ -6,11 +6,15 @@ takes no arguments: the fixture's constants (such as the second radius
 values carry a provenance tag: ``classical`` for textbook facts (e.g.
 orthogonal diagonalisation of symmetric matrices), ``closed-form`` for
 values with an exact formula on the model manifolds, ``computed`` for
-values frozen from an independent oracle in the tests.
+values frozen from an independent oracle in the tests.  The shared
+algebras and symmetric pairs (``su2_cyclic`` to ``su2su2_swap_pair``) are
+built once per process: they are frozen, with read-only arrays.  Every
+``build()`` still returns a fresh bundle dict.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,15 +41,18 @@ class CatalogEntry:
         return _BUILDERS[self.name]()
 
 
+@functools.cache
 def su2_cyclic() -> LieAlgebra:
     """su(2) normalised so the orthonormal basis brackets cyclically."""
     return build_classical("special-unitary", 2, metric_scale=2.0, name="su2")
 
 
+@functools.cache
 def so3_cyclic() -> LieAlgebra:
     return build_classical("special-orthogonal", 3, metric_scale=0.5, name="so3")
 
 
+@functools.cache
 def su3_pair_conjugation() -> SymmetricPair:
     """su(3) with complex conjugation: the split so(3) + (symmetric part)."""
     alg = build_classical("special-unitary", 3, name="su3")
@@ -53,6 +60,7 @@ def su3_pair_conjugation() -> SymmetricPair:
     return cartan_decompose(alg, theta)
 
 
+@functools.cache
 def su3_pair_block() -> SymmetricPair:
     """su(3) with Ad of diag(1, -1, -1): the split s(u(1)+u(2)) + m."""
     alg = build_classical("special-unitary", 3, name="su3")
@@ -61,6 +69,7 @@ def su3_pair_block() -> SymmetricPair:
     return cartan_decompose(alg, theta)
 
 
+@functools.cache
 def su2su2_swap_pair() -> SymmetricPair:
     both = direct_sum(su2_cyclic(), su2_cyclic(), name="su2+su2")
     n = 3

@@ -19,19 +19,22 @@ golden-section search and the focal times).  The orbit-tangent span (from
 the cached Killing restrictions) and the vertical fibre at every grid
 time come from one ``linalg.row_space_stack`` call each over the stacked
 rows (vectorised Jacobi rotations for up to three short rows per time,
-else one stacked SVD), which also gives the rank test of the vertical
-fields; the bundles are kept as projectors p_v and p_h, and only the start
-of the horizontal frame needs a basis of H_t.  The vertical-derivative
-claim is one stacked least-squares solve over every strided time and
-field, skipping the times where the vertical fields lose rank.  Every RK4
-integration (the Jacobi cross-check, the horizontal frame, the transversal
-Jacobi equation and the Morse-Sturm scan) goes through one helper,
-``_rk4_steps``, that returns each step's propagator of the linear system,
-and one blocked scan, ``_propagate``, that chains n propagators with about
-2 sqrt(n) stacked matmuls instead of one per step.  The focal scan is
-cached on the geodesic like the N-Jacobi fields, so checks that share a
-geodesic run it once.  The O'Neill check and the rescale probe share one
-quotient-curvature estimator.
+else one stacked SVD), whose counts of nonzero rows are the orbit rank and
+the rank test of the vertical fields at each time; the bundles are kept as
+projectors p_v and p_h, and only the start of the horizontal frame needs a
+basis of H_t.  The vertical-derivative claim is one stacked least-squares
+solve over every strided time and field, skipping the times where the
+vertical fields lose rank.  The transversal Jacobi equation has one
+solver, the Morse-Sturm scan in a nabla^h-parallel frame, and its Morse
+index one piecewise-linear index form.  Every RK4 integration (the Jacobi
+cross-check, the horizontal frame and the Morse-Sturm scan) goes through
+one helper, ``_rk4_steps``, that returns each step's propagator of the
+linear system, and one blocked scan, ``_propagate``, that chains n
+propagators with about 2 sqrt(n) stacked matmuls instead of one per step.
+The symplectic form and the transversal-equation residual take stacks of
+fields, one column per field.  The focal scan is cached on the geodesic
+like the N-Jacobi fields, so checks that share a geodesic run it once.  The
+O'Neill check and the rescale probe share one quotient-curvature estimator.
 Tolerances, grid strides and draw counts are module constants.
 """
 
@@ -139,20 +142,13 @@ class OrbitGeodesic:
         self.orbit_tangent = linalg.orthonormalize(rows)
         base = self.frames[self.base_index]
         self.normal_basis = linalg.kernel(self.orbit_tangent @ base) @ base.T
-        self.shape_operator, self.shape_asymmetry = shape_operator(
-            rep, point, direction, self.orbit_tangent)
+        self.shape_operator = shape_operator(rep, point, direction, self.orbit_tangent)[0]
         self._cache = {}
 
     # -- frame bookkeeping ---------------------------------------------------
 
     def to_frame(self, k: int, ambient_vec: np.ndarray) -> np.ndarray:
         return self.frames[k].T @ ambient_vec
-
-    def orbit_rank_profile(self) -> np.ndarray:
-        key = "rank_profile"
-        if key not in self._cache:
-            self._cache[key] = linalg.svd_rank(self.rep.tangent_rows(self.gamma))
-        return self._cache[key]
 
 
 def shape_operator(rep: OrthogonalRep, point, direction,
@@ -172,18 +168,6 @@ def shape_operator(rep: OrthogonalRep, point, direction,
     s = np.einsum("...x,bxa->...ab", np.asarray(direction, float), kill)
     st = np.swapaxes(s, -1, -2)
     return (s + st) / 2, np.max(np.abs(s - st), axis=(-2, -1), initial=0.0)
-
-
-@dataclass
-class GridField:
-    """A field along the geodesic: frame coordinates and covariant derivative."""
-
-    geod: OrbitGeodesic
-    y: np.ndarray        # (n_t, m)
-    dy: np.ndarray       # (n_t, m)
-
-    def ambient(self) -> np.ndarray:
-        return np.einsum("tdm,tm->td", self.geod.frames, self.y)
 
 
 def n_jacobi_space(geod: OrbitGeodesic):
@@ -222,20 +206,21 @@ def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
     return y, dy
 
 
-def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form") -> GridField:
+def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
     """Solve the Jacobi equation along the geodesic from ambient initial data.
 
     Initial data lives at the basepoint gamma(0).  ``closed-form`` uses the
     constant-curvature eigenmode solution; ``rk4`` integrates the same
     equation with classical RK4 at the grid step so the two paths
-    cross-check each other.
+    cross-check each other.  Returns ``(y, dy)``, the frame values and
+    covariant derivatives, each of shape (n_t, m).
     """
     y0 = geod.to_frame(geod.base_index, np.asarray(j0, float))
     z0 = geod.to_frame(geod.base_index, np.asarray(dj0, float))
     if method == "closed-form":
         q = geod._modes[1]
         y, dy = _closed_form(geod, (q.T @ y0)[:, None], (q.T @ z0)[:, None], geod.times)
-        return GridField(geod, y[:, :, 0], dy[:, :, 0])
+        return y[:, :, 0], dy[:, :, 0]
     if method != "rk4":
         raise TransversalError(f"unknown method {method!r}")
     if geod.base_index != 0:
@@ -245,22 +230,19 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form") 
     step = _rk4_steps(gen, gen, gen, geod.step)
     states = _propagate(np.broadcast_to(step, (geod.times.shape[0] - 1, 2 * m, 2 * m)),
                         np.concatenate([y0, z0]))
-    return GridField(geod, states[:, :m], states[:, m:])
+    return states[:, :m], states[:, m:]
 
 
-def _pair_generator(force: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-    """Stack of generators [[A, I], [F, A]] of y' = z + A y, z' = F y + A z.
+def _pair_generator(force: np.ndarray) -> np.ndarray:
+    """Stack of generators [[0, I], [F, 0]] of y' = z, z' = F y.
 
-    ``force`` (and ``a``, zero when omitted) are (n, d, d) stacks; the state
-    is the pair (y, z) stacked into one vector or matrix of 2d rows.
+    ``force`` is an (n, d, d) stack; the state is the pair (y, z) stacked
+    into one vector or matrix of 2d rows.
     """
     n, d, _ = force.shape
     out = np.zeros((n, 2 * d, 2 * d))
     out[:, :d, d:] = np.eye(d)
     out[:, d:, :d] = force
-    if a is not None:
-        out[:, :d, :d] = a
-        out[:, d:, d:] = a
     return out
 
 
@@ -587,6 +569,7 @@ class TransversalSystem:
         # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
         # that leaves null eigenvalues of order 1e-16 * sum |v|^2
         span = _row_space(np.swapaxes(killing_restrictions(geod).raw, 0, 1))
+        self.orbit_rank = np.count_nonzero(np.any(span, axis=-1), axis=-1)
         normal = np.swapaxes(vals, 0, 1)
         normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
         q = np.einsum("tfm,tgm->fg", normal, normal)
@@ -716,68 +699,27 @@ def claim_residuals(system: TransversalSystem) -> dict:
     return {"vertical-derivative": worst_v, "frame-derivative": worst_e}
 
 
-@dataclass
-class HorizontalField:
-    """Solution of the transversal Jacobi equation on the even subgrid."""
-
-    system: TransversalSystem
-    indices: np.ndarray   # grid indices (even stride)
-    y: np.ndarray         # (n, m) horizontal frame coordinates
-    z: np.ndarray         # (n, m) nabla^h derivative
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.system.geod.times[self.indices]
-
-
-def transversal_integrate(system: TransversalSystem, y0, z0) -> HorizontalField:
-    """Integrate (nabla^h)^2 Y + (R(Y,gamma')gamma')^h - 3 A_t^2 Y = 0.
-
-    State (Y, Z = nabla^h Y) in frame coordinates; the plain derivatives are
-    Y' = Z + A Y and Z' = F(Y) + A Z, integrated with RK4 at double step so
-    every stage sits on a grid node.
-    """
-    g = system.geod
-    y0 = np.asarray(y0, float)
-    z0 = np.asarray(z0, float)
-    if np.linalg.norm(system.p_v[0] @ y0) > 1e-8 * max(1.0, np.linalg.norm(y0)):
-        raise TransversalError("initial value must be horizontal")
-    m = g.dim
-
-    def gen(ks):
-        a = system.a[ks]
-        return _pair_generator(3 * a @ a - system.p_h[ks] @ g.curvature, a)
-
-    idx = np.arange(0, g.times.shape[0], 2)
-    steps = _rk4_steps(gen(idx[:-1]), gen(idx[:-1] + 1), gen(idx[1:]), 2 * g.step)
-    states = _propagate(steps, np.concatenate([y0, z0]))
-    return HorizontalField(system, idx, states[:, :m], states[:, m:])
-
-
 def transversal_equation_residual(system: TransversalSystem, y: np.ndarray) -> float:
-    """Sup residual of the transversal Jacobi equation for a field on the grid.
+    """Sup residual of the transversal Jacobi equation for fields on the grid.
 
-    ``y`` holds horizontal frame coordinates per grid point; derivatives are
-    centered differences, so the residual carries an O(h^2) floor.
+    ``y`` is an (n_t, m, n) stack of n fields' horizontal frame coordinates,
+    one column per field; derivatives are centered differences, so the
+    residual carries an O(h^2) floor.
     """
-    g = system.geod
-    h = g.step
-    dy = np.empty_like(y)
-    dy[1:-1] = (y[2:] - y[:-2]) / (2 * h)
-    dy[0] = dy[1]
-    dy[-1] = dy[-2]
-    z = np.einsum("tmn,tn->tm", system.p_h, dy)
-    dz = np.empty_like(z)
-    dz[2:-2] = (z[3:-1] - z[1:-3]) / (2 * h)
-    ddy = np.einsum("tmn,tn->tm", system.p_h, dz)
-    rhs = np.einsum("tmn,tn->tm", system.r_script, y)
-    res = ddy[2:-2] + rhs[2:-2]
+    h = system.geod.step
+    z = system.p_h[1:-1] @ ((y[2:] - y[:-2]) / (2 * h))
+    ddy = system.p_h[2:-2] @ ((z[2:] - z[:-2]) / (2 * h))
+    res = ddy + system.r_script[2:-2] @ y[2:-2]
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def symplectic_form(f1: GridField, f2: GridField) -> np.ndarray:
-    """omega(J1, J2) = <J1', J2> - <J1, J2'> at every grid index."""
-    return np.einsum("tm,tm->t", f1.dy, f2.y) - np.einsum("tm,tm->t", f1.y, f2.dy)
+def symplectic_form(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """omega(J_i, J_j) = <J_i', J_j> - <J_i, J_j'> for every pair of fields.
+
+    ``y`` and ``dy`` are (n_t, m, n) stacks of n fields' frame values and
+    covariant derivatives, one column per field; returns (n_t, n, n).
+    """
+    return np.swapaxes(dy, 1, 2) @ y - np.swapaxes(y, 1, 2) @ dy
 
 
 # ---------------------------------------------------------------------------
@@ -889,20 +831,6 @@ def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int) -> int:
     return int(np.sum(evals < -1e-9 * scale))
 
 
-def index_form_quadrature(system: TransversalSystem, values: np.ndarray) -> float:
-    """I(Z, Z) by trapezoid quadrature for a horizontal field on the grid."""
-    g = system.geod
-    h = g.step
-    dz = np.empty_like(values)
-    dz[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-    dz[0] = (values[1] - values[0]) / h
-    dz[-1] = (values[-1] - values[-2]) / h
-    zprime = np.einsum("tmn,tn->tm", system.p_h, dz)
-    kinetic = np.einsum("tm,tm->t", zprime, zprime)
-    potential = np.einsum("tm,tmn,tn->t", values, system.r_script, values)
-    return float(np.trapezoid(kinetic - potential, g.times))
-
-
 # ---------------------------------------------------------------------------
 # O'Neill check and the rescaling probe
 # ---------------------------------------------------------------------------
@@ -950,6 +878,14 @@ def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
     window = 40 * step
     geod = OrbitGeodesic(rep, manifold, point, x, span=(-window, window), step=step)
     system = transversal_system(geod)
+    # the vertical Jacobi fields are the Killing restrictions; at tiny steps
+    # the 80-step window is so short that more N-Jacobi fields pass the
+    # vertical cut, and A would read as zero
+    killing_span = killing_restrictions(geod).basis.shape[0]
+    if system.rank != killing_span:
+        raise TransversalError(
+            f"vertical rank {system.rank} != Killing span {killing_span} on the "
+            f"O'Neill window at step {step:g}; use a larger step")
     center = system.index_at(0.0)
     y_f = geod.to_frame(center, y)
     a_xy = system.a[center] @ y_f

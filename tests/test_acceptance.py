@@ -16,7 +16,7 @@ from polaris.catalog import catalog_entry, catalog_list, footnote_curve
 from polaris.cli import analyze
 from polaris.liealg import Subspace
 from polaris.symspace import BrokenGeodesicSampler, cartan_hermann_probe
-from polaris.transversal import GridField, OrbitGeodesic, claim_residuals, \
+from polaris.transversal import OrbitGeodesic, claim_residuals, \
     conjugate_scan, discala_olmos_probe, horizontal_frame, lambda_fields, \
     oneill_check, rescale_probe, symplectic_form, \
     transversal_equation_residual, transversal_system, \
@@ -121,7 +121,7 @@ def test_criterion_05_oneill(bundles):
         geod = OrbitGeodesic(bb["rep"], bb["manifold"], bb["basepoint"],
                              bb["direction"], span=bb["span"], step=1e-3)
         system = transversal_system(geod)
-        ranks = geod.orbit_rank_profile()
+        ranks = system.orbit_rank
         regular = ranks == ranks.max()
         regular[:2] = regular[-2:] = False
         worst = float(np.max(np.linalg.norm(system.a[regular], axis=(1, 2))))
@@ -137,11 +137,8 @@ def test_criterion_06_transversal_jacobi(bundles):
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     assert abs(scan.conjugate_points[0][0] - PI / 2) < 1e-4
-    worst = 0.0
-    for y in lambda_fields(geod)[0]:
-        proj = np.einsum("tmn,tn->tm", system.p_h, y)
-        worst = max(worst, transversal_equation_residual(system, proj))
-    assert worst < 1e-6
+    proj = system.p_h @ np.moveaxis(lambda_fields(geod)[0], 0, 2)
+    assert transversal_equation_residual(system, proj) < 1e-6
     claims = claim_residuals(system)
     assert claims["vertical-derivative"] < 1e-6
     assert claims["frame-derivative"] < 1e-6
@@ -169,21 +166,15 @@ def test_criterion_07_symplectic(bundles):
             d = linalg.complement(rows, b["rep"].space_dim)[0]
         geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                              span=(0.0, PI), step=1e-3)
-        fields = [GridField(geod, y, dy) for y, dy in zip(*lambda_fields(geod))]
-        for i, f1 in enumerate(fields):
-            for f2 in fields[i:]:
-                w = symplectic_form(f1, f2)
-                assert np.max(w) - np.min(w) < 1e-8, name
-                assert np.max(np.abs(w)) < 1e-10, name       # Lagrangian
+        y, dy = (np.moveaxis(x, 0, 2) for x in lambda_fields(geod))
+        w = symplectic_form(y, dy)                  # every pair of fields
+        assert np.max(np.ptp(w, axis=0)) < 1e-8, name
+        assert np.max(np.abs(w)) < 1e-10, name      # Lagrangian
         system = transversal_system(geod)
-        for c1 in system.upsilon_coeffs:
-            for c2 in system.upsilon_coeffs:
-                y1 = np.einsum("f,ftm->tm", c1, system.lambda_values)
-                dy1 = np.einsum("f,ftm->tm", c1, system.lambda_derivs)
-                y2 = np.einsum("f,ftm->tm", c2, system.lambda_values)
-                dy2 = np.einsum("f,ftm->tm", c2, system.lambda_derivs)
-                w = np.einsum("tm,tm->t", dy1, y2) - np.einsum("tm,tm->t", y1, dy2)
-                assert np.max(np.abs(w)) < 1e-10, name       # isotropic
+        ups = system.upsilon_coeffs
+        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, system.lambda_values),
+                            np.einsum("rf,ftm->tmr", ups, system.lambda_derivs))
+        assert np.max(np.abs(w), initial=0.0) < 1e-10, name   # isotropic
     report(7, "symplectic form on Jacobi fields")
 
 

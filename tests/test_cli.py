@@ -190,6 +190,21 @@ def test_catalog_entries_reconstruct_and_validate():
             bundle["pair"].validate()
 
 
+def test_catalog_shares_pairs_but_not_bundles():
+    entry = catalog_entry("hermann_su3")
+    first, second = entry.build(), entry.build()
+    pair = first["pair"]
+    assert second["pair"] is pair
+    for arr in (pair.algebra.structure, pair.algebra.inner, pair.involution,
+                pair.k.basis, pair.p.basis):
+        assert not arr.flags.writeable
+    first["pair"] = None
+    first["subalgebra"] = None
+    third = entry.build()
+    assert third is not first and third["pair"] is pair
+    assert third["subalgebra"] is not None
+
+
 # -- analyze + emit -----------------------------------------------------------------
 
 def test_analyze_hopf_oneill_near_four(bundles):

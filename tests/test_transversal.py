@@ -8,12 +8,11 @@ import polaris as pl
 from polaris import linalg, transversal
 from polaris.cli import analyze
 from polaris.symspace import ModelManifold
-from polaris.transversal import GridField, OrbitGeodesic, TransversalError, \
+from polaris.transversal import OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    horizontal_frame, index_form_quadrature, jacobi_integrate, \
-    killing_restrictions, lambda_fields, n_jacobi_space, oneill_check, \
-    rescale_probe, shape_operator, symplectic_form, \
-    transversal_equation_residual, transversal_integrate, transversal_system, \
+    horizontal_frame, jacobi_integrate, killing_restrictions, lambda_fields, \
+    n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
+    symplectic_form, transversal_equation_residual, transversal_system, \
     variational_completeness_probe
 from polaris.transversal import _basis_modes, _golden_min, _propagate, _rk4_steps
 
@@ -28,6 +27,16 @@ def geod_for(bundles, name, span=(0.0, PI), step=1e-3, direction=None):
         d = linalg.complement(rows, b["rep"].space_dim)[0]
     return OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                          span=span, step=step)
+
+
+def ambient(geod, y):
+    """Ambient vectors of a field's frame coordinates y, (n_t, m)."""
+    return np.einsum("tdm,tm->td", geod.frames, y)
+
+
+def columns(fields):
+    """(n_fields, n_t, m) field stacks as (n_t, m, n_fields) column stacks."""
+    return np.moveaxis(fields, 0, 2)
 
 
 def rotation_rep_r2():
@@ -119,8 +128,7 @@ def test_flat_fields_are_linear(bundles):
     geod = geod_for(bundles, "su2_adjoint")
     j0 = np.array([0.3, -0.1, 0.44])
     dj0 = np.array([-0.2, 0.9, 0.1])
-    f = jacobi_integrate(geod, j0, dj0)
-    amb = f.ambient()
+    amb = ambient(geod, jacobi_integrate(geod, j0, dj0)[0])
     expect = j0[None, :] + geod.times[:, None] * dj0[None, :]
     assert np.max(np.abs(amb - expect)) < 1e-10
 
@@ -128,8 +136,7 @@ def test_flat_fields_are_linear(bundles):
 def test_sphere_field_sin_times_parallel(bundles):
     geod = geod_for(bundles, "hopf_s1_s3")
     w = np.array([0.0, 1.0, 0.0, 0.0])          # unit, perp to gamma'(0) and p
-    f = jacobi_integrate(geod, np.zeros(4), w)
-    amb = f.ambient()
+    amb = ambient(geod, jacobi_integrate(geod, np.zeros(4), w)[0])
     expect = np.sin(geod.times)[:, None] * w[None, :]
     assert np.max(np.abs(amb - expect)) < 1e-10
 
@@ -138,9 +145,9 @@ def test_closed_form_vs_rk4(bundles):
     for name in ("hopf_s1_s3", "so3_s2xs2"):
         geod = geod_for(bundles, name, span=(0.0, 1.5), step=1e-3)
         j0, dj0 = n_jacobi_space(geod)
-        a = jacobi_integrate(geod, j0[0], dj0[0])
-        b = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
-        assert np.max(np.abs(a.y - b.y)) < 1e-8
+        a, _ = jacobi_integrate(geod, j0[0], dj0[0])
+        b, _ = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
+        assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_rk4_steps_match_stagewise_rk4():
@@ -208,9 +215,9 @@ def test_propagate_matches_per_step_loop(n, d, cols, broadcast, seed):
 def test_rk4_on_an_empty_span_keeps_the_start(bundles):
     geod = geod_for(bundles, "hopf_s1_s3", span=(0.0, 0.0))
     j0, dj0 = n_jacobi_space(geod)
-    field = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
-    assert field.y.shape == (1, geod.dim)
-    assert np.array_equal(field.y[0], geod.to_frame(0, j0[0]))
+    y, _ = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
+    assert y.shape == (1, geod.dim)
+    assert np.array_equal(y[0], geod.to_frame(0, j0[0]))
 
 
 def test_grid_evaluator_matches_jacobi_integrate(bundles):
@@ -218,9 +225,9 @@ def test_grid_evaluator_matches_jacobi_integrate(bundles):
         geod = geod_for(bundles, name)
         grid, dgrid = lambda_fields(geod)
         for j, (j0, dj0) in enumerate(zip(*n_jacobi_space(geod))):
-            field = jacobi_integrate(geod, j0, dj0)
-            assert np.max(np.abs(grid[j] - field.y)) < 1e-12, name
-            assert np.max(np.abs(dgrid[j] - field.dy)) < 1e-12, name
+            y, dy = jacobi_integrate(geod, j0, dj0)
+            assert np.max(np.abs(grid[j] - y)) < 1e-12, name
+            assert np.max(np.abs(dgrid[j] - dy)) < 1e-12, name
 
 
 def test_product_fields_solve_blockwise(bundles):
@@ -228,8 +235,7 @@ def test_product_fields_solve_blockwise(bundles):
     # an initial value supported on the second factor stays there
     w = np.zeros(6)
     w[5] = 1.0
-    f = jacobi_integrate(geod, w, np.zeros(6))
-    amb = f.ambient()
+    amb = ambient(geod, jacobi_integrate(geod, w, np.zeros(6))[0])
     assert np.max(np.abs(amb[:, :3])) < 1e-10
 
 
@@ -464,11 +470,19 @@ def test_a_vanishes_for_polar_entries(bundles):
     for name in ("su2_adjoint", "so3_sym_traceless", "so3_s2xs2", "so2_s2"):
         geod = geod_for(bundles, name)
         system = transversal_system(geod)
-        ranks = geod.orbit_rank_profile()
+        ranks = system.orbit_rank
         regular = ranks == ranks.max()
         regular[:2] = regular[-2:] = False       # one-sided stencils
         worst = float(np.max(np.linalg.norm(system.a[regular], axis=(1, 2))))
         assert worst < 2e-6, name
+
+
+@pytest.mark.parametrize("step", [1e-3, 2.5e-4])
+def test_orbit_rank_matches_svd_rank(bundles, step):
+    for name in GEODESIC_FIXTURES:
+        geod = geod_for(bundles, name, step=step)
+        want = linalg.svd_rank(geod.rep.tangent_rows(geod.gamma))
+        assert np.array_equal(transversal_system(geod).orbit_rank, want), name
 
 
 def test_hopf_a_norm_one(bundles):
@@ -623,42 +637,16 @@ def test_claims_hold_on_hopf(bundles):
 
 def test_projected_fields_satisfy_transversal_equation(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
-    worst = 0.0
-    for y in lambda_fields(system.geod)[0]:
-        proj = np.einsum("tmn,tn->tm", system.p_h, y)
-        worst = max(worst, transversal_equation_residual(system, proj))
-    assert worst < 1e-6
+    proj = system.p_h @ columns(lambda_fields(system.geod)[0])
+    assert transversal_equation_residual(system, proj) < 1e-6
 
 
-def test_transversal_reduces_to_jacobi_for_trivial_action():
-    rep = pl.OrthogonalRep(pl.build_classical("torus", 1),
-                           np.zeros((1, 3, 3)), 3, name="trivial")
-    geod = OrbitGeodesic(rep, ModelManifold("euclidean", 3),
-                         np.array([1.0, 0, 0]), np.array([0.0, 1.0, 0]),
-                         span=(0.0, 2.0))
-    system = transversal_system(geod)
-    y0 = np.array([0.0, 0, 1.0])
-    f = transversal_integrate(system, np.zeros(3), geod.to_frame(0, y0))
-    expect = f.times[:, None] * geod.to_frame(0, y0)[None, :]
-    assert np.max(np.abs(f.y - expect)) < 1e-9
-
-
-def test_hopf_base_conjugate_time(bundles):
+def test_transversal_residual_takes_the_worst_column(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
-    geod = system.geod
-    z0 = system.p_h[0] @ geod.to_frame(0, np.array([0.0, 0, 0, 1.0]))
-    f = transversal_integrate(system, np.zeros(3), z0)
-    # read the solution in the moving nabla^h-parallel frame, where it is a
-    # scalar multiple of a fixed direction
-    frame = horizontal_frame(system)
-    coeff0 = z0 @ frame[0]
-    coeff0 /= np.linalg.norm(coeff0)
-    comp = np.einsum("tm,tmq,q->t", f.y, frame[f.indices], coeff0)
-    ts = f.times
-    idx = np.where((np.sign(comp[1:]) != np.sign(comp[:-1])) & (ts[1:] > 0.5))[0]
-    t_zero = ts[idx[0]] - comp[idx[0]] * (ts[idx[0] + 1] - ts[idx[0]]) \
-        / (comp[idx[0] + 1] - comp[idx[0]])
-    assert abs(t_zero - PI / 2) < 1e-4
+    proj = system.p_h @ columns(lambda_fields(system.geod)[0])
+    each = [transversal_equation_residual(system, proj[:, :, j:j + 1])
+            for j in range(proj.shape[2])]
+    assert abs(transversal_equation_residual(system, proj) - max(each)) <= 1e-12 * max(each)
 
 
 # -- symplectic structure ---------------------------------------------------------------
@@ -666,35 +654,37 @@ def test_hopf_base_conjugate_time(bundles):
 def test_symplectic_antisymmetry_and_drift(bundles):
     geod = geod_for(bundles, "hopf_s1_s3")
     y, dy = lambda_fields(geod)
-    f0 = GridField(geod, y[0], dy[0])
-    assert np.max(np.abs(symplectic_form(f0, f0))) < 1e-14
     j0, dj0 = (x[0] for x in n_jacobi_space(geod))
     other = jacobi_integrate(geod, dj0 if np.linalg.norm(dj0) else
                              geod.normal_basis[0], j0)
-    w = symplectic_form(f0, other)
-    assert np.max(w) - np.min(w) < 1e-8
+    w = symplectic_form(np.stack([y[0], other[0]], axis=2),
+                        np.stack([dy[0], other[1]], axis=2))
+    assert w.shape == (geod.times.shape[0], 2, 2)
+    assert np.max(np.abs(w + np.swapaxes(w, 1, 2))) < 1e-14
+    assert np.max(np.abs(w[:, 0, 0])) < 1e-14
+    assert np.max(w[:, 0, 1]) - np.min(w[:, 0, 1]) < 1e-8
 
 
 def test_lambda_lagrangian_upsilon_isotropic(bundles):
     for name in ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                  "hopf_s1_s3", "so2_s2", "so3_s2xs2"):
         geod = geod_for(bundles, name)
-        fields = [GridField(geod, y, dy) for y, dy in zip(*lambda_fields(geod))]
-        worst = 0.0
-        for i, f1 in enumerate(fields):
-            for f2 in fields[i:]:
-                worst = max(worst, float(np.max(np.abs(symplectic_form(f1, f2)))))
-        assert worst < 1e-10, name
+        y, dy = lambda_fields(geod)
+        assert np.max(np.abs(symplectic_form(columns(y), columns(dy)))) < 1e-10, name
         system = transversal_system(geod)
         ups = system.upsilon_coeffs
-        for c1 in ups:
-            for c2 in ups:
-                y1 = np.einsum("f,ftm->tm", c1, system.lambda_values)
-                dy1 = np.einsum("f,ftm->tm", c1, system.lambda_derivs)
-                y2 = np.einsum("f,ftm->tm", c2, system.lambda_values)
-                dy2 = np.einsum("f,ftm->tm", c2, system.lambda_derivs)
-                w = np.einsum("tm,tm->t", dy1, y2) - np.einsum("tm,tm->t", y1, dy2)
-                assert np.max(np.abs(w)) < 1e-10
+        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, system.lambda_values),
+                            np.einsum("rf,ftm->tmr", ups, system.lambda_derivs))
+        assert np.max(np.abs(w), initial=0.0) < 1e-10, name
+
+
+def test_symplectic_form_matches_pairwise_products(bundles):
+    y, dy = lambda_fields(geod_for(bundles, "so3_s2xs2"))
+    w = symplectic_form(columns(y), columns(dy))
+    for i in range(y.shape[0]):
+        for j in range(y.shape[0]):
+            pair = np.einsum("tm,tm->t", dy[i], y[j]) - np.einsum("tm,tm->t", y[i], dy[j])
+            assert np.max(np.abs(w[:, i, j] - pair)) < 1e-14
 
 
 # -- Morse-Sturm scan --------------------------------------------------------------------
@@ -719,26 +709,6 @@ def test_scan_hopf_conjugate_and_index(bundles):
     assert report.sturm_consistent
 
 
-def test_bump_field_negative_index(bundles):
-    geod = geod_for(bundles, "hopf_s1_s3", span=(0.0, 3.0))
-    system = transversal_system(geod)
-    frame = horizontal_frame(system)
-    gp = system.p_h[0] @ system.gamma_coords(0)
-    gp /= np.linalg.norm(gp)
-    col = None
-    for c in frame[0].T:
-        c2 = c - (c @ gp) * gp
-        if np.linalg.norm(c2) > 0.5:
-            col = c2 / np.linalg.norm(c2)
-            break
-    coeff = col @ frame[0]
-    z0 = np.einsum("tmq,q->tm", frame, coeff)
-    t = geod.times
-    phi = np.clip(np.minimum(t, 3.0 - t), 0.0, 1.0)
-    val = index_form_quadrature(system, phi[:, None] * z0)
-    assert val < 0.0
-
-
 # -- O'Neill and rescaling ----------------------------------------------------------------
 
 def test_oneill_hopf(bundles):
@@ -748,6 +718,18 @@ def test_oneill_hopf(bundles):
     assert abs(report.k_star_estimate - 4.0) < 1e-2
     assert abs(report.k_star_formula - 4.0) < 1e-6
     assert abs(report.a_norm_sq - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("step", [4e-8, 3e-8])
+def test_oneill_rejects_a_window_too_short_for_the_vertical_cut(bundles, step):
+    # on the +-40-step window every N-Jacobi field passes the vertical cut
+    # at these steps, which would make A vanish and K* read as K
+    b = bundles["hopf_s1_s3"]
+    x, y = b["horizontal_pair"]
+    with pytest.raises(TransversalError, match="Killing span 1"):
+        oneill_check(b["rep"], b["manifold"], b["basepoint"], x, y, step=step)
+    (rec,) = analyze("hopf_s1_s3", ["oneill"], step=step).records
+    assert rec.status == "error" and "vertical rank" in rec.value["reason"]
 
 
 def test_oneill_polar_entry_no_correction(bundles):
