@@ -7,7 +7,7 @@ from .linalg import IndeterminateVerdict
 from .polarity import (OrthogonalRep, PolarityVerdict, cohomogeneity,
                        find_regular_point, is_hyperpolar_homogeneous,
                        is_polar_homogeneous, is_polar_rep, orbifold_point_test,
-                       slice_rep)
+                       slice_polarity, slice_rep)
 from .symspace import (BrokenGeodesicSampler, ModelManifold, SymmetricPair,
                        cartan_decompose, cartan_hermann_probe,
                        curvature_operator, involution_from_matrix_map,

@@ -30,7 +30,7 @@ from .catalog import CatalogEntry, catalog_entry, catalog_list
 from .liealg import LieAlgebra, LieAlgebraError, Subspace
 from .polarity import OrthogonalRep, PolarityError, _check_ad_invariant, \
     _check_subalgebra, cohomogeneity, is_hyperpolar_homogeneous, \
-    is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_rep
+    is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_polarity
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
@@ -265,16 +265,17 @@ def _manifold(man, space_dim: int) -> ModelManifold:
     if kind not in ("euclidean", "sphere", "unit-sphere", "product-spheres"):
         raise ModelError(f"manifold: expected an object whose kind is euclidean, "
                          f"sphere or product-spheres, got {man!r}")
-    if kind != "product-spheres":
-        return ModelManifold("euclidean" if kind == "euclidean" else "sphere", space_dim)
-    radii = _array(man.get("radii", (1.0, 1.0)), "manifold.radii", shape=(2,))
-    split = man.get("split", [space_dim // 2, space_dim - space_dim // 2])
-    if not (isinstance(split, list) and len(split) == 2
-            and all(_is_int(d) and d > 0 for d in split)):
-        raise ModelError(f"manifold.split: expected two positive integers, got {split!r}")
+    if kind == "product-spheres":
+        radii = _array(man.get("radii", (1.0, 1.0)), "manifold.radii", shape=(2,))
+        split = man.get("split", [space_dim // 2, space_dim - space_dim // 2])
+        if not (isinstance(split, list) and len(split) == 2
+                and all(_is_int(d) and d > 0 for d in split)):
+            raise ModelError(f"manifold.split: expected two positive integers, got {split!r}")
+        args = {"radii": tuple(radii.tolist()), "split": tuple(split)}
+    else:
+        kind, args = "euclidean" if kind == "euclidean" else "sphere", {}
     try:
-        return ModelManifold("product-spheres", space_dim, radii=tuple(radii.tolist()),
-                             split=tuple(split))
+        return ModelManifold(kind, space_dim, **args)
     except SymmetricSpaceError as exc:
         raise ModelError(f"manifold: {exc}") from exc
 
@@ -345,39 +346,29 @@ def _check_cohomogeneity(bundle, seed, tol, step, geodesic):
 
 
 def _sample_points(rep, seed, points):
-    """Seeded points of the model space (unit vectors for sphere actions)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(points):
-        p = rng.standard_normal(rep.space_dim)
-        yield p / np.linalg.norm(p) if rep.restrict_to_sphere else p
+    """A (points, D) stack of seeded points of the model space (unit vectors
+    for sphere actions)."""
+    p = np.random.default_rng(seed).standard_normal((points, rep.space_dim))
+    return p / np.linalg.norm(p, axis=-1, keepdims=True) if rep.restrict_to_sphere else p
 
 
 def _check_slice_scan(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     rep = _linear_rep(bundle, "slice-scan")
-    worst = 0.0
-    ok = True
-    for p in _sample_points(rep, seed, SLICE_SCAN_POINTS):
-        v = is_polar_rep(slice_rep(rep, p), seed, tol)
-        worst = max(worst, v.residual)
-        ok = ok and v.polar
-    return ok, {"points": SLICE_SCAN_POINTS}, worst, tol
+    verdicts = slice_polarity(rep, _sample_points(rep, seed, SLICE_SCAN_POINTS), seed, tol)
+    worst = max([0.0, *(v.residual for v in verdicts)])
+    return all(v.polar for v in verdicts), {"points": SLICE_SCAN_POINTS}, worst, tol
 
 
 def _check_orbifold_points(bundle, seed, tol, step, geodesic):
     tol = tol or 1e-8
     rep = _linear_rep(bundle, "orbifold-points")
-    worst = 0.0
-    sampled_ok = True
-    for p in _sample_points(rep, seed, ORBIFOLD_POINTS):
-        res = orbifold_point_test(rep, p, seed, tol)
-        worst = max(worst, res.residual)
-        sampled_ok = sampled_ok and res.ok
-    designated = {}
-    for name, point in (bundle.get("orbifold_points") or {}).items():
-        res = orbifold_point_test(rep, point, seed, tol)
-        worst = max(worst, res.residual)
-        designated[name] = res.ok
+    named = bundle.get("orbifold_points") or {}
+    points = np.vstack([_sample_points(rep, seed, ORBIFOLD_POINTS), *named.values()])
+    results = orbifold_point_test(rep, points, seed, tol)
+    worst = max([0.0, *(r.residual for r in results)])
+    sampled_ok = all(r.ok for r in results[:ORBIFOLD_POINTS])
+    designated = {name: r.ok for name, r in zip(named, results[ORBIFOLD_POINTS:])}
     verdict = sampled_ok if not designated else \
         {"sampled": sampled_ok, "designated": designated}
     return verdict, {"points": ORBIFOLD_POINTS}, worst, tol

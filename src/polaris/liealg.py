@@ -147,14 +147,28 @@ class LieAlgebra:
         ``CLOSURE_TOL``.  Not validated: callers pick the Jacobi tolerance.
         """
         basis = np.asarray(basis, dtype=float)
-        br = self.bracket(basis[:, None], basis[None])
-        res = float(np.max(linalg.span_residual(basis, br, self.inner), initial=0.0))
+        structure, res = self.restricted_structure(basis)
         if res > CLOSURE_TOL:
             raise LieAlgebraError(f"basis not closed under the bracket (residual {res:.2e})")
         realization = None
         if self.realization is not None and len(basis):
             realization = tuple(self.realize(b) for b in basis)
-        return LieAlgebra(name, br @ self.inner @ basis.T, np.eye(len(basis)), realization)
+        return LieAlgebra(name, structure, np.eye(len(basis)), realization)
+
+    def restricted_structure(self, basis: np.ndarray):
+        """Structure constants of span(``basis``) in that basis, and how far
+        the span is from closed under the bracket.
+
+        ``basis`` is an inner-orthonormal (m, dim) basis or an (..., m, dim)
+        stack of them.  Returns the (..., m, m, m) constants, from the
+        projection of every basis bracket onto the span, and the (...)
+        largest distance of a basis bracket from its span.
+        """
+        rows = basis[..., None, :, :]
+        br = self.bracket(basis[..., :, None, :], rows)
+        structure = br @ self.inner @ np.swapaxes(rows, -1, -2)
+        res = linalg.gram_norm(br - structure @ rows, self.inner)
+        return structure, np.max(res, axis=(-2, -1), initial=0.0)
 
     # -- realization helpers -------------------------------------------------
 

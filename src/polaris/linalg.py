@@ -11,15 +11,17 @@ orthogonal to rows 0..i-1, which fixes basis conventions (the cyclic su(2)
 basis of ``build_classical``, say) and keeps witness vectors reproducible
 run to run.  The stacked kernels take an (..., k, n) stack of matrices and
 answer for every matrix at once: ``svd_rank`` from one stacked SVD;
-``orthonormalize_stack`` from one stacked QR whose signs are fixed so that
-diag R > 0, which makes its rows the ones modified Gram-Schmidt gives for
-a full-rank matrix, to rounding; ``row_space_stack`` from one stacked SVD
-or, for matrices of at most three short rows such as a geodesic grid's
-orbit tangent spans, where LAPACK's per-matrix overhead dominates, from
-one-sided Jacobi rotations vectorised over the stack, with the same rank
-cut.  ``gram_norm``, ``project_span`` and ``span_residual`` also take an
-(..., n) stack of vectors.  Principal angles come from cosines and sines
-together, so angles below the square root of rounding are not lost.
+``svd_bases``, the rank and both null spaces, from one stacked SVD, of
+which ``kernel`` is the one-matrix case; ``orthonormalize_stack`` from one
+stacked QR whose signs are fixed so that diag R > 0, which makes its rows
+the ones modified Gram-Schmidt gives for a full-rank matrix, to rounding;
+``row_space_stack`` from one stacked SVD or, for matrices of at most three
+short rows such as a geodesic grid's orbit tangent spans, where LAPACK's
+per-matrix overhead dominates, from one-sided Jacobi rotations vectorised
+over the stack, with the same rank cut.  ``gram_norm``, ``project_span``
+and ``span_residual`` also take an (..., n) stack of vectors.  Principal
+angles come from cosines and sines together, so angles below the square
+root of rounding are not lost.
 """
 
 from __future__ import annotations
@@ -229,14 +231,29 @@ def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
     return np.swapaxes(q, -1, -2)
 
 
+def svd_bases(a: np.ndarray, rtol: float = RANK_RTOL):
+    """Rank and both singular bases of every matrix of an (..., k, n) stack,
+    from one stacked SVD.
+
+    Returns ``(rank, left, right)``: ``left`` (..., k, k) and ``right``
+    (..., n, n) hold the left and right singular vectors as rows, so rows
+    ``rank:`` of ``left`` span the null space of the transpose and rows
+    ``rank:`` of ``right`` the null space of the matrix.  A zero matrix gets
+    identities and rank 0.
+    """
+    a = np.asarray(a, dtype=float)
+    u, s, vh = np.linalg.svd(a)
+    zero = ~np.any(a, axis=(-2, -1))[..., None, None]
+    left = np.where(zero, np.eye(a.shape[-2]), np.swapaxes(u, -1, -2))
+    right = np.where(zero, np.eye(a.shape[-1]), vh)
+    return np.count_nonzero(_rank_mask(s, rtol), axis=-1), left, right
+
+
 def kernel(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal rows spanning the null space of ``a`` (standard metric):
     the right singular vectors past the rank; a zero ``a`` gives the identity."""
-    a = as_matrix(a)
-    if not np.any(a):
-        return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
-    return vh[np.count_nonzero(_rank_mask(s, rtol)):]
+    rank, _, right = svd_bases(as_matrix(a), rtol)
+    return right[rank:]
 
 
 def complement(rows, ambient_dim: int) -> np.ndarray:

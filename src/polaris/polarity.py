@@ -11,6 +11,16 @@ bracket tests (see ``liealg``).  Every witness is the first entry, in
 lexicographic order, within rounding of the largest (``linalg.first_max``).
 The regular point and the regular conjugate of h are each the first of
 ``REGULAR_DRAWS`` seeded draws of maximal rank, all ranked by one stacked SVD.
+
+The slice scans build and test the slice representations at a whole stack
+of points in one pass: one stacked SVD of the orbit-tangent rows gives
+every point's orbit rank, isotropy and normal space; points of one orbit
+type (orbit rank, slice dimension) share their shapes, so each such group
+is orthonormalised, checked for closure, conjugated onto its slices and
+tested in stacked calls, with one regular-point search per slice over
+draws shared by every slice of that dimension.  ``slice_rep`` is the
+one-point case of that construction and ``is_polar_rep`` the
+one-representation case of that test.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .liealg import CheckResult, LieAlgebra, LieAlgebraError, Subspace, \
+from .liealg import CLOSURE_TOL, CheckResult, LieAlgebra, Subspace, \
     commutator_residual, is_abelian_subspace, is_lie_triple_system
 from .linalg import SPAN_TOL
 from .symspace import SymmetricPair
@@ -99,21 +109,65 @@ class PolarityVerdict:
         return self.polar
 
 
+def _regular_draws(generators: np.ndarray, seed: int):
+    """First of ``REGULAR_DRAWS`` seeded draws of maximal orbit rank, for
+    every generator set of a (p, k, d, d) stack.
+
+    The draws in R^d are the same for every set, and one stacked SVD ranks
+    them all.  Returns the (p, d) winners and their (p,) ranks.
+    """
+    draws = np.random.default_rng(seed).standard_normal(
+        (REGULAR_DRAWS, generators.shape[-1]))
+    ranks = linalg.svd_rank(np.einsum("...iab,wb->...wia", generators, draws))
+    best = np.argmax(ranks, axis=-1)
+    return draws[best], np.take_along_axis(ranks, best[:, None], -1)[:, 0]
+
+
 def find_regular_point(rep: OrthogonalRep, seed: int = 0) -> np.ndarray:
     """Seeded point of maximal orbit-tangent rank among ``REGULAR_DRAWS`` samples.
 
-    One stacked SVD ranks them all and the first of maximal rank wins; rank
-    is scale-invariant, so a sphere action normalises only the winner.
+    The first of maximal rank wins; rank is scale-invariant, so a sphere
+    action normalises only the winner.
     """
-    draws = np.random.default_rng(seed).standard_normal((REGULAR_DRAWS, rep.space_dim))
-    best = draws[np.argmax(linalg.svd_rank(rep.tangent_rows(draws)))]
+    best = _regular_draws(rep.generators[None], seed)[0][0]
     return best / np.linalg.norm(best) if rep.restrict_to_sphere else best
 
 
 def cohomogeneity(rep: OrthogonalRep, seed: int = 0) -> int:
-    p = find_regular_point(rep, seed)
-    c = rep.space_dim - rep.orbit_rank(p)
+    """Codimension of a regular orbit, read off the rank that chose the regular point."""
+    c = rep.space_dim - int(_regular_draws(rep.generators[None], seed)[1][0])
     return c - 1 if rep.restrict_to_sphere else c
+
+
+def _pairings(generators: np.ndarray, rows: np.ndarray):
+    """Section candidates and their pairings for a (p, k, d, d) stack of
+    generator sets, from the (p, k, d) orbit-tangent rows at a regular
+    point of each.
+
+    Returns ``(rank, basis, pair, worst)``: rows ``rank:`` of each (d, d)
+    ``basis`` span the candidate, the normal space of the orbit;
+    ``pair[:, i, a, b] = <A_i v_a, v_b>`` over all rows of the basis; and
+    ``worst`` is the largest |pair| over pairs of candidate rows.
+    """
+    rank, _, basis = linalg.svd_bases(rows)
+    pair = basis[:, None] @ generators @ np.swapaxes(basis, -1, -2)[:, None]
+    inside = np.arange(basis.shape[-1]) >= rank[:, None]
+    mask = inside[:, None, :, None] & inside[:, None, None, :]
+    worst = np.max(np.abs(pair), axis=(1, 2, 3), where=mask, initial=0.0)
+    return rank, basis, pair, worst
+
+
+def _verdict(rank, basis, pair, worst, tol, sphere, name) -> PolarityVerdict:
+    """The verdict on one candidate of ``_pairings``."""
+    section = basis[rank:]
+    cohom = section.shape[0] - (1 if sphere else 0)
+    worst = float(worst)
+    if linalg.robust_failure(worst, tol, "polar pairing test"):
+        i, a, b = linalg.first_max(np.abs(pair[:, rank:, rank:]))
+        witness = (i, section[a].copy(), section[b].copy(),
+                   float(pair[i, rank + a, rank + b]))
+        return PolarityVerdict(False, cohom, None, witness, worst, tol)
+    return PolarityVerdict(True, cohom, Subspace(f"{name}:V", section), None, worst, tol)
 
 
 def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
@@ -122,66 +176,134 @@ def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
 
     The candidate section is the normal space of the orbit of a regular
     point; by bilinearity it is orthogonal to every orbit it meets exactly
-    when <A_i v, w> vanishes for all generators and basis pairs v, w.
+    when <A_i v, w> vanishes for all generators and basis pairs v, w.  This
+    is the one-representation case of the stacked test that the slice scans
+    run on every slice at once.
     """
-    section = linalg.kernel(rep.tangent_rows(find_regular_point(rep, seed)))
-    pair = section @ rep.generators @ section.T          # pair[i, a, b] = <A_i v_a, v_b>
-    size = np.abs(pair)
-    worst = float(np.max(size, initial=0.0))
-    cohom = section.shape[0] - (1 if rep.restrict_to_sphere else 0)
-    if linalg.robust_failure(worst, tol, "polar pairing test"):
-        i, a, b = linalg.first_max(size)
-        witness = (i, section[a].copy(), section[b].copy(), float(pair[i, a, b]))
-        return PolarityVerdict(False, cohom, None, witness, worst, tol)
-    return PolarityVerdict(True, cohom, Subspace(f"{rep.name}:V", section),
-                           None, worst, tol)
+    rows = rep.tangent_rows(find_regular_point(rep, seed))
+    rank, basis, pair, worst = _pairings(rep.generators[None], rows[None])
+    return _verdict(rank[0], basis[0], pair[0], worst[0], tol, rep.restrict_to_sphere,
+                    rep.name)
 
 
-def isotropy_subalgebra(rep: OrthogonalRep, point: np.ndarray) -> np.ndarray:
-    """Coordinate rows spanning {X : X . point = 0}, orthonormal in the metric."""
-    rows = rep.tangent_rows(point)           # row i = A_i point
-    coeffs = linalg.kernel(rows.T)           # combos annihilating the point
-    return linalg.orthonormalize(coeffs, rep.algebra.inner)
+def _slices(rep: OrthogonalRep, points: np.ndarray):
+    """Slice representations at every point of a (P, D) stack, by orbit type.
+
+    One stacked SVD of the orbit-tangent rows gives every point's orbit
+    rank, its isotropy coefficients (the left null rows) and, off the
+    sphere, its normal space (the right null rows); on a sphere action the
+    normal space comes from a second stacked SVD with the radial row added.
+    Points of one (orbit rank, slice dimension) share their shapes, and
+    each such group is orthonormalised, checked for closure and conjugated
+    onto its normal spaces in stacked calls.
+
+    Returns ``(errors, groups)``: ``errors[j]`` is the ``PolarityError``
+    that point j raises, or None; a group is ``(index, isotropy, gens)``,
+    the positions of its points in the stack, their (p, m, n) isotropy rows,
+    orthonormal in the algebra's metric, and their (p, m, d, d) slice
+    generators.
+    """
+    rows = rep.tangent_rows(points)
+    rank, left, right = linalg.svd_bases(rows)
+    errors = [None] * len(points)
+    normal_rank = rank
+    if rep.restrict_to_sphere:
+        for j in np.flatnonzero(np.linalg.norm(points, axis=-1) < 1e-12):
+            errors[j] = PolarityError("sphere actions need a nonzero base point")
+        normal_rank, _, right = linalg.svd_bases(
+            np.concatenate([rows, points[:, None]], axis=-2))
+    members = {}
+    for j, key in enumerate(zip(rank.tolist(), normal_rank.tolist())):
+        if errors[j] is None:
+            members.setdefault(key, []).append(j)
+    # rows c are orthonormal in the metric G = L L^T exactly when c L are
+    # orthonormal, so one stacked QR of c L orthonormalises them all
+    chol = np.linalg.cholesky(rep.algebra.inner)
+    chol_inv = np.linalg.inv(chol)
+    groups = []
+    for (r, s), index in members.items():
+        index = np.array(index)
+        iso = linalg.orthonormalize_stack(left[index, r:] @ chol) @ chol_inv
+        _, closure = rep.algebra.restricted_structure(iso)
+        for j, res in zip(index, closure):
+            if res > CLOSURE_TOL:
+                errors[j] = PolarityError(f"isotropy candidate: basis not closed under "
+                                          f"the bracket (residual {res:.2e})")
+        normal = right[index, s:]
+        # A subalgebra of a valid algebra satisfies the Jacobi identity, and
+        # the isotropy preserves the normal space, so neither result is validated.
+        gens = normal[:, None] @ np.tensordot(iso, rep.generators, 1) \
+            @ np.swapaxes(normal, -1, -2)[:, None]
+        groups.append((index, iso, gens))
+    return errors, groups
 
 
 def slice_rep(rep: OrthogonalRep, point: np.ndarray) -> OrthogonalRep:
     """Representation of the isotropy algebra on the normal space at ``point``.
 
-    On sphere actions the radial line is removed from the slice.
+    The one-point case of the stacked slice construction of the scans.  On
+    sphere actions the radial line is removed from the slice.
     """
-    point = np.asarray(point, float)
-    if rep.restrict_to_sphere and np.linalg.norm(point) < 1e-12:
-        raise PolarityError("sphere actions need a nonzero base point")
-    iso = isotropy_subalgebra(rep, point)
-    tangent = rep.tangent_rows(point)
-    blocked = tangent
-    if rep.restrict_to_sphere:
-        blocked = np.vstack([tangent, point[None, :]])
-    normal = linalg.kernel(blocked)
-    try:
-        sub = rep.algebra.restrict(iso, f"iso({rep.name})")
-    except LieAlgebraError as exc:
-        raise PolarityError(f"isotropy candidate: {exc}") from exc
-    # A subalgebra of a valid algebra satisfies the Jacobi identity, and the
-    # isotropy preserves the normal space, so neither result is validated.
-    gens = normal @ np.tensordot(iso, rep.generators, 1) @ normal.T
-    return OrthogonalRep(sub, gens, normal.shape[0], False, name=f"slice({rep.name})")
+    errors, groups = _slices(rep, np.asarray(point, float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    (_, iso, gens), = groups
+    sub = rep.algebra.restrict(iso[0], f"iso({rep.name})")
+    return OrthogonalRep(sub, gens[0], gens.shape[-1], False, name=f"slice({rep.name})")
+
+
+def _slice_pairings(rep: OrthogonalRep, points: np.ndarray, seed: int):
+    """Yield, point by point in stack order, the slice cohomogeneity and the
+    ``_pairings`` candidate of the slice representation at each point.
+
+    Every group of ``_slices`` gets one regular-point search over the shared
+    draws and one stacked kernel and pairing.  The error of a point whose
+    slice cannot be built is raised when its turn comes, so a caller that
+    stops at the first exception stops where a loop over points would.
+    """
+    errors, groups = _slices(rep, points)
+    found = [None] * len(points)
+    for index, _, gens in groups:
+        winners, ranks = _regular_draws(gens, seed)
+        rows = np.einsum("...iab,...b->...ia", gens, winners)
+        for j, *pairing in zip(index, gens.shape[-1] - ranks, *_pairings(gens, rows)):
+            found[j] = pairing
+    for error, pairing in zip(errors, found):
+        if error is not None:
+            raise error
+        yield pairing
+
+
+def slice_polarity(rep: OrthogonalRep, points: np.ndarray, seed: int = 0,
+                   tol: float = PAIRING_TOL) -> list:
+    """``is_polar_rep(slice_rep(rep, p), seed, tol)`` at every point of a
+    (P, D) stack, from one stacked pass; raises at the first point, in
+    stack order, at which that call would raise."""
+    name = f"slice({rep.name})"
+    return [_verdict(*pairing, tol, False, name)
+            for _, *pairing in _slice_pairings(rep, np.asarray(points, float), seed)]
 
 
 def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,
-                        tol: float = PAIRING_TOL) -> CheckResult:
+                        tol: float = PAIRING_TOL):
     """Orbit-space orbifold test at a point: is the slice representation polar?
 
-    Short-circuits to true when the slice cohomogeneity is at most two.
+    One point gives a ``CheckResult``, a (P, D) stack a list of them from
+    one stacked pass, raising at the first point that raises.  The slice
+    cohomogeneity comes from the same regular point as the pairing, and a
+    slice of cohomogeneity at most two passes with residual 0.
     """
-    sl = slice_rep(rep, point)
-    c = cohomogeneity(sl, seed)
-    if c <= 2:
-        return CheckResult(True, 0.0, tol, ("slice-cohomogeneity", c))
-    verdict = is_polar_rep(sl, seed, tol)
-    return CheckResult(verdict.polar, verdict.residual, tol,
-                       None if verdict.polar else ("slice-not-polar",) + tuple(
-                           [] if verdict.witness is None else [verdict.witness[0]]))
+    points = np.asarray(point, float)
+    name = f"slice({rep.name})"
+    results = []
+    for c, *pairing in _slice_pairings(rep, np.atleast_2d(points), seed):
+        if c <= 2:
+            results.append(CheckResult(True, 0.0, tol, ("slice-cohomogeneity", int(c))))
+            continue
+        v = _verdict(*pairing, tol, False, name)
+        results.append(CheckResult(v.polar, v.residual, tol,
+                                   None if v.polar else ("slice-not-polar", v.witness[0])))
+    return results[0] if points.ndim == 1 else results
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,8 @@ class ModelManifold:
             r = self.radii or (1.0,)
             if abs(r[0] - 1.0) > 1e-12:
                 raise SymmetricSpaceError("sphere model is the unit sphere")
+            if d < 1:
+                raise SymmetricSpaceError("the unit sphere of R^0 is empty")
             object.__setattr__(self, "radii", (1.0,))
             factors = ((slice(0, d), 1.0),)
         elif self.kind == "product-spheres":

@@ -142,7 +142,7 @@ class OrbitGeodesic:
         self.orbit_tangent = linalg.orthonormalize(rows)
         base = self.frames[self.base_index]
         self.normal_basis = linalg.kernel(self.orbit_tangent @ base) @ base.T
-        self.shape_operator = shape_operator(rep, point, direction, self.orbit_tangent)[0]
+        self.shape_operator = shape_operator(rep, point, direction, self.orbit_tangent)
         self._cache = {}
 
     # -- frame bookkeeping ---------------------------------------------------
@@ -156,18 +156,16 @@ def shape_operator(rep: OrthogonalRep, point, direction,
     """Orbit shape operator S_xi on an orthonormal orbit-tangent basis.
 
     Entries are <grad_{u_a} X_b^*, xi> for Killing fields realising the basis;
-    the matrix is symmetrised and the asymmetry residual returned with it.
-    S_xi is linear in xi, so an (..., D) stack of directions gives an
-    (..., k, k) stack of matrices and an (...) stack of residuals from one
-    contraction.
+    the matrix is symmetric up to rounding, and its symmetric part is
+    returned.  S_xi is linear in xi, so an (..., D) stack of directions
+    gives an (..., k, k) stack of matrices from one contraction.
     """
     rows = rep.tangent_rows(np.asarray(point, float))
     basis = orbit_basis if orbit_basis is not None else linalg.orthonormalize(rows)
     # kill[b, :, a] = X_b u_a, X_b the Killing field realising basis[b]
     kill = np.tensordot(basis @ np.linalg.pinv(rows.T).T, rep.generators, 1) @ basis.T
     s = np.einsum("...x,bxa->...ab", np.asarray(direction, float), kill)
-    st = np.swapaxes(s, -1, -2)
-    return (s + st) / 2, np.max(np.abs(s - st), axis=(-2, -1), initial=0.0)
+    return (s + np.swapaxes(s, -1, -2)) / 2
 
 
 def n_jacobi_space(geod: OrbitGeodesic):
@@ -499,7 +497,7 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     # nondegenerate: on a one-dimensional normal space every draw ties exactly.
     xis = rng.standard_normal((PROBE_DRAWS, normal.shape[0])) @ normal
     xis /= np.linalg.norm(xis, axis=-1, keepdims=True)
-    shapes, _ = shape_operator(rep, point, xis, tangent)
+    shapes = shape_operator(rep, point, xis, tangent)
     scores = np.min(np.abs(np.linalg.eigvalsh(shapes)), axis=-1)
     best, = linalg.first_max(scores)
     if scores[best] < PROBE_MIN_EIG:

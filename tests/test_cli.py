@@ -117,6 +117,9 @@ def su2_pair_doc():
     ({**circle_rep_doc(), "manifold": {"kind": "hyperbolic"}}, "manifold"),
     ({**su2_pair_doc(), "subalgebra": [[1.0, 0, 0], [0, 1.0, 0]]}, "subalgebra"),
     ({**su2_pair_doc(), "inner": [2.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0]}, "inner"),
+    # the unit sphere of R^0 is empty
+    ({"schema": 1, "kind": "representation", "dim": 0, "generators": [],
+      "manifold": {"kind": "sphere"}}, "manifold"),
 ])
 def test_load_rejects_malformed_field_naming_it(doc, field):
     with pytest.raises(ModelError) as err:

@@ -6,8 +6,7 @@ from polaris import linalg
 from polaris.catalog import catalog_list
 from polaris.cli import SLICE_SCAN_POINTS, _sample_points
 from polaris.liealg import Subspace
-from polaris.polarity import PolarityError, isotropy_subalgebra, \
-    regularize_basepoint
+from polaris.polarity import PolarityError, _slices, regularize_basepoint
 
 
 def trivial_rep(space_dim, n_gen=2):
@@ -104,10 +103,12 @@ def test_slice_at_regular_point_is_trivial(bundles):
 def test_slice_adjoint_at_axis_point(bundles):
     rep = bundles["su2_adjoint"]["rep"]
     p = np.array([1.0, 0.0, 0.0])
-    iso = isotropy_subalgebra(rep, p)
-    assert iso.shape[0] == 1
-    assert abs(abs(iso[0] @ p) - 1.0) < 1e-12
     sl = pl.slice_rep(rep, p)
+    # the isotropy algebra is the line through p: its one realization
+    # matrix is +-(the realization of p)
+    assert sl.algebra.dim == 1
+    iso, axis = sl.algebra.realization[0], rep.algebra.realize(p)
+    assert min(np.max(np.abs(iso - axis)), np.max(np.abs(iso + axis))) < 1e-12
     assert sl.space_dim == 1                    # the radial line
     assert np.max(np.abs(sl.generators)) < 1e-12
 
@@ -142,20 +143,25 @@ def test_slice_of_polar_is_polar_50_points(bundles):
 
 
 def test_slice_rep_is_valid_where_the_scans_call_it():
-    # slice_rep does not validate its result, which holds by construction;
-    # check that at the slice-scan points (the orbifold-points scan draws the
-    # first eight of them) and at the designated orbifold points
+    # the stacked slice construction does not validate its result, which
+    # holds by construction; check that on the stacks the scans pass it, the
+    # slice-scan points (the orbifold-points scan draws the first eight of
+    # them) followed by the designated orbifold points
     for entry in catalog_list():
         bundle = entry.build()
         if "rep" not in bundle or bundle["manifold"].kind == "product-spheres":
             continue
         rep = bundle["rep"]
-        points = [*_sample_points(rep, 0, SLICE_SCAN_POINTS),
-                  *(bundle.get("orbifold_points") or {}).values()]
-        for p in points:
-            sl = pl.slice_rep(rep, p)
-            sl.algebra.validate(jacobi_tol=1e-8)
-            sl.validate()
+        points = np.vstack([_sample_points(rep, 0, SLICE_SCAN_POINTS),
+                            *(bundle.get("orbifold_points") or {}).values()])
+        errors, groups = _slices(rep, points)
+        assert errors == [None] * len(points)
+        assert sorted(j for index, _, _ in groups for j in index) == list(range(len(points)))
+        for _, isotropy, gens in groups:
+            for iso, g in zip(isotropy, gens):
+                sl = pl.OrthogonalRep(rep.algebra.restrict(iso, "iso"), g, g.shape[-1])
+                sl.algebra.validate(jacobi_tol=1e-8)
+                sl.validate()
 
 
 def test_sphere_slice_requires_nonzero_point(bundles):

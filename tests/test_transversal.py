@@ -116,10 +116,19 @@ def test_eigenfield_scan_within_the_grid_budget(bundles):
 def test_shape_operator_position_normal(bundles):
     # Euclidean orbit with the outward position normal: S = -(1/|p|) id
     b = bundles["su2_adjoint"]
-    p = b["basepoint"]
-    s, asym = shape_operator(b["rep"], p, p / np.linalg.norm(p))
-    assert asym < 1e-12
+    rep, p = b["rep"], b["basepoint"]
+    xi = p / np.linalg.norm(p)
+    s = shape_operator(rep, p, xi)
     assert np.allclose(s, -np.eye(2) / np.linalg.norm(p), atol=1e-10)
+    # the unsymmetrised matrix <grad_{u_a} X_b^*, xi>, one entry at a time
+    rows = rep.tangent_rows(p)
+    basis = linalg.orthonormalize(rows)
+    pinv = np.linalg.pinv(rows.T)
+    raw = np.array([[(np.einsum("i,iab->ab", pinv @ u_b, rep.generators) @ u_a) @ xi
+                     for u_b in basis] for u_a in basis])
+    asym = np.max(np.abs(raw - raw.T))
+    assert asym < 1e-12
+    assert np.max(np.abs((raw + raw.T) / 2 - s)) < 1e-12
 
 
 # -- Jacobi integration -----------------------------------------------------------
