@@ -7,8 +7,11 @@ check, pass/fail compares against it (that is how the negative fixtures stay
 green in the full-suite run); otherwise a negative verdict fails the run.
 A residual between the pass tolerance and the witness floor makes an
 ``indeterminate`` record carrying the reason, never a traceback, and a
-library error raised by a check (an ambiguous root clustering, say) makes
-an ``error`` record carrying its message.
+library error raised by a check (an ambiguous root clustering, a failed
+LAPACK call) makes an ``error`` record carrying its message.  The checks of
+one call build what they share once: the geodesic per step, the regular
+pairing, the Weyl data and one slice pass.  A build that raises is not kept,
+so each check that needs it still ends in its own record.
 Timing fields are excluded from the determinism contract.
 """
 
@@ -28,9 +31,9 @@ import numpy as np
 from . import linalg
 from .catalog import CatalogEntry, catalog_entry, catalog_list
 from .liealg import LieAlgebra, LieAlgebraError, Subspace
-from .polarity import OrthogonalRep, PolarityError, _check_ad_invariant, \
-    _check_subalgebra, cohomogeneity, is_hyperpolar_homogeneous, \
-    is_polar_homogeneous, is_polar_rep, orbifold_point_test, slice_polarity
+from .polarity import PAIRING_TOL, OrthogonalRep, PolarityError, _check_ad_invariant, \
+    _check_subalgebra, _orbifold_results, _regular_pairing, _slice_pairings, \
+    _slice_verdicts, _verdict, is_hyperpolar_homogeneous, is_polar_homogeneous
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
@@ -43,11 +46,11 @@ from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
 SCHEMA_VERSION = 1
 
 SLICE_SCAN_POINTS = 12      # seeded points whose slice representation is tested
-ORBIFOLD_POINTS = 8         # seeded points of the orbifold-point scan
+ORBIFOLD_POINTS = 8         # the orbifold-point scan's seeded points: the first of those
 REDUCTION_PAIRS = 200       # seeded section pairs of the reduction-isometry check
 # What a check may raise on a model it cannot decide; each becomes an error record.
 LIBRARY_ERRORS = (WeylError, PolarityError, SymmetricSpaceError, TransversalError,
-                  LieAlgebraError)
+                  LieAlgebraError, np.linalg.LinAlgError)
 
 
 class ModelError(ValueError):
@@ -283,9 +286,9 @@ def _manifold(man, space_dim: int) -> ModelManifold:
 # ---------------------------------------------------------------------------
 # check runners
 # ---------------------------------------------------------------------------
-# Each runner takes (bundle, seed, tol, step, geodesic), where geodesic(h) is
-# analyze's per-call memo of _geodesic(bundle, h), and returns
-# (verdict, value, residual, tolerance).
+# Each runner takes (work, tol, step) and returns (verdict, value, residual,
+# tolerance).  work, a _Work, holds what the checks of one analyze call share,
+# each built on first use and kept unless its build raises.
 
 def _need(bundle, key, check):
     if bundle.get(key) is None:
@@ -314,35 +317,71 @@ def _geodesic(bundle, step):
                          span=bundle.get("span", (0.0, float(np.pi))), step=step)
 
 
-def _check_polarity(bundle, seed, tol, step, geodesic):
+class _Work:
+    """The shared intermediates of one ``analyze`` call over ``bundle``."""
+
+    def __init__(self, bundle, seed):
+        self.bundle, self.seed = bundle, seed
+        self.geodesic = functools.cache(functools.partial(_geodesic, bundle))
+
+    @functools.cached_property
+    def pairing(self):
+        """The tolerance-free regular-point pairing of the representation."""
+        return _regular_pairing(self.bundle["rep"], self.seed)
+
+    @functools.cached_property
+    def slices(self):
+        """The slice pass over slice-scan's points, then the designated orbifold points."""
+        rep = self.bundle["rep"]
+        named = self.bundle.get("orbifold_points") or {}
+        points = _sample_points(rep, self.seed, SLICE_SCAN_POINTS)
+        return _slice_pairings(rep, np.vstack([points, *named.values()]), self.seed)
+
+    @functools.cached_property
+    def weyl(self):
+        """Polarity verdict, restricted roots and Weyl group of an s-representation."""
+        rep = _need(self.bundle, "rep", "weyl")
+        srep = self.bundle.get("srep")
+        if srep is None:
+            raise Inapplicable("weyl needs an associated symmetric pair")
+        pair, p_map = srep
+        v = _verdict(self.pairing, PAIRING_TOL, rep.restrict_to_sphere, rep.name)
+        if not v.polar:
+            raise Inapplicable("weyl machinery is restricted to polar s-representations")
+        a = Subspace(pair.algebra.name, v.section.basis @ p_map)
+        roots = restricted_roots(pair, a, self.seed)
+        return v, roots, weyl_group_closure(roots)
+
+
+def _check_polarity(work, tol, step):
     tol = tol or 1e-8
-    if bundle.get("rep") is not None:
-        v = is_polar_rep(_linear_rep(bundle, "polarity"), seed, tol)
+    if work.bundle.get("rep") is not None:
+        rep = _linear_rep(work.bundle, "polarity")
+        v = _verdict(work.pairing, tol, rep.restrict_to_sphere, rep.name)
         value = {"cohomogeneity": v.cohomogeneity}
         if v.witness is not None:
-            value["witness"] = {"generator": v.witness[0],
-                                "pairing": v.witness[3]}
+            value["witness"] = {"generator": v.witness[0], "pairing": v.witness[3]}
         return v.polar, value, v.residual, tol
-    pair = _need(bundle, "pair", "polarity")
-    h = _need(bundle, "subalgebra", "polarity")
-    v = is_polar_homogeneous(pair, h, seed, tol)
+    pair = _need(work.bundle, "pair", "polarity")
+    h = _need(work.bundle, "subalgebra", "polarity")
+    v = is_polar_homogeneous(pair, h, work.seed, tol)
     value = {"cohomogeneity": v.cohomogeneity}
     if v.witness is not None:
         value["witness"] = list(v.witness[:1]) + [float(v.witness[-1])]
     return v.polar, value, v.residual, tol
 
 
-def _check_hyperpolarity(bundle, seed, tol, step, geodesic):
+def _check_hyperpolarity(work, tol, step):
     tol = tol or 1e-8
-    pair = _need(bundle, "pair", "hyperpolarity")
-    h = _need(bundle, "subalgebra", "hyperpolarity")
-    res = is_hyperpolar_homogeneous(pair, h, seed, tol)
+    pair = _need(work.bundle, "pair", "hyperpolarity")
+    h = _need(work.bundle, "subalgebra", "hyperpolarity")
+    res = is_hyperpolar_homogeneous(pair, h, work.seed, tol)
     return res.ok, {}, res.residual, tol
 
 
-def _check_cohomogeneity(bundle, seed, tol, step, geodesic):
-    rep = _linear_rep(bundle, "cohomogeneity")
-    return int(cohomogeneity(rep, seed)), {}, 0.0, None
+def _check_cohomogeneity(work, tol, step):
+    _linear_rep(work.bundle, "cohomogeneity")
+    return work.pairing[0], {}, 0.0, None
 
 
 def _sample_points(rep, seed, points):
@@ -352,20 +391,20 @@ def _sample_points(rep, seed, points):
     return p / np.linalg.norm(p, axis=-1, keepdims=True) if rep.restrict_to_sphere else p
 
 
-def _check_slice_scan(bundle, seed, tol, step, geodesic):
+def _check_slice_scan(work, tol, step):
     tol = tol or 1e-8
-    rep = _linear_rep(bundle, "slice-scan")
-    verdicts = slice_polarity(rep, _sample_points(rep, seed, SLICE_SCAN_POINTS), seed, tol)
+    rep = _linear_rep(work.bundle, "slice-scan")
+    verdicts = _slice_verdicts(rep, work.slices[:SLICE_SCAN_POINTS], tol)
     worst = max([0.0, *(v.residual for v in verdicts)])
     return all(v.polar for v in verdicts), {"points": SLICE_SCAN_POINTS}, worst, tol
 
 
-def _check_orbifold_points(bundle, seed, tol, step, geodesic):
+def _check_orbifold_points(work, tol, step):
     tol = tol or 1e-8
-    rep = _linear_rep(bundle, "orbifold-points")
-    named = bundle.get("orbifold_points") or {}
-    points = np.vstack([_sample_points(rep, seed, ORBIFOLD_POINTS), *named.values()])
-    results = orbifold_point_test(rep, points, seed, tol)
+    rep = _linear_rep(work.bundle, "orbifold-points")
+    named = work.bundle.get("orbifold_points") or {}
+    found = work.slices
+    results = _orbifold_results(rep, found[:ORBIFOLD_POINTS] + found[SLICE_SCAN_POINTS:], tol)
     worst = max([0.0, *(r.residual for r in results)])
     sampled_ok = all(r.ok for r in results[:ORBIFOLD_POINTS])
     designated = {name: r.ok for name, r in zip(named, results[ORBIFOLD_POINTS:])}
@@ -374,35 +413,19 @@ def _check_orbifold_points(bundle, seed, tol, step, geodesic):
     return verdict, {"points": ORBIFOLD_POINTS}, worst, tol
 
 
-def _weyl_data(bundle, seed):
-    rep = _need(bundle, "rep", "weyl")
-    srep = bundle.get("srep")
-    if srep is None:
-        raise Inapplicable("weyl needs an associated symmetric pair")
-    pair, p_map = srep
-    v = is_polar_rep(rep, seed)
-    if not v.polar:
-        raise Inapplicable("weyl machinery is restricted to polar s-representations")
-    a = Subspace(pair.algebra.name, v.section.basis @ p_map)
-    roots = restricted_roots(pair, a, seed)
-    group = weyl_group_closure(roots)
-    return v, roots, group
-
-
-def _check_weyl(bundle, seed, tol, step, geodesic):
-    _, roots, group = _weyl_data(bundle, seed)
+def _check_weyl(work, tol, step):
+    _, roots, group = work.weyl
     verdict = {"roots": len(roots.roots), "order": group.order}
     mults = sorted(int(m) for _, m in roots.roots)
     return verdict, {"multiplicities": mults, "g0_dim": roots.g0_dim}, 0.0, None
 
 
-def _check_reduction(bundle, seed, tol, step, geodesic):
+def _check_reduction(work, tol, step):
     tol = tol or 1e-3
-    v, roots, group = _weyl_data(bundle, seed)
-    rep = bundle["rep"]
-    budget = QuotientOptimizerConfig(restarts=4, evals=2500, probes=300, seed=seed)
-    report = reduction_isometry_check(rep, v.section, group,
-                                      ReductionSampler(pairs=REDUCTION_PAIRS, seed=seed),
+    v, roots, group = work.weyl
+    budget = QuotientOptimizerConfig(restarts=4, evals=2500, probes=300, seed=work.seed)
+    report = reduction_isometry_check(work.bundle["rep"], v.section, group,
+                                      ReductionSampler(pairs=REDUCTION_PAIRS, seed=work.seed),
                                       budget)
     ok = report.max_relative_error < tol and report.max_one_sided_excess < 1e-6
     value = {"pairs": report.n_pairs,
@@ -410,9 +433,9 @@ def _check_reduction(bundle, seed, tol, step, geodesic):
     return ok, value, report.max_relative_error, tol
 
 
-def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
+def _check_jacobi_scan(work, tol, step):
     tol = tol or 1e-8
-    geod = geodesic(step or DEFAULT_STEP)
+    geod = work.geodesic(step or DEFAULT_STEP)
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
     rk = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
@@ -422,26 +445,26 @@ def _check_jacobi_scan(bundle, seed, tol, step, geodesic):
     return verdict if ok else False, {"integrator_residual": resid}, resid, tol
 
 
-def _check_vc(bundle, seed, tol, step, geodesic):
+def _check_vc(work, tol, step):
     tol = tol or 1e-6
-    geod = geodesic(step or DEFAULT_STEP)
+    geod = work.geodesic(step or DEFAULT_STEP)
     probe = variational_completeness_probe(geod, angle_tol=tol)
     tangency = None
-    rep = bundle["rep"]
-    if not rep.restrict_to_sphere and bundle.get("manifold").kind == "euclidean":
-        do = discala_olmos_probe(rep, bundle["basepoint"], seed, geod.step)
+    rep = work.bundle["rep"]
+    if not rep.restrict_to_sphere and work.bundle["manifold"].kind == "euclidean":
+        do = discala_olmos_probe(rep, work.bundle["basepoint"], work.seed, geod.step)
         tangency = bool(do.worst_tangency < 1e-3)
     verdict = {"probe": probe.ok, "eigenfield_tangency": tangency}
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol
 
 
-def _check_oneill(bundle, seed, tol, step, geodesic):
+def _check_oneill(work, tol, step):
     tol = tol or 1e-2
-    rep = _need(bundle, "rep", "oneill")
-    pair_xy = bundle.get("horizontal_pair")
+    rep = _need(work.bundle, "rep", "oneill")
+    pair_xy = work.bundle.get("horizontal_pair")
     if pair_xy is None:
         raise Inapplicable("oneill needs a designated horizontal 2-plane")
-    report = oneill_check(rep, bundle["manifold"], bundle["basepoint"],
+    report = oneill_check(rep, work.bundle["manifold"], work.bundle["basepoint"],
                           pair_xy[0], pair_xy[1], step=min(step or 2.5e-4, 2.5e-4))
     ok = report.residual < tol
     value = {"k_sigma": report.k_sigma, "a_norm_sq": report.a_norm_sq,
@@ -449,9 +472,9 @@ def _check_oneill(bundle, seed, tol, step, geodesic):
     return (report.k_star_estimate if ok else False), value, report.residual, tol
 
 
-def _check_transversal(bundle, seed, tol, step, geodesic):
+def _check_transversal(work, tol, step):
     tol = tol or 1e-5
-    geod = geodesic(min(step or DEFAULT_STEP, DEFAULT_STEP))
+    geod = work.geodesic(min(step or DEFAULT_STEP, DEFAULT_STEP))
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     claims = claim_residuals(system)
@@ -463,24 +486,24 @@ def _check_transversal(bundle, seed, tol, step, geodesic):
     return verdict if ok else False, {"claims": claims}, worst, tol
 
 
-def _check_cartan_probe(bundle, seed, tol, step, geodesic):
+def _check_cartan_probe(work, tol, step):
     tol = tol or 1e-8
-    srep = bundle.get("srep")
-    pair = srep[0] if srep is not None else _need(bundle, "pair", "cartan-probe")
-    a = maximal_abelian(pair, seed)
+    srep = work.bundle.get("srep")
+    pair = srep[0] if srep is not None else _need(work.bundle, "pair", "cartan-probe")
+    a = maximal_abelian(pair, work.seed)
     res = cartan_hermann_probe(pair, None, a,
-                               BrokenGeodesicSampler(count=100, seed=seed), tol)
+                               BrokenGeodesicSampler(count=100, seed=work.seed), tol)
     return res.ok, {}, res.residual, tol
 
 
-def _check_rescale(bundle, seed, tol, step, geodesic):
+def _check_rescale(work, tol, step):
     tol = tol or 1e-2
-    rep = _need(bundle, "rep", "rescale-probe")
-    sing = bundle.get("sphere_singular")
+    rep = _need(work.bundle, "rep", "rescale-probe")
+    sing = work.bundle.get("sphere_singular")
     if sing is None:
         raise Inapplicable("rescale-probe needs a designated singular sphere point")
     sphere_rep = dataclasses.replace(rep, restrict_to_sphere=True)
-    report = rescale_probe(sphere_rep, sing["point"], sing["regular_q"], seed=seed)
+    report = rescale_probe(sphere_rep, sing["point"], sing["regular_q"], seed=work.seed)
     ok = report.consistent and abs(report.values[-1]) < tol
     value = {"lambdas": list(report.lambdas), "values": list(report.values),
              "flat_prediction": report.flat_prediction}
@@ -528,12 +551,15 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     residual is neither a pass nor a robust witness as an indeterminate
     record, and one that raises a library error as an error record.  The
     report fails if any record fails, and is otherwise error if any record
-    is, and otherwise indeterminate if any record is.  The geodesic checks
-    (``jacobi-scan``, ``variational-completeness`` and ``transversal``)
-    share one ``OrbitGeodesic`` per effective step within a call, so its
-    fields over the grid and its focal scan are computed once.  They
-    default to the grid step 1e-3, and ``transversal`` caps a given step
-    at 1e-3; ``oneill`` defaults to and caps at 2.5e-4.  ``seed`` must be a
+    is, and otherwise indeterminate if any record is.  The checks of a call
+    share one ``_Work``: the geodesic checks one ``OrbitGeodesic`` per
+    effective step, with its grid fields and focal scan; ``polarity``,
+    ``cohomogeneity``, ``weyl`` and ``reduction-isometry`` one regular-point
+    pairing, the last two one Weyl group; ``slice-scan`` and
+    ``orbifold-points`` one slice pass.  Each check applies its own
+    tolerance, and a build that raises is not kept.  The geodesic checks
+    default to the grid step 1e-3, and ``transversal`` caps a given step at
+    1e-3; ``oneill`` defaults to and caps at 2.5e-4.  ``seed`` must be a
     non-negative integer, or ``ModelError`` is raised.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -551,17 +577,14 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
                           else "model")
         expected = {}
         checks = list(checks) if checks is not None else list(ALL_CHECKS)
-    # one geodesic per effective step for this call; a build that raises is
-    # not cached, so every check that needs it gets its own record
-    geodesic = functools.cache(functools.partial(_geodesic, bundle))
+    work = _Work(bundle, seed)
     records = []
     for check in checks:
         if check not in _RUNNERS:
             raise ModelError(f"unknown check {check!r}; known: {', '.join(ALL_CHECKS)}")
         t0 = time.perf_counter()
         try:
-            verdict, value, residual, tolerance = _RUNNERS[check](
-                bundle, seed, tol, step, geodesic)
+            verdict, value, residual, tolerance = _RUNNERS[check](work, tol, step)
             if check in expected:
                 want = expected[check]
                 ok = _values_match(want.get("value"), verdict, want.get("atol", 0.0))

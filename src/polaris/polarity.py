@@ -12,15 +12,20 @@ lexicographic order, within rounding of the largest (``linalg.first_max``).
 The regular point and the regular conjugate of h are each the first of
 ``REGULAR_DRAWS`` seeded draws of maximal rank, all ranked by one stacked SVD.
 
-The slice scans build and test the slice representations at a whole stack
-of points in one pass: one stacked SVD of the orbit-tangent rows gives
-every point's orbit rank, isotropy and normal space; points of one orbit
-type (orbit rank, slice dimension) share their shapes, so each such group
-is orthonormalised, checked for closure, conjugated onto its slices and
-tested in stacked calls, with one regular-point search per slice over
-draws shared by every slice of that dimension.  ``slice_rep`` is the
-one-point case of that construction and ``is_polar_rep`` the
-one-representation case of that test.
+Each representation test is a tolerance-free pass and a cheap verdict at a
+given tolerance.  The pass of ``is_polar_rep`` and ``cohomogeneity`` is the
+regular-point pairing, the cohomogeneity and the section candidate with
+its pairings; the pass of the slice scans gives each point of a stack the
+``PolarityError`` of its slice or that candidate for the slice.  One
+stacked SVD of the orbit-tangent rows gives every point's orbit rank,
+isotropy and normal space; points of one orbit type (orbit rank, slice
+dimension) share their shapes, so each such group is orthonormalised,
+checked for closure, conjugated onto its slices and tested in stacked
+calls, with one regular-point search per slice over draws shared by every
+slice of that dimension.  A caller that runs several tests, as ``analyze``
+does, runs each pass once; the two slice scans read one pass over the
+union of their points.  ``slice_rep`` is the one-point case of the slice
+construction and ``is_polar_rep`` the one-representation case of its test.
 """
 
 from __future__ import annotations
@@ -133,12 +138,6 @@ def find_regular_point(rep: OrthogonalRep, seed: int = 0) -> np.ndarray:
     return best / np.linalg.norm(best) if rep.restrict_to_sphere else best
 
 
-def cohomogeneity(rep: OrthogonalRep, seed: int = 0) -> int:
-    """Codimension of a regular orbit, read off the rank that chose the regular point."""
-    c = rep.space_dim - int(_regular_draws(rep.generators[None], seed)[1][0])
-    return c - 1 if rep.restrict_to_sphere else c
-
-
 def _pairings(generators: np.ndarray, rows: np.ndarray):
     """Section candidates and their pairings for a (p, k, d, d) stack of
     generator sets, from the (p, k, d) orbit-tangent rows at a regular
@@ -157,8 +156,11 @@ def _pairings(generators: np.ndarray, rows: np.ndarray):
     return rank, basis, pair, worst
 
 
-def _verdict(rank, basis, pair, worst, tol, sphere, name) -> PolarityVerdict:
-    """The verdict on one candidate of ``_pairings``."""
+def _verdict(found, tol, sphere, name) -> PolarityVerdict:
+    """The verdict at ``tol`` on a ``(c, rank, basis, pair, worst)`` candidate, or its error."""
+    if isinstance(found, PolarityError):
+        raise found
+    _, rank, basis, pair, worst = found
     section = basis[rank:]
     cohom = section.shape[0] - (1 if sphere else 0)
     worst = float(worst)
@@ -168,6 +170,20 @@ def _verdict(rank, basis, pair, worst, tol, sphere, name) -> PolarityVerdict:
                    float(pair[i, rank + a, rank + b]))
         return PolarityVerdict(False, cohom, None, witness, worst, tol)
     return PolarityVerdict(True, cohom, Subspace(f"{name}:V", section), None, worst, tol)
+
+
+def _regular_pairing(rep: OrthogonalRep, seed: int) -> tuple:
+    """The tolerance-free pass of ``is_polar_rep`` and ``cohomogeneity``: the cohomogeneity
+    c, off the rank that chose the regular point, and the ``_pairings`` candidate there."""
+    winners, ranks = _regular_draws(rep.generators[None], seed)
+    best = winners[0] / np.linalg.norm(winners[0]) if rep.restrict_to_sphere else winners[0]
+    c = rep.space_dim - int(ranks[0]) - (1 if rep.restrict_to_sphere else 0)
+    return (c, *(x[0] for x in _pairings(rep.generators[None], rep.tangent_rows(best)[None])))
+
+
+def cohomogeneity(rep: OrthogonalRep, seed: int = 0) -> int:
+    """Codimension of a regular orbit, read off the rank that chose the regular point."""
+    return _regular_pairing(rep, seed)[0]
 
 
 def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
@@ -180,10 +196,7 @@ def is_polar_rep(rep: OrthogonalRep, seed: int = 0,
     is the one-representation case of the stacked test that the slice scans
     run on every slice at once.
     """
-    rows = rep.tangent_rows(find_regular_point(rep, seed))
-    rank, basis, pair, worst = _pairings(rep.generators[None], rows[None])
-    return _verdict(rank[0], basis[0], pair[0], worst[0], tol, rep.restrict_to_sphere,
-                    rep.name)
+    return _verdict(_regular_pairing(rep, seed), tol, rep.restrict_to_sphere, rep.name)
 
 
 def _slices(rep: OrthogonalRep, points: np.ndarray):
@@ -252,26 +265,36 @@ def slice_rep(rep: OrthogonalRep, point: np.ndarray) -> OrthogonalRep:
     return OrthogonalRep(sub, gens[0], gens.shape[-1], False, name=f"slice({rep.name})")
 
 
-def _slice_pairings(rep: OrthogonalRep, points: np.ndarray, seed: int):
-    """Yield, point by point in stack order, the slice cohomogeneity and the
-    ``_pairings`` candidate of the slice representation at each point.
-
-    Every group of ``_slices`` gets one regular-point search over the shared
-    draws and one stacked kernel and pairing.  The error of a point whose
-    slice cannot be built is raised when its turn comes, so a caller that
-    stops at the first exception stops where a loop over points would.
-    """
-    errors, groups = _slices(rep, points)
-    found = [None] * len(points)
+def _slice_pairings(rep: OrthogonalRep, points: np.ndarray, seed: int) -> list:
+    """The tolerance-free pass of the slice scans: per point of a (P, D) stack,
+    the ``PolarityError`` of its slice or the ``_regular_pairing`` candidate
+    of the slice, from one search and one pairing per group of ``_slices``."""
+    found, groups = _slices(rep, points)
     for index, _, gens in groups:
         winners, ranks = _regular_draws(gens, seed)
         rows = np.einsum("...iab,...b->...ia", gens, winners)
         for j, *pairing in zip(index, gens.shape[-1] - ranks, *_pairings(gens, rows)):
-            found[j] = pairing
-    for error, pairing in zip(errors, found):
-        if error is not None:
-            raise error
-        yield pairing
+            if found[j] is None:
+                found[j] = tuple(pairing)
+    return found
+
+
+def _slice_verdicts(rep: OrthogonalRep, found: list, tol: float) -> list:
+    """The slice-scan verdicts at ``tol``, in stack order, on a ``_slice_pairings`` pass."""
+    return [_verdict(f, tol, False, f"slice({rep.name})") for f in found]
+
+
+def _orbifold_results(rep: OrthogonalRep, found: list, tol: float) -> list:
+    """The orbifold-point results at ``tol``, in stack order, on a ``_slice_pairings`` pass."""
+    results = []
+    for f in found:
+        if not isinstance(f, PolarityError) and f[0] <= 2:
+            results.append(CheckResult(True, 0.0, tol, ("slice-cohomogeneity", int(f[0]))))
+            continue
+        v = _verdict(f, tol, False, f"slice({rep.name})")
+        results.append(CheckResult(v.polar, v.residual, tol,
+                                   None if v.polar else ("slice-not-polar", v.witness[0])))
+    return results
 
 
 def slice_polarity(rep: OrthogonalRep, points: np.ndarray, seed: int = 0,
@@ -279,9 +302,7 @@ def slice_polarity(rep: OrthogonalRep, points: np.ndarray, seed: int = 0,
     """``is_polar_rep(slice_rep(rep, p), seed, tol)`` at every point of a
     (P, D) stack, from one stacked pass; raises at the first point, in
     stack order, at which that call would raise."""
-    name = f"slice({rep.name})"
-    return [_verdict(*pairing, tol, False, name)
-            for _, *pairing in _slice_pairings(rep, np.asarray(points, float), seed)]
+    return _slice_verdicts(rep, _slice_pairings(rep, np.asarray(points, float), seed), tol)
 
 
 def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,
@@ -294,15 +315,7 @@ def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,
     slice of cohomogeneity at most two passes with residual 0.
     """
     points = np.asarray(point, float)
-    name = f"slice({rep.name})"
-    results = []
-    for c, *pairing in _slice_pairings(rep, np.atleast_2d(points), seed):
-        if c <= 2:
-            results.append(CheckResult(True, 0.0, tol, ("slice-cohomogeneity", int(c))))
-            continue
-        v = _verdict(*pairing, tol, False, name)
-        results.append(CheckResult(v.polar, v.residual, tol,
-                                   None if v.polar else ("slice-not-polar", v.witness[0])))
+    results = _orbifold_results(rep, _slice_pairings(rep, np.atleast_2d(points), seed), tol)
     return results[0] if points.ndim == 1 else results
 
 

@@ -466,15 +466,6 @@ class DiScalaOlmosReport:
     subspace_angle: float
 
 
-def _row_space(a: np.ndarray, rtol: float = linalg.RANK_RTOL) -> np.ndarray:
-    """``linalg.row_space_stack``, with a numerical failure reported as a
-    ``TransversalError`` so that the check ends in an error record."""
-    try:
-        return linalg.row_space_stack(a, rtol)
-    except np.linalg.LinAlgError as exc:
-        raise TransversalError(f"orbit row spaces: {exc}") from None
-
-
 def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
                         step: float = DEFAULT_STEP) -> DiScalaOlmosReport:
     """Eigenfield tangency test along a normal line of a Euclidean orbit.
@@ -518,7 +509,7 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     tangency = np.zeros(lam.shape[0])
     for lo in range(0, n_s, _PROBE_BLOCK):
         times = np.arange(lo, min(lo + _PROBE_BLOCK, n_s)) * step
-        span = _row_space(rep.tangent_rows(point + np.multiply.outer(times, xi)))
+        span = linalg.row_space_stack(rep.tangent_rows(point + np.multiply.outer(times, xi)))
         coef = eigvecs @ np.swapaxes(span, 1, 2)                 # (block, k, r)
         dist = np.linalg.norm(eigvecs - coef @ span, axis=-1)
         far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
@@ -566,7 +557,7 @@ class TransversalSystem:
         # n_k = v_k (I - P_k) of the field values; forming q from the normal
         # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
         # that leaves null eigenvalues of order 1e-16 * sum |v|^2
-        span = _row_space(np.swapaxes(killing_restrictions(geod).raw, 0, 1))
+        span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod).raw, 0, 1))
         self.orbit_rank = np.count_nonzero(np.any(span, axis=-1), axis=-1)
         normal = np.swapaxes(vals, 0, 1)
         normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
@@ -583,7 +574,7 @@ class TransversalSystem:
         if r:
             # one row-space call gives the rank test and the vertical fibre's rows
             w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
-            rows = _row_space(w, VERTICAL_RANK_RTOL)
+            rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
             # division construction through isolated zeros of vertical fields,
             # the times where fewer than r rows survive the rank cut

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
-from polaris import cli, linalg, transversal
+from polaris import cli, linalg, polarity, transversal
 from polaris.catalog import R_PRODUCT, catalog_entry, catalog_list
 from polaris.cli import AnalysisReport, ModelError, analyze, emit_report, \
     load_model, main
@@ -473,6 +474,20 @@ def test_row_space_failure_ends_in_error_records(monkeypatch):
     assert all("did not converge" in r.value["reason"] for r in report.records)
 
 
+def test_lapack_failure_in_focal_points_ends_in_an_error_record(monkeypatch):
+    svd = np.linalg.svd
+
+    def failing_in_focal_points(*args, **kwargs):
+        if sys._getframe(1).f_code is transversal.focal_points.__code__:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_in_focal_points)
+    (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
+    assert rec.status == "error"
+    assert rec.value == {"reason": "SVD did not converge"}
+
+
 def test_determinism_modulo_timing():
     def stripped(report):
         doc = report.to_doc()
@@ -488,7 +503,35 @@ def test_determinism_modulo_timing():
     assert stripped(c) == stripped(d)
 
 
-# -- one geodesic per step within an analyze call ---------------------------------
+# -- shared work within an analyze call --------------------------------------------
+
+@pytest.mark.parametrize("entry", ["su2_adjoint", "so3_sym_traceless"])
+def test_an_analyze_call_builds_each_shared_intermediate_once(entry, monkeypatch):
+    calls, groups = collections.Counter(), []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
+            if name == "_slices":
+                groups.extend(out[1])
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((polarity, "_regular_draws"), (polarity, "_slices"),
+                         (cli, "restricted_roots"), (cli, "weyl_group_closure")):
+        count(module, name)
+    report = analyze(entry)
+    assert report.status == "pass"
+    assert {"polarity", "cohomogeneity", "slice-scan", "orbifold-points", "weyl",
+            "reduction-isometry"} <= {r.check for r in report.records}
+    # one regular-point search for the representation and one per slice group
+    assert calls == {"_regular_draws": 1 + len(groups), "_slices": 1,
+                     "restricted_roots": 1, "weyl_group_closure": 1}
+
 
 GEODESIC_CHECKS = ["jacobi-scan", "variational-completeness", "transversal"]
 
@@ -545,12 +588,12 @@ SANE_TOLS = st.none() | st.floats(1e-10, 1e-2)
 HOSTILE_TOLS = st.sampled_from([0.0, -1.0, float("nan"), 1e300])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(entry=st.sampled_from([e.name for e in catalog_list()]),
-       checks=st.lists(st.sampled_from(GEODESIC_CHECKS), min_size=1, max_size=3, unique=True),
+       checks=st.lists(st.sampled_from(cli.ALL_CHECKS), min_size=2, unique=True),
        seed=st.integers(0, 2 ** 16), tol=SANE_TOLS | HOSTILE_TOLS,
        step=SANE_STEPS | HOSTILE_STEPS)
-def test_geodesic_checks_end_in_the_records_of_one_check_calls(entry, checks, seed, tol, step):
+def test_checks_end_in_the_records_of_one_check_calls(entry, checks, seed, tol, step):
     report = analyze(entry, checks, seed=seed, tol=tol, step=step)
     assert [r.check for r in report.records] == checks
     singles = [record_docs(analyze(entry, [c], seed=seed, tol=tol, step=step))[0]

@@ -176,7 +176,7 @@ def test_svd_calls_do_not_grow_with_the_point_count(fixture, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", counting)
         for check in (cli._check_slice_scan, cli._check_orbifold_points):
             calls.clear()
-            check(bundle, 0, None, None, None)
+            check(cli._Work(bundle, 0), None, None)
             counts.append(len(calls))
         monkeypatch.setattr(np.linalg, "svd", svd)
     assert counts[:2] == counts[2:]

@@ -4,7 +4,7 @@ import pytest
 import polaris as pl
 from polaris import linalg
 from polaris.catalog import catalog_list
-from polaris.cli import _weyl_data
+from polaris.cli import _Work
 from polaris.liealg import Subspace
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
     SectionSampler, WeylError, _Pairing, quotient_distance, \
@@ -84,7 +84,7 @@ def test_root_data_at_every_seed_of_the_s_representations():
             continue
         shapes = set()
         for seed in range(1000):
-            _, roots, group = _weyl_data(bundle, seed)
+            _, roots, group = _Work(bundle, seed).weyl
             shapes.add((len(roots.roots), roots.g0_dim, group.order,
                         tuple(sorted(m for _, m in roots.roots))))
         assert len(shapes) == 1, (entry.name, shapes)
