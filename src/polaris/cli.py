@@ -38,8 +38,8 @@ from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError,
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    jacobi_integrate, lambda_fields, n_jacobi_space, oneill_check, \
-    rescale_probe, transversal_system, variational_completeness_probe
+    focal_scan_counters, jacobi_integrate, lambda_fields, n_jacobi_space, \
+    oneill_check, rescale_probe, transversal_system, variational_completeness_probe
 from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
@@ -330,12 +330,35 @@ class _Work:
         return _regular_pairing(self.bundle["rep"], self.seed)
 
     @functools.cached_property
-    def slices(self):
-        """The slice pass over slice-scan's points, then the designated orbifold points."""
+    def designated(self):
+        """The designated orbifold points that are points of the model space,
+        by name, and the reason each other one is not."""
         rep = self.bundle["rep"]
-        named = self.bundle.get("orbifold_points") or {}
+        points, problems = {}, {}
+        for name, point in (self.bundle.get("orbifold_points") or {}).items():
+            try:
+                point = np.asarray(point, float)
+            except (TypeError, ValueError) as exc:
+                problems[name] = str(exc)
+                continue
+            if point.shape != (rep.space_dim,):
+                problems[name] = f"expected {rep.space_dim} coordinates, got {point.shape}"
+            elif not np.all(np.isfinite(point)):
+                problems[name] = "coordinates must be finite"
+            elif rep.restrict_to_sphere and abs(np.linalg.norm(point) - 1.0) > 1e-9:
+                problems[name] = "not on the unit sphere"
+            else:
+                points[name] = point
+        return points, problems
+
+    @functools.cached_property
+    def slices(self):
+        """The slice pass over slice-scan's points, then the valid designated
+        orbifold points."""
+        rep = self.bundle["rep"]
         points = _sample_points(rep, self.seed, SLICE_SCAN_POINTS)
-        return _slice_pairings(rep, np.vstack([points, *named.values()]), self.seed)
+        return _slice_pairings(rep, np.vstack([points, *self.designated[0].values()]),
+                               self.seed)
 
     @functools.cached_property
     def weyl(self):
@@ -402,7 +425,10 @@ def _check_slice_scan(work, tol, step):
 def _check_orbifold_points(work, tol, step):
     tol = tol or 1e-8
     rep = _linear_rep(work.bundle, "orbifold-points")
-    named = work.bundle.get("orbifold_points") or {}
+    named, problems = work.designated
+    if problems:
+        raise PolarityError("; ".join(f"designated orbifold point {name!r}: {problem}"
+                                      for name, problem in problems.items()))
     found = work.slices
     results = _orbifold_results(rep, found[:ORBIFOLD_POINTS] + found[SLICE_SCAN_POINTS:], tol)
     worst = max([0.0, *(r.residual for r in results)])
@@ -442,7 +468,8 @@ def _check_jacobi_scan(work, tol, step):
     resid = float(np.max(np.abs(lambda_fields(geod)[0][0] - rk[0])))
     verdict = {"focal": [[round(t, 6), m] for t, m in focal]}
     ok = resid < tol
-    return verdict if ok else False, {"integrator_residual": resid}, resid, tol
+    value = {"integrator_residual": resid, "focal_scan": focal_scan_counters(geod)}
+    return verdict if ok else False, value, resid, tol
 
 
 def _check_vc(work, tol, step):

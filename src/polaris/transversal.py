@@ -12,30 +12,36 @@ Morse-Sturm conjugate/index scan.
 Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
 its initial data as two (dim M, D) arrays, its fields on the grid as two
 (n_fields, n_t, m) arrays, evaluated in closed form once per geodesic and
-cached on it.  The focal scan's stacked SVD, the kernel fields of the
+cached on it.  The focal scan, the kernel fields of the
 variational-completeness probe and the transversal system read those
-values; the closed form runs again only at single times (the
-golden-section search and the focal times).  The orbit-tangent span (from
-the cached Killing restrictions) and the vertical fibre at every grid
-time come from one ``linalg.row_space_stack`` call each over the stacked
-rows (vectorised Jacobi rotations for up to three short rows per time,
-else one stacked SVD), whose counts of nonzero rows are the orbit rank and
-the rank test of the vertical fields at each time; the bundles are kept as
-projectors p_v and p_h, and only the start of the horizontal frame needs a
-basis of H_t.  The vertical-derivative claim is one stacked least-squares
-solve over every strided time and field, skipping the times where the
-vertical fields lose rank.  The transversal Jacobi equation has one
-solver, the Morse-Sturm scan in a nabla^h-parallel frame, and its Morse
-index one piecewise-linear index form.  Every RK4 integration (the Jacobi
-cross-check, the horizontal frame and the Morse-Sturm scan) goes through
-one helper, ``_rk4_steps``, that returns each step's propagator of the
-linear system, and one blocked scan, ``_propagate``, that chains n
-propagators with about 2 sqrt(n) stacked matmuls instead of one per step.
-The symplectic form and the transversal-equation residual take stacks of
-fields, one column per field.  The focal scan is cached on the geodesic
-like the N-Jacobi fields, so checks that share a geodesic run it once.  The
-O'Neill check and the rescale probe share one quotient-curvature estimator.
-Tolerances, grid strides and draw counts are module constants.
+values; the closed form runs again only at single times (values only in
+the golden-section search, and at the focal times).  The focal scan
+decomposes only the grid times that can host a focal time: a stacked SVD
+at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of sigma_min
+from the mode data that rules out the times far from a small singular
+value, and one more stacked SVD of the rest; its result is the full-grid
+scan's, and ``focal_scan_counters`` reports its work.  The orbit-tangent
+span (from the cached Killing restrictions) and the vertical fibre at
+every grid time come from one ``linalg.row_space_stack`` call each over
+the stacked rows (vectorised Jacobi rotations for up to three short rows
+per time, else one stacked SVD), whose counts of nonzero rows are the
+orbit rank and the rank test of the vertical fields at each time; the
+bundles are kept as projectors p_v and p_h, and only the start of the
+horizontal frame needs a basis of H_t.  The vertical-derivative claim is
+one stacked least-squares solve over every strided time and field,
+skipping the times where the vertical fields lose rank.  The transversal
+Jacobi equation has one solver, the Morse-Sturm scan in a nabla^h-parallel
+frame, and its Morse index one piecewise-linear index form.  Every RK4
+integration (the Jacobi cross-check, the horizontal frame and the
+Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns
+each step's propagator of the linear system, and one blocked scan,
+``_propagate``, that chains n propagators with about 2 sqrt(n) stacked
+matmuls instead of one per step.  The symplectic form and the
+transversal-equation residual take stacks of fields, one column per field.
+The focal scan is cached on the geodesic like the N-Jacobi fields, so
+checks that share a geodesic run it once.  The O'Neill check and the
+rescale probe share one quotient-curvature estimator.  Tolerances, grid
+strides and draw counts are module constants.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ from .weyl import QuotientOptimizerConfig, quotient_distance
 DEFAULT_STEP = 1e-3
 MAX_STEP = 1e-2
 FOCAL_SV_TOL = 1e-7         # singular values below it mark focal/conjugate times
+FOCAL_COARSE_STRIDE = 16    # grid stride of the focal scan's first SVD pass
+FOCAL_LIPSCHITZ_SAFETY = 1.1    # factor on the focal scan's Lipschitz bound of sigma_min
+FOCAL_SV_ROUNDING = 1e-12   # rounding of a computed sigma_min, relative to |Y|_2
 GOLDEN_ITERS = 90
 VERTICAL_RANK_RTOL = 1e-8   # relative rank cut of the vertical Jacobi fields
 CLAIM_STRIDE = 50           # grid stride of the vertical-derivative claim check
@@ -139,6 +148,10 @@ class OrbitGeodesic:
         if float(np.min(evals)) < -1e-10:
             raise TransversalError("model curvature operator must be positive semidefinite")
         self._modes = (np.clip(evals, 0.0, None), evecs)
+        # the curved modes and their rates sqrt(eigenvalue), 1 on a flat mode,
+        # where the closed form is a + t b
+        self._curved = self._modes[0] > 1e-12
+        self._rates = np.sqrt(np.where(self._curved, self._modes[0], 1.0))
         self.orbit_tangent = linalg.orthonormalize(rows)
         base = self.frames[self.base_index]
         self.normal_basis = linalg.kernel(self.orbit_tangent @ base) @ base.T
@@ -182,24 +195,25 @@ def n_jacobi_space(geod: OrbitGeodesic):
 
 
 def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
-                 times: np.ndarray):
+                 times: np.ndarray, derivatives: bool = True):
     """Closed-form Jacobi fields at an array of times.
 
     Columns of ``a`` and ``b`` (shape (m, n)) are the initial values and
     covariant derivatives at the basepoint time 0, in the eigenbasis of the
     curvature matrix.  Returns the frame values and derivatives of every
-    column at every time, each of shape (n_times, m, n).
+    column at every time, each of shape (n_times, m, n); the derivatives are
+    None when ``derivatives`` is false.
     """
-    evals, q = geod._modes
-    curved = evals > 1e-12
-    r = np.sqrt(np.where(curved, evals, 1.0))
+    q, curved, r = geod._modes[1], geod._curved, geod._rates
     times = np.asarray(times, float)
     rt = np.multiply.outer(times, r)
     cos = np.where(curved, np.cos(rt), 1.0)
     sin = np.sin(rt)
     val_b = np.where(curved, sin / r, times[:, None])
-    der_a = np.where(curved, -r * sin, 0.0)
     y = q @ (cos[:, :, None] * a + val_b[:, :, None] * b)
+    if not derivatives:
+        return y, None
+    der_a = np.where(curved, -r * sin, 0.0)
     dy = q @ (der_a[:, :, None] * a + cos[:, :, None] * b)
     return y, dy
 
@@ -314,7 +328,7 @@ def _basis_modes(geod: OrbitGeodesic):
 
 def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
     """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
-    return _closed_form(geod, *_basis_modes(geod), np.array([t]))[0][0]
+    return _closed_form(geod, *_basis_modes(geod), np.array([t]), derivatives=False)[0][0]
 
 
 def lambda_fields(geod: OrbitGeodesic):
@@ -336,24 +350,81 @@ def _min_singular(geod: OrbitGeodesic, t: float) -> float:
     return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
 
 
+def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
+    """A constant L with |sigma_min(t) - sigma_min(t')| <= L |t - t'| for all t, t'.
+
+    sigma_min is that of the matrix solution Y(t) = q M(t), q orthogonal.  Row
+    i of M(t) is a_i cos(r_i t) + b_i sin(r_i t) / r_i (a_i + t b_i on a flat
+    mode, where r_i = 0 here), so its derivative has norm at most
+    r_i |a_i| + |b_i| and |Y'(t)|_2 <= |M'(t)|_F <= L = sqrt(sum_i
+    (r_i |a_i| + |b_i|)^2); sigma_min is 1-Lipschitz in the spectral norm.
+    """
+    a, b = _basis_modes(geod)
+    rate = np.where(geod._curved, geod._rates, 0.0)
+    rows = rate * np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1)
+    return float(np.sqrt(np.sum(rows ** 2)))
+
+
+def _grid_singular_values(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of the matrix solution at the grid times
+    ``index``: one stacked SVD of the cached fields, one column each.  The
+    SVD runs matrix by matrix, so each gets the values the whole grid stack
+    would give it."""
+    return np.linalg.svd(np.moveaxis(lambda_fields(geod)[0][:, index], 0, 2),
+                         compute_uv=False)
+
+
 def focal_points(geod: OrbitGeodesic) -> list:
     """Focal times of the start orbit: roots of the matrix-solution sigma_min.
 
-    Interior local minima of the smallest singular value on the grid are
-    refined by golden-section search; a refined minimum below
+    Interior grid-local minima t_k of the smallest singular value are refined
+    by golden-section search on [t_(k-1), t_(k+1)]; a refined minimum below
     ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the number of
-    singular values below the threshold there.  The scan is cached on
-    ``geod``; every call returns a fresh list.
+    singular values below the threshold there.  Only the grid times that
+    can host such a minimum are decomposed.  The SVD runs first at every
+    ``FOCAL_COARSE_STRIDE``-th grid time t_j and the last.  With L from
+    ``_sigma_lipschitz``, every t in [t_(k-1), t_(k+1)] has
+
+        sigma_min(t) >= sigma_min(t_j) - L (|t_k - t_j| + h)
+
+    for the coarse times t_j on either side of t_k.  A time k is skipped
+    when that bound, with L times ``FOCAL_LIPSCHITZ_SAFETY``, is at least
+    ``FOCAL_SV_TOL`` plus twice the rounding slack ``FOCAL_SV_ROUNDING``
+    times a bound on |Y| (for the computed sigma_min at t_j and at the
+    refined time): no refinement there could be accepted.  The others and
+    their neighbours are decomposed and run the full-grid test, so the
+    result is the full-grid scan's.  The scan is cached on ``geod``; every
+    call returns a fresh list, and ``focal_scan_counters`` gives its work.
     """
     key = "focal_points"
     if key in geod._cache:
-        return list(geod._cache[key])
+        return list(geod._cache[key][0])
     times = geod.times
-    # the matrix solution on the grid is the cached fields, one column each
-    smin = np.linalg.svd(np.moveaxis(lambda_fields(geod)[0], 0, 2), compute_uv=False)[:, -1]
+    n = times.shape[0]
+    stride = FOCAL_COARSE_STRIDE
+    coarse = np.unique(np.r_[0:n:stride, n - 1])
+    svals = _grid_singular_values(geod, coarse)
+    smin = np.empty(n)
+    smin[coarse] = svals[:, -1]
+    # the bound above at every grid time from its two nearest coarse times,
+    # with L in units of the grid step
+    lip = FOCAL_LIPSCHITZ_SAFETY * _sigma_lipschitz(geod) * geod.step
+    k = np.arange(n)
+    left = k // stride
+    right = np.minimum(left + 1, coarse.shape[0] - 1)
+    bound = np.maximum(svals[left, -1] - lip * (k - coarse[left] + 1),
+                       svals[right, -1] - lip * (coarse[right] - k + 1))
+    # |Y(t)|_2 <= sigma_max(t_j) + L |t - t_j| bounds the norm near the grid
+    slack = FOCAL_SV_ROUNDING * (float(np.max(svals[:, 0])) + lip * stride)
+    candidates = np.flatnonzero(bound[1:-1] < FOCAL_SV_TOL + 2 * slack) + 1
+    rest = np.setdiff1d(np.r_[candidates - 1, candidates, candidates + 1], coarse)
+    if rest.size:
+        smin[rest] = _grid_singular_values(geod, rest)[:, -1]
     out = []
-    for k in range(1, times.shape[0] - 1):
+    refinements = 0
+    for k in candidates:
         if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
+            refinements += 1
             t_star = _golden_min(lambda t: _min_singular(geod, t),
                                  times[k - 1], times[k + 1])
             s_at = np.linalg.svd(_matrix_solution(geod, t_star), compute_uv=False)
@@ -361,8 +432,20 @@ def focal_points(geod: OrbitGeodesic) -> list:
                 mult = int(np.sum(s_at < FOCAL_SV_TOL))
                 if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
                     out.append((float(t_star), mult))
-    geod._cache[key] = out
+    counters = {"grid_points": int(n), "decomposed": int(coarse.shape[0] + rest.shape[0]),
+                "refinements": refinements}
+    geod._cache[key] = (out, counters)
     return list(out)
+
+
+def focal_scan_counters(geod: OrbitGeodesic) -> dict:
+    """Deterministic work counters of the focal scan of ``geod``, run if it
+    has not run: ``grid_points``, the grid times; ``decomposed``, the grid
+    times whose matrix solution went to the SVD; ``refinements``, the
+    golden-section searches."""
+    if "focal_points" not in geod._cache:
+        focal_points(geod)
+    return dict(geod._cache["focal_points"][1])
 
 
 def _golden_min(f, a: float, b: float) -> float:

@@ -474,18 +474,57 @@ def test_row_space_failure_ends_in_error_records(monkeypatch):
     assert all("did not converge" in r.value["reason"] for r in report.records)
 
 
-def test_lapack_failure_in_focal_points_ends_in_an_error_record(monkeypatch):
+def fail_svd_called_from(monkeypatch, function):
+    """Make np.linalg.svd raise when ``function`` calls it directly."""
     svd = np.linalg.svd
 
-    def failing_in_focal_points(*args, **kwargs):
-        if sys._getframe(1).f_code is transversal.focal_points.__code__:
+    def failing(*args, **kwargs):
+        if sys._getframe(1).f_code is function.__code__:
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", failing_in_focal_points)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+
+
+def test_lapack_failure_in_focal_points_ends_in_an_error_record(monkeypatch):
+    # the grid pass of the focal scan
+    fail_svd_called_from(monkeypatch, transversal._grid_singular_values)
     (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
     assert rec.status == "error"
     assert rec.value == {"reason": "SVD did not converge"}
+
+
+def test_lapack_failure_in_focal_refinement_ends_in_an_error_record(monkeypatch):
+    # the golden-section search of the focal scan
+    fail_svd_called_from(monkeypatch, transversal._min_singular)
+    (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
+    assert rec.status == "error"
+    assert rec.value == {"reason": "SVD did not converge"}
+
+
+@pytest.mark.parametrize("entry, name, point, reason", [
+    ("su2_adjoint", "bad", [np.nan, 0.0, 1.0], "coordinates must be finite"),
+    ("su2_adjoint", "short", [1.0, 0.0], "expected 3 coordinates"),
+    ("hopf_s1_s3", "off", [2.0, 0.0, 0.0, 0.0], "not on the unit sphere"),
+])
+def test_bad_designated_orbifold_point_is_an_error_record_naming_it(entry, name, point, reason):
+    bundle = catalog_entry(entry).build()
+    checks = ["slice-scan", "orbifold-points"]
+    clean = analyze(bundle, checks).records[0]
+    scan, orbifold = analyze(dict(bundle, orbifold_points={name: point}), checks).records
+    assert orbifold.status == "error"
+    assert f"designated orbifold point {name!r}" in orbifold.value["reason"]
+    assert reason in orbifold.value["reason"]
+    # slice-scan is what it is without the bad point
+    assert (scan.status, scan.verdict, scan.value, scan.residual) == \
+        (clean.status, clean.verdict, clean.value, clean.residual)
+
+
+def test_jacobi_scan_reports_focal_scan_counters():
+    (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
+    counters = rec.value["focal_scan"]
+    assert set(counters) == {"grid_points", "decomposed", "refinements"}
+    assert (counters["grid_points"], counters["refinements"]) == (3143, 1)
 
 
 def test_determinism_modulo_timing():
@@ -557,10 +596,10 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
 
     real_closed_form = transversal._closed_form
 
-    def counting_closed_form(geod, a, b, times):
+    def counting_closed_form(geod, a, b, times, **kwargs):
         if np.size(times) > 1:
             grid_evaluations.append(id(geod))
-        return real_closed_form(geod, a, b, times)
+        return real_closed_form(geod, a, b, times, **kwargs)
 
     # without a step all three checks run at 1e-3; a coarser step is capped
     # at 1e-3 for transversal only, which then gets its own geodesic

@@ -14,7 +14,8 @@ from polaris.transversal import OrbitGeodesic, TransversalError, \
     n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
     symplectic_form, transversal_equation_residual, transversal_system, \
     variational_completeness_probe
-from polaris.transversal import _basis_modes, _golden_min, _propagate, _rk4_steps
+from polaris.transversal import _basis_modes, _golden_min, _matrix_solution, \
+    _min_singular, _propagate, _rk4_steps, _sigma_lipschitz, focal_scan_counters
 
 PI = float(np.pi)
 
@@ -318,6 +319,90 @@ def test_hopf_focal_pattern(bundles):
     assert len(focal) == 2
     assert abs(focal[0][0] - PI / 2) < 1e-8
     assert abs(focal[1][0] - PI) < 1e-8
+
+
+# -- the pruned focal scan -----------------------------------------------------------
+
+GEODESIC_ENTRIES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
+                    "hopf_s1_s3", "so2_s2", "so3_s2xs2")
+
+
+def full_grid_focal_points(geod):
+    """The focal scan without pruning: the SVD at every grid time and a
+    golden-section search at every grid-local minimum of sigma_min."""
+    smin = np.linalg.svd(columns(lambda_fields(geod)[0]), compute_uv=False)[:, -1]
+    times, tol = geod.times, transversal.FOCAL_SV_TOL
+    out = []
+    for k in range(1, times.shape[0] - 1):
+        if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
+            t_star = _golden_min(lambda t: _min_singular(geod, t),
+                                 times[k - 1], times[k + 1])
+            s_at = np.linalg.svd(_matrix_solution(geod, t_star), compute_uv=False)
+            if s_at[-1] < tol and (not out or abs(out[-1][0] - t_star) > 10 * geod.step):
+                out.append((float(t_star), int(np.sum(s_at < tol))))
+    return out
+
+
+def moved_geodesic(bundles, name, seed, step, span):
+    """A catalog geodesic moved by a random group element, along a random
+    unit normal."""
+    from scipy.linalg import expm
+    b = bundles[name]
+    rep, manifold = b["rep"], b["manifold"]
+    rng = np.random.default_rng(seed)
+    g = expm(np.einsum("i,iab->ab", rng.uniform(-PI, PI, rep.generators.shape[0]),
+                       rep.generators))
+    point = g @ b["basepoint"]
+    tangent = linalg.orthonormalize(manifold.project_tangent(point, np.eye(point.size)))
+    normal = linalg.kernel(rep.tangent_rows(point) @ tangent.T) @ tangent
+    d = rng.standard_normal(normal.shape[0]) @ normal
+    return OrbitGeodesic(rep, manifold, point, d / np.linalg.norm(d), span=span, step=step)
+
+
+@settings(max_examples=24, deadline=None)
+@given(name=st.sampled_from(GEODESIC_ENTRIES), seed=st.integers(0, 2 ** 32 - 1),
+       step=st.sampled_from([2.5e-4, 1e-3, 5e-3]),
+       span=st.sampled_from([(0.0, PI), (0.0, 3.3), (-0.5, 2.0)]))
+def test_pruned_focal_scan_equals_the_full_grid_scan(bundles, name, seed, step, span):
+    geod = moved_geodesic(bundles, name, seed, step, span)
+    assert focal_points(geod) == full_grid_focal_points(geod)
+
+
+@pytest.mark.parametrize("step, on_grid, on_coarse", [
+    (1e-3, True, False),                # t = 1 is grid time 1000
+    (2.0 ** -10, True, True),           # grid time 1024 = 64 * 16
+    (1 / 1000.5, False, False),         # halfway between grid times 1000 and 1001
+])
+def test_pruned_focal_scan_finds_a_focal_time_wherever_it_falls(bundles, step, on_grid,
+                                                                on_coarse):
+    geod = geod_for(bundles, "su2_adjoint", step=step)
+    k = int(np.argmin(np.abs(geod.times - 1.0)))
+    assert (geod.times[k] == 1.0) == on_grid
+    assert (on_grid and k % transversal.FOCAL_COARSE_STRIDE == 0) == on_coarse
+    focal = focal_points(geod)
+    assert focal == full_grid_focal_points(geod)
+    assert len(focal) == 1 and abs(focal[0][0] - 1.0) < 1e-8 and focal[0][1] == 2
+
+
+@pytest.mark.parametrize("name", GEODESIC_ENTRIES)
+def test_sigma_min_is_lipschitz_with_the_scan_constant(bundles, name):
+    geod = geod_for(bundles, name)
+    lip = _sigma_lipschitz(geod)          # without the scan's safety factor
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, PI, 200)
+    u = t + rng.choice([1e-4, 1e-2, 1.0], 200) * rng.uniform(-1.0, 1.0, 200)
+    change = np.abs([_min_singular(geod, a) - _min_singular(geod, b) for a, b in zip(t, u)])
+    # 1e-12 covers the rounding of the two computed values
+    assert np.all(change <= lip * np.abs(t - u) + 1e-12)
+
+
+@pytest.mark.parametrize("name", GEODESIC_ENTRIES)
+def test_pruned_focal_scan_decomposes_at_most_a_quarter_of_the_grid(bundles, name):
+    geod = geod_for(bundles, name)
+    counters = focal_scan_counters(geod)
+    assert counters["grid_points"] == geod.times.shape[0]
+    assert counters["decomposed"] <= geod.times.shape[0] / 4
+    assert counters["refinements"] >= len(focal_points(geod))
 
 
 # -- Killing restrictions ---------------------------------------------------------------
