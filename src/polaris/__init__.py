@@ -7,15 +7,15 @@ from .linalg import IndeterminateVerdict
 from .polarity import (OrthogonalRep, PolarityVerdict, cohomogeneity,
                        find_regular_point, is_hyperpolar_homogeneous,
                        is_polar_homogeneous, is_polar_rep, orbifold_point_test,
-                       slice_polarity, slice_rep)
+                       slice_rep)
 from .symspace import (BrokenGeodesicSampler, ModelManifold, SymmetricPair,
                        cartan_decompose, cartan_hermann_probe,
                        curvature_operator, involution_from_matrix_map,
                        maximal_abelian, sectional_curvature)
 from .weyl import (QuotientOptimizerConfig, ReductionSampler, ReflectionGroup,
-                   RestrictedRootSystem, SectionSampler, quotient_distance,
+                   RestrictedRootSystem, quotient_distance,
                    reduction_isometry_check, restricted_roots,
-                   section_orbit_check, weyl_group_closure)
+                   weyl_group_closure)
 from .transversal import (OrbitGeodesic, TransversalSystem, conjugate_scan,
                           discala_olmos_probe, focal_points,
                           jacobi_integrate, killing_restrictions,

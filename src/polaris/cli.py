@@ -465,7 +465,7 @@ def _check_jacobi_scan(work, tol, step):
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
     rk = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
-    resid = float(np.max(np.abs(lambda_fields(geod)[0][0] - rk[0])))
+    resid = float(np.max(np.abs(lambda_fields(geod)[0] - rk[0])))
     verdict = {"focal": [[round(t, 6), m] for t, m in focal]}
     ok = resid < tol
     value = {"integrator_residual": resid, "focal_scan": focal_scan_counters(geod)}

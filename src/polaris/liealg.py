@@ -64,10 +64,6 @@ class Subspace:
     def dim(self) -> int:
         return int(self.basis.shape[0])
 
-    @property
-    def ambient_dim(self) -> int:
-        return int(self.basis.shape[1])
-
     def validate(self, gram: np.ndarray | None = None) -> None:
         if self.dim == 0:
             return

@@ -97,9 +97,6 @@ class OrthogonalRep:
             return np.zeros(v.shape[:-1] + (0, self.space_dim))
         return np.einsum("iab,...b->...ia", self.generators, v)
 
-    def orbit_rank(self, v: np.ndarray) -> int:
-        return linalg.svd_rank(self.tangent_rows(v))
-
 
 @dataclass(frozen=True)
 class PolarityVerdict:
@@ -295,14 +292,6 @@ def _orbifold_results(rep: OrthogonalRep, found: list, tol: float) -> list:
         results.append(CheckResult(v.polar, v.residual, tol,
                                    None if v.polar else ("slice-not-polar", v.witness[0])))
     return results
-
-
-def slice_polarity(rep: OrthogonalRep, points: np.ndarray, seed: int = 0,
-                   tol: float = PAIRING_TOL) -> list:
-    """``is_polar_rep(slice_rep(rep, p), seed, tol)`` at every point of a
-    (P, D) stack, from one stacked pass; raises at the first point, in
-    stack order, at which that call would raise."""
-    return _slice_verdicts(rep, _slice_pairings(rep, np.asarray(points, float), seed), tol)
 
 
 def orbifold_point_test(rep: OrthogonalRep, point: np.ndarray, seed: int = 0,

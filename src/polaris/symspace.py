@@ -266,10 +266,6 @@ class SymmetricPair:
         theta.setflags(write=False)
         object.__setattr__(self, "involution", theta)
 
-    @property
-    def name(self) -> str:
-        return self.algebra.name
-
     def validate(self) -> None:
         alg = self.algebra
         n = alg.dim
@@ -277,10 +273,10 @@ class SymmetricPair:
         tol = INVOLUTION_TOL
         if theta.shape != (n, n):
             raise SymmetricSpaceError(f"involution must be {n}x{n}")
-        res = float(np.max(np.abs(theta @ theta - np.eye(n))))
+        res = float(np.max(np.abs(theta @ theta - np.eye(n)), initial=0.0))
         if res > tol:
             raise SymmetricSpaceError(f"involution not involutive (residual {res:.2e})")
-        res = float(np.max(np.abs(theta.T @ alg.inner @ theta - alg.inner)))
+        res = float(np.max(np.abs(theta.T @ alg.inner @ theta - alg.inner), initial=0.0))
         if res > tol:
             raise SymmetricSpaceError(f"involution not orthogonal (residual {res:.2e})")
         t = theta.T                          # row i is theta e_i

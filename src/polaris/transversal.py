@@ -10,17 +10,18 @@ tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
 Morse-Sturm conjugate/index scan.
 
 Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
-its initial data as two (dim M, D) arrays, its fields on the grid as two
-(n_fields, n_t, m) arrays, evaluated in closed form once per geodesic and
-cached on it.  The focal scan, the kernel fields of the
+its initial data as two (dim M, D) arrays, the values of its fields on the
+grid as one (n_fields, n_t, m) array, evaluated in closed form once per
+geodesic and cached on it.  The focal scan, the kernel fields of the
 variational-completeness probe and the transversal system read those
-values; the closed form runs again only at single times (values only in
-the golden-section search, and at the focal times).  The focal scan
-decomposes only the grid times that can host a focal time: a stacked SVD
-at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of sigma_min
-from the mode data that rules out the times far from a small singular
-value, and one more stacked SVD of the rest; its result is the full-grid
-scan's, and ``focal_scan_counters`` reports its work.  The orbit-tangent
+values; the covariant derivatives on the grid are evaluated only when a
+transversal system is built, and the closed form runs again only at
+single times (in the golden-section search and at the focal times).  The
+focal scan decomposes only the grid times that can host a focal time: a
+stacked SVD at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of
+sigma_min from the mode data that rules out the times far from a small
+singular value, and one more stacked SVD of the rest; its result is the
+full-grid scan's, and ``focal_scan_counters`` reports its work.  The orbit-tangent
 span (from the cached Killing restrictions) and the vertical fibre at
 every grid time come from one ``linalg.row_space_stack`` call each over
 the stacked rows (vectorised Jacobi rotations for up to three short rows
@@ -195,27 +196,25 @@ def n_jacobi_space(geod: OrbitGeodesic):
 
 
 def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
-                 times: np.ndarray, derivatives: bool = True):
+                 times: np.ndarray, derivative: bool = False) -> np.ndarray:
     """Closed-form Jacobi fields at an array of times.
 
     Columns of ``a`` and ``b`` (shape (m, n)) are the initial values and
     covariant derivatives at the basepoint time 0, in the eigenbasis of the
-    curvature matrix.  Returns the frame values and derivatives of every
-    column at every time, each of shape (n_times, m, n); the derivatives are
-    None when ``derivatives`` is false.
+    curvature matrix.  Returns the frame values of every column at every
+    time, shape (n_times, m, n), or with ``derivative`` their covariant
+    derivatives.
     """
     q, curved, r = geod._modes[1], geod._curved, geod._rates
     times = np.asarray(times, float)
     rt = np.multiply.outer(times, r)
     cos = np.where(curved, np.cos(rt), 1.0)
     sin = np.sin(rt)
+    if derivative:
+        der_a = np.where(curved, -r * sin, 0.0)
+        return q @ (der_a[:, :, None] * a + cos[:, :, None] * b)
     val_b = np.where(curved, sin / r, times[:, None])
-    y = q @ (cos[:, :, None] * a + val_b[:, :, None] * b)
-    if not derivatives:
-        return y, None
-    der_a = np.where(curved, -r * sin, 0.0)
-    dy = q @ (der_a[:, :, None] * a + cos[:, :, None] * b)
-    return y, dy
+    return q @ (cos[:, :, None] * a + val_b[:, :, None] * b)
 
 
 def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
@@ -231,8 +230,9 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
     z0 = geod.to_frame(geod.base_index, np.asarray(dj0, float))
     if method == "closed-form":
         q = geod._modes[1]
-        y, dy = _closed_form(geod, (q.T @ y0)[:, None], (q.T @ z0)[:, None], geod.times)
-        return y[:, :, 0], dy[:, :, 0]
+        a, b = (q.T @ y0)[:, None], (q.T @ z0)[:, None]
+        return (_closed_form(geod, a, b, geod.times)[:, :, 0],
+                _closed_form(geod, a, b, geod.times, derivative=True)[:, :, 0])
     if method != "rk4":
         raise TransversalError(f"unknown method {method!r}")
     if geod.base_index != 0:
@@ -328,21 +328,25 @@ def _basis_modes(geod: OrbitGeodesic):
 
 def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
     """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
-    return _closed_form(geod, *_basis_modes(geod), np.array([t]), derivatives=False)[0][0]
+    return _closed_form(geod, *_basis_modes(geod), np.array([t]))[0]
 
 
-def lambda_fields(geod: OrbitGeodesic):
-    """The N-Jacobi basis solved on the grid (closed form).
+def _basis_on_grid(geod: OrbitGeodesic, derivative: bool = False) -> np.ndarray:
+    """The N-Jacobi basis fields' frame values (or covariant derivatives) at
+    every grid time, shape (n_fields, n_t, m) in the row order of
+    ``n_jacobi_space``."""
+    out = _closed_form(geod, *_basis_modes(geod), geod.times, derivative)
+    return np.ascontiguousarray(np.moveaxis(out, 2, 0))
 
-    Returns ``(y, dy)``, the frame values and covariant derivatives of every
-    basis field, each of shape (n_fields, n_t, m) in the row order of
-    ``n_jacobi_space``.
-    """
+
+def lambda_fields(geod: OrbitGeodesic) -> np.ndarray:
+    """The frame values of the N-Jacobi basis on the grid (closed form),
+    shape (n_fields, n_t, m), cached on ``geod``.  Their covariant
+    derivatives are evaluated only when a ``TransversalSystem`` is built,
+    which keeps them as ``lambda_derivs``."""
     key = "lambda_fields"
     if key not in geod._cache:
-        y, dy = _closed_form(geod, *_basis_modes(geod), geod.times)
-        geod._cache[key] = (np.ascontiguousarray(np.moveaxis(y, 2, 0)),
-                            np.ascontiguousarray(np.moveaxis(dy, 2, 0)))
+        geod._cache[key] = _basis_on_grid(geod)
     return geod._cache[key]
 
 
@@ -370,7 +374,7 @@ def _grid_singular_values(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
     ``index``: one stacked SVD of the cached fields, one column each.  The
     SVD runs matrix by matrix, so each gets the values the whole grid stack
     would give it."""
-    return np.linalg.svd(np.moveaxis(lambda_fields(geod)[0][:, index], 0, 2),
+    return np.linalg.svd(np.moveaxis(lambda_fields(geod)[:, index], 0, 2),
                          compute_uv=False)
 
 
@@ -512,7 +516,7 @@ def variational_completeness_probe(geod: OrbitGeodesic,
     """
     focal = focal_points(geod)
     killing = killing_restrictions(geod)
-    values = lambda_fields(geod)[0]
+    values = lambda_fields(geod)
     values = values.reshape(values.shape[0], -1)      # one grid function per row
     records = []
     worst = 0.0
@@ -545,8 +549,6 @@ class DiScalaOlmosReport:
     xi: np.ndarray
     records: list
     worst_tangency: float
-    second_time: float
-    subspace_angle: float
 
 
 def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
@@ -556,13 +558,14 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     For a normal direction whose shape operator has fully nonzero spectrum,
     each eigenpair (lambda, u) yields the field J(s) = (1 - lambda s) u; for
     variationally complete representations these stay tangent to the orbits
-    they cross, and the orbit tangent spaces at two regular times agree.
+    they cross.  The report carries each eigenfield's worst distance from
+    the orbit tangent spaces over the times s in [0, 1.4 / min |lambda|]
+    at which |J(s)| >= 0.05.
     """
     if rep.restrict_to_sphere:
         raise TransversalError("the eigenfield probe runs on the Euclidean model")
     point = np.asarray(point, float)
-    rows = rep.tangent_rows(point)
-    tangent = linalg.orthonormalize(rows)
+    tangent = linalg.orthonormalize(rep.tangent_rows(point))
     if tangent.shape[0] == 0:
         raise TransversalError("orbit is a point; no eigenfields to probe")
     rng = np.random.default_rng(seed)
@@ -584,7 +587,6 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
     n_s = 1.4 * float(np.max(1.0 / np.abs(lam))) / step
     _check_grid(n_s, point.size)
     n_s = int(np.ceil(n_s))
-    base_rank = linalg.svd_rank(rows)
     # J(s) = (1 - lambda s) u is parallel to the unit u: its distance from the
     # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05.  The times
     # s = i * step are scanned in fixed-size blocks, so memory stays bounded
@@ -604,14 +606,7 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
                                         float(1.0 / l_val) if abs(l_val) > 1e-12 else np.inf,
                                         float(res)))
         worst = max(worst, res)
-    # tangent-space agreement at a second regular, non-focal time
-    s1 = 0.45 * float(np.min(1.0 / np.abs(lam)))
-    while linalg.svd_rank(rep.tangent_rows(point + s1 * xi)) != base_rank:
-        s1 *= 0.7
-    other = linalg.orthonormalize(rep.tangent_rows(point + s1 * xi))
-    ang = linalg.principal_angles(tangent, other)
-    angle = float(np.max(ang)) if ang.size else 0.0
-    return DiScalaOlmosReport(xi, records, worst, s1, angle)
+    return DiScalaOlmosReport(xi, records, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +627,7 @@ class TransversalSystem:
         if n_t < 3:
             raise TransversalError("the transversal system needs at least 3 grid times")
         m = geod.dim
-        vals, dvals = lambda_fields(geod)           # (n_fields, n_t, m) each
+        vals, dvals = lambda_fields(geod), _basis_on_grid(geod, derivative=True)
         self.lambda_values = vals
         self.lambda_derivs = dvals
         # vertical Jacobi fields: combinations tangent to orbits at all times,

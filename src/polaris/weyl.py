@@ -29,7 +29,6 @@ MAX_GROUP_ORDER = 4096      # a larger reflection closure means wrong root data
 GTOL = 1e-10                # max|grad| at which a quotient-distance start has converged
 ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking search
 ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
-SAMPLE_BLOCK = 1024         # group elements exponentiated per stacked eigh
 ROOT_DRAWS = 8              # generic elements H of a drawn by restricted_roots
 
 
@@ -334,64 +333,13 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# section/orbit consistency and the reduction isometry
+# the reduction isometry M/G = Sigma/W
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SectionSampler:
-    count: int = 10_000
-    box: float = float(np.pi)
-    near_tol: float = 1e-3
-    match_tol: float = 1e-2
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class SectionOrbitReport:
-    ok: bool
-    worst_distance: float
-    n_near: int
-    n_samples: int
-
 
 def _weyl_images(section: Subspace, group: ReflectionGroup, p: np.ndarray) -> np.ndarray:
     """The Weyl images of p (..., d) as an (..., |W|, d) stack."""
     coords = np.asarray(p, float) @ section.basis.T
     return np.einsum("wij,...j->...wi", np.array(group.elements), coords) @ section.basis
-
-
-def section_orbit_check(rep: OrthogonalRep, section: Subspace,
-                        group: ReflectionGroup, p: np.ndarray,
-                        sampler: SectionSampler | None = None) -> SectionOrbitReport:
-    """Sampled inclusion Gp cap Sigma subset W(Sigma)p.
-
-    Group elements are sampled as exp(sum t_i A_i); samples landing within
-    ``near_tol`` of the section span must be within ``match_tol`` of the
-    Weyl orbit of p.  No near-section samples is reported, not failed.  The
-    exponentials of each block of ``SAMPLE_BLOCK`` samples come from one
-    stacked eigendecomposition of the Hermitian matrices i sum t_i A_i.
-    """
-    cfg = sampler or SectionSampler()
-    p = np.asarray(p, float)
-    if linalg.span_residual(section.basis, p) > 1e-9 * max(1.0, np.linalg.norm(p)):
-        raise WeylError("base point must lie on the section")
-    images = _weyl_images(section, group, p)
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    n_near = 0
-    for start in range(0, cfg.count, SAMPLE_BLOCK):
-        t = rng.uniform(-cfg.box, cfg.box, (min(SAMPLE_BLOCK, cfg.count - start),
-                                            rep.n_generators))
-        lam, vec = np.linalg.eigh(1j * np.einsum("si,iab->sab", t, rep.generators))
-        g = ((vec * np.exp(-1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
-        q = g @ p
-        near = q[np.linalg.norm(q - (q @ section.basis.T) @ section.basis, axis=1)
-                 < cfg.near_tol]
-        n_near += near.shape[0]
-        dist = np.linalg.norm(images[None, :, :] - near[:, None, :], axis=2)
-        worst = max(worst, float(np.max(np.min(dist, axis=1), initial=0.0)))
-    ok = worst < cfg.match_tol
-    return SectionOrbitReport(ok, worst, n_near, cfg.count)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,7 @@ def test_criterion_06_transversal_jacobi(bundles):
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     assert abs(scan.conjugate_points[0][0] - PI / 2) < 1e-4
-    proj = system.p_h @ np.moveaxis(lambda_fields(geod)[0], 0, 2)
+    proj = system.p_h @ np.moveaxis(lambda_fields(geod), 0, 2)
     assert transversal_equation_residual(system, proj) < 1e-6
     claims = claim_residuals(system)
     assert claims["vertical-derivative"] < 1e-6
@@ -166,11 +166,11 @@ def test_criterion_07_symplectic(bundles):
             d = linalg.complement(rows, b["rep"].space_dim)[0]
         geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                              span=(0.0, PI), step=1e-3)
-        y, dy = (np.moveaxis(x, 0, 2) for x in lambda_fields(geod))
+        system = transversal_system(geod)
+        y, dy = (np.moveaxis(x, 0, 2) for x in (system.lambda_values, system.lambda_derivs))
         w = symplectic_form(y, dy)                  # every pair of fields
         assert np.max(np.ptp(w, axis=0)) < 1e-8, name
         assert np.max(np.abs(w)) < 1e-10, name      # Lagrangian
-        system = transversal_system(geod)
         ups = system.upsilon_coeffs
         w = symplectic_form(np.einsum("rf,ftm->tmr", ups, system.lambda_values),
                             np.einsum("rf,ftm->tmr", ups, system.lambda_derivs))

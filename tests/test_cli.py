@@ -78,6 +78,16 @@ def test_load_symmetric_pair_document():
     assert bundle["pair"].p.dim == 2
 
 
+def test_load_zero_dimensional_symmetric_pair_document():
+    # loads as a dim-0 lie-algebra does; analyze then ends in records
+    bundle = load_model({"schema": 1, "kind": "symmetric-pair", "dim": 0,
+                         "involution": []})
+    assert bundle["pair"].k.dim == bundle["pair"].p.dim == 0
+    ran = [r for r in analyze(bundle).records if r.status != "skipped"]
+    assert [(r.check, r.status) for r in ran] == [("cartan-probe", "error")]
+    assert ran[0].value["reason"].startswith("p is trivial")
+
+
 def test_load_representation_document():
     gen = [[0.0, -1.0], [1.0, 0.0]]
     doc = {"schema": 1, "kind": "representation", "dim": 1, "structure": [],
@@ -596,10 +606,10 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
 
     real_closed_form = transversal._closed_form
 
-    def counting_closed_form(geod, a, b, times, **kwargs):
+    def counting_closed_form(geod, a, b, times, derivative=False):
         if np.size(times) > 1:
-            grid_evaluations.append(id(geod))
-        return real_closed_form(geod, a, b, times, **kwargs)
+            grid_evaluations.append((id(geod), derivative))
+        return real_closed_form(geod, a, b, times, derivative)
 
     # without a step all three checks run at 1e-3; a coarser step is capped
     # at 1e-3 for transversal only, which then gets its own geodesic
@@ -613,12 +623,30 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
             patch.setattr(transversal, "_closed_form", counting_closed_form)
             shared = analyze(bundle, GEODESIC_CHECKS, step=step)
         assert sorted(builds) == steps
-        # the fields over the grid are evaluated once per geodesic
-        assert len(grid_evaluations) == len(set(grid_evaluations)) == len(steps)
+        # the fields over the grid are evaluated once per geodesic, and
+        # their derivatives once, for the transversal system
+        values = [geod for geod, derivative in grid_evaluations if not derivative]
+        assert len(values) == len(set(values)) == len(steps)
+        assert len(grid_evaluations) - len(values) == 1
         assert record_docs(shared) == singles
     assert bundle.keys() == before.keys()
     assert all(bundle[k] is before[k] for k in before)
     assert all(np.array_equal(bundle[k], v) for k, v in arrays.items())
+
+
+def test_a_geodesic_without_transversal_evaluates_no_field_derivatives(monkeypatch):
+    # with transversal they are evaluated once (the test above)
+    real_closed_form = transversal._closed_form
+    calls = []
+
+    def counting_closed_form(geod, a, b, times, derivative=False):
+        calls.append(derivative)
+        return real_closed_form(geod, a, b, times, derivative)
+
+    monkeypatch.setattr(transversal, "_closed_form", counting_closed_form)
+    report = analyze("su2_diag_double", ["jacobi-scan", "variational-completeness"])
+    assert [r.status for r in report.records] == ["pass", "pass"]
+    assert calls and not any(calls)
 
 
 SANE_STEPS = st.none() | st.floats(1e-3, 1e-2)

@@ -21,7 +21,8 @@ from polaris import cli, linalg
 from polaris.catalog import catalog_entry
 from polaris.liealg import CLOSURE_TOL
 from polaris.linalg import RANK_ATOL, RANK_RTOL, IndeterminateVerdict
-from polaris.polarity import PAIRING_TOL, REGULAR_DRAWS, PolarityError, _slices
+from polaris.polarity import PAIRING_TOL, REGULAR_DRAWS, PolarityError, \
+    _slice_pairings, _slice_verdicts, _slices
 
 RES_TOL = 1e-12
 FIXTURES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double", "hopf_s1_s3", "so2_s2")
@@ -86,7 +87,8 @@ def stacked(rep, points, seed, orbifold):
         return [(dims[j], r.witness[1] if r.witness and r.witness[0] == "slice-cohomogeneity"
                  else None, r.ok, r.residual) for j, r in enumerate(results)]
     return [(dims[j], v.cohomogeneity, v.polar, v.residual)
-            for j, v in enumerate(pl.slice_polarity(rep, points, seed))]
+            for j, v in enumerate(_slice_verdicts(rep, _slice_pairings(rep, points, seed),
+                                                  PAIRING_TOL))]
 
 
 def conjugated(rep, q):

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 import polaris as pl
-from polaris import linalg
 from polaris.catalog import catalog_list
 from polaris.cli import _Work
 from polaris.liealg import Subspace
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
-    SectionSampler, WeylError, _Pairing, quotient_distance, \
-    reduction_isometry_check, restricted_roots, section_orbit_check, \
-    weyl_group_closure
+    WeylError, _Pairing, quotient_distance, reduction_isometry_check, \
+    restricted_roots, weyl_group_closure
 
 
 @pytest.fixture(scope="module")
@@ -164,51 +162,6 @@ def test_weyl_images_have_distance_zero(bundles):
         assert quotient_distance(rep, image, p,
                                  QuotientOptimizerConfig(restarts=2, evals=400,
                                                          probes=40, seed=0)).value < 1e-6
-
-
-def test_adjoint_su2_near_section_samples_antipodal(bundles):
-    rep, section, group = weyl_for_rep(bundles, "su2_adjoint")
-    assert group.order == 2
-    p = 0.9 * section.basis[0]
-    report = section_orbit_check(rep, section, group, p,
-                                 SectionSampler(count=4000, near_tol=0.05,
-                                                match_tol=0.11, seed=8))
-    assert report.n_near > 0
-    assert report.ok
-
-
-def test_sym_traceless_near_section_matches_sorting(bundles, su3_conj_pair):
-    rep, section, group = weyl_for_rep(bundles, "so3_sym_traceless")
-    rng = np.random.default_rng(9)
-    p = rng.standard_normal(2) @ section.basis
-    report = section_orbit_check(rep, section, group, p,
-                                 SectionSampler(count=3000, near_tol=0.2,
-                                                match_tol=0.75, seed=10))
-    assert report.n_near > 0
-    assert report.ok
-    # oracle: the Weyl orbit of p realises the eigenvalue sorting, so the
-    # match distance is bounded by the sorted-eigenvalue distance plus slack
-    assert report.worst_distance < 0.75
-
-
-def test_section_orbit_check_matches_expm_loop(bundles):
-    from scipy.linalg import expm
-    from polaris.weyl import _weyl_images
-    rep, section, group = weyl_for_rep(bundles, "so3_sym_traceless")
-    p = np.random.default_rng(9).standard_normal(2) @ section.basis
-    sampler = SectionSampler(count=2500, near_tol=0.2, match_tol=0.75, seed=10)
-    report = section_orbit_check(rep, section, group, p, sampler)
-    # reference: one expm per sample, drawn in the same seeded order
-    images = _weyl_images(section, group, p)
-    rng = np.random.default_rng(sampler.seed)
-    dists = []
-    for _ in range(sampler.count):
-        t = rng.uniform(-sampler.box, sampler.box, rep.n_generators)
-        q = expm(np.einsum("i,iab->ab", t, rep.generators)) @ p
-        if linalg.span_residual(section.basis, q) < sampler.near_tol:
-            dists.append(np.min(np.linalg.norm(images - q, axis=1)))
-    assert report.n_near == len(dists) > 0
-    assert abs(report.worst_distance - max(dists)) < 1e-12
 
 
 # -- quotient distances ----------------------------------------------------------------
