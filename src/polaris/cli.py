@@ -455,7 +455,10 @@ def _check_reduction(work, tol, step):
                                       budget)
     ok = report.max_relative_error < tol and report.max_one_sided_excess < 1e-6
     value = {"pairs": report.n_pairs,
-             "one_sided_excess": report.max_one_sided_excess}
+             "one_sided_excess": report.max_one_sided_excess,
+             "quotient_search": {"starts": report.n_pairs * budget.restarts,
+                                 "iterations": report.iterations,
+                                 "evaluations": report.evaluations}}
     return ok, value, report.max_relative_error, tol
 
 

@@ -6,11 +6,12 @@ together, the first whose narrowest gap between eigenvalue clusters is
 widest is kept, and its clusters -lambda(H)^2 are matched to linear
 functionals by evaluating mixed traces against a basis of a.  The
 reflection group closes the root reflections under multiplication.  Orbit
-space distances come from a multi-start BFGS descent with an analytic
-gradient over coordinates of the group, run in lockstep over every start of
-every pair of a stacked call, and are compared with the section/Weyl
-distance.  Group elements are exponentiated from eigendecompositions of
-Hermitian matrices, so the module needs numpy only.
+space distances come from a multi-start modified Newton descent on the orbit
+point itself, with the exact Hessian of the chart X -> exp(X) m re-centred
+at every iterate, run in lockstep over every start of every pair of a
+stacked call, and are compared with the section/Weyl distance.  Group
+elements are exponentiated from eigendecompositions of Hermitian matrices,
+so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ MAX_GROUP_ORDER = 4096      # a larger reflection closure means wrong root data
 GTOL = 1e-10                # max|grad| at which a quotient-distance start has converged
 ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking search
 ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
+EIG_FLOOR = 1e-8            # least |eigenvalue| of the Newton model, relative to the largest
 ROOT_DRAWS = 8              # generic elements H of a drawn by restricted_roots
 
 
@@ -179,7 +181,7 @@ def weyl_group_closure(system: RestrictedRootSystem) -> ReflectionGroup:
 @dataclass(frozen=True)
 class QuotientOptimizerConfig:
     restarts: int = 32
-    evals: int = 500          # BFGS iteration cap per start; the lockstep loop keeps it
+    evals: int = 500          # Newton iterations at most, shared by every start in lockstep
     probes: int = 400         # cheap global samples used to place the starts
     box: float = float(np.pi)
     seed: int = 0
@@ -188,118 +190,114 @@ class QuotientOptimizerConfig:
 @dataclass(frozen=True)
 class QuotientDistance:
     value: float | np.ndarray       # (B,) for stacked pairs
-    params: np.ndarray              # (n,), or (B, n) for stacked pairs
+    point: np.ndarray               # g q attaining ``value``: (d,), or (B, d) for stacked pairs
+    iterations: int                 # lockstep Newton iterations until every start retired
+    evaluations: int                # start evaluations, summed over the lockstep passes
 
 
-class _Pairing:
-    """f(t) = -<p, g(t) q> for g(t) = E_0(t_0) ... E_{n-1}(t_{n-1}), E_i(t) = exp(t A_i).
+def _second_kind_elements(rep: OrthogonalRep, t: np.ndarray) -> np.ndarray:
+    """g(t) = E_0(t_0) ... E_{n-1}(t_{n-1}), E_i(t) = exp(t A_i), for t of shape (..., n).
 
     Each E_i comes from the eigendecomposition of the Hermitian matrix i A_i.
-    ``t``, ``p`` and ``q`` may carry leading batch axes, which broadcast; f
-    and its gradient carry the broadcast batch shape.  ``rows`` selects rows
-    of a stacked ``p`` and ``q``.
     """
-
-    def __init__(self, rep: OrthogonalRep, p: np.ndarray, q: np.ndarray):
-        self.gens, self.p, self.q = rep.generators, p, q
-        self._lam, self._vec = np.linalg.eigh(1j * self.gens)
-        self._vec_h = np.conj(np.swapaxes(self._vec, -1, -2))
-
-    def sweep(self, t: np.ndarray, rows=slice(None)):
-        """The factors E_i(t_i) and the suffixes E_i ... E_{n-1} q, i = 0..n."""
-        t = np.asarray(t, float)
-        phase = np.exp(-1j * t[..., None] * self._lam)
-        exps = ((self._vec * phase[..., None, :]) @ self._vec_h).real
-        suffix = [self.q[rows]]
-        for i in range(t.shape[-1] - 1, -1, -1):
-            suffix.insert(0, (exps[..., i, :, :] @ suffix[0][..., None])[..., 0])
-        return exps, suffix
-
-    def __call__(self, t: np.ndarray, rows=slice(None)):
-        """(f(t), grad f(t)) with d_i f = -<p, E_0...E_{i-1} A_i E_i...E_{n-1} q>."""
-        exps, suffix = self.sweep(t, rows)
-        row = self.p[rows]                 # (E_0 ... E_{i-1})^T p
-        grad = np.empty(suffix[0].shape[:-1] + np.shape(t)[-1:])
-        for i in range(grad.shape[-1]):
-            grad[..., i] = -np.sum((row @ self.gens[i]) * suffix[i], axis=-1)
-            row = (row[..., None, :] @ exps[..., i, :, :])[..., 0, :]
-        return -np.sum(suffix[0] * self.p[rows], axis=-1), grad
+    lam, vec = np.linalg.eigh(1j * rep.generators)
+    phase = np.exp(-1j * t[..., None] * lam)
+    exps = ((vec * phase[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))).real
+    g = exps[..., 0, :, :]
+    for i in range(1, t.shape[-1]):
+        g = g @ exps[..., i, :, :]
+    return g
 
 
-def _lockstep_bfgs(fun, t: np.ndarray, noise: np.ndarray, iterations: int) -> np.ndarray:
-    """Minimise B independent problems at once by BFGS with Armijo backtracking.
+def _chart_derivatives(gens: np.ndarray, p: np.ndarray, m: np.ndarray):
+    """Gradient and Hessian of f(x) = -<p, exp(X) m>, X = sum_i x_i A_i, at x = 0.
 
-    ``fun(t, rows)`` gives the values and gradients of problems ``rows`` at
-    ``t`` (k, n).  Each problem keeps its own n x n inverse-Hessian
-    approximation, scaled by s^T y / y^T y before its first update, and skips
-    the update when s^T y <= 0.  A problem retires when max|grad| <= GTOL or
-    when its line search can no longer decrease f by more than ``noise``, its
-    rounding level; every call evaluates the searching rows only.  Nocedal
-    and Wright, Numerical Optimization, Algorithms 3.1 and 6.1.
+    grad_i = (A_i p).m and H_ij = ((A_i p).(A_j m) + (A_j p).(A_i m)) / 2, for
+    stacks ``p`` and ``m`` of shape (..., d).
     """
-    t = np.array(t, float)
-    f, g = fun(t, np.arange(t.shape[0]))
-    eye = np.eye(t.shape[1])
-    h = np.tile(eye, (t.shape[0], 1, 1))
-    fresh = np.ones(t.shape[0], bool)
-    active = np.max(np.abs(g), axis=1) > GTOL
-    for _ in range(iterations):
+    ap = np.einsum("iab,...b->...ia", gens, p)
+    hess = ap @ np.swapaxes(np.einsum("iab,...b->...ia", gens, m), -1, -2)
+    return np.einsum("...ia,...a->...i", ap, m), (hess + np.swapaxes(hess, -1, -2)) / 2
+
+
+def _lockstep_newton(gens: np.ndarray, p: np.ndarray, m: np.ndarray, noise: np.ndarray,
+                     iterations: int):
+    """Minimise f = -<p, m> over the orbit points m of k starts at once.
+
+    Each iteration models f to second order in the chart X -> exp(X) m,
+    X = sum_i x_i A_i (``_chart_derivatives``), takes the Newton direction of
+    that Hessian with each |eigenvalue| floored at ``EIG_FLOOR`` times the
+    largest (so it descends away from saddles instead of creeping past
+    them), and backtracks from the unit step by Armijo along exp(s X) m,
+    whose one eigendecomposition of i X serves every trial step.  A start
+    retires when max|grad| <= GTOL or when its line search can no longer
+    decrease f by more than ``noise``, its rounding level.  Nocedal and Wright, Numerical
+    Optimization, section 3.4; Absil, Mahony and Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, chapter 6.  Returns the final points,
+    the iterations run and the start evaluations summed over the passes.
+    """
+    m = np.array(m, float)
+    active = np.ones(m.shape[0], bool)
+    evaluations = 0
+    for it in range(iterations):
         idx = np.flatnonzero(active)
         if not idx.size:
-            break
-        d = -(h[idx] @ g[idx, :, None])[..., 0]
-        slope = np.sum(g[idx] * d, axis=1)
-        step = np.ones(idx.size)
-        f_new, g_new = np.empty(idx.size), np.empty((idx.size, t.shape[1]))
+            return m, it, evaluations
+        evaluations += idx.size
+        grad, hess = _chart_derivatives(gens, p[idx], m[idx])
+        searching = np.max(np.abs(grad), axis=1) > GTOL
+        active[idx[~searching]] = False
+        idx, grad, hess = idx[searching], grad[searching], hess[searching]
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        floor = np.maximum(EIG_FLOOR * np.max(lam, axis=1), noise[idx])
+        lam = np.maximum(lam, floor[:, None])
+        along = np.einsum("kij,ki->kj", vec, grad)
+        x = -np.einsum("kij,kj->ki", vec, along / lam)
+        slope = -np.sum(along ** 2 / lam, axis=1)
+        w, u = np.linalg.eigh(1j * np.einsum("ki,iab->kab", x, gens))
+        a = np.einsum("kab,ka->kb", u, p[idx])                # conj(U^H p)
+        b = np.einsum("kab,ka->kb", np.conj(u), m[idx])       # U^H m
+        f0 = -np.sum(a * b, axis=1).real
         accepted = np.zeros(idx.size, bool)
-        trial = np.arange(idx.size)
+        step = np.ones(idx.size)
+        trial = np.flatnonzero(-slope > noise[idx])
         while trial.size:
-            rows = idx[trial]
-            fv, gv = fun(t[rows] + step[trial, None] * d[trial], rows)
-            ok = fv <= f[rows] + ARMIJO_C1 * step[trial] * slope[trial]
+            evaluations += trial.size
+            rotated = np.exp(-1j * step[trial, None] * w[trial]) * b[trial]
+            ok = -np.sum(a[trial] * rotated, axis=1).real \
+                <= f0[trial] + ARMIJO_C1 * step[trial] * slope[trial]
             accepted[trial[ok]] = True
-            f_new[trial[ok]], g_new[trial[ok]] = fv[ok], gv[ok]
+            m[idx[trial[ok]]] = np.einsum("kab,kb->ka", u[trial[ok]], rotated[ok]).real
             trial = trial[~ok]
             step[trial] *= 0.5
             trial = trial[-step[trial] * slope[trial] > noise[idx[trial]]]
-        active[idx[~accepted]] = False          # stalled at rounding level
-        idx, s = idx[accepted], (step[:, None] * d)[accepted]
-        y = g_new[accepted] - g[idx]
-        t[idx] += s
-        f[idx], g[idx] = f_new[accepted], g_new[accepted]
-        active[idx] = np.max(np.abs(g[idx]), axis=1) > GTOL
-        sy = np.sum(s * y, axis=1)
-        keep = sy > 0
-        idx, s, y, sy = idx[keep], s[keep], y[keep], sy[keep]
-        first = fresh[idx]
-        h[idx[first]] = (sy[first] / np.sum(y[first] ** 2, axis=1))[:, None, None] * eye
-        fresh[idx] = False
-        rho = (1.0 / sy)[:, None, None]
-        left = eye - rho * s[:, :, None] * y[:, None, :]
-        h[idx] = left @ h[idx] @ np.swapaxes(left, 1, 2) + rho * s[:, :, None] * s[:, None, :]
-    return t
+        active[idx] = accepted            # the rest stalled at rounding level
+    return m, iterations, evaluations
 
 
 def _ambient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    chord = np.linalg.norm(p - q, axis=-1)
     if rep.restrict_to_sphere:
-        return np.arccos(np.clip(np.sum(p * q, axis=-1), -1.0, 1.0))
-    return np.linalg.norm(p - q, axis=-1)
+        return 2 * np.arcsin(np.minimum(chord / 2, 1.0))   # exact to rounding at small angles
+    return chord
 
 
 def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
                       config: QuotientOptimizerConfig | None = None) -> QuotientDistance:
     """Upper bound for the orbit-space distance min_g |p - g q|.
 
-    In canonical coordinates of the second kind, g(t) = prod_i exp(t_i A_i),
-    the distance falls as <p, g(t) q> rises (on the sphere too), so the
-    ``probes`` seeded samples are scored in one batched pass and the best
-    ``restarts`` of them start a BFGS descent of -<p, g(t) q> with its
-    analytic gradient, ``evals`` iterations at most.  The least ambient
-    distance at a final t approximates an infimum and is an upper bound.
+    The distance falls as <p, g q> rises (on the sphere too).  The ``probes``
+    seeded samples g(t) = prod_i exp(t_i A_i) in canonical coordinates of the
+    second kind are scored by that value in one batched pass, and the best
+    ``restarts`` orbit points g(t) q start a modified Newton descent of
+    -<p, m> over the orbit, ``evals`` iterations at most.  The least ambient
+    distance at a final orbit point approximates an infimum and is an upper
+    bound.
 
     ``p`` and ``q`` may be stacks of B pairs, shape (B, d); then ``value``
-    has shape (B,) and ``params`` (B, n).  Every pair shares the one probe
-    set drawn from ``config.seed``, and one lockstep BFGS runs all B x
+    has shape (B,) and ``point`` (B, d).  Every pair shares the one probe set
+    drawn from ``config.seed``, and one lockstep Newton runs all B x
     restarts starts together.
     """
     cfg = config or QuotientOptimizerConfig()
@@ -309,27 +307,26 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     n = rep.n_generators
     if n == 0:
-        value, params = _ambient_distance(rep, p, q), np.zeros((p.shape[0], 0))
+        value, point, iterations, evaluations = _ambient_distance(rep, p, q), q.copy(), 0, 0
     else:
         rng = np.random.default_rng(cfg.seed)
         samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
         samples[0] = 0.0
-        pairing = _Pairing(rep, p, q)
-        scores = pairing(samples[:, None, :])[0]                     # (probes, B)
+        moved = q @ np.swapaxes(_second_kind_elements(rep, samples), 1, 2)  # (probes, B, d)
         restarts = min(max(cfg.restarts, 1), cfg.probes)
-        starts = samples[np.argsort(scores, axis=0)[:restarts].T]    # (B, restarts, n)
-        owner = np.repeat(np.arange(p.shape[0]), restarts)           # pair of each start
-        noise = ROUNDING * np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
-        t = _lockstep_bfgs(lambda t, rows: pairing(t, owner[rows]), starts.reshape(-1, n),
-                           noise[owner], cfg.evals)
-        moved = pairing.sweep(t, owner)[1][0]                        # g(t) q per start
-        dist = _ambient_distance(rep, p[owner], moved).reshape(-1, restarts)
-        best = np.argmin(dist, axis=1)
+        order = np.argsort(-np.sum(moved * p, axis=-1), axis=0)[:restarts].T
         pick = np.arange(p.shape[0])
-        value, params = dist[pick, best], t.reshape(-1, restarts, n)[pick, best]
+        starts = moved[order, pick[:, None]].reshape(-1, p.shape[1])  # (B * restarts, d)
+        owner = np.repeat(pick, restarts)                              # pair of each start
+        noise = ROUNDING * np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
+        m, iterations, evaluations = _lockstep_newton(rep.generators, p[owner], starts,
+                                                      noise[owner], cfg.evals)
+        dist = _ambient_distance(rep, p[owner], m).reshape(-1, restarts)
+        best = np.argmin(dist, axis=1)
+        value, point = dist[pick, best], m.reshape(-1, restarts, p.shape[1])[pick, best]
     if single:
-        return QuotientDistance(float(value[0]), params[0])
-    return QuotientDistance(value, params)
+        return QuotientDistance(float(value[0]), point[0], iterations, evaluations)
+    return QuotientDistance(value, point, iterations, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +351,8 @@ class ReductionReport:
     max_relative_error: float
     max_one_sided_excess: float       # max over pairs of (quotient - section/W)
     n_pairs: int
+    iterations: int                   # of the one stacked quotient_distance call
+    evaluations: int
 
 
 def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
@@ -376,8 +375,8 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
         y = y / np.linalg.norm(y, axis=1, keepdims=True)
     dw = np.min(_ambient_distance(rep, x[:, None, :], _weyl_images(section, group, y)), axis=1)
-    dq = quotient_distance(rep, x, y,
-                           config or QuotientOptimizerConfig(seed=cfg.seed + 1)).value
-    rel = np.abs(dq - dw) / np.maximum(dw, 1e-3)
+    found = quotient_distance(rep, x, y, config or QuotientOptimizerConfig(seed=cfg.seed + 1))
+    rel = np.abs(found.value - dw) / np.maximum(dw, 1e-3)
     return ReductionReport(float(np.max(rel, initial=0.0)),
-                           float(np.max(dq - dw, initial=-np.inf)), cfg.pairs)
+                           float(np.max(found.value - dw, initial=-np.inf)), cfg.pairs,
+                           found.iterations, found.evaluations)

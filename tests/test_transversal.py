@@ -865,6 +865,20 @@ def test_rescale_probe_flat_limit(bundles):
     assert abs(report.values[-1]) < abs(report.values[0])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rescale_probe_estimates_agree_at_every_lambda(bundles, seed):
+    # the slice at the singular point is polar and the quotient near it is a
+    # cone over a round circle of curvature 4; arccos sphere distances lost
+    # digits at the small separations and spread the estimates by 1.8e-3
+    import dataclasses
+    b = bundles["su2_diag_double"]
+    rep = dataclasses.replace(b["rep"], restrict_to_sphere=True)
+    sing = b["sphere_singular"]
+    report = rescale_probe(rep, sing["point"], sing["regular_q"], seed=seed)
+    estimates = np.array(report.curvature_estimates)
+    assert np.ptp(estimates) <= 1e-5 * np.max(np.abs(estimates))
+
+
 def test_rescale_probe_regular_point_matches_quotient_curvature(bundles):
     b = bundles["hopf_s1_s3"]
     rep = b["rep"]

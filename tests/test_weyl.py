@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import polaris as pl
 from polaris.catalog import catalog_list
-from polaris.cli import _Work
+from polaris.cli import _Work, analyze
 from polaris.liealg import Subspace
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
-    WeylError, _Pairing, quotient_distance, reduction_isometry_check, \
+    WeylError, _chart_derivatives, quotient_distance, reduction_isometry_check, \
     restricted_roots, weyl_group_closure
 
 
@@ -168,7 +169,6 @@ def test_weyl_images_have_distance_zero(bundles):
 
 def test_same_orbit_distance_vanishes(bundles):
     rep = bundles["su2_adjoint"]["rep"]
-    from scipy.linalg import expm
     p = np.array([0.3, -0.7, 0.2])
     g = expm(np.einsum("i,iab->ab", np.array([0.4, 0.1, -0.9]), rep.generators))
     q = g @ p
@@ -191,23 +191,32 @@ def test_concentric_spheres_distance(bundles):
         assert abs(d.value - expect) < 1e-6
 
 
+def chart_value(rep, p, m, x):
+    return -float(p @ expm(np.einsum("i,iab->ab", x, rep.generators)) @ m)
+
+
 @pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", "hopf_s1_s3"])
-def test_pairing_gradient_matches_central_differences(bundles, name):
+def test_chart_gradient_and_hessian_match_central_differences(bundles, name):
     # the distance tests converge from many starts and would not notice a
-    # wrong sign or index in the prefix/suffix sweep
+    # wrong sign or index in the Newton model
     rep = bundles[name]["rep"]
     rng = np.random.default_rng(13)
+    h = 1e-4
+    eye = np.eye(rep.n_generators)
     for _ in range(5):
-        p, q = rng.standard_normal((2, rep.space_dim))
+        p, m = rng.standard_normal((2, rep.space_dim))
         if rep.restrict_to_sphere:
-            p, q = p / np.linalg.norm(p), q / np.linalg.norm(q)
-        pairing = _Pairing(rep, p, q)
-        t = rng.uniform(-np.pi, np.pi, rep.n_generators)
-        _, grad = pairing(t)
-        h = 1e-5
-        central = np.array([(pairing(t + h * e)[0] - pairing(t - h * e)[0]) / (2 * h)
-                            for e in np.eye(t.size)])
+            p, m = p / np.linalg.norm(p), m / np.linalg.norm(m)
+        grad, hess = _chart_derivatives(rep.generators, p, m)
+        central = np.array([(chart_value(rep, p, m, h * e) - chart_value(rep, p, m, -h * e))
+                            / (2 * h) for e in eye])
         assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+        second = np.array([[(chart_value(rep, p, m, h * (ei + ej))
+                             - chart_value(rep, p, m, h * (ei - ej))
+                             - chart_value(rep, p, m, h * (ej - ei))
+                             + chart_value(rep, p, m, -h * (ei + ej))) / (4 * h * h)
+                            for ej in eye] for ei in eye])
+        assert np.linalg.norm(hess - second) <= 1e-5 * np.linalg.norm(hess)
 
 
 def test_trivial_rep_distance_exact():
@@ -224,7 +233,27 @@ def test_no_generators_stacked_distance_exact():
     p, q = np.random.default_rng(2).standard_normal((2, 4, 3))
     d = quotient_distance(rep, p, q)
     assert np.array_equal(d.value, np.linalg.norm(p - q, axis=1))
-    assert d.params.shape == (4, 0)
+    assert np.array_equal(d.point, q)
+    assert (d.iterations, d.evaluations) == (0, 0)
+
+
+def test_zero_point_distance_is_the_norm(bundles):
+    # every start is stationary at p = 0, so none reaches the Newton model
+    rep = bundles["so3_sym_traceless"]["rep"]
+    q = np.arange(5.0)
+    d = quotient_distance(rep, np.zeros(5), q)
+    assert abs(d.value - np.linalg.norm(q)) < 1e-14
+    assert d.iterations == 1
+
+
+def test_small_sphere_distance_keeps_its_digits():
+    # arccos<p, q> loses about eps/d relative at a small angle d
+    rep = pl.OrthogonalRep(pl.build_classical("torus", 1), np.zeros((0, 3, 3)), 3,
+                           restrict_to_sphere=True, name="no-generators")
+    angle = 1e-6
+    d = quotient_distance(rep, np.array([1.0, 0, 0]),
+                          np.array([np.cos(angle), np.sin(angle), 0]))
+    assert abs(d.value - angle) <= 1e-12 * angle
 
 
 # -- stacked quotient distances ---------------------------------------------------------
@@ -246,7 +275,9 @@ def test_stacked_distance_matches_per_row_calls(bundles, name):
     p, q = random_pairs(rep, 12, 17)
     stacked = quotient_distance(rep, p, q, STACK_CONFIG)
     assert stacked.value.shape == (12,)
-    assert stacked.params.shape == (12, rep.n_generators)
+    assert stacked.point.shape == (12, rep.space_dim)
+    assert np.allclose(np.linalg.norm(stacked.point, axis=1), np.linalg.norm(q, axis=1),
+                       rtol=0, atol=1e-13)
     for i in range(12):
         assert abs(quotient_distance(rep, p[i], q[i], STACK_CONFIG).value
                    - stacked.value[i]) <= 1e-9
@@ -256,24 +287,30 @@ def test_stacked_distance_matches_per_row_calls(bundles, name):
                                   "su2_diag_double", "so2_s2"])
 def test_stacked_rows_end_converged_or_at_rounding_level(bundles, name):
     # a row that stopped short of GTOL must have stalled at rounding level:
-    # no steepest-descent step from it lowers f by more than that
+    # no steepest-descent step exp(-s X_grad) m from its orbit point lowers f
+    # by more than that
     rep = bundles[name]["rep"]
     p, q = random_pairs(rep, 40, 23)
-    params = quotient_distance(rep, p, q, STACK_CONFIG).params
-    f, grad = _Pairing(rep, p, q)(params)
-    steps = np.logspace(-12, -1, 45)[:, None]
-    for i in np.flatnonzero(np.max(np.abs(grad), axis=1) > 1e-10):
-        line = params[i] - steps * grad[i] / np.linalg.norm(grad[i])
-        drop = f[i] - np.min(_Pairing(rep, p[i], q[i])(line)[0])
-        assert drop <= 1e-13 * np.linalg.norm(p[i]) * np.linalg.norm(q[i])
+    found = quotient_distance(rep, p, q, STACK_CONFIG)
+    for i in range(40):
+        f = -float(p[i] @ found.point[i])
+        grad, _ = _chart_derivatives(rep.generators, p[i], found.point[i])
+        if np.max(np.abs(grad)) <= 1e-10:
+            continue
+        x_grad = np.einsum("i,iab->ab", grad / np.linalg.norm(grad), rep.generators)
+        line = [-float(p[i] @ expm(-s * x_grad) @ found.point[i])
+                for s in np.logspace(-12, -1, 45)]
+        assert f - min(line) <= 1e-13 * np.linalg.norm(p[i]) * np.linalg.norm(q[i])
 
 
-def test_single_pair_returns_float_and_parameter_vector(bundles):
+def test_single_pair_returns_float_and_orbit_point(bundles):
     rep = bundles["so3_sym_traceless"]["rep"]
     p, q = random_pairs(rep, 1, 5)
     d = quotient_distance(rep, p[0], q[0], STACK_CONFIG)
     assert isinstance(d.value, float)
-    assert d.params.shape == (rep.n_generators,)
+    assert d.point.shape == (rep.space_dim,)
+    assert abs(np.linalg.norm(d.point) - np.linalg.norm(q[0])) <= 1e-13
+    assert abs(np.linalg.norm(p[0] - d.point) - d.value) <= 1e-13
 
 
 def test_eigenvalue_sorting_oracle_short(bundles, su3_conj_pair):
@@ -306,3 +343,13 @@ def test_reduction_isometry_one_sided_and_small(bundles):
                                                               seed=12))
     assert report.max_relative_error < 1e-6
     assert report.max_one_sided_excess < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_reduction_records_count_the_quotient_search(seed):
+    for entry in ("su2_adjoint", "so3_sym_traceless"):
+        record, = analyze(entry, ["reduction-isometry"], seed=seed).records
+        search = record.value["quotient_search"]
+        assert search["starts"] == 4 * record.value["pairs"]
+        assert 1 <= search["iterations"] <= 20
+        assert search["starts"] <= search["evaluations"]
