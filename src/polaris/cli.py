@@ -488,6 +488,11 @@ def _check_vc(work, tol, step):
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol
 
 
+def _search_counters(report) -> dict:
+    return {"starts": report.starts, "iterations": report.iterations,
+            "evaluations": report.evaluations}
+
+
 def _check_oneill(work, tol, step):
     tol = tol or 1e-2
     rep = _need(work.bundle, "rep", "oneill")
@@ -498,7 +503,8 @@ def _check_oneill(work, tol, step):
                           pair_xy[0], pair_xy[1], step=min(step or 2.5e-4, 2.5e-4))
     ok = report.residual < tol
     value = {"k_sigma": report.k_sigma, "a_norm_sq": report.a_norm_sq,
-             "k_star_formula": report.k_star_formula}
+             "k_star_formula": report.k_star_formula,
+             "quotient_search": _search_counters(report)}
     return (report.k_star_estimate if ok else False), value, report.residual, tol
 
 
@@ -536,7 +542,8 @@ def _check_rescale(work, tol, step):
     report = rescale_probe(sphere_rep, sing["point"], sing["regular_q"], seed=work.seed)
     ok = report.consistent and abs(report.values[-1]) < tol
     value = {"lambdas": list(report.lambdas), "values": list(report.values),
-             "flat_prediction": report.flat_prediction}
+             "flat_prediction": report.flat_prediction,
+             "quotient_search": _search_counters(report)}
     return ok, value, abs(report.values[-1]), tol
 
 

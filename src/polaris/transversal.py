@@ -41,7 +41,8 @@ matmuls instead of one per step.  The symplectic form and the
 transversal-equation residual take stacks of fields, one column per field.
 The focal scan is cached on the geodesic like the N-Jacobi fields, so
 checks that share a geodesic run it once.  The O'Neill check and the
-rescale probe share one quotient-curvature estimator.  Tolerances, grid
+rescale probe share one quotient-curvature estimator, which takes a stack
+of planes to one quotient search.  Tolerances, grid
 strides and draw counts are module constants.
 """
 
@@ -91,6 +92,25 @@ def _check_grid(times: float, dim: int) -> None:
             f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
 
 
+def _unit_vector(v, dim: int, name: str) -> np.ndarray:
+    """``v`` as an array; raise unless it is a finite unit vector of R^dim."""
+    v = np.asarray(v, float)
+    if v.shape != (dim,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
+        raise TransversalError(f"{name} must be a finite unit vector of length {dim}")
+    return v
+
+
+def _check_normal(manifold: ModelManifold, point, rows, v, name: str) -> np.ndarray:
+    """``v`` as an array; raise unless it is a unit vector tangent to the
+    model at ``point`` and normal to the orbit, whose tangent rows are ``rows``."""
+    v = _unit_vector(v, point.size, name)
+    if np.linalg.norm(v - manifold.project_tangent(point, v)) > 1e-9:
+        raise TransversalError(f"{name} must be tangent to the model")
+    if rows.size and float(np.max(np.abs(rows @ v))) > 1e-10:
+        raise TransversalError(f"{name} must be normal to the orbit")
+    return v
+
+
 class OrbitGeodesic:
     """A horizontal geodesic with its grid, parallel frames and shape data.
 
@@ -125,13 +145,7 @@ class OrbitGeodesic:
             if normals.shape[0] == 0:
                 raise TransversalError("the orbit has no normal direction at the basepoint")
             direction = normals[0]
-        direction = np.asarray(direction, float)
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-            raise TransversalError("direction must be a unit vector")
-        if np.linalg.norm(direction - manifold.project_tangent(point, direction)) > 1e-9:
-            raise TransversalError("direction must be tangent to the model")
-        if rows.size and float(np.max(np.abs(rows @ direction))) > 1e-10:
-            raise TransversalError("direction must be normal to the orbit")
+        direction = _check_normal(manifold, point, rows, direction, "direction")
         self.rep = rep
         self.manifold = manifold
         self.point = point
@@ -909,23 +923,33 @@ class ONeillReport:
     k_star_formula: float
     k_star_estimate: float
     residual: float
+    starts: int               # counters of the one quotient search
+    iterations: int
+    evaluations: int
 
 
-def _quotient_curvature(rep: OrthogonalRep, manifold: ModelManifold, point,
-                        x, y, s: float, config: QuotientOptimizerConfig) -> float:
-    """Base curvature of the plane (x, y) at ``point`` from quotient distances.
+def _quotient_curvature(rep: OrthogonalRep, manifold: ModelManifold, points,
+                        x, y, seps, config: QuotientOptimizerConfig):
+    """Base curvatures of P planes (x_i, y_i) at ``points`` from one quotient search.
 
-    With d the orbit-space distance between exp(s x) and exp(s y) for an
-    orthonormal pair, 12 (sqrt(2) s - d) / (sqrt(2) s^3) = K + O(s^2); the
-    estimates at s and s/2, from one stacked distance call, are
-    Richardson-combined to cancel the O(s^2) term.
+    ``points``, ``x`` and ``y`` are (P, d) stacks and ``seps`` holds the P
+    separations.  With d the orbit-space distance between exp(s x) and
+    exp(s y) for an orthonormal pair, 12 (sqrt(2) s - d) / (sqrt(2) s^3) =
+    K + O(s^2); the estimates at s and s/2 are Richardson-combined to cancel
+    the O(s^2) term.  All 2P distances come from one stacked
+    ``quotient_distance`` call, in which each pair retires on its own, so
+    each estimate is the one that a call on its own two pairs gives.
+    Returns the (P,) estimates and the search.
     """
-    seps = np.array([s, s / 2])
-    d = quotient_distance(rep, np.array([manifold.exp(point, sep * x) for sep in seps]),
-                          np.array([manifold.exp(point, sep * y) for sep in seps]),
-                          config).value
-    est = 12.0 * (np.sqrt(2.0) * seps - d) / (np.sqrt(2.0) * seps ** 3)
-    return (4 * est[1] - est[0]) / 3
+    seps = np.asarray(seps, float)[:, None] / np.array([1.0, 2.0])     # (P, 2)
+
+    def ends(directions):
+        return np.array([manifold.exp(pt, sep * u)
+                         for pt, u, row in zip(points, directions, seps) for sep in row])
+
+    found = quotient_distance(rep, ends(x), ends(y), config)
+    est = 12.0 * (np.sqrt(2.0) * seps - found.value.reshape(-1, 2)) / (np.sqrt(2.0) * seps ** 3)
+    return (4 * est[:, 1] - est[:, 0]) / 3, found
 
 
 def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
@@ -936,14 +960,19 @@ def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
     The A-tensor path evaluates the extended tensor at the basepoint of the
     geodesic with initial direction X; the quotient path estimates the base
     curvature from orbit-space distances between points pushed out along X
-    and Y, Richardson-extrapolated over two separations.
+    and Y, Richardson-extrapolated over two separations, in one quotient
+    search of two pairs whose counters the report carries.  X is checked
+    as ``OrbitGeodesic`` checks a direction, and Y the same way and
+    orthogonal to X.
     """
     point = np.asarray(point, float)
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    k_sigma = float(np.dot(manifold.curvature(point, x, y, y), x))
     window = 40 * step
     geod = OrbitGeodesic(rep, manifold, point, x, span=(-window, window), step=step)
+    x = geod.direction
+    y = _check_normal(manifold, point, rep.tangent_rows(point), y, "y")
+    if abs(float(x @ y)) > 1e-9:
+        raise TransversalError("y must be orthogonal to x")
+    k_sigma = float(np.dot(manifold.curvature(point, x, y, y), x))
     system = transversal_system(geod)
     # the vertical Jacobi fields are the Killing restrictions; at tiny steps
     # the 80-step window is so short that more N-Jacobi fields pass the
@@ -959,9 +988,10 @@ def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
     a_sq = float(np.dot(a_xy, a_xy))
     k_formula = k_sigma + 3 * a_sq
     cfg = qconfig or QuotientOptimizerConfig(restarts=4, evals=1500, probes=100)
-    k_est = _quotient_curvature(rep, manifold, point, x, y, ONEILL_SEPARATION, cfg)
-    return ONeillReport(k_sigma, a_sq, k_formula, float(k_est),
-                        float(abs(k_est - k_formula)))
+    (k_est,), found = _quotient_curvature(rep, manifold, point[None], x[None], y[None],
+                                          [ONEILL_SEPARATION], cfg)
+    return ONeillReport(k_sigma, a_sq, k_formula, float(k_est), float(abs(k_est - k_formula)),
+                        found.starts, found.iterations, found.evaluations)
 
 
 @dataclass
@@ -971,6 +1001,9 @@ class RescaleReport:
     curvature_estimates: tuple
     flat_prediction: bool
     consistent: bool
+    starts: int               # counters of the one quotient search
+    iterations: int
+    evaluations: int
 
 
 def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125, 0.015625),
@@ -981,40 +1014,50 @@ def rescale_probe(rep: OrthogonalRep, point, q, lambdas=(0.125, 0.0625, 0.03125,
     ``point`` through ``q`` by homothety factors lambda; the report carries
     lambda^2 times the quotient-curvature estimate there, which tends to
     zero exactly when the slice representation is polar (orbifold point).
+    The estimate at each lambda is the largest over its horizontal planes:
+    the one plane of a two-dimensional horizontal space, else three seeded
+    ones.  Every plane of every lambda goes to one quotient search, whose
+    counters the report carries.  ``point`` and ``q`` must be finite unit
+    vectors of R^space_dim with q != +-point, and ``lambdas`` a non-empty
+    sequence in (0, 1]; anything else raises ``TransversalError``.
     """
     if not rep.restrict_to_sphere:
         raise TransversalError("the rescale probe runs on a sphere action")
-    point = np.asarray(point, float)
-    q = np.asarray(q, float)
+    point = _unit_vector(point, rep.space_dim, "point")
+    q = _unit_vector(q, rep.space_dim, "q")
+    lams = np.asarray(lambdas, float)
+    if lams.ndim != 1 or not lams.size or not np.all((lams > 0) & (lams <= 1)):
+        raise TransversalError("lambdas must be a non-empty sequence of values in (0, 1]")
+    if np.linalg.norm(q + point) < 1e-10:
+        raise TransversalError("q must not be the antipode of the base point")
     manifold = ModelManifold("sphere", rep.space_dim)
     v = manifold.log(point, q)
     rho = np.linalg.norm(v)
     if rho < 1e-10:
         raise TransversalError("q must differ from the base point")
     prediction = orbifold_point_test(rep, point, seed).ok
-    cfg = QuotientOptimizerConfig(restarts=4, evals=2500, probes=200, seed=seed)
+    xs = np.array([manifold.exp(point, lam * v) for lam in lambdas])
+    rank, _, right = linalg.svd_bases(np.concatenate([rep.tangent_rows(xs), xs[:, None]], 1))
     rng = np.random.default_rng(seed)
-    values = []
-    estimates = []
-    for lam in lambdas:
-        x = manifold.exp(point, lam * v)
-        rows = np.vstack([rep.tangent_rows(x), x[None, :]])
-        hor = linalg.kernel(rows)
+    planes, first = [], []
+    for x, r, basis, lam in zip(xs, rank, right, lambdas):
+        hor = basis[r:]
         if hor.shape[0] < 2:
             raise TransversalError("quotient is lower than two-dimensional; no "
                                    "curvature plane to estimate")
-        best = -np.inf
-        n_planes = 1 if hor.shape[0] == 2 else 3
-        for _ in range(n_planes):
-            if hor.shape[0] == 2:
-                bx, by = hor[0], hor[1]
-            else:
-                c = linalg.orthonormalize(rng.standard_normal((2, hor.shape[0])))
-                bx, by = c @ hor
-            best = max(best, _quotient_curvature(rep, manifold, x, bx, by,
-                                                 RESCALE_ETA * lam * rho, cfg))
-        estimates.append(float(best))
-        values.append(float(lam ** 2 * best))
+        first.append(len(planes))
+        if hor.shape[0] == 2:
+            drawn = [hor]
+        else:
+            drawn = [linalg.orthonormalize(rng.standard_normal((2, hor.shape[0]))) @ hor
+                     for _ in range(3)]
+        planes += [(x, bx, by, RESCALE_ETA * lam * rho) for bx, by in drawn]
+    points, bx, by, seps = (np.array(col) for col in zip(*planes))
+    cfg = QuotientOptimizerConfig(restarts=4, evals=2500, probes=200, seed=seed)
+    est, found = _quotient_curvature(rep, manifold, points, bx, by, seps, cfg)
+    best = np.maximum.reduceat(est, first)
+    values = tuple(float(lam ** 2 * b) for lam, b in zip(lambdas, best))
     consistent = (not prediction) or (abs(values[-1]) < 1e-2)
-    return RescaleReport(tuple(lambdas), tuple(values), tuple(estimates),
-                         prediction, consistent)
+    return RescaleReport(tuple(lambdas), values, tuple(float(b) for b in best),
+                         prediction, consistent, found.starts, found.iterations,
+                         found.evaluations)

@@ -16,6 +16,7 @@ so the module needs numpy only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,7 @@ class QuotientOptimizerConfig:
 class QuotientDistance:
     value: float | np.ndarray       # (B,) for stacked pairs
     point: np.ndarray               # g q attaining ``value``: (d,), or (B, d) for stacked pairs
+    starts: int                     # Newton starts, over every pair
     iterations: int                 # lockstep Newton iterations until every start retired
     evaluations: int                # start evaluations, summed over the lockstep passes
 
@@ -298,22 +300,36 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     ``p`` and ``q`` may be stacks of B pairs, shape (B, d); then ``value``
     has shape (B,) and ``point`` (B, d).  Every pair shares the one probe set
     drawn from ``config.seed``, and one lockstep Newton runs all B x
-    restarts starts together.
+    restarts starts together.  Pairs that are not finite stacks of equal
+    shape in R^space_dim, and a config without probes, with a negative
+    ``evals`` or with a box that is not positive and finite, raise
+    ``WeylError``.
     """
     cfg = config or QuotientOptimizerConfig()
     p = np.asarray(p, float)
     q = np.asarray(q, float)
+    if p.shape != q.shape or p.ndim not in (1, 2) or p.shape[-1] != rep.space_dim:
+        raise WeylError(f"p and q must both have shape ({rep.space_dim},) or "
+                        f"(B, {rep.space_dim}); got {p.shape} and {q.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise WeylError("p and q must be finite")
+    if cfg.probes < 1 or cfg.evals < 0 or not (math.isfinite(cfg.box) and cfg.box > 0):
+        raise WeylError(f"the search needs at least one probe, a non-negative iteration "
+                        f"budget and a positive finite box; got probes={cfg.probes}, "
+                        f"evals={cfg.evals}, box={cfg.box}")
     single = p.ndim == 1
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     n = rep.n_generators
     if n == 0:
-        value, point, iterations, evaluations = _ambient_distance(rep, p, q), q.copy(), 0, 0
+        value, point = _ambient_distance(rep, p, q), q.copy()
+        n_starts = iterations = evaluations = 0
     else:
         rng = np.random.default_rng(cfg.seed)
         samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
         samples[0] = 0.0
         moved = q @ np.swapaxes(_second_kind_elements(rep, samples), 1, 2)  # (probes, B, d)
         restarts = min(max(cfg.restarts, 1), cfg.probes)
+        n_starts = p.shape[0] * restarts
         order = np.argsort(-np.sum(moved * p, axis=-1), axis=0)[:restarts].T
         pick = np.arange(p.shape[0])
         starts = moved[order, pick[:, None]].reshape(-1, p.shape[1])  # (B * restarts, d)
@@ -325,8 +341,8 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
         best = np.argmin(dist, axis=1)
         value, point = dist[pick, best], m.reshape(-1, restarts, p.shape[1])[pick, best]
     if single:
-        return QuotientDistance(float(value[0]), point[0], iterations, evaluations)
-    return QuotientDistance(value, point, iterations, evaluations)
+        return QuotientDistance(float(value[0]), point[0], n_starts, iterations, evaluations)
+    return QuotientDistance(value, point, n_starts, iterations, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -902,3 +902,129 @@ def test_rescale_probe_trivial_action():
     # quotient = round sphere: curvature 1, so the report decays like lambda^2
     for lam, val in zip(report.lambdas, report.values):
         assert abs(val) < 1.2 * lam ** 2 + 1e-6
+
+
+def trivial_s3_rep():
+    alg = pl.build_classical("torus", 1)
+    return pl.OrthogonalRep(alg, np.zeros((1, 4, 4)), 4, restrict_to_sphere=True,
+                            name="trivial_s3")
+
+
+def per_lambda_probe(rep, point, q, lambdas, seed):
+    """The rescale probe as one quotient search per lambda and plane, with
+    the probe's rng draws: (values, curvature estimates)."""
+    man = ModelManifold("sphere", rep.space_dim)
+    v = man.log(point, q)
+    rho = np.linalg.norm(v)
+    cfg = pl.weyl.QuotientOptimizerConfig(restarts=4, evals=2500, probes=200, seed=seed)
+    rng = np.random.default_rng(seed)
+    values, estimates = [], []
+    for lam in lambdas:
+        x = man.exp(point, lam * v)
+        hor = linalg.kernel(np.vstack([rep.tangent_rows(x), x[None, :]]))
+        planes = [hor] if hor.shape[0] == 2 else [
+            linalg.orthonormalize(rng.standard_normal((2, hor.shape[0]))) @ hor
+            for _ in range(3)]
+        best = -np.inf
+        for bx, by in planes:
+            s = transversal.RESCALE_ETA * lam * rho
+            seps = np.array([s, s / 2])
+            d = pl.weyl.quotient_distance(rep, np.array([man.exp(x, t * bx) for t in seps]),
+                                          np.array([man.exp(x, t * by) for t in seps]),
+                                          cfg).value
+            est = 12.0 * (np.sqrt(2.0) * seps - d) / (np.sqrt(2.0) * seps ** 3)
+            best = max(best, (4 * est[1] - est[0]) / 3)
+        estimates.append(float(best))
+        values.append(float(lam ** 2 * best))
+    return tuple(values), tuple(estimates)
+
+
+def probe_inputs(bundles):
+    import dataclasses
+    b = bundles["su2_diag_double"]
+    rep = dataclasses.replace(b["rep"], restrict_to_sphere=True)
+    sing = b["sphere_singular"]
+    lambdas = (0.125, 0.0625, 0.03125, 0.015625)
+    cases = [(rep, sing["point"], sing["regular_q"], lambdas, seed) for seed in range(3)]
+    h = bundles["hopf_s1_s3"]
+    cases.append((h["rep"], h["basepoint"], h["manifold"].exp(h["basepoint"], 0.5 * h["direction"]),
+                  (0.25, 0.125), 5))
+    cases.append((trivial_s3_rep(), np.array([1.0, 0, 0, 0]),
+                  np.array([np.cos(0.4), np.sin(0.4), 0, 0]), (0.25, 0.0625), 0))
+    return cases
+
+
+def test_rescale_probe_is_one_stacked_search(bundles, monkeypatch):
+    # every lambda and plane goes to one quotient search; its pairs retire on
+    # their own, so the values are bitwise those of one search per plane
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pl.weyl.quotient_distance(*args, **kwargs)
+
+    monkeypatch.setattr(transversal, "quotient_distance", counted)
+    for rep, point, q, lambdas, seed in probe_inputs(bundles):
+        calls.clear()
+        report = rescale_probe(rep, point, q, lambdas=lambdas, seed=seed)
+        assert len(calls) == 1
+        values, estimates = per_lambda_probe(rep, point, q, lambdas, seed)
+        assert report.values == values
+        assert report.curvature_estimates == estimates
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"lambdas": ()}, "lambdas"),
+    ({"lambdas": (0.125, 0.0)}, "lambdas"),
+    ({"lambdas": (-0.1,)}, "lambdas"),
+    ({"lambdas": (float("nan"),)}, "lambdas"),
+    ({"lambdas": (2.0,)}, "lambdas"),
+    ({"q": lambda p, q: -p}, "q must not be the antipode"),
+    ({"q": lambda p, q: 2 * q}, "q must be a finite unit vector"),
+    ({"q": lambda p, q: q[:-1]}, "q must be a finite unit vector"),
+    ({"q": lambda p, q: np.r_[np.nan, q[1:]]}, "q must be a finite unit vector"),
+    ({"point": lambda p, q: 2 * p}, "point must be a finite unit vector"),
+], ids=["no-lambdas", "zero-lambda", "negative-lambda", "nan-lambda", "lambda-above-one",
+        "antipodal-q", "q-off-sphere", "q-wrong-length", "nan-q", "point-off-sphere"])
+def test_rescale_probe_rejects_unusable_input(bundles, bad, match):
+    import dataclasses
+    b = bundles["su2_diag_double"]
+    rep = dataclasses.replace(b["rep"], restrict_to_sphere=True)
+    point, q = b["sphere_singular"]["point"], b["sphere_singular"]["regular_q"]
+    args = {"point": point, "q": q, "lambdas": (0.125, 0.0625)}
+    for key, value in bad.items():
+        args[key] = value(point, q) if callable(value) else value
+    with pytest.raises(TransversalError, match=match):
+        rescale_probe(rep, **args)
+
+
+@pytest.mark.parametrize("which, match", [
+    ("x", "y must be orthogonal to x"),
+    ("doubled", "y must be a finite unit vector"),
+    ("nan", "y must be a finite unit vector"),
+    ("short", "y must be a finite unit vector"),
+    ("radial", "y must be tangent to the model"),
+    ("vertical", "y must be normal to the orbit"),
+])
+def test_oneill_rejects_a_bad_y(bundles, which, match):
+    b = bundles["hopf_s1_s3"]
+    p = b["basepoint"]
+    x, y = b["horizontal_pair"]
+    vertical = b["rep"].tangent_rows(p)[0]
+    bad = {"x": x, "doubled": 2 * y, "nan": np.full_like(y, np.nan), "short": y[:-1],
+           "radial": p, "vertical": vertical / np.linalg.norm(vertical)}[which]
+    with pytest.raises(TransversalError, match=match):
+        oneill_check(b["rep"], b["manifold"], p, x, bad)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_oneill_and_rescale_records_count_the_quotient_search(seed):
+    # two pairs for O'Neill, 4 lambdas x 1 plane x 2 pairs for the probe,
+    # 4 restarts each
+    for entry, check, starts in (("hopf_s1_s3", "oneill", 8),
+                                 ("su2_diag_double", "rescale-probe", 32)):
+        record, = analyze(entry, [check], seed=seed).records
+        search = record.value["quotient_search"]
+        assert search["starts"] == starts
+        assert 1 <= search["iterations"] <= 20
+        assert search["starts"] <= search["evaluations"]

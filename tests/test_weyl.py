@@ -353,3 +353,34 @@ def test_reduction_records_count_the_quotient_search(seed):
         assert search["starts"] == 4 * record.value["pairs"]
         assert 1 <= search["iterations"] <= 20
         assert search["starts"] <= search["evaluations"]
+
+
+@pytest.mark.parametrize("p, q, match", [
+    (np.ones(3) / np.sqrt(3), np.ones((2, 3)) / np.sqrt(3), "shape"),
+    (np.ones(4) / 2, np.ones(4) / 2, "shape"),
+    (np.ones((2, 2)), np.ones((2, 2)), "shape"),
+    (np.array([np.nan, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), "finite"),
+    (np.array([1.0, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0]), "finite"),
+], ids=["shapes-differ", "wrong-length", "stack-wrong-length", "nan-in-p", "inf-in-q"])
+def test_quotient_distance_rejects_bad_pairs(bundles, p, q, match):
+    with pytest.raises(WeylError, match=match):
+        quotient_distance(bundles["su2_adjoint"]["rep"], p, q)
+
+
+@pytest.mark.parametrize("config", [
+    QuotientOptimizerConfig(probes=0), QuotientOptimizerConfig(box=float("nan")),
+    QuotientOptimizerConfig(box=float("inf")), QuotientOptimizerConfig(box=0.0),
+    QuotientOptimizerConfig(evals=-1),
+], ids=["no-probes", "nan-box", "inf-box", "zero-box", "negative-evals"])
+def test_quotient_distance_rejects_bad_configs(bundles, config):
+    p = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(WeylError, match="probe"):
+        quotient_distance(bundles["su2_adjoint"]["rep"], p, p, config)
+
+
+def test_quotient_distance_counts_its_starts(bundles):
+    rep = bundles["so3_sym_traceless"]["rep"]
+    p, q = random_pairs(rep, 3, 2)
+    assert quotient_distance(rep, p, q, STACK_CONFIG).starts == 3 * STACK_CONFIG.restarts
+    clamped = QuotientOptimizerConfig(restarts=50, probes=5)
+    assert quotient_distance(rep, p[0], q[0], clamped).starts == 5
