@@ -14,14 +14,17 @@ its initial data as two (dim M, D) arrays, the values of its fields on the
 grid as one (n_fields, n_t, m) array, evaluated in closed form once per
 geodesic and cached on it.  The focal scan, the kernel fields of the
 variational-completeness probe and the transversal system read those
-values; the covariant derivatives on the grid are evaluated only when a
-transversal system is built, and the closed form runs again only at
-single times (in the golden-section search and at the focal times).  The
+values; the covariant derivatives are evaluated only at the few times
+that read them (the vanishing times of the vertical fields, the times of
+the vertical-derivative claim, the live times of the focal refinement), and
+the closed form runs again only at those and at the focal times.  The
 focal scan decomposes only the grid times that can host a focal time: a
 stacked SVD at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of
 sigma_min from the mode data that rules out the times far from a small
 singular value, and one more stacked SVD of the rest; its result is the
-full-grid scan's, and ``focal_scan_counters`` reports its work.  The orbit-tangent
+full-grid scan's.  Its grid-local minima are refined together by lockstep
+safeguarded Newton on sigma_min, one stacked SVD per round, and
+``focal_scan_counters`` reports its work.  The orbit-tangent
 span (from the cached Killing restrictions) and the vertical fibre at
 every grid time come from one ``linalg.row_space_stack`` call each over
 the stacked rows (vectorised Jacobi rotations for up to three short rows
@@ -32,7 +35,8 @@ horizontal frame needs a basis of H_t.  The vertical-derivative claim is
 one stacked least-squares solve over every strided time and field,
 skipping the times where the vertical fields lose rank.  The transversal
 Jacobi equation has one solver, the Morse-Sturm scan in a nabla^h-parallel
-frame, and its Morse index one piecewise-linear index form.  Every RK4
+frame, and its Morse index one piecewise-linear index form, assembled
+without a loop over its elements.  Every RK4
 integration (the Jacobi cross-check, the horizontal frame and the
 Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns
 each step's propagator of the linear system, and one blocked scan,
@@ -64,7 +68,6 @@ FOCAL_SV_TOL = 1e-7         # singular values below it mark focal/conjugate time
 FOCAL_COARSE_STRIDE = 16    # grid stride of the focal scan's first SVD pass
 FOCAL_LIPSCHITZ_SAFETY = 1.1    # factor on the focal scan's Lipschitz bound of sigma_min
 FOCAL_SV_ROUNDING = 1e-12   # rounding of a computed sigma_min, relative to |Y|_2
-GOLDEN_ITERS = 90
 VERTICAL_RANK_RTOL = 1e-8   # relative rank cut of the vertical Jacobi fields
 CLAIM_STRIDE = 50           # grid stride of the vertical-derivative claim check
 INDEX_ELEMENTS = 64         # elements of the piecewise-linear Morse-Sturm index form
@@ -217,7 +220,10 @@ def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
     covariant derivatives at the basepoint time 0, in the eigenbasis of the
     curvature matrix.  Returns the frame values of every column at every
     time, shape (n_times, m, n), or with ``derivative`` their covariant
-    derivatives.
+    derivatives.  Y(t) = q diag(c(t)) a + q diag(s(t)) b is linear in the
+    2m mode coefficients (c(t), s(t)), so each time is one (1, 2m) x
+    (2m, m n) product, taken time by time in one stacked matmul: a time's
+    values do not depend on the other times evaluated with it.
     """
     q, curved, r = geod._modes[1], geod._curved, geod._rates
     times = np.asarray(times, float)
@@ -225,10 +231,12 @@ def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
     cos = np.where(curved, np.cos(rt), 1.0)
     sin = np.sin(rt)
     if derivative:
-        der_a = np.where(curved, -r * sin, 0.0)
-        return q @ (der_a[:, :, None] * a + cos[:, :, None] * b)
-    val_b = np.where(curved, sin / r, times[:, None])
-    return q @ (cos[:, :, None] * a + val_b[:, :, None] * b)
+        coef = np.concatenate([np.where(curved, -r * sin, 0.0), cos], axis=1)
+    else:
+        coef = np.concatenate([cos, np.where(curved, sin / r, times[:, None])], axis=1)
+    m, n = a.shape
+    terms = q.T[:, :, None] * np.stack([a, b])[:, :, None, :]    # [., k, i, j] = q_ik x_kj
+    return (coef[:, None, :] @ terms.reshape(2 * m, m * n)).reshape(-1, m, n)
 
 
 def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
@@ -353,19 +361,24 @@ def _basis_on_grid(geod: OrbitGeodesic, derivative: bool = False) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 2, 0))
 
 
+def _basis_derivatives(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
+    """The N-Jacobi basis fields' covariant derivatives at the grid times
+    ``index``, shape (len(index), n_fields, m): one row per field, as
+    ``_basis_on_grid(geod, derivative=True)[:, index]`` holds them."""
+    return np.swapaxes(_closed_form(geod, *_basis_modes(geod), geod.times[index],
+                                    derivative=True), 1, 2)
+
+
 def lambda_fields(geod: OrbitGeodesic) -> np.ndarray:
     """The frame values of the N-Jacobi basis on the grid (closed form),
     shape (n_fields, n_t, m), cached on ``geod``.  Their covariant
-    derivatives are evaluated only when a ``TransversalSystem`` is built,
-    which keeps them as ``lambda_derivs``."""
+    derivatives are read only at a few grid times, the vanishing times of
+    the vertical fields and the times of the vertical-derivative claim, and
+    evaluated there (``_basis_derivatives``)."""
     key = "lambda_fields"
     if key not in geod._cache:
         geod._cache[key] = _basis_on_grid(geod)
     return geod._cache[key]
-
-
-def _min_singular(geod: OrbitGeodesic, t: float) -> float:
-    return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
 
 
 def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
@@ -396,9 +409,11 @@ def focal_points(geod: OrbitGeodesic) -> list:
     """Focal times of the start orbit: roots of the matrix-solution sigma_min.
 
     Interior grid-local minima t_k of the smallest singular value are refined
-    by golden-section search on [t_(k-1), t_(k+1)]; a refined minimum below
-    ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the number of
-    singular values below the threshold there.  Only the grid times that
+    toward its zero in [t_(k-1), t_(k+1)], all at once by lockstep
+    safeguarded Newton (``_refine_minima``); a refined time where sigma_min
+    is below ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the
+    number of singular values below the threshold there, and one within 10
+    grid steps of the last focal time is merged into it.  Only the grid times that
     can host such a minimum are decomposed.  The SVD runs first at every
     ``FOCAL_COARSE_STRIDE``-th grid time t_j and the last.  With L from
     ``_sigma_lipschitz``, every t in [t_(k-1), t_(k+1)] has
@@ -417,8 +432,7 @@ def focal_points(geod: OrbitGeodesic) -> list:
     key = "focal_points"
     if key in geod._cache:
         return list(geod._cache[key][0])
-    times = geod.times
-    n = times.shape[0]
+    n = geod.times.shape[0]
     stride = FOCAL_COARSE_STRIDE
     coarse = np.unique(np.r_[0:n:stride, n - 1])
     svals = _grid_singular_values(geod, coarse)
@@ -438,20 +452,17 @@ def focal_points(geod: OrbitGeodesic) -> list:
     rest = np.setdiff1d(np.r_[candidates - 1, candidates, candidates + 1], coarse)
     if rest.size:
         smin[rest] = _grid_singular_values(geod, rest)[:, -1]
+    minima = candidates[(smin[candidates] <= smin[candidates - 1])
+                        & (smin[candidates] <= smin[candidates + 1])]
+    refined, s_at, rounds = _refine_minima(geod, minima)
     out = []
-    refinements = 0
-    for k in candidates:
-        if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
-            refinements += 1
-            t_star = _golden_min(lambda t: _min_singular(geod, t),
-                                 times[k - 1], times[k + 1])
-            s_at = np.linalg.svd(_matrix_solution(geod, t_star), compute_uv=False)
-            if s_at[-1] < FOCAL_SV_TOL:
-                mult = int(np.sum(s_at < FOCAL_SV_TOL))
-                if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
-                    out.append((float(t_star), mult))
+    for t_star, s in zip(refined, s_at):
+        if s[-1] < FOCAL_SV_TOL:
+            mult = int(np.sum(s < FOCAL_SV_TOL))
+            if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
+                out.append((float(t_star), mult))
     counters = {"grid_points": int(n), "decomposed": int(coarse.shape[0] + rest.shape[0]),
-                "refinements": refinements}
+                "refinements": int(minima.shape[0]), "refinement_rounds": rounds}
     geod._cache[key] = (out, counters)
     return list(out)
 
@@ -460,29 +471,53 @@ def focal_scan_counters(geod: OrbitGeodesic) -> dict:
     """Deterministic work counters of the focal scan of ``geod``, run if it
     has not run: ``grid_points``, the grid times; ``decomposed``, the grid
     times whose matrix solution went to the SVD; ``refinements``, the
-    golden-section searches."""
+    grid-local minima refined; ``refinement_rounds``, the lockstep Newton
+    rounds that refined them."""
     if "focal_points" not in geod._cache:
         focal_points(geod)
     return dict(geod._cache["focal_points"][1])
 
 
-def _golden_min(f, a: float, b: float) -> float:
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_ITERS):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        if b - a < 1e-14:
-            break
-    return (a + b) / 2
+def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
+    """Refine the grid-local minima t_k (``index``) of sigma_min to its zeros.
+
+    Lockstep safeguarded Newton on sigma_min, every minimum at once: each
+    starts at t_k with the bracket [t_(k-1), t_(k+1)].  A round evaluates
+    the matrix solution Y and its derivative Y' at the live times and takes
+    one stacked SVD; with u and v the singular vectors of sigma_min, its
+    derivative is sigma' = u^T Y' v.  The bracket shrinks to the side of t
+    where the sign of sigma' puts the zero, and the step is -sigma / sigma',
+    or a bisection of the bracket where that step is not finite or leaves
+    the bracket.  A time retires when the step is at the rounding level of
+    t and of sigma (sigma <= 4 eps (|t sigma'| + sigma_max)) or its bracket
+    is under 1e-14.  Each time's arithmetic is its own, so it does not
+    depend on the other minima.  Returns the refined times, the singular
+    values there (descending, one row each, from one stacked SVD) and the
+    rounds run.
+    """
+    times = geod.times
+    modes = _basis_modes(geod)
+    t, lo, hi = times[index], times[index - 1], times[index + 1]
+    eps = np.finfo(float).eps
+    live = np.arange(t.shape[0])
+    rounds = 0
+    while live.size:
+        rounds += 1
+        at = t[live]
+        u, s, vh = np.linalg.svd(_closed_form(geod, *modes, at))
+        slope = np.einsum("ki,kij,kj->k", u[:, :, -1],
+                          _closed_form(geod, *modes, at, derivative=True), vh[:, -1])
+        sigma = s[:, -1]
+        done = sigma <= 4 * eps * (np.abs(at * slope) + s[:, 0])
+        rising = slope >= 0.0
+        hi[live] = np.where(rising, at, hi[live])
+        lo[live] = np.where(rising, lo[live], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = at - sigma / slope
+        inside = (newton > lo[live]) & (newton < hi[live])
+        t[live] = np.where(done, at, np.where(inside, newton, (lo[live] + hi[live]) / 2))
+        live = live[~done & (hi[live] - lo[live] >= 1e-14)]
+    return t, np.linalg.svd(_closed_form(geod, *modes, t), compute_uv=False), rounds
 
 
 @dataclass
@@ -496,7 +531,8 @@ class KillingFields:
 def killing_restrictions(geod: OrbitGeodesic) -> KillingFields:
     key = "killing"
     if key not in geod._cache:
-        raw = np.einsum("tid,tdm->itm", geod.rep.tangent_rows(geod.gamma), geod.frames)
+        raw = np.ascontiguousarray(np.swapaxes(geod.rep.tangent_rows(geod.gamma) @ geod.frames,
+                                               0, 1))
         flat = raw.reshape(raw.shape[0], raw.shape[1] * raw.shape[2])
         geod._cache[key] = KillingFields(raw, linalg.orthonormalize(flat))
     return geod._cache[key]
@@ -641,9 +677,8 @@ class TransversalSystem:
         if n_t < 3:
             raise TransversalError("the transversal system needs at least 3 grid times")
         m = geod.dim
-        vals, dvals = lambda_fields(geod), _basis_on_grid(geod, derivative=True)
+        vals = lambda_fields(geod)
         self.lambda_values = vals
-        self.lambda_derivs = dvals
         # vertical Jacobi fields: combinations tangent to orbits at all times,
         # the null space of q = sum_k n_k n_k^T over the orbit-normal parts
         # n_k = v_k (I - P_k) of the field values; forming q from the normal
@@ -653,7 +688,7 @@ class TransversalSystem:
         self.orbit_rank = np.count_nonzero(np.any(span, axis=-1), axis=-1)
         normal = np.swapaxes(vals, 0, 1)
         normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
-        q = np.einsum("tfm,tgm->fg", normal, normal)
+        q = np.tensordot(normal, normal, axes=([0, 2], [0, 2]))
         del span, normal
         evals, evecs = np.linalg.eigh(q)
         scale = max(float(evals[-1]), 1.0)
@@ -665,15 +700,16 @@ class TransversalSystem:
         self.vanishing = np.zeros(0, int)
         if r:
             # one row-space call gives the rank test and the vertical fibre's rows
-            w = np.einsum("rf,ftm->trm", self.upsilon_coeffs, vals)
+            w = self.upsilon_coeffs @ np.swapaxes(vals, 0, 1)
             rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
             # division construction through isolated zeros of vertical fields,
             # the times where fewer than r rows survive the rank cut
             self.vanishing = np.flatnonzero(np.count_nonzero(np.any(rows, axis=-1), axis=-1) != r)
-            for k in self.vanishing:
+            dvals = _basis_derivatives(geod, self.vanishing)
+            for k, dv in zip(self.vanishing, dvals):
                 vanish = linalg.kernel(w[k].T, 1e-6)
-                dw = vanish @ (self.upsilon_coeffs @ dvals[:, k, :])
+                dw = vanish @ (self.upsilon_coeffs @ dv)
                 basis = linalg.orthonormalize(np.vstack([w[k], dw]))
                 if basis.shape[0] != r:
                     raise TransversalError(
@@ -681,7 +717,7 @@ class TransversalSystem:
                         f"{geod.times[k]:.4f}; a vertical-field zero is not "
                         "isolated at grid resolution")
                 self.p_v[k] = basis.T @ basis
-            del w, rows
+            del w, rows, dvals
         self.p_h = np.eye(m)[None, :, :] - self.p_v
         # extended A-tensor from centered differences of the projectors
         dp_v = np.empty_like(self.p_v)
@@ -753,7 +789,7 @@ def claim_residuals(system: TransversalSystem) -> dict:
     g = system.geod
     ks = np.arange(CLAIM_STRIDE, g.times.shape[0] - CLAIM_STRIDE, CLAIM_STRIDE)
     v = np.swapaxes(system.lambda_values[:, ks], 0, 1)          # (n_k, n_f, m)
-    dv = np.swapaxes(system.lambda_derivs[:, ks], 0, 1)
+    dv = _basis_derivatives(g, ks)
     w = system.upsilon_coeffs @ v                                # (n_k, r, m)
     dw = system.upsilon_coeffs @ dv
     p_vt = np.swapaxes(system.p_v[ks], 1, 2)
@@ -775,7 +811,7 @@ def claim_residuals(system: TransversalSystem) -> dict:
     frame = horizontal_frame(system)
     h = g.step
     de = (frame[2:] - frame[:-2]) / (2 * h)
-    model = np.einsum("tmi,tin->tmn", system.a[1:-1], frame[1:-1])
+    model = system.a[1:-1] @ frame[1:-1]
     worst_e = float(np.max(np.abs(de - model))) if de.size else 0.0
     return {"vertical-derivative": worst_v, "frame-derivative": worst_e}
 
@@ -834,8 +870,8 @@ def conjugate_scan(system: TransversalSystem) -> ConjugateScanReport:
         return ConjugateScanReport([], 0, True)
     n_t = g.times.shape[0]
     # R in the moving frame, restricted transversally
-    r_frame = np.einsum("tmq,tmn,tnp->tqp", frame, system.r_script, frame)
-    r_red = np.einsum("iq,tqp,jp->tij", coeff0, r_frame, coeff0)
+    r_frame = np.swapaxes(frame, 1, 2) @ (system.r_script @ frame)
+    r_red = coeff0 @ r_frame @ coeff0.T
     h = g.step
     idx = np.arange(0, n_t, 2)
     steps = _rk4_steps(_pair_generator(-r_red[idx[:-1]]), _pair_generator(-r_red[idx[:-1] + 1]),
@@ -875,41 +911,54 @@ def _matrix_roots(sol: np.ndarray, times: np.ndarray) -> list:
 
 def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int) -> int:
     """Negative-eigenvalue count of the piecewise-linear index form."""
-    n = times.shape[0]
-    node_idx = np.unique(np.linspace(0, n - 1, INDEX_ELEMENTS + 1).astype(int))
-    n_nodes = node_idx.shape[0]
-    dim = (n_nodes - 2) * q_dim
-    if dim <= 0:
+    mat = _index_form(r_vals, times, q_dim)
+    if not mat.size:
         return 0
-    mat = np.zeros((dim, dim))
-
-    def node_slice(i):
-        return slice((i - 1) * q_dim, i * q_dim)
-
-    for e in range(n_nodes - 1):
-        k0, k1 = node_idx[e], node_idx[e + 1]
-        ell = times[k1] - times[k0]
-        grid = np.arange(k0, k1 + 1)
-        ts = times[grid]
-        phi_l = (times[k1] - ts) / ell
-        phi_r = (ts - times[k0]) / ell
-        r_blk = r_vals[grid]
-        m_ll = np.trapezoid(phi_l[:, None, None] ** 2 * r_blk, ts, axis=0)
-        m_lr = np.trapezoid((phi_l * phi_r)[:, None, None] * r_blk, ts, axis=0)
-        m_rr = np.trapezoid(phi_r[:, None, None] ** 2 * r_blk, ts, axis=0)
-        eye = np.eye(q_dim)
-        blocks = {
-            (e, e): eye / ell - m_ll,
-            (e, e + 1): -eye / ell - m_lr,
-            (e + 1, e): -eye / ell - m_lr.T,
-            (e + 1, e + 1): eye / ell - m_rr,
-        }
-        for (i, j), blk in blocks.items():
-            if 1 <= i <= n_nodes - 2 and 1 <= j <= n_nodes - 2:
-                mat[node_slice(i), node_slice(j)] += blk
     evals = np.linalg.eigvalsh((mat + mat.T) / 2)
     scale = max(float(np.max(np.abs(evals))), 1.0)
     return int(np.sum(evals < -1e-9 * scale))
+
+
+def _index_form(r_vals: np.ndarray, times: np.ndarray, q_dim: int) -> np.ndarray:
+    """Matrix of the index form int |Y'|^2 - <R Y, Y> on continuous
+    piecewise-linear fields with ``INDEX_ELEMENTS`` elements, vanishing at
+    both ends: one (q_dim, q_dim) block per pair of interior nodes.
+
+    The mass integrals of hat products against R are trapezoid sums over the
+    grid points of each element.  Every element's points are concatenated
+    (a shared node once per element), each point gets its trapezoid weight
+    times the hat products, and one ``np.add.reduceat`` per integral sums
+    each element; the block-tridiagonal blocks are placed by indexing.
+    """
+    n = times.shape[0]
+    nodes = np.unique(np.linspace(0, n - 1, INDEX_ELEMENTS + 1).astype(int))
+    inner = nodes.shape[0] - 2
+    if inner <= 0:
+        return np.zeros((0, 0))
+    k0, k1 = nodes[:-1], nodes[1:]
+    counts = k1 - k0 + 1
+    first = np.r_[0, np.cumsum(counts)[:-1]]          # each element's first point
+    elem = np.repeat(np.arange(k0.shape[0]), counts)
+    points = np.arange(elem.shape[0]) - first[elem] + k0[elem]    # grid index of each
+    ts = times[points]
+    ell = times[k1] - times[k0]
+    phi_l = (times[k1][elem] - ts) / ell[elem]
+    phi_r = (ts - times[k0][elem]) / ell[elem]
+    # the gap from an element's last point to the next one's first is 0
+    gap = np.diff(ts)
+    weight = (np.r_[gap, 0.0] + np.r_[0.0, gap]) / 2
+    m_ll, m_lr, m_rr = (np.add.reduceat((weight * hat)[:, None, None] * r_vals[points], first,
+                                        axis=0)
+                        for hat in (phi_l ** 2, phi_l * phi_r, phi_r ** 2))
+    stiff = np.eye(q_dim) / ell[:, None, None]
+    mat = np.zeros((inner, q_dim, inner, q_dim))
+    i = np.arange(inner)
+    # node i + 1 closes element i and opens element i + 1
+    mat[i, :, i, :] = (stiff[:-1] - m_rr[:-1]) + (stiff[1:] - m_ll[1:])
+    off = -stiff[1:-1] - m_lr[1:-1]
+    mat[i[:-1], :, i[1:], :] = off
+    mat[i[1:], :, i[:-1], :] = np.swapaxes(off, 1, 2)
+    return mat.reshape(inner * q_dim, inner * q_dim)
 
 
 # ---------------------------------------------------------------------------

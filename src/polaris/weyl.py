@@ -295,7 +295,9 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     ``restarts`` orbit points g(t) q start a modified Newton descent of
     -<p, m> over the orbit, ``evals`` iterations at most.  The least ambient
     distance at a final orbit point approximates an infimum and is an upper
-    bound.
+    bound.  On a Euclidean model each pair is searched at the scale where
+    its largest entry lies in [0.5, 1), and the result scaled back: the
+    distance is homogeneous, and the search then works from 1e-300 to 1e300.
 
     ``p`` and ``q`` may be stacks of B pairs, shape (B, d); then ``value``
     has shape (B,) and ``point`` (B, d).  Every pair shares the one probe set
@@ -319,6 +321,13 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
                         f"evals={cfg.evals}, box={cfg.box}")
     single = p.ndim == 1
     p, q = np.atleast_2d(p), np.atleast_2d(q)
+    # On R^d the distance is homogeneous of degree 1, so each pair is searched
+    # scaled by the power of two that brings its largest entry into [0.5, 1):
+    # exact, and the same search for every scale of the pair.
+    scale = np.zeros(p.shape[0], int)
+    if not rep.restrict_to_sphere:
+        scale = np.frexp(np.maximum(np.max(np.abs(p), axis=1), np.max(np.abs(q), axis=1)))[1]
+        p, q = np.ldexp(p, -scale[:, None]), np.ldexp(q, -scale[:, None])
     n = rep.n_generators
     if n == 0:
         value, point = _ambient_distance(rep, p, q), q.copy()
@@ -340,6 +349,7 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
         dist = _ambient_distance(rep, p[owner], m).reshape(-1, restarts)
         best = np.argmin(dist, axis=1)
         value, point = dist[pick, best], m.reshape(-1, restarts, p.shape[1])[pick, best]
+    value, point = np.ldexp(value, scale), np.ldexp(point, scale[:, None])
     if single:
         return QuotientDistance(float(value[0]), point[0], n_starts, iterations, evaluations)
     return QuotientDistance(value, point, n_starts, iterations, evaluations)

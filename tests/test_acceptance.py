@@ -21,6 +21,7 @@ from polaris.transversal import OrbitGeodesic, claim_residuals, \
     oneill_check, rescale_probe, symplectic_form, \
     transversal_equation_residual, transversal_system, \
     variational_completeness_probe
+from polaris.transversal import _basis_on_grid
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
 
@@ -167,13 +168,14 @@ def test_criterion_07_symplectic(bundles):
         geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                              span=(0.0, PI), step=1e-3)
         system = transversal_system(geod)
-        y, dy = (np.moveaxis(x, 0, 2) for x in (system.lambda_values, system.lambda_derivs))
+        vals, dvals = system.lambda_values, _basis_on_grid(geod, derivative=True)
+        y, dy = (np.moveaxis(x, 0, 2) for x in (vals, dvals))
         w = symplectic_form(y, dy)                  # every pair of fields
         assert np.max(np.ptp(w, axis=0)) < 1e-8, name
         assert np.max(np.abs(w)) < 1e-10, name      # Lagrangian
         ups = system.upsilon_coeffs
-        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, system.lambda_values),
-                            np.einsum("rf,ftm->tmr", ups, system.lambda_derivs))
+        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, vals),
+                            np.einsum("rf,ftm->tmr", ups, dvals))
         assert np.max(np.abs(w), initial=0.0) < 1e-10, name   # isotropic
     report(7, "symplectic form on Jacobi fields")
 

@@ -505,8 +505,8 @@ def test_lapack_failure_in_focal_points_ends_in_an_error_record(monkeypatch):
 
 
 def test_lapack_failure_in_focal_refinement_ends_in_an_error_record(monkeypatch):
-    # the golden-section search of the focal scan
-    fail_svd_called_from(monkeypatch, transversal._min_singular)
+    # the lockstep Newton refinement of the focal scan
+    fail_svd_called_from(monkeypatch, transversal._refine_minima)
     (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
     assert rec.status == "error"
     assert rec.value == {"reason": "SVD did not converge"}
@@ -533,8 +533,10 @@ def test_bad_designated_orbifold_point_is_an_error_record_naming_it(entry, name,
 def test_jacobi_scan_reports_focal_scan_counters():
     (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
     counters = rec.value["focal_scan"]
-    assert set(counters) == {"grid_points", "decomposed", "refinements"}
+    assert set(counters) == {"grid_points", "decomposed", "refinements",
+                             "refinement_rounds"}
     assert (counters["grid_points"], counters["refinements"]) == (3143, 1)
+    assert 1 <= counters["refinement_rounds"] <= 4
 
 
 def test_determinism_modulo_timing():
@@ -607,7 +609,7 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
     real_closed_form = transversal._closed_form
 
     def counting_closed_form(geod, a, b, times, derivative=False):
-        if np.size(times) > 1:
+        if times is geod.times:
             grid_evaluations.append((id(geod), derivative))
         return real_closed_form(geod, a, b, times, derivative)
 
@@ -624,10 +626,10 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
             shared = analyze(bundle, GEODESIC_CHECKS, step=step)
         assert sorted(builds) == steps
         # the fields over the grid are evaluated once per geodesic, and
-        # their derivatives once, for the transversal system
+        # their derivatives never over the grid: only at the few times read
         values = [geod for geod, derivative in grid_evaluations if not derivative]
         assert len(values) == len(set(values)) == len(steps)
-        assert len(grid_evaluations) - len(values) == 1
+        assert not any(derivative for _, derivative in grid_evaluations)
         assert record_docs(shared) == singles
     assert bundle.keys() == before.keys()
     assert all(bundle[k] is before[k] for k in before)
@@ -635,12 +637,13 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
 
 
 def test_a_geodesic_without_transversal_evaluates_no_field_derivatives(monkeypatch):
-    # with transversal they are evaluated once (the test above)
+    # over the grid; the focal refinement reads them at a few candidate times
     real_closed_form = transversal._closed_form
     calls = []
 
     def counting_closed_form(geod, a, b, times, derivative=False):
-        calls.append(derivative)
+        if times is geod.times:
+            calls.append(derivative)
         return real_closed_form(geod, a, b, times, derivative)
 
     monkeypatch.setattr(transversal, "_closed_form", counting_closed_form)

@@ -14,9 +14,9 @@ from polaris.transversal import OrbitGeodesic, TransversalError, \
     n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
     symplectic_form, transversal_equation_residual, transversal_system, \
     variational_completeness_probe
-from polaris.transversal import _basis_modes, _basis_on_grid, _golden_min, \
-    _matrix_solution, _min_singular, _propagate, _rk4_steps, _sigma_lipschitz, \
-    focal_scan_counters
+from polaris.transversal import _basis_modes, _basis_on_grid, _index_form, \
+    _matrix_solution, _pl_index, _propagate, _refine_minima, _rk4_steps, \
+    _sigma_lipschitz, focal_scan_counters
 
 PI = float(np.pi)
 
@@ -29,6 +29,32 @@ def geod_for(bundles, name, span=(0.0, PI), step=1e-3, direction=None):
         d = linalg.complement(rows, b["rep"].space_dim)[0]
     return OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                          span=span, step=step)
+
+
+def golden_min(f, a, b):
+    """Golden-section search for a minimum of f on [a, b], down to a
+    bracket of 1e-14: the focal refinement before lockstep Newton, kept as
+    its oracle."""
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(90):
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = f(x2)
+        if b - a < 1e-14:
+            break
+    return (a + b) / 2
+
+
+def min_singular(geod, t):
+    return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
 
 
 def ambient(geod, y):
@@ -241,6 +267,19 @@ def test_grid_evaluator_matches_jacobi_integrate(bundles):
             assert np.max(np.abs(dgrid[j] - dy)) < 1e-12, name
 
 
+def test_closed_form_at_some_times_is_the_grid_evaluation_there(bundles):
+    # the claims and the focal refinement evaluate a few times on their own
+    geod = geod_for(bundles, "su2_diag_double")
+    for derivative in (False, True):
+        grid = _basis_on_grid(geod, derivative)
+        for count in (1, 2, 61):
+            index = np.random.default_rng(count).choice(geod.times.shape[0], count,
+                                                        replace=False)
+            some = transversal._closed_form(geod, *_basis_modes(geod), geod.times[index],
+                                            derivative)
+            assert np.array_equal(np.moveaxis(some, 2, 0), grid[:, index])
+
+
 def test_product_fields_solve_blockwise(bundles):
     geod = geod_for(bundles, "so3_s2xs2", span=(0.0, 2.0))
     # an initial value supported on the second factor stays there
@@ -303,7 +342,7 @@ def test_focal_points_match_per_point_scan(bundles):
     ref = []
     for k in range(1, times.shape[0] - 1):
         if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
-            t_star = _golden_min(smin_at, times[k - 1], times[k + 1])
+            t_star = golden_min(smin_at, times[k - 1], times[k + 1])
             if smin_at(t_star) < 1e-7:
                 mult = int(np.sum(np.linalg.svd(matrix_at(t_star), compute_uv=False) < 1e-7))
                 if not ref or abs(ref[-1][0] - t_star) > 10 * geod.step:
@@ -328,20 +367,39 @@ GEODESIC_ENTRIES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                     "hopf_s1_s3", "so2_s2", "so3_s2xs2")
 
 
-def full_grid_focal_points(geod):
-    """The focal scan without pruning: the SVD at every grid time and a
-    golden-section search at every grid-local minimum of sigma_min."""
+def grid_minima(geod):
+    """The interior grid-local minima of sigma_min, from the SVD at every
+    grid time."""
     smin = np.linalg.svd(columns(lambda_fields(geod)), compute_uv=False)[:, -1]
-    times, tol = geod.times, transversal.FOCAL_SV_TOL
+    k = np.arange(1, smin.shape[0] - 1)
+    return k[(smin[k] <= smin[k - 1]) & (smin[k] <= smin[k + 1])]
+
+
+def accepted(geod, refined, s_at):
+    """The focal list of refined times and their singular values."""
+    tol = transversal.FOCAL_SV_TOL
     out = []
-    for k in range(1, times.shape[0] - 1):
-        if smin[k] <= smin[k - 1] and smin[k] <= smin[k + 1]:
-            t_star = _golden_min(lambda t: _min_singular(geod, t),
-                                 times[k - 1], times[k + 1])
-            s_at = np.linalg.svd(_matrix_solution(geod, t_star), compute_uv=False)
-            if s_at[-1] < tol and (not out or abs(out[-1][0] - t_star) > 10 * geod.step):
-                out.append((float(t_star), int(np.sum(s_at < tol))))
+    for t_star, s in zip(refined, s_at):
+        if s[-1] < tol and (not out or abs(out[-1][0] - t_star) > 10 * geod.step):
+            out.append((float(t_star), int(np.sum(s < tol))))
     return out
+
+
+def full_grid_focal_points(geod):
+    """The focal scan without pruning: the SVD at every grid time and the
+    library's refinement of every grid-local minimum of sigma_min."""
+    refined, s_at, _ = _refine_minima(geod, grid_minima(geod))
+    return accepted(geod, refined, s_at)
+
+
+def golden_focal_points(geod):
+    """The full-grid scan with golden-section refinement, one minimum at a
+    time."""
+    times = geod.times
+    refined = [golden_min(lambda t: min_singular(geod, t), times[k - 1], times[k + 1])
+               for k in grid_minima(geod)]
+    s_at = [np.linalg.svd(_matrix_solution(geod, t), compute_uv=False) for t in refined]
+    return accepted(geod, refined, s_at)
 
 
 def moved_geodesic(bundles, name, seed, step, span):
@@ -369,6 +427,24 @@ def test_pruned_focal_scan_equals_the_full_grid_scan(bundles, name, seed, step, 
     assert focal_points(geod) == full_grid_focal_points(geod)
 
 
+@settings(max_examples=24, deadline=None)
+@given(name=st.sampled_from(GEODESIC_ENTRIES), seed=st.integers(0, 2 ** 32 - 1),
+       step=st.sampled_from([2.5e-4, 1e-3, 5e-3]),
+       span=st.sampled_from([(0.0, PI), (0.0, 3.3), (-0.5, 2.0)]))
+def test_newton_refinement_agrees_with_golden_section(bundles, name, seed, step, span):
+    geod = moved_geodesic(bundles, name, seed, step, span)
+    got, want = focal_points(geod), golden_focal_points(geod)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert all(abs(t - u) <= 1e-12 for (t, _), (u, _) in zip(got, want))
+    assert focal_scan_counters(geod)["refinement_rounds"] <= 4
+
+
+@pytest.mark.parametrize("name", GEODESIC_ENTRIES)
+def test_focal_refinement_takes_at_most_four_rounds(bundles, name):
+    counters = focal_scan_counters(geod_for(bundles, name))
+    assert 1 <= counters["refinement_rounds"] <= 4
+
+
 @pytest.mark.parametrize("step, on_grid, on_coarse", [
     (1e-3, True, False),                # t = 1 is grid time 1000
     (2.0 ** -10, True, True),           # grid time 1024 = 64 * 16
@@ -392,7 +468,7 @@ def test_sigma_min_is_lipschitz_with_the_scan_constant(bundles, name):
     rng = np.random.default_rng(0)
     t = rng.uniform(0.0, PI, 200)
     u = t + rng.choice([1e-4, 1e-2, 1.0], 200) * rng.uniform(-1.0, 1.0, 200)
-    change = np.abs([_min_singular(geod, a) - _min_singular(geod, b) for a, b in zip(t, u)])
+    change = np.abs([min_singular(geod, a) - min_singular(geod, b) for a, b in zip(t, u)])
     # 1e-12 covers the rounding of the two computed values
     assert np.all(change <= lip * np.abs(t - u) + 1e-12)
 
@@ -640,7 +716,7 @@ def fixture_systems(bundles):
 def qr_vertical_projector(system):
     """p_v from a rank SVD, QR rows of the vertical fields and the division
     construction at the times where their rank drops, one time at a time."""
-    vals, dvals = system.lambda_values, system.lambda_derivs
+    vals, dvals = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
     ups = system.upsilon_coeffs
     w = np.einsum("rf,ftm->trm", ups, vals)
     s = np.linalg.svd(w, compute_uv=False)
@@ -657,7 +733,7 @@ def lstsq_vertical_claim(system):
     """The vertical-derivative claim with one least-squares solve per
     strided time and field, skipping times where the vertical fields lose
     rank."""
-    vals, dvals = system.lambda_values, system.lambda_derivs
+    vals, dvals = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
     ups = system.upsilon_coeffs
     worst = 0.0
     for k in range(transversal.CLAIM_STRIDE, vals.shape[1] - transversal.CLAIM_STRIDE,
@@ -763,11 +839,11 @@ def test_lambda_lagrangian_upsilon_isotropic(bundles):
     for name in ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                  "hopf_s1_s3", "so2_s2", "so3_s2xs2"):
         system = transversal_system(geod_for(bundles, name))
-        y, dy = system.lambda_values, system.lambda_derivs
+        y, dy = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
         assert np.max(np.abs(symplectic_form(columns(y), columns(dy)))) < 1e-10, name
         ups = system.upsilon_coeffs
-        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, system.lambda_values),
-                            np.einsum("rf,ftm->tmr", ups, system.lambda_derivs))
+        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, y),
+                            np.einsum("rf,ftm->tmr", ups, dy))
         assert np.max(np.abs(w), initial=0.0) < 1e-10, name
 
 
@@ -801,6 +877,69 @@ def test_scan_hopf_conjugate_and_index(bundles):
     assert abs(report.conjugate_points[0][0] - PI / 2) < 1e-4
     assert report.index >= 1
     assert report.sturm_consistent
+
+
+def loop_index_form(r_vals, times, q_dim):
+    """The index form element by element, three trapezoid integrals each:
+    the assembly before the vectorised one, kept as its oracle."""
+    n = times.shape[0]
+    node_idx = np.unique(np.linspace(0, n - 1, transversal.INDEX_ELEMENTS + 1).astype(int))
+    n_nodes = node_idx.shape[0]
+    dim = (n_nodes - 2) * q_dim
+    mat = np.zeros((max(dim, 0), max(dim, 0)))
+    for e in range(n_nodes - 1):
+        k0, k1 = node_idx[e], node_idx[e + 1]
+        ell = times[k1] - times[k0]
+        ts = times[k0:k1 + 1]
+        phi_l, phi_r = (times[k1] - ts) / ell, (ts - times[k0]) / ell
+        r_blk = r_vals[k0:k1 + 1]
+        m_ll, m_lr, m_rr = (np.trapezoid(hat[:, None, None] * r_blk, ts, axis=0)
+                            for hat in (phi_l ** 2, phi_l * phi_r, phi_r ** 2))
+        eye = np.eye(q_dim) / ell
+        blocks = {(e, e): eye - m_ll, (e, e + 1): -eye - m_lr,
+                  (e + 1, e): -eye - m_lr.T, (e + 1, e + 1): eye - m_rr}
+        for (i, j), blk in blocks.items():
+            if 1 <= i <= n_nodes - 2 and 1 <= j <= n_nodes - 2:
+                mat[(i - 1) * q_dim:i * q_dim, (j - 1) * q_dim:j * q_dim] += blk
+    return mat
+
+
+def loop_index(mat):
+    if not mat.size:
+        return 0
+    evals = np.linalg.eigvalsh((mat + mat.T) / 2)
+    return int(np.sum(evals < -1e-9 * max(float(np.max(np.abs(evals))), 1.0)))
+
+
+def assert_index_form_matches_the_loop(r_vals, times, q_dim):
+    mat, want = _index_form(r_vals, times, q_dim), loop_index_form(r_vals, times, q_dim)
+    assert mat.shape == want.shape
+    assert np.max(np.abs(mat - want), initial=0.0) <= 1e-12
+    assert _pl_index(r_vals, times, q_dim) == loop_index(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 400), q_dim=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.1, 10.0, 200.0]), span=st.floats(0.5, 4.0))
+def test_vectorised_index_form_matches_the_element_loop(n, q_dim, seed, scale, span):
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, q_dim, q_dim)) * scale
+    assert_index_form_matches_the_loop(r + np.swapaxes(r, 1, 2), np.linspace(0.0, span, n),
+                                       q_dim)
+
+
+@pytest.mark.parametrize("name", GEODESIC_FIXTURES)
+def test_catalog_index_forms_match_the_element_loop(bundles, name, monkeypatch):
+    seen = []
+
+    def recorded(r_vals, times, q_dim):
+        seen.append((r_vals, times, q_dim))
+        return _pl_index(r_vals, times, q_dim)
+
+    monkeypatch.setattr(transversal, "_pl_index", recorded)
+    conjugate_scan(transversal.TransversalSystem(geod_for(bundles, name)))
+    for args in seen:
+        assert_index_form_matches_the_loop(*args)
 
 
 # -- O'Neill and rescaling ----------------------------------------------------------------

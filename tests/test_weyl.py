@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -311,6 +313,31 @@ def test_single_pair_returns_float_and_orbit_point(bundles):
     assert d.point.shape == (rep.space_dim,)
     assert abs(np.linalg.norm(d.point) - np.linalg.norm(q[0])) <= 1e-13
     assert abs(np.linalg.norm(p[0] - d.point) - d.value) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", "su2_diag_double"])
+@pytest.mark.parametrize("k", [-700, -300, 300, 700])
+def test_euclidean_distance_is_homogeneous_at_every_scale(bundles, name, k):
+    rep = bundles[name]["rep"]
+    p, q = np.random.default_rng(k % 97).standard_normal((2, 6, rep.space_dim))
+    c = 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = quotient_distance(rep, p, q, STACK_CONFIG)
+        scaled = quotient_distance(rep, c * p, c * q, STACK_CONFIG)
+    assert np.all(np.abs(scaled.value - c * base.value) <= 1e-12 * c * base.value)
+    assert np.all(np.abs(scaled.point - c * base.point) <= 1e-12 * c * np.abs(q).max())
+
+
+@pytest.mark.parametrize("s", [1e150, 1e200, 1e-200])
+def test_concentric_sphere_distance_at_extreme_scales(bundles, s):
+    # the orbits of SO(3) on R^3 are the spheres about 0: the distance from
+    # (s, s, s) to s e1 is (sqrt(3) - 1) s
+    rep = bundles["su2_adjoint"]["rep"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = quotient_distance(rep, np.full(3, s), s * np.eye(3)[0])
+    assert abs(d.value - (np.sqrt(3.0) - 1.0) * s) <= 1e-12 * s
 
 
 def test_eigenvalue_sorting_oracle_short(bundles, su3_conj_pair):
