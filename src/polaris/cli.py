@@ -482,7 +482,7 @@ def _check_vc(work, tol, step):
     tangency = None
     rep = work.bundle["rep"]
     if not rep.restrict_to_sphere and work.bundle["manifold"].kind == "euclidean":
-        do = discala_olmos_probe(rep, work.bundle["basepoint"], work.seed, geod.step)
+        do = discala_olmos_probe(rep, work.bundle["basepoint"], work.seed)
         tangency = bool(do.worst_tangency < 1e-3)
     verdict = {"probe": probe.ok, "eigenfield_tangency": tangency}
     return verdict, {"worst_angle": probe.worst_angle}, probe.worst_angle, tol

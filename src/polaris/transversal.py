@@ -12,23 +12,34 @@ Morse-Sturm conjugate/index scan.
 Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
 its initial data as two (dim M, D) arrays, the values of its fields on the
 grid as one (n_fields, n_t, m) array, evaluated in closed form once per
-geodesic and cached on it.  The focal scan, the kernel fields of the
-variational-completeness probe and the transversal system read those
-values; the covariant derivatives are evaluated only at the few times
-that read them (the vanishing times of the vertical fields, the times of
-the vertical-derivative claim, the live times of the focal refinement), and
-the closed form runs again only at those and at the focal times.  The
-focal scan decomposes only the grid times that can host a focal time: a
-stacked SVD at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of
-sigma_min from the mode data that rules out the times far from a small
-singular value, and one more stacked SVD of the rest; its result is the
-full-grid scan's.  Its grid-local minima are refined together by lockstep
+geodesic and cached on it for the transversal system and the RK4
+cross-check of ``jacobi-scan``.  Everything else
+evaluates the closed form only at the times it reads: the covariant
+derivatives at the vanishing times of the vertical fields and the times of
+the vertical-derivative claim, the values and derivatives at the live times
+of the focal refinement and the values at the focal times.  The focal scan
+decomposes only the grid times that can host a focal time: a stacked SVD
+at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of sigma_min
+from the mode data that rules out the times far from a small singular
+value, and one more stacked SVD of the rest; its result is the full-grid
+scan's.  Its grid-local minima are refined together by lockstep
 safeguarded Newton on sigma_min, one stacked SVD per round, and
-``focal_scan_counters`` reports its work.  The orbit-tangent
-span (from the cached Killing restrictions) and the vertical fibre at
-every grid time come from one ``linalg.row_space_stack`` call each over
-the stacked rows (vectorised Jacobi rotations for up to three short rows
-per time, else one stacked SVD), whose counts of nonzero rows are the
+``focal_scan_counters`` reports its work.
+
+Variational completeness is decided on initial data (Bott-Samelson): a
+Jacobi field is fixed by its value and covariant derivative at the
+basepoint, and the Killing field of a generator A restricts to the Jacobi
+field with initial data (A x, P_x A xi), P_x the model's tangent
+projection.  Both probes test membership in the span of those data,
+``killing_span``, one SVD of an (n_gen, 2D) matrix: the initial data of
+the vanishing fields at each focal time, and those of the eigenfields
+(1 - lambda s) u of the Di Scala-Olmos probe, with J'(0) weighted by |x|
+so that no angle depends on the scale of x.  Neither reads a grid.
+
+The orbit-tangent span (from the Killing restrictions) and the vertical
+fibre at every grid time come from one ``linalg.row_space_stack`` call
+each over the stacked rows (vectorised Jacobi rotations for up to three
+short rows per time, else one stacked SVD), whose counts of nonzero rows are the
 orbit rank and the rank test of the vertical fields at each time; the
 bundles are kept as projectors p_v and p_h, and only the start of the
 horizontal frame needs a basis of H_t.  The vertical-derivative claim is
@@ -75,24 +86,13 @@ PROBE_DRAWS = 64            # normal directions drawn by the eigenfield probe
 PROBE_MIN_EIG = 1e-6        # least |shape-operator eigenvalue| the probe accepts
 ONEILL_SEPARATION = 0.08    # larger separation of the O'Neill quotient estimate
 RESCALE_ETA = 0.3           # rescale-probe separation / distance to the singular point
-# Times per stacked call in the eigenfield scan of discala_olmos_probe.
-_PROBE_BLOCK = 4096
-# Most grid times x D^2 that one geodesic or eigenfield scan may take on a
-# D-dimensional ambient space: about 9x the largest catalog grid.
+# Most grid times x D^2 that one geodesic may hold whole on a D-dimensional
+# ambient space: about 9x the largest catalog grid.
 MAX_GRID_ENTRIES = 2 ** 22
 
 
 class TransversalError(ValueError):
     pass
-
-
-def _check_grid(times: float, dim: int) -> None:
-    """Raise unless ``times`` grid times of dim x dim matrices fit the budget;
-    called with the float count, before anything is allocated."""
-    if not times * dim * dim <= MAX_GRID_ENTRIES:
-        raise TransversalError(
-            f"a grid of {times:.4g} times x {dim}^2 entries exceeds "
-            f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
 
 
 def _unit_vector(v, dim: int, name: str) -> np.ndarray:
@@ -139,7 +139,12 @@ class OrbitGeodesic:
         lo, hi = float(span[0]), float(span[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0 <= hi):
             raise TransversalError("the grid span must be finite and contain the basepoint time 0")
-        _check_grid((hi - lo) / step + 1, point.size)
+        # the float count, checked before anything is allocated
+        n_grid = (hi - lo) / step + 1
+        if not n_grid * point.size ** 2 <= MAX_GRID_ENTRIES:
+            raise TransversalError(
+                f"a grid of {n_grid:.4g} times x {point.size}^2 entries exceeds "
+                f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
         manifold.validate_point(point)
         rows = rep.tangent_rows(point)
         if direction is None:
@@ -398,10 +403,10 @@ def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
 
 def _grid_singular_values(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
     """Singular values, descending, of the matrix solution at the grid times
-    ``index``: one stacked SVD of the cached fields, one column each.  The
-    SVD runs matrix by matrix, so each gets the values the whole grid stack
-    would give it."""
-    return np.linalg.svd(np.moveaxis(lambda_fields(geod)[:, index], 0, 2),
+    ``index``: the closed form at those times only, one column per field,
+    and one stacked SVD.  Both run time by time, so each time gets the
+    values that the fields over the whole grid give it."""
+    return np.linalg.svd(_closed_form(geod, *_basis_modes(geod), geod.times[index]),
                          compute_uv=False)
 
 
@@ -520,22 +525,50 @@ def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
     return t, np.linalg.svd(_closed_form(geod, *modes, t), compute_uv=False), rounds
 
 
-@dataclass
-class KillingFields:
-    """Killing-generator restrictions along the geodesic, as grid functions."""
-
-    raw: np.ndarray      # (n_gen, n_t, m) frame coordinates
-    basis: np.ndarray    # (r, n_t * m) orthonormal rows spanning them
+def killing_restrictions(geod: OrbitGeodesic) -> np.ndarray:
+    """The frame coordinates of every generator's Killing field at every
+    grid time, shape (n_gen, n_t, m)."""
+    return np.swapaxes(geod.rep.tangent_rows(geod.gamma) @ geod.frames, 0, 1)
 
 
-def killing_restrictions(geod: OrbitGeodesic) -> KillingFields:
-    key = "killing"
+def _initial_data(point, values, derivatives) -> np.ndarray:
+    """Rows (J(0), w J'(0)) of Jacobi fields from x = ``point``, w = |x| (1 at x = 0).
+    x -> c x takes J along x + t xi to c J(t / c) along c x + t xi, with c times
+    J's row, so angles between rows do not depend on the scale of a Euclidean x."""
+    weight = float(np.linalg.norm(point)) or 1.0
+    return np.concatenate([values, weight * derivatives], axis=-1)
+
+
+def killing_span(rep: OrthogonalRep, manifold: ModelManifold, point, direction) -> np.ndarray:
+    """Orthonormal rows spanning the Killing fields' initial data along the
+    geodesic from ``point`` with initial velocity ``direction``.
+
+    The Killing field of a generator A restricts to the Jacobi field with
+    J(0) = A x and J'(0) = P_x A xi, P_x the tangent projection of the
+    model at x.  A Jacobi field is fixed by (J(0), J'(0)), so it is a
+    Killing restriction exactly when its row ``_initial_data`` lies in the
+    span of the returned (r, 2D) rows: the right singular vectors of the
+    (n_gen, 2D) matrix of the generators' rows, from one SVD.
+    """
+    rows = _initial_data(point, rep.tangent_rows(point),
+                         manifold.project_tangent(point, rep.tangent_rows(direction)))
+    rank, _, right = linalg.svd_bases(rows)
+    return right[:rank]
+
+
+def killing_basis(geod: OrbitGeodesic) -> np.ndarray:
+    """``killing_span`` at the basepoint and direction of ``geod``, cached on it."""
+    key = "killing_basis"
     if key not in geod._cache:
-        raw = np.ascontiguousarray(np.swapaxes(geod.rep.tangent_rows(geod.gamma) @ geod.frames,
-                                               0, 1))
-        flat = raw.reshape(raw.shape[0], raw.shape[1] * raw.shape[2])
-        geod._cache[key] = KillingFields(raw, linalg.orthonormalize(flat))
+        geod._cache[key] = killing_span(geod.rep, geod.manifold, geod.point, geod.direction)
     return geod._cache[key]
+
+
+def _span_angles(span: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Angle of each (nonzero) row of ``rows`` from the span of the
+    orthonormal rows ``span``: pi/2 for an empty span."""
+    inside = linalg.project_span(span, rows)
+    return np.arctan2(np.linalg.norm(rows - inside, axis=-1), np.linalg.norm(inside, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -560,37 +593,28 @@ def variational_completeness_probe(geod: OrbitGeodesic,
                                    angle_tol: float = 1e-6) -> VariationalCompletenessReport:
     """Check that every vanishing N-Jacobi field is a Killing restriction.
 
-    At each focal time the kernel of the matrix solution is compared, as a
-    space of grid functions, against the span of the Killing restrictions;
-    the report carries the worst principal angle.
+    At each focal time, every right singular vector c of the matrix
+    solution whose singular value is below ``FOCAL_SV_TOL`` gives an
+    N-Jacobi field that vanishes there, with initial data (c j0, c dj0)
+    from ``n_jacobi_space``.  The angle of its row (c j0, |x| c dj0)
+    (``_initial_data``) from the span ``killing_basis`` is zero exactly when
+    the field is a Killing restriction.  Each record carries the worst
+    angle at its focal time, and the report the worst over all of them.
     """
-    focal = focal_points(geod)
-    killing = killing_restrictions(geod)
-    values = lambda_fields(geod)
-    values = values.reshape(values.shape[0], -1)      # one grid function per row
+    data = _initial_data(geod.point, *n_jacobi_space(geod))      # (dim M, 2D)
     records = []
-    worst = 0.0
-    for t_star, mult in focal:
+    for t_star, mult in focal_points(geod):
         _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star))
-        angle = 0.0
-        for flat in vh[svals < FOCAL_SV_TOL] @ values:
-            norm = np.linalg.norm(flat)
-            if norm < 1e-14:
-                continue
-            if killing.basis.shape[0] == 0:
-                angle = np.pi / 2
-                continue
-            res = linalg.span_residual(killing.basis, flat / norm)
-            angle = max(angle, float(np.arcsin(np.clip(res, 0.0, 1.0))))
-        worst = max(worst, angle)
-        records.append(FocalKernelRecord(t_star, mult, angle))
+        angles = _span_angles(killing_basis(geod), vh[svals < FOCAL_SV_TOL] @ data)
+        records.append(FocalKernelRecord(t_star, mult, float(np.max(angles, initial=0.0))))
+    worst = max([0.0, *(r.angle for r in records)])
     return VariationalCompletenessReport(worst < angle_tol, worst, records)
 
 
 @dataclass
 class EigenFieldRecord:
     eigenvalue: float
-    focal_time: float            # 1/lambda, inf for lambda ~ 0
+    focal_time: float            # 1/lambda
     tangency_residual: float
 
 
@@ -601,16 +625,16 @@ class DiScalaOlmosReport:
     worst_tangency: float
 
 
-def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
-                        step: float = DEFAULT_STEP) -> DiScalaOlmosReport:
-    """Eigenfield tangency test along a normal line of a Euclidean orbit.
+def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0) -> DiScalaOlmosReport:
+    """Eigenfield test along a normal line of a Euclidean orbit.
 
-    For a normal direction whose shape operator has fully nonzero spectrum,
-    each eigenpair (lambda, u) yields the field J(s) = (1 - lambda s) u; for
-    variationally complete representations these stay tangent to the orbits
-    they cross.  The report carries each eigenfield's worst distance from
-    the orbit tangent spaces over the times s in [0, 1.4 / min |lambda|]
-    at which |J(s)| >= 0.05.
+    For a seeded unit normal xi whose shape operator has fully nonzero
+    spectrum, each eigenpair (lambda, u) gives the Jacobi field
+    J(s) = (1 - lambda s) u along x + s xi, which vanishes at the focal time
+    1/lambda.  For a variationally complete representation it is a Killing
+    restriction: some generator A has A x = u and A xi = -lambda u.  Each
+    record carries the sine of the angle of its row (u, -lambda |x| u)
+    (``_initial_data``) from the span ``killing_span`` at (x, xi).
     """
     if rep.restrict_to_sphere:
         raise TransversalError("the eigenfield probe runs on the Euclidean model")
@@ -633,30 +657,12 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0,
             f"{PROBE_DRAWS} draws (best min |eigenvalue| {scores[best]:.2e})")
     xi = xis[best]
     lam, vec = np.linalg.eigh(shapes[best])
-    eigvecs = vec.T @ tangent
-    n_s = 1.4 * float(np.max(1.0 / np.abs(lam))) / step
-    _check_grid(n_s, point.size)
-    n_s = int(np.ceil(n_s))
-    # J(s) = (1 - lambda s) u is parallel to the unit u: its distance from the
-    # orbit tangent space is |u - proj u| wherever |J(s)| >= 0.05.  The times
-    # s = i * step are scanned in fixed-size blocks, so memory stays bounded
-    # however small the spectrum makes the step count.
-    tangency = np.zeros(lam.shape[0])
-    for lo in range(0, n_s, _PROBE_BLOCK):
-        times = np.arange(lo, min(lo + _PROBE_BLOCK, n_s)) * step
-        span = linalg.row_space_stack(rep.tangent_rows(point + np.multiply.outer(times, xi)))
-        coef = eigvecs @ np.swapaxes(span, 1, 2)                 # (block, k, r)
-        dist = np.linalg.norm(eigvecs - coef @ span, axis=-1)
-        far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
-        tangency = np.maximum(tangency, np.max(np.where(far, dist, 0.0), axis=0))
-    records = []
-    worst = 0.0
-    for l_val, res in zip(lam, tangency):
-        records.append(EigenFieldRecord(float(l_val),
-                                        float(1.0 / l_val) if abs(l_val) > 1e-12 else np.inf,
-                                        float(res)))
-        worst = max(worst, res)
-    return DiScalaOlmosReport(xi, records, worst)
+    u = vec.T @ tangent
+    span = killing_span(rep, ModelManifold("euclidean", rep.space_dim), point, xi)
+    tangency = np.sin(_span_angles(span, _initial_data(point, u, -lam[:, None] * u)))
+    records = [EigenFieldRecord(float(l_val), float(1.0 / l_val), float(res))
+               for l_val, res in zip(lam, tangency)]
+    return DiScalaOlmosReport(xi, records, float(np.max(tangency)))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +690,7 @@ class TransversalSystem:
         # n_k = v_k (I - P_k) of the field values; forming q from the normal
         # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
         # that leaves null eigenvalues of order 1e-16 * sum |v|^2
-        span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod).raw, 0, 1))
+        span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod), 0, 1))
         self.orbit_rank = np.count_nonzero(np.any(span, axis=-1), axis=-1)
         normal = np.swapaxes(vals, 0, 1)
         normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
@@ -726,8 +732,7 @@ class TransversalSystem:
         dp_v[0] = (-3 * self.p_v[0] + 4 * self.p_v[1] - self.p_v[2]) / (2 * h)
         dp_v[-1] = (3 * self.p_v[-1] - 4 * self.p_v[-2] + self.p_v[-3]) / (2 * h)
         a_raw = (self.p_h - self.p_v) @ dp_v
-        self.a_asymmetry = float(np.max(np.abs(a_raw + np.transpose(a_raw, (0, 2, 1))))) / 2 \
-            if n_t else 0.0
+        self.a_asymmetry = float(np.max(np.abs(a_raw + np.transpose(a_raw, (0, 2, 1))))) / 2
         self.a = (a_raw - np.transpose(a_raw, (0, 2, 1))) / 2
         rhat = geod.curvature
         self.r_script = self.p_h @ rhat @ self.p_h - 3 * (self.a @ self.a)
@@ -1026,10 +1031,10 @@ def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
     # the vertical Jacobi fields are the Killing restrictions; at tiny steps
     # the 80-step window is so short that more N-Jacobi fields pass the
     # vertical cut, and A would read as zero
-    killing_span = killing_restrictions(geod).basis.shape[0]
-    if system.rank != killing_span:
+    killing_rank = killing_basis(geod).shape[0]
+    if system.rank != killing_rank:
         raise TransversalError(
-            f"vertical rank {system.rank} != Killing span {killing_span} on the "
+            f"vertical rank {system.rank} != Killing span {killing_rank} on the "
             f"O'Neill window at step {step:g}; use a larger step")
     center = system.index_at(0.0)
     y_f = geod.to_frame(center, y)

@@ -1,13 +1,21 @@
-"""Stacked best-of-draws searches against per-draw reference loops.
+"""Stacked best-of-draws searches against per-draw reference loops, and
+the variational-completeness probes against their grid oracles.
 
 ``find_regular_point``, ``regularize_basepoint`` and the normal-direction
 search of ``discala_olmos_probe`` each rank seeded draws in one stacked
 evaluation.  The references below evaluate one draw at a time and keep the
 first best.  The two rank searches must return the reference result
 bitwise.  The probe's shape operators are summed in another order, so its
-direction, eigenvalues and tangency residuals must agree within ``RES_TOL``;
-and since on a one-dimensional normal space every draw is +-xi with exactly
-tied scores, both sides keep the first draw within ``TIE_RTOL`` of the best.
+direction and eigenvalues must agree within ``RES_TOL``; and since on a
+one-dimensional normal space every draw is +-xi with exactly tied scores,
+both sides keep the first draw within ``TIE_RTOL`` of the best.
+
+Both probes decide on initial data.  Their grid oracles decide the same
+questions over a grid of times: ``probe_reference`` scans each eigenfield's
+distance from the orbit tangent spaces along the normal line, and
+``grid_kernel_reference`` compares each focal kernel field, as a grid
+function, with the Gram-Schmidt span of the Killing restrictions.  Their
+verdicts must agree.
 """
 
 from dataclasses import replace
@@ -16,14 +24,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polaris import linalg
+from polaris import build_classical, linalg
 from polaris.catalog import catalog_entry, catalog_list
 from polaris.linalg import TIE_RTOL
-from polaris.polarity import REGULAR_DRAWS, find_regular_point, regularize_basepoint
-from polaris.transversal import MAX_STEP, PROBE_DRAWS, PROBE_MIN_EIG, \
-    TransversalError, discala_olmos_probe
+from polaris.polarity import REGULAR_DRAWS, OrthogonalRep, find_regular_point, \
+    regularize_basepoint
+from polaris.symspace import ModelManifold
+from polaris.transversal import FOCAL_SV_TOL, MAX_STEP, PROBE_DRAWS, PROBE_MIN_EIG, \
+    OrbitGeodesic, TransversalError, _matrix_solution, discala_olmos_probe, \
+    focal_points, killing_restrictions, lambda_fields, variational_completeness_probe
 
 RES_TOL = 1e-12
+TANGENCY_TOL = 1e-3         # the eigenfield verdict of analyze's variational-completeness
+ANGLE_TOL = 1e-6            # its kernel-probe tolerance
 SEEDS = st.integers(0, 200)
 BUNDLES = [e.build() for e in catalog_list()]
 # every catalog representation on its own space and on the unit sphere
@@ -115,6 +128,60 @@ def probe_reference(rep, point, seed, step):
     return xi, lam, np.max(np.where(far, dist, 0.0), axis=0)
 
 
+def grid_kernel_reference(geod):
+    """Worst angle of the focal kernel fields from the Killing restrictions,
+    both as grid functions: each kernel field's values over the grid against
+    the Gram-Schmidt span of the Killing fields' values over the grid."""
+    raw = killing_restrictions(geod)
+    killing = linalg.orthonormalize(raw.reshape(raw.shape[0], -1))
+    values = lambda_fields(geod)
+    values = values.reshape(values.shape[0], -1)      # one grid function per row
+    worst = 0.0
+    for t_star, _ in focal_points(geod):
+        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star))
+        for flat in vh[svals < FOCAL_SV_TOL] @ values:
+            norm = np.linalg.norm(flat)
+            if norm < 1e-14:
+                continue
+            if killing.shape[0] == 0:
+                worst = np.pi / 2
+                continue
+            res = linalg.span_residual(killing, flat / norm)
+            worst = max(worst, float(np.arcsin(np.clip(res, 0.0, 1.0))))
+    return worst
+
+
+def ad_rep(n):
+    alg = build_classical("special-orthogonal", n)
+    return OrthogonalRep(alg, alg.ad(np.eye(alg.dim)), alg.dim, name=f"ad_so{n}")
+
+
+# every catalog representation on its model, and ad so(n) for n <= 6
+MODELS = {b["rep"].name: (b["rep"], b["manifold"]) for b in BUNDLES if "rep" in b}
+MODELS.update({rep.name: (rep, ModelManifold("euclidean", rep.space_dim))
+               for rep in map(ad_rep, range(3, 7))})
+
+
+def seeded_geodesic(rep, manifold, seed):
+    """The geodesic of ``rep`` in a seeded orthonormal basis of each factor
+    of the model, from a seeded regular point (of norm the factor's radius,
+    1 on a flat factor) along a seeded unit normal."""
+    rng = np.random.default_rng(seed)
+    d = rep.space_dim
+    q = np.zeros((d, d))
+    for part, _ in manifold.factors:
+        k = part.stop - part.start
+        q[part, part] = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    rep = replace(rep, generators=q @ rep.generators @ q.T)
+    point = find_regular_point(rep, seed)
+    for part, radius in manifold.factors:
+        point[part] *= (radius or 1.0) / np.linalg.norm(point[part])
+    tangent = linalg.orthonormalize(rep.tangent_rows(point))
+    v = manifold.project_tangent(point, rng.standard_normal(d))
+    v -= (v @ tangent.T) @ tangent
+    return OrbitGeodesic(rep, manifold, point, v / np.linalg.norm(v))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(REPS)), SEEDS)
 def test_find_regular_point_matches_loop(name, seed):
@@ -139,13 +206,13 @@ def test_probe_direction_matches_loop(name, seed):
     want = probe_reference(rep, point, seed, MAX_STEP)
     if want is None:
         with pytest.raises(TransversalError):
-            discala_olmos_probe(rep, point, seed, MAX_STEP)
+            discala_olmos_probe(rep, point, seed)
         return
-    got = discala_olmos_probe(rep, point, seed, MAX_STEP)
+    got = discala_olmos_probe(rep, point, seed)
     xi, lam, tangency = want
     assert np.max(np.abs(got.xi - xi)) < RES_TOL
     assert np.max(np.abs([r.eigenvalue for r in got.records] - lam)) < RES_TOL
-    assert np.max(np.abs([r.tangency_residual for r in got.records] - tangency)) < RES_TOL
+    assert (got.worst_tangency < TANGENCY_TOL) == (np.max(tangency) < TANGENCY_TOL)
 
 
 @pytest.fixture
@@ -170,3 +237,20 @@ def test_basepoint_search_is_at_most_two_svds(svd_calls):
     pair, h = SUBALGEBRAS["hermann_su3"]
     regularize_basepoint(pair, h, seed=3)
     assert len(svd_calls) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), SEEDS)
+def test_initial_data_probes_give_the_grid_verdicts(name, seed):
+    geod = seeded_geodesic(*MODELS[name], seed)
+    probe = variational_completeness_probe(geod, ANGLE_TOL)
+    assert probe.ok == (grid_kernel_reference(geod) < ANGLE_TOL)
+    if geod.manifold.kind != "euclidean":
+        return
+    want = probe_reference(geod.rep, geod.point, seed, MAX_STEP)
+    if want is None:
+        with pytest.raises(TransversalError):
+            discala_olmos_probe(geod.rep, geod.point, seed)
+        return
+    got = discala_olmos_probe(geod.rep, geod.point, seed)
+    assert (got.worst_tangency < TANGENCY_TOL) == (np.max(want[2]) < TANGENCY_TOL)

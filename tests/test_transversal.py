@@ -10,8 +10,8 @@ from polaris.cli import analyze
 from polaris.symspace import ModelManifold
 from polaris.transversal import OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    horizontal_frame, jacobi_integrate, killing_restrictions, lambda_fields, \
-    n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
+    horizontal_frame, jacobi_integrate, killing_basis, killing_restrictions, \
+    lambda_fields, n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
     symplectic_form, transversal_equation_residual, transversal_system, \
     variational_completeness_probe
 from polaris.transversal import _basis_modes, _basis_on_grid, _index_form, \
@@ -133,12 +133,6 @@ def test_grid_budget_checked_before_allocation(bundles):
     assert peak < 1e6
     # the largest grid of the catalog fits, 9x over
     assert 12567 * 6 ** 2 * 9 < transversal.MAX_GRID_ENTRIES
-
-
-def test_eigenfield_scan_within_the_grid_budget(bundles):
-    b = bundles["su2_adjoint"]
-    with pytest.raises(TransversalError, match="MAX_GRID_ENTRIES"):
-        discala_olmos_probe(b["rep"], b["basepoint"], seed=0, step=1e-9)
 
 
 def test_shape_operator_position_normal(bundles):
@@ -489,8 +483,7 @@ def test_trivial_action_zero_killing_space():
                            np.zeros((1, 2, 2)), 2, name="trivial")
     geod = OrbitGeodesic(rep, ModelManifold("euclidean", 2),
                          np.array([1.0, 0]), np.array([0.0, 1.0]))
-    k = killing_restrictions(geod)
-    assert k.basis.shape[0] == 0
+    assert killing_basis(geod).shape == (0, 4)
 
 
 def test_rotation_killing_field_grows_linearly():
@@ -498,15 +491,14 @@ def test_rotation_killing_field_grows_linearly():
     geod = OrbitGeodesic(rep, ModelManifold("euclidean", 2),
                          np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                          span=(0.0, 2.0))
-    k = killing_restrictions(geod)
-    assert k.basis.shape[0] == 1
-    norms = np.linalg.norm(k.raw[0], axis=1)
+    assert killing_basis(geod).shape == (1, 4)
+    norms = np.linalg.norm(killing_restrictions(geod)[0], axis=1)
     assert np.allclose(norms, 1.0 + geod.times, atol=1e-10)
 
 
 def test_hopf_killing_space_one_dimensional(bundles):
     geod = geod_for(bundles, "hopf_s1_s3")
-    assert killing_restrictions(geod).basis.shape[0] == 1
+    assert killing_basis(geod).shape == (1, 8)
 
 
 # -- variational completeness -------------------------------------------------------------
@@ -534,8 +526,11 @@ def test_vc_srep_along_flat_direction(bundles):
 
 
 def test_vc_hopf_fails(bundles):
+    # the field vanishing at pi/2 has initial data (e2, 0); the one Killing
+    # field has (e2, e4)
     report = variational_completeness_probe(geod_for(bundles, "hopf_s1_s3"))
     assert not report.ok
+    assert abs(report.worst_angle - PI / 4) < 1e-12
 
 
 # -- Di Scala-Olmos probe ---------------------------------------------------------------
@@ -561,28 +556,18 @@ def test_do_diag_double_tangency_violated(bundles):
     assert report.worst_tangency > 1e-3
 
 
-def test_do_scan_blocks_agree(bundles, monkeypatch):
-    # the eigenfield scan in many small blocks gives the one-block verdict
+@pytest.mark.parametrize("scale", [1e-3, 1e4])
+def test_do_tangency_does_not_depend_on_the_basepoint_scale(bundles, scale):
+    # x -> c x takes lambda to lambda / c and leaves u, xi and the tangency
+    # residuals as they are: a representation that is not polar still fails
     b = bundles["su2_diag_double"]
-    whole = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
-    monkeypatch.setattr(transversal, "_PROBE_BLOCK", 7)
-    blocked = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
-    assert blocked.worst_tangency == whole.worst_tangency
-    assert [r.tangency_residual for r in blocked.records] == \
-        [r.tangency_residual for r in whole.records]
-
-
-def test_do_scan_memory_bounded(bundles):
-    # a small step stands in for a small shape spectrum: four times the
-    # scanned times must not need a larger peak allocation
-    b = bundles["so3_sym_traceless"]
-    peaks = []
-    for step in (1e-4, 2.5e-5):
-        tracemalloc.start()
-        discala_olmos_probe(b["rep"], b["basepoint"], seed=4, step=step)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    assert peaks[1] < 1.2 * peaks[0]
+    unit = discala_olmos_probe(b["rep"], b["basepoint"], seed=4)
+    far = discala_olmos_probe(b["rep"], scale * b["basepoint"], seed=4)
+    assert np.max(np.abs(far.xi - unit.xi)) < 1e-9
+    assert far.worst_tangency > 1e-3
+    for got, want in zip(far.records, unit.records, strict=True):
+        assert abs(got.eigenvalue * scale - want.eigenvalue) < 1e-9 * abs(want.eigenvalue)
+        assert abs(got.tangency_residual - want.tangency_residual) < 1e-9
 
 
 def test_do_rejects_point_orbit():
