@@ -1,17 +1,17 @@
-"""Restricted roots, the reflection group they generate, and quotient metrics.
+"""Restricted roots, the Weyl group they generate, and quotient metrics.
 
 Roots are extracted from the spectrum of (ad H)^2 for a seeded generic H in
 a maximal abelian subspace: of ``ROOT_DRAWS`` seeded draws, diagonalised
 together, the first whose narrowest gap between eigenvalue clusters is
 widest is kept, and its clusters -lambda(H)^2 are matched to linear
-functionals by evaluating mixed traces against a basis of a.  The
-reflection group closes the root reflections under multiplication.  Orbit
-space distances come from a multi-start modified Newton descent on the orbit
-point itself, with the exact Hessian of the chart X -> exp(X) m re-centred
-at every iterate, run in lockstep over every start of every pair of a
-stacked call, and are compared with the section/Weyl distance.  Group
-elements are exponentiated from eigendecompositions of Hermitian matrices,
-so the module needs numpy only.
+functionals by mixed traces against a basis of a.  W is never enumerated:
+it is given by its simple roots, its order comes from the root heights, and
+the section/W distance of two points is that of their images folded into
+one chamber.  Orbit space distances come from a multi-start modified Newton
+descent on the orbit point itself, with the exact Hessian of the chart
+X -> exp(X) m re-centred at every iterate, run in lockstep over every start
+of every pair of a stacked call.  Group elements are exponentiated from
+eigendecompositions of Hermitian matrices, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .polarity import OrthogonalRep
 from .symspace import SymmetricPair
 
 CLUSTER_TOL = 1e-6          # eigenvalues of (ad H)^2 closer than this share a cluster
-MAX_GROUP_ORDER = 4096      # a larger reflection closure means wrong root data
+ROOT_TOL = 1e-6             # root sums and simple-root coefficients, relative to the longest root
 GTOL = 1e-10                # max|grad| at which a quotient-distance start has converged
 ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking search
 ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
@@ -49,30 +49,17 @@ class RestrictedRootSystem:
 
     def positive(self, tol: float = 1e-10) -> list:
         """One representative per +- pair, by lexicographic sign convention."""
-        out = []
-        for vec, mult in self.roots:
-            v = np.asarray(vec)
-            lead = next((x for x in v if abs(x) > tol), 0.0)
-            if lead > 0:
-                out.append((v, mult))
-        return out
+        return [(np.asarray(vec), mult) for vec, mult in self.roots
+                if next((x for x in np.asarray(vec) if abs(x) > tol), 0.0) > 0]
 
 
 @dataclass(frozen=True)
 class ReflectionGroup:
-    generators: tuple
-    elements: tuple
+    """W, generated by the reflections in a base of the reduced root system."""
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _nearest_index(m: np.ndarray, mats: list, tol: float):
-    for i, other in enumerate(mats):
-        if float(np.max(np.abs(m - other))) < tol:
-            return i
-    return None
+    simple_roots: np.ndarray        # (rank, dim a), coordinates in the orthonormal basis of a
+    order: int
+    reflections: int                # N: the positive roots of the reduced system
 
 
 def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> RestrictedRootSystem:
@@ -103,22 +90,23 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
     best, = linalg.first_max(np.where(np.isfinite(score), score, 0.0))
     h, ad_h, eigvals = h[best], ad_hs[best], all_vals[best]
     vectors = np.linalg.solve(chol.T, all_vecs[best])   # columns, G-orthonormal
-    clusters: list[list[int]] = [[0]]
-    for idx in range(1, eigvals.size):
-        if eigvals[idx] - eigvals[clusters[-1][-1]] > CLUSTER_TOL:
-            clusters.append([idx])
-        else:
-            clusters[-1].append(idx)
+    cuts = np.flatnonzero(np.diff(eigvals) > CLUSTER_TOL) + 1
+    clusters = np.split(np.arange(eigvals.size), cuts)
     centers = [float(np.mean(eigvals[c])) for c in clusters]
-    for i in range(len(centers) - 1):
-        gap = abs(centers[i + 1] - centers[i])
-        if gap < 3 * CLUSTER_TOL:
+    for lo, hi in zip(centers, centers[1:]):
+        if hi - lo < 3 * CLUSTER_TOL:
             raise WeylError(
-                f"eigenvalue clustering ambiguous: centers {centers[i]:.3e} and "
-                f"{centers[i + 1]:.3e} separated by {gap:.3e} (tol {CLUSTER_TOL:.1e})")
+                f"eigenvalue clustering ambiguous: centers {lo:.3e} and "
+                f"{hi:.3e} separated by {hi - lo:.3e} (tol {CLUSTER_TOL:.1e})")
+    # traces[i, c] = tr(ad(a_i) ad(H)) over the eigenspace of cluster c: the
+    # diagonal of V^T G ad(a_i) ad(H) V for every a_i, summed over each
+    # cluster's run of columns
+    diagonal = np.einsum("jc,ijc->ic", gram @ vectors, alg.ad(a.basis) @ ad_h @ vectors)
+    traces = np.add.reduceat(diagonal, np.r_[0, cuts], axis=1)
+    h_coords = a.basis @ alg.inner @ h
     roots = []
     g0_dim = 0
-    for cluster, center in zip(clusters, centers):
+    for cluster, center, tr in zip(clusters, centers, traces.T):
         if abs(center) <= max(10 * CLUSTER_TOL, 1e-8):
             g0_dim += len(cluster)
             continue
@@ -128,13 +116,7 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
         if d % 2:
             raise WeylError(f"odd root eigenspace dimension {d}")
         c = float(np.sqrt(-center))
-        vecs = vectors[:, cluster]
-        lam = np.zeros(a.dim)
-        for i in range(a.dim):
-            t = alg.ad(a.basis[i]) @ ad_h
-            tr = float(np.einsum("ic,ij,jc->", vecs, gram @ t, vecs))
-            lam[i] = -tr / (d * c)
-        h_coords = a.basis @ alg.inner @ h
+        lam = -tr / (d * c)
         if float(lam @ h_coords) < 0:          # sign convention: lambda(H) = +c
             lam = -lam
         val = float(lam @ h_coords)
@@ -142,37 +124,59 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
             raise WeylError(
                 f"root functional inconsistent: lambda(H)={val:.6e} vs cluster "
                 f"speed {c:.6e}")
-        roots.append((lam.copy(), d // 2))
-        roots.append(((-lam).copy(), d // 2))
+        roots += [(lam, d // 2), (-lam, d // 2)]
     return RestrictedRootSystem(a, tuple(roots), g0_dim)
 
 
 def weyl_group_closure(system: RestrictedRootSystem) -> ReflectionGroup:
-    """Close the root reflections s_lam(v) = v - 2(<v,lam>/<lam,lam>)lam."""
-    k = system.a.dim
-    eye = np.eye(k)
-    gens = []
-    for vec, _ in system.positive():
-        lam = np.asarray(vec, float)
-        gens.append(eye - 2.0 * np.outer(lam, lam) / float(lam @ lam))
-    if not gens:
-        return ReflectionGroup((), (eye.copy(),))
-    elements = [eye.copy()]
-    frontier = [eye.copy()]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for g in gens:
-                prod = g @ el
-                if _nearest_index(prod, elements, 1e-6) is None:
-                    elements.append(prod)
-                    nxt.append(prod)
-                    if len(elements) > MAX_GROUP_ORDER:
-                        raise WeylError(
-                            f"reflection closure exceeded {MAX_GROUP_ORDER} elements; "
-                            "root data is likely wrong")
-        frontier = nxt
-    return ReflectionGroup(tuple(gens), tuple(elements))
+    """The simple roots and the order of W.  Nothing is closed any more; the
+    name stays because the benchmark calls and traces it.
+
+    Each ray keeps its shortest positive root (BC_q reduces to B_q).  The
+    simple roots are the kept roots that are not a sum of two others; root
+    data whose kept roots are not non-negative integer combinations of them,
+    to ``ROOT_TOL``, raises ``WeylError``.  |W| = prod(m_i + 1) over the
+    exponents m_i, the dual partition of the root counts per height (Kostant;
+    Humphreys, Reflection Groups and Coxeter Groups, 3.20).
+    """
+    pos = np.array([vec for vec, _ in system.positive()], float).reshape(-1, system.a.dim)
+    length = np.linalg.norm(pos, axis=1)
+    tol = ROOT_TOL * np.max(length, initial=0.0)
+    same_ray = pos @ pos.T > (1 - ROOT_TOL) * np.outer(length, length)
+    pos = pos[~np.any(same_ray & (length < length[:, None] - tol), axis=1)]
+    # a root is a sum of two others exactly when it minus one of them is a root
+    differences = pos[:, None, None] - pos[None, :, None] - pos[None, None]
+    simple = pos[~np.any(np.linalg.norm(differences, axis=-1) < tol, axis=(1, 2))]
+    coeffs = np.linalg.lstsq(simple.T, pos.T, rcond=None)[0].T
+    integral = np.rint(coeffs)
+    if np.linalg.matrix_rank(simple, tol) < len(simple) \
+            or np.max(np.abs(coeffs @ simple - pos), initial=0.0) > tol \
+            or np.max(np.abs(coeffs - integral), initial=0.0) > ROOT_TOL or np.any(integral < 0):
+        raise WeylError("the positive roots are not non-negative integer combinations of "
+                        f"{len(simple)} independent simple roots; root data is likely wrong")
+    per_height = np.bincount(integral.sum(axis=1).astype(int))[1:]
+    exponents = np.sum(per_height >= np.arange(1, len(simple) + 1)[:, None], axis=1)
+    return ReflectionGroup(simple, math.prod(int(m) + 1 for m in exponents), len(pos))
+
+
+def _chamber(group: ReflectionGroup, coords: np.ndarray) -> np.ndarray:
+    """Fold rows of a-coordinates into the closed chamber of the simple roots.
+
+    Each pass reflects every row in the simple root it pairs most negatively
+    with, which lowers by one the number of positive roots negative on it,
+    so ``group.reflections`` passes suffice.  W is simply transitive on
+    chambers, so min_w |x - w y| = |x+ - y+| (Humphreys, ch. 1).
+    """
+    simple = group.simple_roots
+    coroots = 2 * simple / np.einsum("ij,ij->i", simple, simple)[:, None]
+    x = np.array(coords, float)
+    for _ in range(group.reflections):
+        pairing = x @ simple.T
+        worst = pairing.min(axis=1)
+        if not (worst < 0).any():
+            break
+        x -= np.minimum(worst, 0.0)[:, None] * coroots[pairing.argmin(axis=1)]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +363,6 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
 # the reduction isometry M/G = Sigma/W
 # ---------------------------------------------------------------------------
 
-def _weyl_images(section: Subspace, group: ReflectionGroup, p: np.ndarray) -> np.ndarray:
-    """The Weyl images of p (..., d) as an (..., |W|, d) stack."""
-    coords = np.asarray(p, float) @ section.basis.T
-    return np.einsum("wij,...j->...wi", np.array(group.elements), coords) @ section.basis
-
-
 @dataclass(frozen=True)
 class ReductionSampler:
     pairs: int = 200
@@ -395,13 +393,13 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
     """
     cfg = sampler or ReductionSampler()
     rng = np.random.default_rng(cfg.seed)
-    x, y = np.moveaxis(rng.uniform(-cfg.box, cfg.box, (cfg.pairs, 2, section.dim))
-                       @ section.basis, 1, 0)
+    xy = rng.uniform(-cfg.box, cfg.box, (2 * cfg.pairs, section.dim)) @ section.basis
     if rep.restrict_to_sphere:
-        x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        y = y / np.linalg.norm(y, axis=1, keepdims=True)
-    dw = np.min(_ambient_distance(rep, x[:, None, :], _weyl_images(section, group, y)), axis=1)
-    found = quotient_distance(rep, x, y, config or QuotientOptimizerConfig(seed=cfg.seed + 1))
+        xy = xy / np.linalg.norm(xy, axis=1, keepdims=True)
+    folded = _chamber(group, xy @ section.basis.T) @ section.basis
+    dw = _ambient_distance(rep, folded[0::2], folded[1::2])
+    found = quotient_distance(rep, xy[0::2], xy[1::2],
+                              config or QuotientOptimizerConfig(seed=cfg.seed + 1))
     rel = np.abs(found.value - dw) / np.maximum(dw, 1e-3)
     return ReductionReport(float(np.max(rel, initial=0.0)),
                            float(np.max(found.value - dw, initial=-np.inf)), cfg.pairs,

@@ -628,7 +628,7 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
 
     def counting_closed_form(geod, a, b, times, derivative=False):
         if times is geod.times:
-            grid_evaluations.append((id(geod), derivative))
+            grid_evaluations.append((derivative, a.shape[1]))
         return real_closed_form(geod, a, b, times, derivative)
 
     # without a step all three checks run at 1e-3; a coarser step is capped
@@ -643,31 +643,34 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
             patch.setattr(transversal, "_closed_form", counting_closed_form)
             shared = analyze(bundle, GEODESIC_CHECKS, step=step)
         assert sorted(builds) == steps
-        # the fields over the grid are evaluated once per geodesic, and
-        # their derivatives never over the grid: only at the few times read
-        values = [geod for geod, derivative in grid_evaluations if not derivative]
-        assert len(values) == len(set(values)) == len(steps)
-        assert not any(derivative for _, derivative in grid_evaluations)
+        # the basis fields over the grid are evaluated once, for transversal's
+        # geodesic, and their derivatives never over the grid: only at the
+        # few times read; jacobi-scan solves its one cross-check field there
+        basis = [derivative for derivative, fields in grid_evaluations if fields > 1]
+        single = sorted(derivative for derivative, fields in grid_evaluations if fields == 1)
+        assert (basis, single) == ([False], [False, True])
         assert record_docs(shared) == singles
     assert bundle.keys() == before.keys()
     assert all(bundle[k] is before[k] for k in before)
     assert all(np.array_equal(bundle[k], v) for k, v in arrays.items())
 
 
-def test_a_geodesic_without_transversal_evaluates_no_field_derivatives(monkeypatch):
-    # over the grid; the focal refinement reads them at a few candidate times
+def test_a_geodesic_without_transversal_evaluates_no_basis_over_the_grid(monkeypatch):
+    # jacobi-scan solves its one cross-check field over the grid, values and
+    # derivatives; the focal refinement reads the basis derivatives at a few
+    # candidate times only
     real_closed_form = transversal._closed_form
     calls = []
 
     def counting_closed_form(geod, a, b, times, derivative=False):
         if times is geod.times:
-            calls.append(derivative)
+            calls.append((derivative, a.shape[1]))
         return real_closed_form(geod, a, b, times, derivative)
 
     monkeypatch.setattr(transversal, "_closed_form", counting_closed_form)
     report = analyze("su2_diag_double", ["jacobi-scan", "variational-completeness"])
     assert [r.status for r in report.records] == ["pass", "pass"]
-    assert calls and not any(calls)
+    assert sorted(calls) == [(False, 1), (True, 1)]
 
 
 SANE_STEPS = st.none() | st.floats(1e-3, 1e-2)

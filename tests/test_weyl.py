@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ import polaris as pl
 from polaris.catalog import catalog_list
 from polaris.cli import _Work, analyze
 from polaris.liealg import Subspace
-from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
+from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, RestrictedRootSystem, \
     WeylError, _chart_derivatives, quotient_distance, reduction_isometry_check, \
     restricted_roots, weyl_group_closure
+
+from families import enumerate_weyl_group
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +131,40 @@ def test_a2_closure_order_six(a2_system):
 
 
 def test_group_permutes_the_roots(a2_system):
+    # W is generated by the simple reflections, so it is enough that each
+    # of them permutes the roots
     _, _, roots = a2_system
     group = weyl_group_closure(roots)
+    assert group.simple_roots.shape == (2, 2)
     vecs = np.array([v for v, _ in roots.roots])
-    for w in group.elements:
-        for v in vecs:
-            moved = np.asarray(w) @ v
-            assert np.min(np.linalg.norm(vecs - moved, axis=1)) < 1e-8
+    for alpha in group.simple_roots:
+        moved = vecs - 2 * np.outer(vecs @ alpha, alpha) / (alpha @ alpha)
+        distances = np.linalg.norm(moved[:, None] - vecs[None], axis=-1)
+        assert sorted(np.argmin(distances, axis=1)) == list(range(len(vecs)))
+        assert np.max(np.min(distances, axis=1)) < 1e-8
+
+
+def corrupted(roots, index, vector):
+    """The root system with root pair ``index`` replaced by +-``vector``."""
+    vecs = [np.asarray(v) for v, _ in roots.roots]
+    vecs[2 * index], vecs[2 * index + 1] = vector, -vector
+    return RestrictedRootSystem(roots.a, tuple((v, m) for v, (_, m) in zip(vecs, roots.roots)),
+                                roots.g0_dim)
+
+
+def test_corrupted_root_data_raises_quickly(a2_system):
+    # the reflections of such data generate an infinite group, so no
+    # enumeration of W could end; the simple-root expansion fails at once
+    _, _, roots = a2_system
+    lam = np.asarray(roots.roots[0][0])
+    other = np.asarray(roots.roots[2][0])
+    turn = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
+    for bad in (corrupted(roots, 0, turn @ lam),                # one root rotated by 1e-3
+                corrupted(roots, 2, lam + 0.5 * other)):        # a non-integral coefficient
+        start = time.perf_counter()
+        with pytest.raises(WeylError, match="root data"):
+            weyl_group_closure(bad)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_orders_divide_coxeter_orders(su2, a2_system, swap_pair):
@@ -153,15 +183,13 @@ def weyl_for_rep(bundles, name, seed=3):
     v = pl.is_polar_rep(rep, seed=1)
     pair, pmap = b["srep"]
     a = Subspace(pair.algebra.name, v.section.basis @ pmap)
-    roots = restricted_roots(pair, a, seed=seed)
-    return rep, v.section, weyl_group_closure(roots)
+    return rep, v.section, restricted_roots(pair, a, seed=seed)
 
 
 def test_weyl_images_have_distance_zero(bundles):
-    rep, section, group = weyl_for_rep(bundles, "su2_adjoint")
+    rep, section, roots = weyl_for_rep(bundles, "su2_adjoint")
     p = 0.8 * section.basis[0]
-    from polaris.weyl import _weyl_images
-    for image in _weyl_images(section, group, p):
+    for image in enumerate_weyl_group(roots) @ (p @ section.basis.T) @ section.basis:
         assert quotient_distance(rep, image, p,
                                  QuotientOptimizerConfig(restarts=2, evals=400,
                                                          probes=40, seed=0)).value < 1e-6
@@ -361,8 +389,8 @@ def test_eigenvalue_sorting_oracle_short(bundles, su3_conj_pair):
 
 
 def test_reduction_isometry_one_sided_and_small(bundles):
-    rep, section, group = weyl_for_rep(bundles, "su2_adjoint")
-    report = reduction_isometry_check(rep, section, group,
+    rep, section, roots = weyl_for_rep(bundles, "su2_adjoint")
+    report = reduction_isometry_check(rep, section, weyl_group_closure(roots),
                                       ReductionSampler(pairs=25, seed=12),
                                       QuotientOptimizerConfig(restarts=3,
                                                               evals=1500,
