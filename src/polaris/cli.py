@@ -500,7 +500,7 @@ def _check_oneill(work, tol, step):
     if pair_xy is None:
         raise Inapplicable("oneill needs a designated horizontal 2-plane")
     report = oneill_check(rep, work.bundle["manifold"], work.bundle["basepoint"],
-                          pair_xy[0], pair_xy[1], step=min(step or 2.5e-4, 2.5e-4))
+                          pair_xy[0], pair_xy[1])
     ok = report.residual < tol
     value = {"k_sigma": report.k_sigma, "a_norm_sq": report.a_norm_sq,
              "k_star_formula": report.k_star_formula,
@@ -596,7 +596,7 @@ def analyze(entry, checks=None, seed: int = 0, tol: float | None = None,
     ``orbifold-points`` one slice pass.  Each check applies its own
     tolerance, and a build that raises is not kept.  The geodesic checks
     default to the grid step 1e-3, and ``transversal`` caps a given step at
-    1e-3; ``oneill`` defaults to and caps at 2.5e-4.  ``seed`` must be a
+    1e-3; ``oneill`` takes no step.  ``seed`` must be a
     non-negative integer, or ``ModelError`` is raised.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:

@@ -55,10 +55,20 @@ each step's propagator of the linear system, and one blocked scan,
 matmuls instead of one per step.  The symplectic form and the
 transversal-equation residual take stacks of fields, one column per field.
 The focal scan is cached on the geodesic like the N-Jacobi fields, so
-checks that share a geodesic run it once.  The O'Neill check and the
-rescale probe share one quotient-curvature estimator, which takes a stack
-of planes to one quotient search.  Tolerances, grid
+checks that share a geodesic run it once.  Tolerances, grid
 strides and draw counts are module constants.
+
+The O'Neill check reads the A-tensor at the basepoint only, in closed form
+from the same Killing initial data, and builds no grid.  Along the
+geodesic with initial velocity xi the vertical fields are the Killing
+restrictions, with values W (rows A x) and covariant derivatives W' (rows
+P_x A xi).  With one SVD W = U S V^T, the orthonormal rows W^ = S^-1 U^T W
+span the vertical space V and W^' = S^-1 U^T W' are their derivatives.  The
+vertical projector p_v = W^T (W W^T)^-1 W then has the exact derivative
+dp_v = X + X^T with X = p_h W^'^T W^, p_h = P_x - p_v, and A =
+skew((p_h - p_v) dp_v) = X - X^T, since X maps V into H.  The O'Neill
+check and the rescale probe share one quotient-curvature estimator, which
+takes a stack of planes to one quotient search.
 """
 
 from __future__ import annotations
@@ -740,11 +750,6 @@ class TransversalSystem:
 
     # -- lookups --------------------------------------------------------------
 
-    def index_at(self, t: float) -> int:
-        g = self.geod
-        k = int(round((t - g.times[0]) / g.step))
-        return min(max(k, 0), g.times.shape[0] - 1)
-
     def gamma_coords(self, k: int) -> np.ndarray:
         return self.geod.to_frame(k, self.geod.dgamma[k])
 
@@ -1006,39 +1011,59 @@ def _quotient_curvature(rep: OrthogonalRep, manifold: ModelManifold, points,
     return (4 * est[:, 1] - est[:, 0]) / 3, found
 
 
+def _oneill_tensor(rep: OrthogonalRep, manifold: ModelManifold, point, direction) -> np.ndarray:
+    """O'Neill's A_xi at ``point``, xi = ``direction``, as an ambient (D, D)
+    skew matrix: A = X - X^T, X = p_h W^'^T W^ from one SVD of the Killing
+    values W (see the module docstring).  It is the grid tensor
+    ``TransversalSystem.a`` at time 0 without its O(h^2) finite-difference
+    error.
+
+    The formula needs the geodesic to keep the orbit type of ``point``: every
+    generator that kills x (a left null row of W) must kill P_x A xi too.
+    Where the isotropy of x moves xi, ``TransversalError`` is raised.
+    """
+    rows = rep.tangent_rows(point)
+    drows = manifold.project_tangent(point, rep.tangent_rows(direction))
+    rank, left, right = linalg.svd_bases(rows)
+    if np.linalg.norm(left[rank:] @ drows) > 1e-8 * np.linalg.norm(drows):
+        raise TransversalError("the isotropy of the basepoint moves the direction, so the "
+                               "geodesic leaves its orbit type and the O'Neill formula "
+                               "does not hold there")
+    w = right[:rank]
+    dw = (left[:rank] @ drows) / np.linalg.norm(left[:rank] @ rows, axis=1)[:, None]
+    x_mat = (dw - (dw @ w.T) @ w).T @ w
+    return x_mat - x_mat.T
+
+
 def oneill_check(rep: OrthogonalRep, manifold: ModelManifold, point, x, y,
                  step: float = 2.5e-4,
                  qconfig: QuotientOptimizerConfig | None = None) -> ONeillReport:
     """Compare K(sigma*) = K(sigma) + 3|A_X Y|^2 against a quotient estimate.
 
-    The A-tensor path evaluates the extended tensor at the basepoint of the
-    geodesic with initial direction X; the quotient path estimates the base
-    curvature from orbit-space distances between points pushed out along X
-    and Y, Richardson-extrapolated over two separations, in one quotient
-    search of two pairs whose counters the report carries.  X is checked
-    as ``OrbitGeodesic`` checks a direction, and Y the same way and
-    orthogonal to X.
+    The A-tensor path takes A at the basepoint in closed form from the
+    Killing initial data (``_oneill_tensor``): the vertical projector p_v
+    has the exact derivative dp_v = N + N^T along the geodesic, with
+    N = p_h W^'^T W^ (the matrix X of the module docstring), and
+    A = skew((p_h - p_v) dp_v).  No grid is built, so ``step`` no longer
+    changes the result; it stays a keyword for the callers that pass it.
+    The quotient path estimates the base curvature from orbit-space
+    distances between points pushed out along X and Y,
+    Richardson-extrapolated over two separations, in one quotient search of
+    two pairs whose counters the report carries.  The point must be a
+    finite point of the model; X and Y finite unit vectors tangent to the
+    model and normal to the orbit, and Y orthogonal to X.
     """
     point = np.asarray(point, float)
-    window = 40 * step
-    geod = OrbitGeodesic(rep, manifold, point, x, span=(-window, window), step=step)
-    x = geod.direction
-    y = _check_normal(manifold, point, rep.tangent_rows(point), y, "y")
+    if not (np.all(np.isfinite(point)) and np.all(np.isfinite(np.asarray(x, float)))):
+        raise TransversalError("the basepoint and direction must be finite")
+    manifold.validate_point(point)
+    rows = rep.tangent_rows(point)
+    x = _check_normal(manifold, point, rows, x, "direction")
+    y = _check_normal(manifold, point, rows, y, "y")
     if abs(float(x @ y)) > 1e-9:
         raise TransversalError("y must be orthogonal to x")
     k_sigma = float(np.dot(manifold.curvature(point, x, y, y), x))
-    system = transversal_system(geod)
-    # the vertical Jacobi fields are the Killing restrictions; at tiny steps
-    # the 80-step window is so short that more N-Jacobi fields pass the
-    # vertical cut, and A would read as zero
-    killing_rank = killing_basis(geod).shape[0]
-    if system.rank != killing_rank:
-        raise TransversalError(
-            f"vertical rank {system.rank} != Killing span {killing_rank} on the "
-            f"O'Neill window at step {step:g}; use a larger step")
-    center = system.index_at(0.0)
-    y_f = geod.to_frame(center, y)
-    a_xy = system.a[center] @ y_f
+    a_xy = _oneill_tensor(rep, manifold, point, x) @ y
     a_sq = float(np.dot(a_xy, a_xy))
     k_formula = k_sigma + 3 * a_sq
     cfg = qconfig or QuotientOptimizerConfig(restarts=4, evals=1500, probes=100)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -595,7 +596,7 @@ def test_vertical_rank_through_origin_rotation():
                          span=(0.0, 2.0))
     system = transversal_system(geod)
     assert system.rank == 1
-    k = system.index_at(1.0)                    # gamma(1) = origin
+    k = int(round(1.0 / geod.step))             # gamma(1) = origin
     assert np.linalg.norm(geod.gamma[k]) < 1e-12
     # rank 1 at every grid time, the origin crossing included
     assert np.max(np.abs(np.trace(system.p_v, axis1=1, axis2=2) - 1.0)) < 1e-12
@@ -938,16 +939,82 @@ def test_oneill_hopf(bundles):
     assert abs(report.a_norm_sq - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("step", [4e-8, 3e-8])
-def test_oneill_rejects_a_window_too_short_for_the_vertical_cut(bundles, step):
-    # on the +-40-step window every N-Jacobi field passes the vertical cut
-    # at these steps, which would make A vanish and K* read as K
+@pytest.mark.parametrize("step", [4e-8, 3e-8, 2.5e-4, 1e-3])
+def test_oneill_formula_is_exact_at_any_step(bundles, step):
+    # A comes from the Killing initial data, not from a grid of this step
     b = bundles["hopf_s1_s3"]
     x, y = b["horizontal_pair"]
-    with pytest.raises(TransversalError, match="Killing span 1"):
-        oneill_check(b["rep"], b["manifold"], b["basepoint"], x, y, step=step)
+    report = oneill_check(b["rep"], b["manifold"], b["basepoint"], x, y, step=step)
+    assert abs(report.k_star_formula - 4.0) < 1e-12
+    assert abs(report.a_norm_sq - 1.0) < 1e-12
     (rec,) = analyze("hopf_s1_s3", ["oneill"], step=step).records
-    assert rec.status == "error" and "vertical rank" in rec.value["reason"]
+    assert rec.status == "pass"
+
+
+def grid_oneill_tensor(rep, manifold, point, x, step):
+    """The grid tensor TransversalSystem.a at the centre of a +-40-step
+    window, with the frame there: the O'Neill path before the closed form,
+    kept as its oracle."""
+    geod = OrbitGeodesic(rep, manifold, point, x, span=(-40 * step, 40 * step), step=step)
+    return transversal.TransversalSystem(geod).a[geod.base_index], geod.frames[geod.base_index]
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_oneill_tensor_matches_the_grid_on_moved_hopf(bundles, seed):
+    from scipy.linalg import expm
+    b = bundles["hopf_s1_s3"]
+    rep, manifold = b["rep"], b["manifold"]
+    rng = np.random.default_rng(seed)
+    g = expm(np.einsum("i,iab->ab", rng.uniform(-PI, PI, rep.generators.shape[0]),
+                       rep.generators))
+    angle = rng.uniform(0.0, 2 * PI)
+    x, y = b["horizontal_pair"]
+    x, y = g @ (np.cos(angle) * x + np.sin(angle) * y), g @ (np.cos(angle) * y - np.sin(angle) * x)
+    point = g @ b["basepoint"]
+    exact = transversal._oneill_tensor(rep, manifold, point, x)
+    for step, tol in ((1e-3, 1e-6), (2.5e-4, 7e-8)):
+        grid, frame = grid_oneill_tensor(rep, manifold, point, x, step)
+        assert np.max(np.abs(frame.T @ exact @ frame - grid)) < tol
+    assert abs(float(np.linalg.norm(exact @ y)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["so2_s2", "so3_s2xs2"])
+def test_oneill_tensor_vanishes_with_the_grid(bundles, name):
+    b = bundles[name]
+    exact = transversal._oneill_tensor(b["rep"], b["manifold"], b["basepoint"], b["direction"])
+    grid, _ = grid_oneill_tensor(b["rep"], b["manifold"], b["basepoint"], b["direction"], 1e-3)
+    assert np.max(np.abs(exact)) <= 1e-12
+    assert np.max(np.abs(grid)) <= 1e-12
+
+
+def test_oneill_check_builds_no_grid(bundles, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oneill_check built a grid")
+
+    monkeypatch.setattr(transversal, "OrbitGeodesic", refuse)
+    monkeypatch.setattr(transversal, "TransversalSystem", refuse)
+    b = bundles["hopf_s1_s3"]
+    x, y = b["horizontal_pair"]
+    report = oneill_check(b["rep"], b["manifold"], b["basepoint"], x, y)
+    assert abs(report.k_star_formula - 4.0) < 1e-12
+
+
+def test_oneill_rejects_a_direction_that_the_isotropy_moves(bundles):
+    # the isotropy of e1 rotates the (e5, e6) plane of the second block, so
+    # the geodesic along e5 leaves the orbit type of e1; along e4 it keeps it
+    b = bundles["su2_diag_double"]
+    rep = dataclasses.replace(b["rep"], restrict_to_sphere=True)
+    manifold = ModelManifold("sphere", 6)
+    point = b["sphere_singular"]["point"]
+    moved, fixed = np.eye(6)[4], np.eye(6)[3]
+    with pytest.raises(TransversalError, match="isotropy of the basepoint moves"):
+        oneill_check(rep, manifold, point, moved, fixed)
+    assert oneill_check(rep, manifold, point, fixed, moved).a_norm_sq == pytest.approx(1.0)
+    doc = {"rep": rep, "manifold": manifold, "basepoint": point,
+           "horizontal_pair": (moved, fixed)}
+    (rec,) = analyze(doc, ["oneill"]).records
+    assert rec.status == "error" and "orbit type" in rec.value["reason"]
 
 
 def test_oneill_polar_entry_no_correction(bundles):
@@ -959,8 +1026,7 @@ def test_oneill_polar_entry_no_correction(bundles):
     geod = OrbitGeodesic(b["rep"], b["manifold"], p, x, span=(-0.02, 0.02),
                          step=2.5e-4)
     system = transversal_system(geod)
-    k = system.index_at(0.0)
-    assert np.max(np.abs(system.a[k])) < 2e-6
+    assert np.max(np.abs(system.a[geod.base_index])) < 2e-6
 
 
 def test_oneill_trivial_action_all_zero():
