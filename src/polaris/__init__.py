@@ -17,8 +17,7 @@ from .weyl import (QuotientOptimizerConfig, ReductionSampler, ReflectionGroup,
                    reduction_isometry_check, restricted_roots,
                    weyl_group_closure)
 from .transversal import (OrbitGeodesic, TransversalSystem, conjugate_scan,
-                          discala_olmos_probe, focal_points,
-                          jacobi_integrate, killing_restrictions,
+                          discala_olmos_probe, focal_points, jacobi_integrate,
                           n_jacobi_space, oneill_check, rescale_probe,
                           shape_operator, symplectic_form,
                           transversal_system, variational_completeness_probe)

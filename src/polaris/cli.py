@@ -37,7 +37,7 @@ from .polarity import PAIRING_TOL, OrthogonalRep, PolarityError, _check_ad_invar
 from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
     cartan_decompose, cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
-    claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
+    _field_on_grid, claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
     focal_scan_counters, jacobi_integrate, n_jacobi_space, \
     oneill_check, rescale_probe, transversal_system, variational_completeness_probe
 from .weyl import QuotientOptimizerConfig, ReductionSampler, WeylError, \
@@ -468,7 +468,7 @@ def _check_jacobi_scan(work, tol, step):
     focal = focal_points(geod)
     j0, dj0 = n_jacobi_space(geod)
     rk = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
-    resid = float(np.max(np.abs(jacobi_integrate(geod, j0[0], dj0[0])[0] - rk[0])))
+    resid = float(np.max(np.abs(_field_on_grid(geod, j0[0], dj0[0]) - rk[0])))
     verdict = {"focal": [[round(t, 6), m] for t, m in focal]}
     ok = resid < tol
     value = {"integrator_residual": resid, "focal_scan": focal_scan_counters(geod)}

@@ -9,15 +9,17 @@ horizontal bundles V_t / H_t through singular times, the extended skew
 tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
 Morse-Sturm conjugate/index scan.
 
-Work on the grid is stacked.  The N-Jacobi basis is held once, as arrays:
-its initial data as two (dim M, D) arrays, the values of its fields on the
-grid as one (n_fields, n_t, m) array, evaluated in closed form once per
-geodesic and cached on it for the transversal system and the RK4
-cross-check of ``jacobi-scan``.  Everything else
-evaluates the closed form only at the times it reads: the covariant
-derivatives at the vanishing times of the vertical fields and the times of
-the vertical-derivative claim, the values and derivatives at the live times
-of the focal refinement and the values at the focal times.  The focal scan
+Work on the grid is stacked.  The geodesic keeps its parallel frame at the
+basepoint only, where every field starts; gamma' is constant in the
+parallel frame.  The N-Jacobi basis is held once, as arrays: its initial
+data as two (dim M, D) arrays, the values of its fields on the grid as one
+(n_fields, n_t, m) array, evaluated in closed form once per geodesic and
+cached on it for the transversal system.  Everything else evaluates the
+closed form only at the times it reads: the values of the one field of the
+RK4 cross-check of ``jacobi-scan``, the covariant derivatives at the
+vanishing times of the vertical fields and the times of the
+vertical-derivative claim, the values and derivatives at the live times of
+the focal refinement and the values at the focal times.  The focal scan
 decomposes only the grid times that can host a focal time: a stacked SVD
 at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of sigma_min
 from the mode data that rules out the times far from a small singular
@@ -34,29 +36,33 @@ projection.  Both probes test membership in the span of those data,
 ``killing_span``, one SVD of an (n_gen, 2D) matrix: the initial data of
 the vanishing fields at each focal time, and those of the eigenfields
 (1 - lambda s) u of the Di Scala-Olmos probe, with J'(0) weighted by |x|
-so that no angle depends on the scale of x.  Neither reads a grid.
+so that no angle depends on the scale of x.  Neither reads a grid.  The
+Killing restrictions also span the vertical Jacobi fields Upsilon (Wilking),
+whose N-Jacobi coefficients are the projections of those data on the
+orthonormal rows of ``n_jacobi_space``: one row space of n_gen rows.
 
-The orbit-tangent span (from the Killing restrictions) and the vertical
-fibre at every grid time come from one ``linalg.row_space_stack`` call
-each over the stacked rows (vectorised Jacobi rotations for up to three
-short rows per time, else one stacked SVD), whose counts of nonzero rows are the
-orbit rank and the rank test of the vertical fields at each time; the
-bundles are kept as projectors p_v and p_h, and only the start of the
-horizontal frame needs a basis of H_t.  The vertical-derivative claim is
-one stacked least-squares solve over every strided time and field,
-skipping the times where the vertical fields lose rank.  The transversal
-Jacobi equation has one solver, the Morse-Sturm scan in a nabla^h-parallel
-frame, and its Morse index one piecewise-linear index form, assembled
-without a loop over its elements.  Every RK4
-integration (the Jacobi cross-check, the horizontal frame and the
-Morse-Sturm scan) goes through one helper, ``_rk4_steps``, that returns
-each step's propagator of the linear system, and one blocked scan,
-``_propagate``, that chains n propagators with about 2 sqrt(n) stacked
-matmuls instead of one per step.  The symplectic form and the
-transversal-equation residual take stacks of fields, one column per field.
-The focal scan is cached on the geodesic like the N-Jacobi fields, so
-checks that share a geodesic run it once.  Tolerances, grid
-strides and draw counts are module constants.
+The vertical fibre at every grid time comes from one
+``linalg.row_space_stack`` call over the vertical fields' values
+(vectorised Jacobi rotations for up to three short rows per time, else one
+stacked SVD), whose counts of nonzero rows are the orbit rank and the rank
+test of the vertical fields at each time; the bundles are kept as
+projectors p_v and p_h, and only the start of the horizontal frame needs a
+basis of H_t.  The vertical-derivative claim is one stacked least-squares
+solve over every strided time and field, skipping the times where the
+vertical fields lose rank.  The transversal Jacobi equation has one
+solver, the Morse-Sturm scan in a nabla^h-parallel frame, whose roots take
+the SVD only where |det Y| <= sigma_min |Y|_F^(q-1) cannot rule out a
+small sigma_min, and its Morse index one piecewise-linear index form,
+assembled without a loop over its elements.  Every RK4 integration (the
+Jacobi cross-check, the horizontal frame and the Morse-Sturm scan) goes
+through one helper, ``_rk4_steps``, that returns each step's propagator of
+the linear system, and one blocked scan, ``_propagate``, that chains n
+propagators with about 2 sqrt(n) stacked matmuls instead of one per step
+(one block's, for the one constant step of the cross-check).  The
+symplectic form and the transversal-equation residual take stacks of
+fields, one column per field.  The focal scan is cached on the geodesic
+like the N-Jacobi fields, so checks that share a geodesic run it once.
+Tolerances, grid strides and draw counts are module constants.
 
 The O'Neill check reads the A-tensor at the basepoint only, in closed form
 from the same Killing initial data, and builds no grid.  Along the
@@ -125,7 +131,7 @@ def _check_normal(manifold: ModelManifold, point, rows, v, name: str) -> np.ndar
 
 
 class OrbitGeodesic:
-    """A horizontal geodesic with its grid, parallel frames and shape data.
+    """A horizontal geodesic with its grid, basepoint frame and shape data.
 
     ``direction`` must be a unit normal to the orbit at ``point`` (tangent
     to the model); None takes the first unit normal from ``linalg.kernel``
@@ -174,9 +180,11 @@ class OrbitGeodesic:
         self.base_index = int(round(-lo / step))
         if abs(self.times[self.base_index]) > 1e-12:
             raise TransversalError("span start must be an integer number of steps")
-        self.gamma, self.dgamma = manifold.geodesic(point, direction, self.times)
-        self.frames, self.curvature = manifold.parallel_frames(point, direction, self.times)
-        self.dim = self.frames.shape[2]
+        # the parallel frame at the basepoint only: every field starts there
+        frames, self.curvature = manifold.parallel_frames(
+            point, direction, self.times[self.base_index:self.base_index + 1])
+        self.frame = frames[0]
+        self.dim = self.frame.shape[1]
         evals, evecs = np.linalg.eigh(self.curvature)
         if float(np.min(evals)) < -1e-10:
             raise TransversalError("model curvature operator must be positive semidefinite")
@@ -186,15 +194,9 @@ class OrbitGeodesic:
         self._curved = self._modes[0] > 1e-12
         self._rates = np.sqrt(np.where(self._curved, self._modes[0], 1.0))
         self.orbit_tangent = linalg.orthonormalize(rows)
-        base = self.frames[self.base_index]
-        self.normal_basis = linalg.kernel(self.orbit_tangent @ base) @ base.T
+        self.normal_basis = linalg.kernel(self.orbit_tangent @ self.frame) @ self.frame.T
         self.shape_operator = shape_operator(rep, point, direction, self.orbit_tangent)
         self._cache = {}
-
-    # -- frame bookkeeping ---------------------------------------------------
-
-    def to_frame(self, k: int, ambient_vec: np.ndarray) -> np.ndarray:
-        return self.frames[k].T @ ambient_vec
 
 
 def shape_operator(rep: OrthogonalRep, point, direction,
@@ -263,13 +265,8 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
     cross-check each other.  Returns ``(y, dy)``, the frame values and
     covariant derivatives, each of shape (n_t, m).
     """
-    y0 = geod.to_frame(geod.base_index, np.asarray(j0, float))
-    z0 = geod.to_frame(geod.base_index, np.asarray(dj0, float))
     if method == "closed-form":
-        q = geod._modes[1]
-        a, b = (q.T @ y0)[:, None], (q.T @ z0)[:, None]
-        return (_closed_form(geod, a, b, geod.times)[:, :, 0],
-                _closed_form(geod, a, b, geod.times, derivative=True)[:, :, 0])
+        return _field_on_grid(geod, j0, dj0), _field_on_grid(geod, j0, dj0, derivative=True)
     if method != "rk4":
         raise TransversalError(f"unknown method {method!r}")
     if geod.base_index != 0:
@@ -278,8 +275,16 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
     gen = _pair_generator(-geod.curvature[None])
     step = _rk4_steps(gen, gen, gen, geod.step)
     states = _propagate(np.broadcast_to(step, (geod.times.shape[0] - 1, 2 * m, 2 * m)),
-                        np.concatenate([y0, z0]))
+                        np.concatenate([geod.frame.T @ np.asarray(x, float) for x in (j0, dj0)]))
     return states[:, :m], states[:, m:]
+
+
+def _field_on_grid(geod: OrbitGeodesic, j0, dj0, derivative: bool = False) -> np.ndarray:
+    """Closed-form frame values (or covariant derivatives) at every grid time,
+    (n_t, m), of the Jacobi field with ambient basepoint data (j0, dj0)."""
+    a, b = ((geod._modes[1].T @ (geod.frame.T @ np.asarray(x, float)))[:, None]
+            for x in (j0, dj0))
+    return _closed_form(geod, a, b, geod.times, derivative)[:, :, 0]
 
 
 def _pair_generator(force: np.ndarray) -> np.ndarray:
@@ -329,27 +334,30 @@ def _propagate(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     each local product to its block's start.  That is about 2 sqrt(n)
     Python-level matmuls instead of n, and one (n, d, d) temporary.
     ``steps`` may be a read-only broadcast stack; ``start`` is (d,) or (d, k).
+    When one matrix is broadcast to every step (``jacobi_integrate``), one
+    block's local products, in the same order, serve every block.
     """
     n, d = steps.shape[0], start.shape[0]
     x0 = start[:, None] if start.ndim == 1 else start
     b = math.isqrt(n - 1) + 1 if n else 1
     n_blocks = -(-n // b)
+    head = steps[:b] if n > 1 and steps.strides[0] == 0 else steps
     # padded to whole blocks, so both stacks reshape to (n_blocks, b, ...);
     # the padding's products land past state n and are dropped
-    local = np.empty((n_blocks * b, d, d))
-    local[n:] = 0.0
-    local[:n:b] = steps[::b]
+    local = np.empty((-(-head.shape[0] // b) * b, d, d))
+    local[head.shape[0]:] = 0.0
+    local[::b] = head[::b]
     for i in range(1, b):
-        rows = steps[i::b]          # position i of every block that has one
+        rows = head[i::b]           # position i of every block that has one
         count = rows.shape[0]
         np.matmul(rows, local[i - 1::b][:count], out=local[i::b][:count])
+    local = np.broadcast_to(local.reshape(-1, b, d, d), (n_blocks, b, d, d))
     out = np.empty((n_blocks * b + 1,) + x0.shape)
     out[0] = x0
     for j in range(1, n_blocks):
-        np.matmul(local[j * b - 1], out[(j - 1) * b], out=out[j * b])
+        np.matmul(local[j - 1, -1], out[(j - 1) * b], out=out[j * b])
     starts = out[:n_blocks * b:b, None].copy()
-    np.matmul(local.reshape(n_blocks, b, d, d), starts,
-              out=out[1:].reshape(n_blocks, b, *x0.shape))
+    np.matmul(local, starts, out=out[1:].reshape(n_blocks, b, *x0.shape))
     return out[:n + 1].reshape((n + 1,) + start.shape)
 
 
@@ -358,7 +366,7 @@ def _basis_modes(geod: OrbitGeodesic):
     key = "basis_modes"
     if key not in geod._cache:
         j0, dj0 = n_jacobi_space(geod)
-        to_modes = geod.frames[geod.base_index] @ geod._modes[1]
+        to_modes = geod.frame @ geod._modes[1]
         geod._cache[key] = ((j0 @ to_modes).T, (dj0 @ to_modes).T)
     return geod._cache[key]
 
@@ -535,12 +543,6 @@ def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
     return t, np.linalg.svd(_closed_form(geod, *modes, t), compute_uv=False), rounds
 
 
-def killing_restrictions(geod: OrbitGeodesic) -> np.ndarray:
-    """The frame coordinates of every generator's Killing field at every
-    grid time, shape (n_gen, n_t, m)."""
-    return np.swapaxes(geod.rep.tangent_rows(geod.gamma) @ geod.frames, 0, 1)
-
-
 def _initial_data(point, values, derivatives) -> np.ndarray:
     """Rows (J(0), w J'(0)) of Jacobi fields from x = ``point``, w = |x| (1 at x = 0).
     x -> c x takes J along x + t xi to c J(t / c) along c x + t xi, with c times
@@ -695,33 +697,29 @@ class TransversalSystem:
         m = geod.dim
         vals = lambda_fields(geod)
         self.lambda_values = vals
-        # vertical Jacobi fields: combinations tangent to orbits at all times,
-        # the null space of q = sum_k n_k n_k^T over the orbit-normal parts
-        # n_k = v_k (I - P_k) of the field values; forming q from the normal
-        # parts, not as sum v v^T - sum (v P)(v P)^T, avoids a cancellation
-        # that leaves null eigenvalues of order 1e-16 * sum |v|^2
-        span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod), 0, 1))
-        self.orbit_rank = np.count_nonzero(np.any(span, axis=-1), axis=-1)
-        normal = np.swapaxes(vals, 0, 1)
-        normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span    # (n_t, n_f, m)
-        q = np.tensordot(normal, normal, axes=([0, 2], [0, 2]))
-        del span, normal
-        evals, evecs = np.linalg.eigh(q)
-        scale = max(float(evals[-1]), 1.0)
-        self.upsilon_coeffs = evecs[:, evals < 1e-10 * scale].T
+        # vertical Jacobi fields: the span of the Killing data (A x, P_x A xi)
+        # in N-Jacobi coefficients; the orbit-tangent part of P_x A xi is -S_xi A x
+        rep, x = geod.rep, geod.point
+        drows = geod.manifold.project_tangent(x, rep.tangent_rows(geod.direction))
+        span = linalg.row_space_stack(np.hstack([rep.tangent_rows(x) @ geod.orbit_tangent.T,
+                                                 drows @ geod.normal_basis.T])[None])[0]
+        self.upsilon_coeffs = span[np.any(span, axis=1)]
         r = self.upsilon_coeffs.shape[0]
         self.rank = r
         self.p_v = np.zeros((n_t, m, m))
-        # grid indices where the vertical fields lose rank
+        # the orbit rank at each grid time, and the times where it drops below r
+        self.orbit_rank = np.zeros(n_t, int)
         self.vanishing = np.zeros(0, int)
+        self.gamma_coords = geod.frame.T @ geod.direction    # gamma' is parallel
         if r:
             # one row-space call gives the rank test and the vertical fibre's rows
             w = self.upsilon_coeffs @ np.swapaxes(vals, 0, 1)
             rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
+            self.orbit_rank = np.count_nonzero(np.any(rows, axis=-1), axis=-1)
             # division construction through isolated zeros of vertical fields,
             # the times where fewer than r rows survive the rank cut
-            self.vanishing = np.flatnonzero(np.count_nonzero(np.any(rows, axis=-1), axis=-1) != r)
+            self.vanishing = np.flatnonzero(self.orbit_rank != r)
             dvals = _basis_derivatives(geod, self.vanishing)
             for k, dv in zip(self.vanishing, dvals):
                 vanish = linalg.kernel(w[k].T, 1e-6)
@@ -747,11 +745,6 @@ class TransversalSystem:
         rhat = geod.curvature
         self.r_script = self.p_h @ rhat @ self.p_h - 3 * (self.a @ self.a)
         self._cache = {}
-
-    # -- lookups --------------------------------------------------------------
-
-    def gamma_coords(self, k: int) -> np.ndarray:
-        return self.geod.to_frame(k, self.geod.dgamma[k])
 
 
 def transversal_system(geod: OrbitGeodesic) -> TransversalSystem:
@@ -870,7 +863,7 @@ def conjugate_scan(system: TransversalSystem) -> ConjugateScanReport:
     """
     g = system.geod
     frame = horizontal_frame(system)
-    gp0 = system.p_h[0] @ system.gamma_coords(0)
+    gp0 = system.p_h[0] @ system.gamma_coords
     gp0 = gp0 / np.linalg.norm(gp0)
     base = frame[0].T          # rows: horizontal basis at t0
     trans = linalg.orthonormalize(base - np.outer(base @ gp0, gp0))
@@ -896,26 +889,41 @@ def conjugate_scan(system: TransversalSystem) -> ConjugateScanReport:
 
 
 def _matrix_roots(sol: np.ndarray, times: np.ndarray) -> list:
+    """Roots (time, multiplicity) of the (n, q, q) matrix solution ``sol``.
+
+    For k >= 2: where det Y is zero at t_k or changes sign toward t_(k+1)
+    (linear interpolation), else at a grid-local minimum of sigma_min below
+    100 FOCAL_SV_TOL; the multiplicity is read at the root's nearest time.
+    As |det Y| <= sigma_min |Y|_F^(q-1), a time with |det Y| above twice
+    (rounding slack) 100 FOCAL_SV_TOL |Y|_F^(q-1) is no such minimum, so the
+    SVD runs only at the other times, their neighbours and the nearest times.
+    """
+    n, q = sol.shape[0], sol.shape[-1]
+    cut = 100 * FOCAL_SV_TOL
     dets = np.linalg.det(sol)
-    svals = np.linalg.svd(sol, compute_uv=False)
+    k = np.arange(2, n - 1)
+    crossing = (dets[k] == 0.0) | (dets[k] * dets[k + 1] < 0)
+    bound = 2 * cut * np.linalg.norm(sol[k], axis=(1, 2)) ** (q - 1)
+    live = k[~crossing & ~(np.abs(dets[k]) > bound)]       # a NaN det stays live
+    svals = np.full(sol.shape[:2], np.nan)
+    index = np.unique(np.r_[live - 1, live, live + 1])
+    svals[index] = np.linalg.svd(sol[index], compute_uv=False)
     smin = svals[:, -1]
-    n = times.shape[0]
+    minima = live[(smin[live] < smin[live - 1]) & (smin[live] <= smin[live + 1])
+                  & (smin[live] < cut)]
+    at = np.sort(np.r_[k[crossing], minima])
+    roots = times[at]
+    sign = dets[at] * dets[at + 1] < 0          # else a zero det or a minimum: t_k
+    j = at[sign]
+    roots[sign] -= dets[j] * (times[j + 1] - times[j]) / (dets[j + 1] - dets[j])
+    near = np.argmin(np.abs(times - roots[:, None]), axis=1)
+    rest = np.unique(near[np.isnan(smin[near])])
+    svals[rest] = np.linalg.svd(sol[rest], compute_uv=False)
     out = []
-    for k in range(2, n - 1):
-        root = None
-        if dets[k] == 0.0 or (dets[k] * dets[k + 1] < 0):
-            t0, t1 = times[k], times[k + 1]
-            d0, d1 = dets[k], dets[k + 1]
-            root = t0 if d0 == 0 else t0 - d0 * (t1 - t0) / (d1 - d0)
-        elif smin[k] < smin[k - 1] and smin[k] <= smin[k + 1] \
-                and smin[k] < 100 * FOCAL_SV_TOL:
-            root = times[k]
-        if root is not None:
-            kk = int(np.argmin(np.abs(times - root)))
-            mult = int(np.sum(svals[kk] < max(FOCAL_SV_TOL, 2 * smin[kk])))
-            mult = max(mult, 1)
-            if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
-                out.append((float(root), mult))
+    for root, s in zip(roots, svals[near]):
+        mult = max(int(np.sum(s < max(FOCAL_SV_TOL, 2 * s[-1]))), 1)
+        if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
+            out.append((float(root), mult))
     return out
 
 

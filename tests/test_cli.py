@@ -15,6 +15,7 @@ from polaris import cli, linalg, polarity, transversal
 from polaris.catalog import R_PRODUCT, catalog_entry, catalog_list
 from polaris.cli import AnalysisReport, ModelError, analyze, emit_report, \
     load_model, main
+from polaris.symspace import ModelManifold
 from polaris.weyl import WeylError
 
 
@@ -645,10 +646,12 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
         assert sorted(builds) == steps
         # the basis fields over the grid are evaluated once, for transversal's
         # geodesic, and their derivatives never over the grid: only at the
-        # few times read; jacobi-scan solves its one cross-check field there
+        # few times read; jacobi-scan solves its one cross-check field there,
+        # values only
         basis = [derivative for derivative, fields in grid_evaluations if fields > 1]
-        single = sorted(derivative for derivative, fields in grid_evaluations if fields == 1)
-        assert (basis, single) == ([False], [False, True])
+        single = [(derivative, fields) for derivative, fields in grid_evaluations
+                  if fields == 1]
+        assert (basis, single) == ([False], [(False, 1)])
         assert record_docs(shared) == singles
     assert bundle.keys() == before.keys()
     assert all(bundle[k] is before[k] for k in before)
@@ -656,8 +659,8 @@ def test_geodesic_checks_share_one_geodesic(monkeypatch):
 
 
 def test_a_geodesic_without_transversal_evaluates_no_basis_over_the_grid(monkeypatch):
-    # jacobi-scan solves its one cross-check field over the grid, values and
-    # derivatives; the focal refinement reads the basis derivatives at a few
+    # jacobi-scan solves its one cross-check field over the grid, values
+    # only; the focal refinement reads the basis derivatives at a few
     # candidate times only
     real_closed_form = transversal._closed_form
     calls = []
@@ -670,7 +673,23 @@ def test_a_geodesic_without_transversal_evaluates_no_basis_over_the_grid(monkeyp
     monkeypatch.setattr(transversal, "_closed_form", counting_closed_form)
     report = analyze("su2_diag_double", ["jacobi-scan", "variational-completeness"])
     assert [r.status for r in report.records] == ["pass", "pass"]
-    assert sorted(calls) == [(False, 1), (True, 1)]
+    assert calls == [(False, 1)]
+
+
+def test_a_geodesic_holds_its_points_and_frames_at_the_basepoint_only(monkeypatch):
+    # the whole-grid gamma, gamma' and parallel frames are never built: the
+    # fields start from the basepoint frame, and gamma' is constant in it
+    times = []
+    for name in ("geodesic", "parallel_frames"):
+        def counted(self, p, v, t, _real=getattr(ModelManifold, name), _name=name):
+            if sys._getframe(1).f_code is transversal.OrbitGeodesic.__init__.__code__:
+                times.append((_name, len(t)))
+            return _real(self, p, v, t)
+        monkeypatch.setattr(ModelManifold, name, counted)
+    for entry in GEODESIC_ENTRIES:
+        report = analyze(entry, GEODESIC_CHECKS)
+        assert all(r.status != "error" for r in report.records), entry
+    assert times and all(count == 1 for _, count in times)
 
 
 SANE_STEPS = st.none() | st.floats(1e-3, 1e-2)

@@ -15,7 +15,9 @@ questions over a grid of times: ``probe_reference`` scans each eigenfield's
 distance from the orbit tangent spaces along the normal line, and
 ``grid_kernel_reference`` compares each focal kernel field, as a grid
 function, with the Gram-Schmidt span of the Killing restrictions.  Their
-verdicts must agree.
+verdicts must agree.  The vertical Jacobi fields of ``TransversalSystem``
+come from the same initial data; ``gram_upsilon``, the grid null space they
+replaced, must span the same space, with the same orbit ranks.
 """
 
 from dataclasses import replace
@@ -31,8 +33,8 @@ from polaris.polarity import REGULAR_DRAWS, OrthogonalRep, find_regular_point, \
     regularize_basepoint
 from polaris.symspace import ModelManifold
 from polaris.transversal import FOCAL_SV_TOL, MAX_STEP, PROBE_DRAWS, PROBE_MIN_EIG, \
-    OrbitGeodesic, TransversalError, _matrix_solution, discala_olmos_probe, \
-    focal_points, killing_restrictions, lambda_fields, variational_completeness_probe
+    OrbitGeodesic, TransversalError, TransversalSystem, _matrix_solution, \
+    discala_olmos_probe, focal_points, lambda_fields, variational_completeness_probe
 
 RES_TOL = 1e-12
 TANGENCY_TOL = 1e-3         # the eigenfield verdict of analyze's variational-completeness
@@ -126,6 +128,30 @@ def probe_reference(rep, point, seed, step):
     dist = np.linalg.norm(u - (u @ np.swapaxes(span, 1, 2)) @ span, axis=-1)
     far = np.abs(1.0 - np.multiply.outer(times, lam)) >= 0.05
     return xi, lam, np.max(np.where(far, dist, 0.0), axis=0)
+
+
+def grid_gamma(geod):
+    """The geodesic's points at every grid time, (n_t, D), from the model."""
+    return geod.manifold.geodesic(geod.point, geod.direction, geod.times)[0]
+
+
+def killing_restrictions(geod):
+    """The frame coordinates of every generator's Killing field at every
+    grid time, shape (n_gen, n_t, m), from the model's points and parallel
+    frames over the grid."""
+    frames, _ = geod.manifold.parallel_frames(geod.point, geod.direction, geod.times)
+    return np.swapaxes(geod.rep.tangent_rows(grid_gamma(geod)) @ frames, 0, 1)
+
+
+def gram_upsilon(geod):
+    """The vertical Jacobi fields as a grid null space: the N-Jacobi
+    combinations tangent to the orbits at every grid time, the null space of
+    q = sum_k n_k n_k^T over the orbit-normal parts n_k of the field values."""
+    span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod), 0, 1))
+    normal = np.swapaxes(lambda_fields(geod), 0, 1)
+    normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span
+    evals, evecs = np.linalg.eigh(np.tensordot(normal, normal, axes=([0, 2], [0, 2])))
+    return evecs[:, evals < 1e-10 * max(float(evals[-1]), 1.0)].T
 
 
 def grid_kernel_reference(geod):
@@ -254,3 +280,20 @@ def test_initial_data_probes_give_the_grid_verdicts(name, seed):
         return
     got = discala_olmos_probe(geod.rep, geod.point, seed)
     assert (got.worst_tangency < TANGENCY_TOL) == (np.max(want[2]) < TANGENCY_TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), SEEDS)
+def test_vertical_fields_from_initial_data_are_the_grid_null_space(name, seed):
+    geod = seeded_geodesic(*MODELS[name], seed)
+    system = TransversalSystem(geod)
+    want = gram_upsilon(geod)
+    assert system.upsilon_coeffs.shape == want.shape
+    assert np.max(linalg.principal_angles(system.upsilon_coeffs, want), initial=0.0) <= 1e-10
+    assert np.array_equal(system.orbit_rank,
+                          linalg.svd_rank(geod.rep.tangent_rows(grid_gamma(geod))))
+    # the orbit-tangent part of P_x A xi is -S_xi (A x), in orbit-tangent coordinates
+    x, tangent = geod.point, geod.orbit_tangent
+    values = geod.rep.tangent_rows(x) @ tangent.T
+    derivs = geod.manifold.project_tangent(x, geod.rep.tangent_rows(geod.direction)) @ tangent.T
+    assert np.max(np.abs(derivs + values @ geod.shape_operator), initial=0.0) <= 1e-12

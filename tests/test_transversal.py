@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polaris as pl
-from polaris import linalg, transversal
+from polaris import cli, linalg, transversal
 from polaris.cli import analyze
 from polaris.symspace import ModelManifold
 from polaris.transversal import OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    horizontal_frame, jacobi_integrate, killing_basis, killing_restrictions, \
-    lambda_fields, n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
+    horizontal_frame, jacobi_integrate, killing_basis, lambda_fields, n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
     symplectic_form, transversal_equation_residual, transversal_system, \
     variational_completeness_probe
 from polaris.transversal import _basis_modes, _basis_on_grid, _index_form, \
@@ -58,9 +57,19 @@ def min_singular(geod, t):
     return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
 
 
+def grid_gamma(geod):
+    """The geodesic's points at every grid time, (n_t, D), from the model."""
+    return geod.manifold.geodesic(geod.point, geod.direction, geod.times)[0]
+
+
+def grid_frames(geod):
+    """The parallel frames at every grid time, (n_t, D, m), from the model."""
+    return geod.manifold.parallel_frames(geod.point, geod.direction, geod.times)[0]
+
+
 def ambient(geod, y):
     """Ambient vectors of a field's frame coordinates y, (n_t, m)."""
-    return np.einsum("tdm,tm->td", geod.frames, y)
+    return np.einsum("tdm,tm->td", grid_frames(geod), y)
 
 
 def columns(fields):
@@ -244,12 +253,47 @@ def test_propagate_matches_per_step_loop(n, d, cols, broadcast, seed):
     assert np.all(diff <= 1e-12 * np.max(scale, axis=1, keepdims=True, initial=0.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((1, 2, 15, 16, 17, 3142)), d=st.integers(1, 12),
+       cols=st.sampled_from((None, 1, 2, 5)), seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_on_one_broadcast_step_is_bitwise_the_stack(n, d, cols, seed):
+    # the broadcast stack takes one block's local products; the materialised
+    # one forms every block's, in the same order
+    rng = np.random.default_rng(seed)
+    step = np.eye(d) + 0.05 * rng.standard_normal((d, d)) / np.sqrt(d)
+    start = rng.standard_normal((d,) if cols is None else (d, cols))
+    got = _propagate(np.broadcast_to(step, (n, d, d)), start)
+    assert np.array_equal(got, _propagate(np.repeat(step[None], n, axis=0), start))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_jacobi_scan_residual_is_that_of_the_materialised_rk4_stack(seed, monkeypatch):
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(OrbitGeodesic(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "OrbitGeodesic", recorded)
+    for name in GEODESIC_ENTRIES:
+        built.clear()
+        (rec,) = analyze(name, ["jacobi-scan"], seed=seed).records
+        (geod,) = built
+        m = geod.dim
+        gen = transversal._pair_generator(-geod.curvature[None])
+        steps = np.repeat(_rk4_steps(gen, gen, gen, geod.step), geod.times.shape[0] - 1, axis=0)
+        j0, dj0 = (x[0] for x in n_jacobi_space(geod))
+        rk = _propagate(steps, np.concatenate([geod.frame.T @ j0, geod.frame.T @ dj0]))[:, :m]
+        want = float(np.max(np.abs(jacobi_integrate(geod, j0, dj0)[0] - rk)))
+        assert rec.value["integrator_residual"] == want, name
+
+
 def test_rk4_on_an_empty_span_keeps_the_start(bundles):
     geod = geod_for(bundles, "hopf_s1_s3", span=(0.0, 0.0))
     j0, dj0 = n_jacobi_space(geod)
     y, _ = jacobi_integrate(geod, j0[0], dj0[0], method="rk4")
     assert y.shape == (1, geod.dim)
-    assert np.array_equal(y[0], geod.to_frame(0, j0[0]))
+    assert np.array_equal(y[0], geod.frame.T @ j0[0])
 
 
 def test_grid_evaluator_matches_jacobi_integrate(bundles):
@@ -493,8 +537,10 @@ def test_rotation_killing_field_grows_linearly():
                          np.array([1.0, 0.0]), np.array([1.0, 0.0]),
                          span=(0.0, 2.0))
     assert killing_basis(geod).shape == (1, 4)
-    norms = np.linalg.norm(killing_restrictions(geod)[0], axis=1)
-    assert np.allclose(norms, 1.0 + geod.times, atol=1e-10)
+    # the one vertical field is the Killing field's restriction, up to sign
+    system = transversal_system(geod)
+    vertical = system.upsilon_coeffs @ np.swapaxes(system.lambda_values, 0, 1)
+    assert np.allclose(np.linalg.norm(vertical[:, 0], axis=1), 1.0 + geod.times, atol=1e-10)
 
 
 def test_hopf_killing_space_one_dimensional(bundles):
@@ -597,7 +643,7 @@ def test_vertical_rank_through_origin_rotation():
     system = transversal_system(geod)
     assert system.rank == 1
     k = int(round(1.0 / geod.step))             # gamma(1) = origin
-    assert np.linalg.norm(geod.gamma[k]) < 1e-12
+    assert np.linalg.norm(grid_gamma(geod)[k]) < 1e-12
     # rank 1 at every grid time, the origin crossing included
     assert np.max(np.abs(np.trace(system.p_v, axis1=1, axis2=2) - 1.0)) < 1e-12
 
@@ -637,14 +683,14 @@ def test_a_vanishes_for_polar_entries(bundles):
 def test_orbit_rank_matches_svd_rank(bundles, step):
     for name in GEODESIC_FIXTURES:
         geod = geod_for(bundles, name, step=step)
-        want = linalg.svd_rank(geod.rep.tangent_rows(geod.gamma))
+        want = linalg.svd_rank(geod.rep.tangent_rows(grid_gamma(geod)))
         assert np.array_equal(transversal_system(geod).orbit_rank, want), name
 
 
 def test_hopf_a_norm_one(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3"))
     geod = system.geod
-    y = geod.to_frame(0, np.array([0.0, 0, 0, 1.0]))
+    y = geod.frame.T @ np.array([0.0, 0, 0, 1.0])
     assert abs(np.linalg.norm(system.a[0] @ y) - 1.0) < 5e-6
 
 
@@ -664,7 +710,7 @@ def test_flat_sections_of_polar_entries(bundles):
     # cohomogeneity one: horizontal = gamma' only, so R_script restricted
     # to the transverse part of the section is empty; check R on gamma'
     for k in (10, 1000):
-        gp = system.p_h[k] @ system.gamma_coords(k)
+        gp = system.p_h[k] @ system.gamma_coords
         assert np.linalg.norm(system.r_script[k] @ gp) < 1e-8
 
 
@@ -865,6 +911,82 @@ def test_scan_hopf_conjugate_and_index(bundles):
     assert report.sturm_consistent
 
 
+def loop_matrix_roots(sol, times):
+    """The conjugate-root scan with the SVD at every time and one pass of a
+    loop over the times: the scan before its pruning, kept as its oracle."""
+    dets = np.linalg.det(sol)
+    svals = np.linalg.svd(sol, compute_uv=False)
+    smin = svals[:, -1]
+    n = times.shape[0]
+    out = []
+    for k in range(2, n - 1):
+        root = None
+        if dets[k] == 0.0 or (dets[k] * dets[k + 1] < 0):
+            t0, t1 = times[k], times[k + 1]
+            d0, d1 = dets[k], dets[k + 1]
+            root = t0 if d0 == 0 else t0 - d0 * (t1 - t0) / (d1 - d0)
+        elif smin[k] < smin[k - 1] and smin[k] <= smin[k + 1] \
+                and smin[k] < 100 * transversal.FOCAL_SV_TOL:
+            root = times[k]
+        if root is not None:
+            kk = int(np.argmin(np.abs(times - root)))
+            mult = int(np.sum(svals[kk] < max(transversal.FOCAL_SV_TOL, 2 * smin[kk])))
+            mult = max(mult, 1)
+            if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
+                out.append((float(root), mult))
+    return out
+
+
+@pytest.mark.parametrize("step", [1e-3, 2.5e-4])
+def test_pruned_root_scan_is_the_loop_on_the_catalog(bundles, step, monkeypatch):
+    seen, real = [], transversal._matrix_roots
+
+    def recorded(sol, times):
+        seen.append((sol, times))
+        return real(sol, times)
+
+    monkeypatch.setattr(transversal, "_matrix_roots", recorded)
+    for name in GEODESIC_FIXTURES:
+        conjugate_scan(transversal.TransversalSystem(geod_for(bundles, name, step=step)))
+    assert len(seen) == len(GEODESIC_FIXTURES) - 1       # su2_adjoint: no transversal q
+    for sol, times in seen:
+        assert real(sol, times) == loop_matrix_roots(sol, times)
+    assert any(loop_matrix_roots(*args) for args in seen)       # hopf_s1_s3's
+
+
+# one diagonal entry of a synthetic solution, a function of t and the grid step:
+# a simple root, a root on a grid time (an exact det zero when not rotated),
+# two roots 1-5 steps apart, a tangential minimum of |f| just below or above
+# 100 FOCAL_SV_TOL, and no root
+def _entry(kind, c, a, j):
+    return {"simple": lambda t, h: t - c,
+            "on-grid": lambda t, h: t - t[int(c / h)],
+            "close": lambda t, h: (t - c) * (t - c - j * h),
+            "tangent": lambda t, h: a * 100 * transversal.FOCAL_SV_TOL + (t - c) ** 2,
+            "none": lambda t, h: 1.0 + t}[kind]
+
+
+ENTRIES = st.builds(_entry, st.sampled_from(["simple", "on-grid", "close", "tangent", "none"]),
+                    st.floats(0.3, 2.5), st.floats(0.0, 2.0), st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(ENTRIES, min_size=1, max_size=3), n=st.integers(4, 800),
+       rotated=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_root_scan_is_the_loop_on_synthetic_solutions(entries, n, rotated, scale,
+                                                              seed):
+    times = np.linspace(0.0, 3.0, n)
+    h = times[1]
+    diag = np.stack([f(times, h) for f in entries], axis=1) * scale
+    sol = diag[:, :, None] * np.eye(len(entries))
+    if rotated:
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(rng.standard_normal((len(entries),) * 2))[0] for _ in "uv")
+        sol = u @ sol @ v
+    assert transversal._matrix_roots(sol, times) == loop_matrix_roots(sol, times)
+
+
 def loop_index_form(r_vals, times, q_dim):
     """The index form element by element, three trapezoid integrals each:
     the assembly before the vectorised one, kept as its oracle."""
@@ -956,7 +1078,7 @@ def grid_oneill_tensor(rep, manifold, point, x, step):
     window, with the frame there: the O'Neill path before the closed form,
     kept as its oracle."""
     geod = OrbitGeodesic(rep, manifold, point, x, span=(-40 * step, 40 * step), step=step)
-    return transversal.TransversalSystem(geod).a[geod.base_index], geod.frames[geod.base_index]
+    return transversal.TransversalSystem(geod).a[geod.base_index], geod.frame
 
 
 @settings(max_examples=12, deadline=None)
