@@ -131,7 +131,7 @@ class LieAlgebra:
         return linalg.gram_norm(np.asarray(x, dtype=float), self.inner)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        return linalg.gram_dot(np.asarray(x, float), np.asarray(y, float), self.inner)
+        return float(np.asarray(x, float) @ self.inner @ np.asarray(y, float))
 
     def full_space(self) -> Subspace:
         return Subspace(self.name, linalg.orthonormalize(np.eye(self.dim), self.inner))
@@ -370,8 +370,9 @@ def is_abelian_subspace(algebra: LieAlgebra, m: Subspace,
 
 
 def centralizer_in(algebra: LieAlgebra, x: np.ndarray, w: Subspace) -> Subspace:
-    """Orthonormal basis of {Y in span(w) : [x, Y] = 0} as a numeric kernel."""
+    """Orthonormal basis of {Y in span(w) : [x, Y] = 0} as a numeric kernel:
+    orthonormal kernel rows of orthonormal ``w.basis`` rows."""
     if w.dim == 0:
         return w
     coeffs = linalg.kernel(algebra.bracket(x, w.basis).T)    # rows: [x, w_j]
-    return Subspace(w.ambient, linalg.orthonormalize(coeffs @ w.basis, algebra.inner))
+    return Subspace(w.ambient, coeffs @ w.basis)

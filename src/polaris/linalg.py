@@ -5,16 +5,15 @@ singular-value decision with a relative threshold, so verdicts do not depend
 on the conditioning of whatever basis the caller happens to hold.  An
 orthogonal complement is a kernel: ``kernel`` reads it off one SVD, past the
 rank that the module's one singular-value cut (``_rank_mask``) decides.
-Gram-Schmidt remains only in ``orthonormalize``, modified Gram-Schmidt with
-one re-orthogonalisation pass: its row i is the unit part of input row i
-orthogonal to rows 0..i-1, which fixes basis conventions (the cyclic su(2)
-basis of ``build_classical``, say) and keeps witness vectors reproducible
-run to run.  The stacked kernels take an (..., k, n) stack of matrices and
-answer for every matrix at once: ``svd_rank`` from one stacked SVD;
-``svd_bases``, the rank and both null spaces, from one stacked SVD, of
-which ``kernel`` is the one-matrix case; ``orthonormalize_stack`` from one
-stacked QR whose signs are fixed so that diag R > 0, which makes its rows
-the ones modified Gram-Schmidt gives for a full-rank matrix, to rounding;
+Ordered orthonormal rows come from one kernel, the stacked QR of
+``orthonormalize_stack`` with signs fixed so that diag R > 0: row i is the
+unit part of input row i orthogonal to rows 0..i-1, as in modified
+Gram-Schmidt, which fixes basis conventions (the cyclic su(2) basis of
+``build_classical``, say) and keeps witnesses reproducible run to run;
+``orthonormalize`` whitens one matrix by its metric, runs that kernel and
+drops dependent rows.  The other stacked kernels take an (..., k, n) stack
+of matrices too: ``svd_rank`` and ``svd_bases`` (the rank and both null
+spaces, of which ``kernel`` is the one-matrix case) from one stacked SVD;
 ``row_space_stack`` from one stacked SVD or, for matrices of at most three
 short rows such as a geodesic grid's orbit tangent spans, where LAPACK's
 per-matrix overhead dominates, from one-sided Jacobi rotations vectorised
@@ -63,53 +62,54 @@ class IndeterminateVerdict(RuntimeError):
 
 
 def as_matrix(rows) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
-    return a
-
-
-def gram_dot(x: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None) -> float:
-    if gram is None:
-        return float(np.dot(x, y))
-    return float(x @ gram @ y)
+    return np.atleast_2d(np.asarray(rows, dtype=float))
 
 
 def gram_norm(x: np.ndarray, gram: np.ndarray | None = None):
     """Norm of one vector (a float) or of every vector of an (..., n) stack."""
     if x.ndim == 1:
-        return float(np.sqrt(max(gram_dot(x, x, gram), 0.0)))
+        return float(np.sqrt(max(float(x @ x if gram is None else x @ gram @ x), 0.0)))
     sq = np.einsum("...i,...i->...", x if gram is None else x @ gram, x)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
 def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Modified Gram-Schmidt with a re-orthogonalisation pass.
+    """Modified Gram-Schmidt's rows, orthonormal in ``gram`` (default: dot).
 
-    Returns a (k, n) array of rows orthonormal with respect to ``gram``
-    (standard dot product when omitted); near-dependent inputs are dropped
-    at the relative threshold ``rtol``.
+    Row i is the unit part of input row i orthogonal to the rows kept before
+    it; a row is dropped when that part is at most ``rtol`` times the longest
+    row, in the metric.  The rows are whitened by an ``eigh`` square root of
+    ``gram`` for ``orthonormalize_stack``, whose R_ii are those parts.  When
+    a QR finds a short one at i, every later row within the cut of the span
+    of rows 0..i-1 is dropped at once, so a (k, n) input takes at most
+    min(k, n) + 1 QRs.
     """
     a = as_matrix(rows)
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
-    # Rescale by a power of two so the largest entry lies in [0.5, 1): the
-    # squared norms below then neither underflow nor overflow, and since the
-    # scaling is exact the result is bitwise the same for ordinary inputs.
+    # an exact rescale to a largest entry in [0.5, 1): no length over- or underflows
     a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
-    scale = max(gram_norm(v, gram) for v in a)
-    if scale == 0.0:
-        return np.zeros((0, a.shape[1]))
-    out: list[np.ndarray] = []
-    for v in a:
-        w = v.astype(float).copy()
-        for _ in range(2):  # second pass controls cancellation drift
-            for q in out:
-                w = w - gram_dot(w, q, gram) * q
-        nw = gram_norm(w, gram)
-        if nw > rtol * scale:
-            out.append(w / nw)
-    if not out:
-        return np.zeros((0, a.shape[1]))
-    return np.array(out)
+    if gram is not None:
+        lam, vec = np.linalg.eigh((gram + gram.T) / 2)
+        # eigh may round a positive eigenvalue below zero: floor them at rounding
+        root = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1]))
+        a = a @ (vec * root)
+    lengths = np.linalg.norm(a, axis=1)
+    cut = rtol * np.max(lengths)
+    a = a[lengths > cut]        # no row's orthogonal part is longer than the row
+    known = 0                   # rows a[:known] are kept
+    while True:
+        q = orthonormalize_stack(a)
+        short = np.flatnonzero(np.einsum("ij,ij->i", q, a[:q.shape[0]])[known:] <= cut)
+        if not short.size:
+            break
+        i = known + short[0]
+        q, rest = q[:i], a[i:]
+        a = np.concatenate([a[:i], rest[np.linalg.norm(rest - (rest @ q.T) @ q, axis=1) > cut]])
+        if a.shape[0] == i:
+            break
+        known = i + 1
+    return q if gram is None else q @ (vec / root).T
 
 
 def svd_rank(a: np.ndarray):
@@ -219,7 +219,7 @@ def orthonormalize_stack(rows: np.ndarray) -> np.ndarray:
 
     One stacked QR of the transposes, with each column of Q flipped so that
     diag R > 0: row i of the result is the unit part of input row i
-    orthogonal to rows 0..i-1, the rows ``orthonormalize`` gives, to
+    orthogonal to rows 0..i-1, the row modified Gram-Schmidt gives, to
     rounding.  Rows are scaled to unit length first, which leaves that
     result unchanged and makes its error, like Gram-Schmidt's, independent
     of how unequal the row lengths are.  Nothing is dropped, so every

@@ -373,11 +373,10 @@ def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,
     alg = pair.algebra
     _check_subalgebra(alg, h)
     hreg = regularize_basepoint(pair, h, seed)
-    # m = p \cap h^perp, solved in p-coordinates.
+    # m = p \cap h^perp, solved in p-coordinates: orthonormal kernel rows of
+    # the orthonormal p basis
     constraints = hreg.basis @ alg.inner @ pair.p.basis.T   # (dim h, dim p)
-    coeffs = linalg.kernel(constraints)
-    m = Subspace(f"{alg.name}:m",
-                 linalg.orthonormalize(coeffs @ pair.p.basis, alg.inner))
+    m = Subspace(f"{alg.name}:m", linalg.kernel(constraints) @ pair.p.basis)
     lts = is_lie_triple_system(alg, m, tol)
     i, j = np.triu_indices(m.dim, 1)
     br = alg.bracket(m.basis[:, None], m.basis[None])[i, j]       # [m_i, m_j], i < j

@@ -32,7 +32,8 @@ Variational completeness is decided on initial data (Bott-Samelson): a
 Jacobi field is fixed by its value and covariant derivative at the
 basepoint, and the Killing field of a generator A restricts to the Jacobi
 field with initial data (A x, P_x A xi), P_x the model's tangent
-projection.  Both probes test membership in the span of those data,
+projection; ``killing_data`` forms them, and a geodesic holds its own for
+every check that reads them.  Both probes test membership in their span,
 ``killing_span``, one SVD of an (n_gen, 2D) matrix: the initial data of
 the vanishing fields at each focal time, and those of the eigenfields
 (1 - lambda s) u of the Di Scala-Olmos probe, with J'(0) weighted by |x|
@@ -193,9 +194,12 @@ class OrbitGeodesic:
         # where the closed form is a + t b
         self._curved = self._modes[0] > 1e-12
         self._rates = np.sqrt(np.where(self._curved, self._modes[0], 1.0))
-        self.orbit_tangent = linalg.orthonormalize(rows)
-        self.normal_basis = linalg.kernel(self.orbit_tangent @ self.frame) @ self.frame.T
+        # the orbit lies in the model: one SVD in the frame splits its tangent space
+        rank, _, right = linalg.svd_bases(rows @ self.frame)
+        self.orbit_tangent = right[:rank] @ self.frame.T
+        self.normal_basis = right[rank:] @ self.frame.T
         self.shape_operator = shape_operator(rep, point, direction, self.orbit_tangent)
+        self.killing_data = killing_data(rep, manifold, point, direction)
         self._cache = {}
 
 
@@ -361,6 +365,13 @@ def _propagate(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out[:n + 1].reshape((n + 1,) + start.shape)
 
 
+def _cached(owner, key: str, make):
+    """``owner._cache[key]``, from ``make()`` on the first call."""
+    if key not in owner._cache:
+        owner._cache[key] = make()
+    return owner._cache[key]
+
+
 def _basis_modes(geod: OrbitGeodesic):
     """Mode coefficients (a, b), each (m, dim M), of the N-Jacobi basis."""
     key = "basis_modes"
@@ -398,10 +409,7 @@ def lambda_fields(geod: OrbitGeodesic) -> np.ndarray:
     derivatives are read only at a few grid times, the vanishing times of
     the vertical fields and the times of the vertical-derivative claim, and
     evaluated there (``_basis_derivatives``)."""
-    key = "lambda_fields"
-    if key not in geod._cache:
-        geod._cache[key] = _basis_on_grid(geod)
-    return geod._cache[key]
+    return _cached(geod, "lambda_fields", lambda: _basis_on_grid(geod))
 
 
 def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
@@ -551,29 +559,24 @@ def _initial_data(point, values, derivatives) -> np.ndarray:
     return np.concatenate([values, weight * derivatives], axis=-1)
 
 
-def killing_span(rep: OrthogonalRep, manifold: ModelManifold, point, direction) -> np.ndarray:
-    """Orthonormal rows spanning the Killing fields' initial data along the
-    geodesic from ``point`` with initial velocity ``direction``.
+def killing_data(rep: OrthogonalRep, manifold: ModelManifold, point, direction):
+    """The (n_gen, D) rows A x and P_x A xi, J(0) and J'(0) of the Killing
+    fields along the geodesic from x = ``point`` with velocity ``direction``."""
+    return rep.tangent_rows(point), manifold.project_tangent(point, rep.tangent_rows(direction))
 
-    The Killing field of a generator A restricts to the Jacobi field with
-    J(0) = A x and J'(0) = P_x A xi, P_x the tangent projection of the
-    model at x.  A Jacobi field is fixed by (J(0), J'(0)), so it is a
-    Killing restriction exactly when its row ``_initial_data`` lies in the
-    span of the returned (r, 2D) rows: the right singular vectors of the
-    (n_gen, 2D) matrix of the generators' rows, from one SVD.
-    """
-    rows = _initial_data(point, rep.tangent_rows(point),
-                         manifold.project_tangent(point, rep.tangent_rows(direction)))
-    rank, _, right = linalg.svd_bases(rows)
+
+def killing_span(point, values, derivatives) -> np.ndarray:
+    """Orthonormal (r, 2D) rows, from one SVD, spanning the rows
+    ``_initial_data`` of the Killing fields' ``killing_data`` at ``point``.
+    A Jacobi field is fixed by (J(0), J'(0)), so it is a Killing
+    restriction exactly when its row lies in that span."""
+    rank, _, right = linalg.svd_bases(_initial_data(point, values, derivatives))
     return right[:rank]
 
 
 def killing_basis(geod: OrbitGeodesic) -> np.ndarray:
     """``killing_span`` at the basepoint and direction of ``geod``, cached on it."""
-    key = "killing_basis"
-    if key not in geod._cache:
-        geod._cache[key] = killing_span(geod.rep, geod.manifold, geod.point, geod.direction)
-    return geod._cache[key]
+    return _cached(geod, "killing_basis", lambda: killing_span(geod.point, *geod.killing_data))
 
 
 def _span_angles(span: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -670,7 +673,8 @@ def discala_olmos_probe(rep: OrthogonalRep, point, seed: int = 0) -> DiScalaOlmo
     xi = xis[best]
     lam, vec = np.linalg.eigh(shapes[best])
     u = vec.T @ tangent
-    span = killing_span(rep, ModelManifold("euclidean", rep.space_dim), point, xi)
+    span = killing_span(point, *killing_data(rep, ModelManifold("euclidean", rep.space_dim),
+                                             point, xi))
     tangency = np.sin(_span_angles(span, _initial_data(point, u, -lam[:, None] * u)))
     records = [EigenFieldRecord(float(l_val), float(1.0 / l_val), float(res))
                for l_val, res in zip(lam, tangency)]
@@ -699,10 +703,9 @@ class TransversalSystem:
         self.lambda_values = vals
         # vertical Jacobi fields: the span of the Killing data (A x, P_x A xi)
         # in N-Jacobi coefficients; the orbit-tangent part of P_x A xi is -S_xi A x
-        rep, x = geod.rep, geod.point
-        drows = geod.manifold.project_tangent(x, rep.tangent_rows(geod.direction))
-        span = linalg.row_space_stack(np.hstack([rep.tangent_rows(x) @ geod.orbit_tangent.T,
-                                                 drows @ geod.normal_basis.T])[None])[0]
+        values, derivs = geod.killing_data
+        span = linalg.row_space_stack(np.hstack([values @ geod.orbit_tangent.T,
+                                                 derivs @ geod.normal_basis.T])[None])[0]
         self.upsilon_coeffs = span[np.any(span, axis=1)]
         r = self.upsilon_coeffs.shape[0]
         self.rank = r
@@ -724,10 +727,11 @@ class TransversalSystem:
             for k, dv in zip(self.vanishing, dvals):
                 vanish = linalg.kernel(w[k].T, 1e-6)
                 dw = vanish @ (self.upsilon_coeffs @ dv)
-                basis = linalg.orthonormalize(np.vstack([w[k], dw]))
-                if basis.shape[0] != r:
+                basis = linalg.row_space_stack(np.vstack([w[k], dw]))
+                rank = np.count_nonzero(np.any(basis, axis=1))
+                if rank != r:
                     raise TransversalError(
-                        f"vertical rank {basis.shape[0]} != {r} at t = "
+                        f"vertical rank {rank} != {r} at t = "
                         f"{geod.times[k]:.4f}; a vertical-field zero is not "
                         "isolated at grid resolution")
                 self.p_v[k] = basis.T @ basis
@@ -748,10 +752,7 @@ class TransversalSystem:
 
 
 def transversal_system(geod: OrbitGeodesic) -> TransversalSystem:
-    key = "system"
-    if key not in geod._cache:
-        geod._cache[key] = TransversalSystem(geod)
-    return geod._cache[key]
+    return _cached(geod, "system", lambda: TransversalSystem(geod))
 
 
 def horizontal_frame(system: TransversalSystem) -> np.ndarray:
@@ -1030,8 +1031,7 @@ def _oneill_tensor(rep: OrthogonalRep, manifold: ModelManifold, point, direction
     generator that kills x (a left null row of W) must kill P_x A xi too.
     Where the isotropy of x moves xi, ``TransversalError`` is raised.
     """
-    rows = rep.tangent_rows(point)
-    drows = manifold.project_tangent(point, rep.tangent_rows(direction))
+    rows, drows = killing_data(rep, manifold, point, direction)
     rank, left, right = linalg.svd_bases(rows)
     if np.linalg.norm(left[rank:] @ drows) > 1e-8 * np.linalg.norm(drows):
         raise TransversalError("the isotropy of the basepoint moves the direction, so the "

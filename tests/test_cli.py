@@ -47,6 +47,21 @@ def test_load_cyclic_structure_accepted():
     assert abs(alg.killing(e[0], e[0]) + 2.0) < 1e-12
 
 
+def test_load_accepts_an_inner_that_cholesky_rejects():
+    # positive definite with eigenvalues 1, 1e-10 and 1e-20: eigvalsh finds the
+    # least one positive, but np.linalg.cholesky fails on it
+    inner = [[0.00915228696610982, 0.00763600007522639, 0.09492214757922747],
+             [0.00763600007522639, 0.006370921034252128, 0.0791961098453337],
+             [0.09492214757922747, 0.0791961098453337, 0.9844767920996376]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(np.array(inner))
+    bundle = load_model({"schema": 1, "kind": "lie-algebra", "dim": 3, "structure": [],
+                         "inner": inner, "subalgebra": [[1, 0, 0]]})
+    (row,) = bundle["subalgebra"].basis
+    assert abs(row @ np.array(inner) @ row - 1.0) < 1e-12
+    assert np.max(np.abs(row[1:])) < 1e-6 * abs(row[0])
+
+
 def test_load_rejects_lower_triangle_entries():
     doc = minimal_torus_doc()
     doc["structure"] = [[2, 1, 1, 1.0]]

@@ -7,6 +7,36 @@ from polaris import linalg
 from polaris.transversal import OrbitGeodesic, TransversalSystem
 
 
+def gram_schmidt_reference(rows, gram=None, rtol=linalg.RANK_RTOL):
+    """Modified Gram-Schmidt with a re-orthogonalisation pass, the loop that
+    ``linalg.orthonormalize`` replaced, kept as its oracle.
+
+    Returns the orthonormal rows, the length of every input row's part
+    orthogonal to the rows kept before it, and the cut those lengths were
+    compared with.
+    """
+    a = linalg.as_matrix(rows)
+    if a.size == 0:
+        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0), np.zeros(0), 0.0
+
+    def dot(x, y):
+        return float(x @ y if gram is None else x @ gram @ y)
+
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
+    cut = rtol * max(np.sqrt(max(dot(v, v), 0.0)) for v in a)
+    out, lengths = [], []
+    for v in a:
+        w = v.copy()
+        for _ in range(2):
+            for q in out:
+                w = w - dot(w, q) * q
+        nw = np.sqrt(max(dot(w, w), 0.0))
+        lengths.append(nw)
+        if nw > cut:
+            out.append(w / nw)
+    return np.array(out).reshape(-1, a.shape[1]), np.array(lengths), cut
+
+
 def test_orthonormalize_drops_dependent_rows():
     rows = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 3.0, 0]])
     q = linalg.orthonormalize(rows)
@@ -125,7 +155,61 @@ def test_orthonormalize_stack_matches_gram_schmidt(seed, k, extra, n):
     assume(np.all(s[:, -1] > 1e-2 * s[:, 0]))
     q = linalg.orthonormalize_stack(a)
     for ai, qi in zip(a, q):
-        assert np.max(np.abs(qi - linalg.orthonormalize(ai))) < 1e-12
+        assert np.max(np.abs(qi - gram_schmidt_reference(ai)[0])) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 7), st.integers(0, 7),
+       st.integers(0, 3), st.booleans(), st.integers(-600, 600))
+def test_orthonormalize_matches_gram_schmidt(seed, k, n, rank, copies, metric, exponent):
+    # rank-deficient rows with duplicated rows mixed in, at scales 2^-600..2^600
+    rng = np.random.default_rng(seed)
+    rank = min(rank, k, n)
+    rows = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, n))
+    for _ in range(copies):
+        rows = np.insert(rows, rng.integers(0, len(rows) + 1), rows[rng.integers(len(rows))], 0)
+    rows = np.ldexp(rows, exponent)
+    gram = None
+    if metric:
+        m = rng.standard_normal((n, n))
+        gram = m @ m.T + n * np.eye(n)
+    want, lengths, cut = gram_schmidt_reference(rows, gram)
+    # where no residual lies near the cut, both keep the same rows, to rounding
+    assume(np.all((lengths > 10 * cut) | (lengths <= cut / 10)))
+    got = linalg.orthonormalize(rows, gram)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-10
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def test_orthonormalize_takes_at_most_one_qr_per_kept_row_and_one_more(qr_calls):
+    rng = np.random.default_rng(3)
+    e = np.eye(4)
+    # every other row repeats the one before it: each QR finds a new short row
+    cases = [np.repeat(e, 2, axis=0), np.zeros((3, 4)), rng.standard_normal((6, 4)),
+             rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5)), e[[0, 0, 0, 1, 1, 2]]]
+    for rows in cases:
+        qr_calls.clear()
+        linalg.orthonormalize(rows)
+        assert len(qr_calls) <= min(rows.shape) + 1
+    # a rank-1 input drops all its later rows at once, however many there are
+    for rank in (1, 64):
+        qr_calls.clear()
+        q = linalg.orthonormalize(rng.standard_normal((5000, rank)) @ rng.standard_normal((rank, 64)))
+        assert q.shape == (rank, 64)
+        assert len(qr_calls) <= 2
 
 
 @settings(max_examples=50, deadline=None)

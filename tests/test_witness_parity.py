@@ -64,7 +64,7 @@ def perp_reference(alg, m, h):
         for j in range(i + 1, m.dim):
             br = alg.bracket(m.basis[i], m.basis[j])
             for a in range(h.dim):
-                vals.append(((i, j, a), abs(linalg.gram_dot(br, h.basis[a], alg.inner))))
+                vals.append(((i, j, a), abs(float(br @ alg.inner @ h.basis[a]))))
     return first_max(vals)
 
 
