@@ -187,7 +187,7 @@ def _t2_cp2() -> dict:
     alg = pair.algebra
     t1 = alg.coordinates(1j * np.diag([1.0, -1.0, 0.0]))
     t2 = alg.coordinates(1j * np.diag([0.0, 1.0, -1.0]))
-    h = Subspace(alg.name, linalg.orthonormalize(np.array([t1, t2]), alg.inner))
+    h = Subspace(alg.name, linalg.orthonormalize(np.array([t1, t2]), alg.metric_root))
     return {"pair": pair, "subalgebra": h}
 
 

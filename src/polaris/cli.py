@@ -225,7 +225,7 @@ def load_model(source) -> dict:
         if rows.ndim != 2 or rows.shape[1] != dim:
             raise ModelError(f"subalgebra: expected rows of {dim} coordinates")
         bundle["subalgebra"] = Subspace(
-            name, linalg.orthonormalize(rows, algebra.inner))
+            name, linalg.orthonormalize(rows, algebra.metric_root))
         try:
             _check_subalgebra(algebra, bundle["subalgebra"])
         except PolarityError as exc:

@@ -13,6 +13,7 @@ the Jacobi identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,8 +134,13 @@ class LieAlgebra:
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.asarray(x, float) @ self.inner @ np.asarray(y, float))
 
+    @cached_property
+    def metric_root(self):
+        """(L, L^-1) with inner = L L^T, from ``linalg.metric_root`` once."""
+        return linalg.metric_root(self.inner)
+
     def full_space(self) -> Subspace:
-        return Subspace(self.name, linalg.orthonormalize(np.eye(self.dim), self.inner))
+        return Subspace(self.name, linalg.orthonormalize(np.eye(self.dim), self.metric_root))
 
     def restrict(self, basis: np.ndarray, name: str) -> LieAlgebra:
         """The subalgebra spanned by inner-orthonormal ``basis`` rows, in that basis.
@@ -294,7 +300,7 @@ def build_classical(family: str, n: int, metric_scale: float = 1.0,
     raw = np.array(_raw_basis(family, n), dtype=complex)
     # Gram-Schmidt in coefficients against the trace form's Gram matrix
     gram = -metric_scale * np.einsum("iab,jba->ij", raw, raw).real
-    mats = np.tensordot(linalg.orthonormalize(np.eye(len(raw)), gram), raw, 1)
+    mats = np.tensordot(linalg.orthonormalize(np.eye(len(raw)), linalg.metric_root(gram)), raw, 1)
     # c_ijk = <[b_i, b_j], b_k> = -scale Re tr([b_i, b_j] b_k)
     c = np.array([-metric_scale * np.einsum("jab,kba->jk", comm, mats).real
                   for comm in _commutator_rows(mats)])
@@ -318,15 +324,9 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
     if a.realization is not None and b.realization is not None:
         da = a.realization[0].shape[0] if n else 0
         db = b.realization[0].shape[0] if m else 0
-        real = []
-        for i in range(n):
-            blk = np.zeros((da + db, da + db), dtype=complex)
-            blk[:da, :da] = a.realization[i]
-            real.append(blk)
-        for i in range(m):
-            blk = np.zeros((da + db, da + db), dtype=complex)
-            blk[da:, da:] = b.realization[i]
-            real.append(blk)
+        real = np.zeros((n + m, da + db, da + db), dtype=complex)
+        real[:n, :da, :da] = a.realization
+        real[n:, da:, da:] = b.realization
         real = tuple(real)
     alg = LieAlgebra(name or f"{a.name}+{b.name}", c, g, real)
     alg.validate()

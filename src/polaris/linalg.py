@@ -10,14 +10,17 @@ Ordered orthonormal rows come from one kernel, the stacked QR of
 unit part of input row i orthogonal to rows 0..i-1, as in modified
 Gram-Schmidt, which fixes basis conventions (the cyclic su(2) basis of
 ``build_classical``, say) and keeps witnesses reproducible run to run;
-``orthonormalize`` whitens one matrix by its metric, runs that kernel and
-drops dependent rows.  The other stacked kernels take an (..., k, n) stack
-of matrices too: ``svd_rank`` and ``svd_bases`` (the rank and both null
-spaces, of which ``kernel`` is the one-matrix case) from one stacked SVD;
-``row_space_stack`` from one stacked SVD or, for matrices of at most three
-short rows such as a geodesic grid's orbit tangent spans, where LAPACK's
-per-matrix overhead dominates, from one-sided Jacobi rotations vectorised
-over the stack, with the same rank cut.  ``gram_norm``, ``project_span``
+``orthonormalize`` whitens one matrix by a metric root, runs that kernel
+and drops dependent rows.  It and ``principal_angles`` take a metric G as
+the pair (L, L^-1), G = L L^T, of ``metric_root``, which
+``LieAlgebra.metric_root`` caches per algebra.  The other stacked kernels
+take an (..., k, n) stack of matrices too: ``svd_rank`` and ``svd_bases``
+(the rank and both null spaces, of which ``kernel`` is the one-matrix
+case) from one stacked SVD; ``row_space_stack`` from one stacked SVD or,
+for matrices of at most three short rows such as a geodesic grid's orbit
+tangent spans, where LAPACK's per-matrix overhead dominates, from
+one-sided Jacobi rotations vectorised over the stack, with the same rank
+cut.  ``gram_norm``, ``project_span``
 and ``span_residual`` also take an (..., n) stack of vectors.  Principal
 angles come from cosines and sines together, so angles below the square
 root of rounding are not lost.
@@ -73,27 +76,40 @@ def gram_norm(x: np.ndarray, gram: np.ndarray | None = None):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Modified Gram-Schmidt's rows, orthonormal in ``gram`` (default: dot).
+def metric_root(gram: np.ndarray):
+    """Read-only (L, L^-1) with ``gram`` = L L^T, L = V diag(sqrt(lambda))
+    from ``eigh``: rows c are orthonormal in the metric iff c L are.  An
+    eigenvalue below eps times the largest is floored there, so an inner
+    that Cholesky rejects gets a root too; the identity gets L = I exactly.
+    """
+    lam, vec = np.linalg.eigh((gram + gram.T) / 2)
+    # eigh may round a positive eigenvalue below zero: floor them at rounding
+    root = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1:]))
+    pair = vec * root, (vec / root).T
+    for m in pair:
+        m.setflags(write=False)
+    return pair
+
+
+def orthonormalize(rows, root: tuple | None = None, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Modified Gram-Schmidt's rows, orthonormal in the metric of the
+    ``metric_root`` pair ``root`` = (L, L^-1) (default: dot).
 
     Row i is the unit part of input row i orthogonal to the rows kept before
     it; a row is dropped when that part is at most ``rtol`` times the longest
-    row, in the metric.  The rows are whitened by an ``eigh`` square root of
-    ``gram`` for ``orthonormalize_stack``, whose R_ii are those parts.  When
-    a QR finds a short one at i, every later row within the cut of the span
-    of rows 0..i-1 is dropped at once, so a (k, n) input takes at most
-    min(k, n) + 1 QRs.
+    row, in the metric.  The rows are whitened by L for
+    ``orthonormalize_stack``, whose R_ii are those parts, and mapped back by
+    L^-1.  When a QR finds a short one at i, every later row within the cut
+    of the span of rows 0..i-1 is dropped at once, so a (k, n) input takes
+    at most min(k, n) + 1 QRs.
     """
     a = as_matrix(rows)
     if a.size == 0:
         return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
     # an exact rescale to a largest entry in [0.5, 1): no length over- or underflows
     a = np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1])
-    if gram is not None:
-        lam, vec = np.linalg.eigh((gram + gram.T) / 2)
-        # eigh may round a positive eigenvalue below zero: floor them at rounding
-        root = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[-1]))
-        a = a @ (vec * root)
+    if root is not None:
+        a = a @ root[0]
     lengths = np.linalg.norm(a, axis=1)
     cut = rtol * np.max(lengths)
     a = a[lengths > cut]        # no row's orthogonal part is longer than the row
@@ -109,7 +125,7 @@ def orthonormalize(rows, gram: np.ndarray | None = None, rtol: float = RANK_RTOL
         if a.shape[0] == i:
             break
         known = i + 1
-    return q if gram is None else q @ (vec / root).T
+    return q if root is None else q @ root[1]
 
 
 def svd_rank(a: np.ndarray):
@@ -283,37 +299,25 @@ def span_residual(basis_rows: np.ndarray, x: np.ndarray,
 
 
 def principal_angles(a_rows: np.ndarray, b_rows: np.ndarray,
-                     gram: np.ndarray | None = None) -> np.ndarray:
-    """Principal angles between two subspaces given by gram-orthonormal rows.
+                     root: tuple | None = None) -> np.ndarray:
+    """Principal angles between two subspaces given by rows orthonormal in
+    the metric of the ``metric_root`` pair ``root`` (default: dot).
 
-    The cosines are the singular values of the cross pairing, the sines those
-    of the part of ``b`` outside span(``a``), in the metric; ``arctan2`` of
-    the two keeps small angles, which ``arccos`` rounds to zero below about
-    1.5e-8.  Ascending sines pair with descending cosines.
+    Both are whitened by L.  The cosines are the singular values of the
+    cross pairing, the sines those of the part of ``b`` outside span(``a``);
+    ``arctan2`` of the two keeps small angles, which ``arccos`` rounds to
+    zero below about 1.5e-8.  Ascending sines pair with descending cosines.
     """
     a = as_matrix(a_rows)
     b = as_matrix(b_rows)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros(0)
-    m = a @ (b.T if gram is None else gram @ b.T)       # m[i, j] = <a_i, b_j>
+    if root is not None:
+        a, b = a @ root[0], b @ root[0]
+    m = a @ b.T                 # m[i, j] = <a_i, b_j>
     cos = np.linalg.svd(m, compute_uv=False)
-    perp = b - m.T @ a
-    if gram is not None:
-        perp = perp @ np.linalg.cholesky(gram)
-    sin = np.linalg.svd(perp, compute_uv=False)[::-1][:cos.shape[0]]
+    sin = np.linalg.svd(b - m.T @ a, compute_uv=False)[::-1][:cos.shape[0]]
     return np.arctan2(sin, cos)
-
-
-def subspaces_equal(a_rows: np.ndarray, b_rows: np.ndarray,
-                    gram: np.ndarray | None = None, tol: float = 1e-8) -> bool:
-    a = as_matrix(a_rows)
-    b = as_matrix(b_rows)
-    if a.shape[0] != b.shape[0]:
-        return False
-    if a.shape[0] == 0:
-        return True
-    ang = principal_angles(a, b, gram)
-    return bool(np.max(ang) < tol)
 
 
 def first_max(values: np.ndarray) -> tuple:

@@ -226,14 +226,13 @@ def _slices(rep: OrthogonalRep, points: np.ndarray):
     for j, key in enumerate(zip(rank.tolist(), normal_rank.tolist())):
         if errors[j] is None:
             members.setdefault(key, []).append(j)
-    # rows c are orthonormal in the metric G = L L^T exactly when c L are
-    # orthonormal, so one stacked QR of c L orthonormalises them all
-    chol = np.linalg.cholesky(rep.algebra.inner)
-    chol_inv = np.linalg.inv(chol)
+    # rows c are orthonormal in G = L L^T, L the algebra's metric root, exactly
+    # when c L are orthonormal, so one stacked QR of c L orthonormalises them all
+    root, root_inv = rep.algebra.metric_root
     groups = []
     for (r, s), index in members.items():
         index = np.array(index)
-        iso = linalg.orthonormalize_stack(left[index, r:] @ chol) @ chol_inv
+        iso = linalg.orthonormalize_stack(left[index, r:] @ root) @ root_inv
         _, closure = rep.algebra.restricted_structure(iso)
         for j, res in zip(index, closure):
             if res > CLOSURE_TOL:
@@ -338,8 +337,9 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
 
     Conjugation acts through Ad(exp Z) = exp(ad Z) for seeded random Z, so
     no matrix realization is needed.  With the ad-invariant inner product
-    G = L L^T, the matrix S = L^T (ad Z) L^-T is skew, so every exp(-ad Z)
-    = L^-T exp(-S) L^T comes from one stacked eigendecomposition of iS.
+    G = L L^T, L its ``metric_root``, the matrix S = L^T (ad Z) L^-T is
+    skew, so every exp(-ad Z) = L^-T exp(-S) L^T comes from one stacked
+    eigendecomposition of iS.
     One stacked SVD ranks h (draw 0) and its conjugates; Gram-Schmidt keeps
     the rank, so only the first of maximal rank is orthonormalised.
     """
@@ -350,16 +350,15 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
         z = rng.standard_normal(alg.dim)
         zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
     _check_ad_invariant(alg)
-    chol = np.linalg.cholesky(alg.inner)
-    ad = alg.ad(np.array(zs))                                      # ad(z) per draw
-    skew = chol.T @ np.swapaxes(np.linalg.solve(chol, np.swapaxes(ad, 1, 2)), 1, 2)
+    root, root_inv = alg.metric_root
+    skew = root.T @ alg.ad(np.array(zs)) @ root_inv.T             # per draw
     lam, vec = np.linalg.eigh(1j * skew)
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
-    ad_inv = np.linalg.solve(chol.T, rot @ chol.T)                 # exp(-ad z)
+    ad_inv = root_inv.T @ rot @ root.T                             # exp(-ad z)
     conj = np.concatenate([h.basis[None], h.basis @ np.swapaxes(ad_inv, 1, 2)])
     best = int(np.argmax(linalg.svd_rank(pair.project_p(conj))))
     return Subspace(h.ambient,
-                    h.basis if best == 0 else linalg.orthonormalize(conj[best], alg.inner))
+                    h.basis if best == 0 else linalg.orthonormalize(conj[best], alg.metric_root))
 
 
 def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,

@@ -77,11 +77,11 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
     h = np.random.default_rng(seed).standard_normal((ROOT_DRAWS, a.dim)) @ a.basis
     h = h / alg.norm(h)[:, None]
     ad_hs = alg.ad(h)
-    gram = alg.inner
-    # G-orthonormal eigendecompositions of the G-symmetric operators (ad H)^2,
-    # one stacked eigh for every draw; eigenvalues come ascending.
-    chol = np.linalg.cholesky(gram)
-    m_sym = chol.T @ (ad_hs @ ad_hs) @ np.linalg.inv(chol.T)
+    # G-orthonormal eigendecompositions of the G-symmetric operators (ad H)^2:
+    # with the algebra's root G = L L^T, L^T (ad H)^2 L^-T is symmetric, one
+    # stacked eigh for every draw; eigenvalues come ascending.
+    root, root_inv = alg.metric_root
+    m_sym = root.T @ (ad_hs @ ad_hs) @ root_inv.T
     all_vals, all_vecs = np.linalg.eigh((m_sym + np.swapaxes(m_sym, 1, 2)) / 2)
     # keep the first draw whose narrowest gap between adjacent clusters is
     # widest; a draw whose spectrum is one cluster scores zero
@@ -89,7 +89,7 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
     score = np.min(gaps, axis=-1, initial=np.inf, where=gaps > CLUSTER_TOL)
     best, = linalg.first_max(np.where(np.isfinite(score), score, 0.0))
     h, ad_h, eigvals = h[best], ad_hs[best], all_vals[best]
-    vectors = np.linalg.solve(chol.T, all_vecs[best])   # columns, G-orthonormal
+    vectors = root_inv.T @ all_vecs[best]               # columns, G-orthonormal
     cuts = np.flatnonzero(np.diff(eigvals) > CLUSTER_TOL) + 1
     clusters = np.split(np.arange(eigvals.size), cuts)
     centers = [float(np.mean(eigvals[c])) for c in clusters]
@@ -100,8 +100,8 @@ def restricted_roots(pair: SymmetricPair, a: Subspace, seed: int = 0) -> Restric
                 f"{hi:.3e} separated by {hi - lo:.3e} (tol {CLUSTER_TOL:.1e})")
     # traces[i, c] = tr(ad(a_i) ad(H)) over the eigenspace of cluster c: the
     # diagonal of V^T G ad(a_i) ad(H) V for every a_i, summed over each
-    # cluster's run of columns
-    diagonal = np.einsum("jc,ijc->ic", gram @ vectors, alg.ad(a.basis) @ ad_h @ vectors)
+    # cluster's run of columns; G V = L U for the eigenvectors U of m_sym
+    diagonal = np.einsum("jc,ijc->ic", root @ all_vecs[best], alg.ad(a.basis) @ ad_h @ vectors)
     traces = np.add.reduceat(diagonal, np.r_[0, cuts], axis=1)
     h_coords = a.basis @ alg.inner @ h
     roots = []

@@ -205,7 +205,7 @@ def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
     for i in range(50):
         rows = linalg.orthonormalize(
             rng.standard_normal((2, su3_conj_pair.p.dim)) @ su3_conj_pair.p.basis,
-            alg.inner)
+            alg.metric_root)
         sub = Subspace(alg.name, rows)
         lts = pl.is_lie_triple_system(alg, sub)
         probe = cartan_hermann_probe(su3_conj_pair, None, sub,

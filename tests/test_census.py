@@ -7,7 +7,8 @@ document, and collects every function or method whose code is in
 name the benchmark traces or calls (read by ``bench_names``) or stand in
 ``KEPT`` with the reason it stays.  A ``KEPT`` entry that is reached, or no
 longer defined, fails too, so nothing is added unreached and nothing dead
-lingers.
+lingers.  The same runs pin where metric roots come from: no Cholesky
+factor in the package, and one ``linalg.metric_root`` per ``LieAlgebra``.
 """
 
 import contextlib
@@ -20,8 +21,12 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import polaris
-from polaris import cli
+from polaris import cli, linalg
+from polaris.liealg import LieAlgebra
 
 from bench_names import traced_names, workload_attributes
 
@@ -122,11 +127,45 @@ def reached_code(tmp_path) -> set:
     return reached
 
 
-def test_every_unreached_function_is_benchmarked_or_kept(tmp_path):
-    reached = reached_code(tmp_path)
+@pytest.fixture(scope="module")
+def census(tmp_path_factory):
+    """The census's reached code objects, the caller of every
+    ``linalg.metric_root`` call (the ``LieAlgebra`` whose cached root it
+    computes, or the calling function's name), and the matrices the package
+    passed to ``np.linalg.cholesky``."""
+    roots, factored = [], []
+    metric_root, cholesky = linalg.metric_root, np.linalg.cholesky
+
+    def counted_root(gram):
+        caller = sys._getframe(1)
+        roots.append(caller.f_locals.get("self", caller.f_code.co_name))
+        return metric_root(gram)
+
+    def counted_cholesky(a, *args, **kwargs):
+        if Path(sys._getframe(1).f_code.co_filename).resolve().parent == SRC:
+            factored.append(a)
+        return cholesky(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "metric_root", counted_root)
+        patch.setattr(np.linalg, "cholesky", counted_cholesky)
+        reached = reached_code(tmp_path_factory.mktemp("census"))
+    return reached, roots, factored
+
+
+def test_every_unreached_function_is_benchmarked_or_kept(census):
+    reached = census[0]
     unreached = {name for code, name in defined_functions().items() if code not in reached}
     bench = {f"{module}.{name}" for module, name in traced_names() + workload_attributes()}
     assert all(KEPT.values())
     # unreached and unexplained, then kept but reached or no longer defined
     assert (sorted(unreached - bench - KEPT.keys()),
             sorted(KEPT.keys() - (unreached - bench))) == ([], [])
+
+
+def test_one_metric_root_per_algebra_and_no_cholesky(census):
+    _, roots, factored = census
+    algebras = [root for root in roots if isinstance(root, LieAlgebra)]
+    assert algebras and len({id(alg) for alg in algebras}) == len(algebras)
+    assert {root for root in roots if not isinstance(root, LieAlgebra)} <= {"build_classical"}
+    assert factored == []

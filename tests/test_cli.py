@@ -47,12 +47,16 @@ def test_load_cyclic_structure_accepted():
     assert abs(alg.killing(e[0], e[0]) + 2.0) < 1e-12
 
 
+# positive definite with eigenvalues 1, 1e-10 and 1e-20: eigvalsh finds the
+# least one positive, but np.linalg.cholesky fails on it
+NEAR_SINGULAR_INNER = [
+    [0.00915228696610982, 0.00763600007522639, 0.09492214757922747],
+    [0.00763600007522639, 0.006370921034252128, 0.0791961098453337],
+    [0.09492214757922747, 0.0791961098453337, 0.9844767920996376]]
+
+
 def test_load_accepts_an_inner_that_cholesky_rejects():
-    # positive definite with eigenvalues 1, 1e-10 and 1e-20: eigvalsh finds the
-    # least one positive, but np.linalg.cholesky fails on it
-    inner = [[0.00915228696610982, 0.00763600007522639, 0.09492214757922747],
-             [0.00763600007522639, 0.006370921034252128, 0.0791961098453337],
-             [0.09492214757922747, 0.0791961098453337, 0.9844767920996376]]
+    inner = NEAR_SINGULAR_INNER
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(np.array(inner))
     bundle = load_model({"schema": 1, "kind": "lie-algebra", "dim": 3, "structure": [],
@@ -60,6 +64,24 @@ def test_load_accepts_an_inner_that_cholesky_rejects():
     (row,) = bundle["subalgebra"].basis
     assert abs(row @ np.array(inner) @ row - 1.0) < 1e-12
     assert np.max(np.abs(row[1:])) < 1e-6 * abs(row[0])
+
+
+def test_slice_checks_pass_on_an_inner_that_cholesky_rejects(tmp_path, capsys):
+    # three commuting plane rotations of R^6 under the near-singular inner:
+    # every slice representation is computed in the algebra's eigh root
+    gens = np.zeros((3, 6, 6))
+    for k in range(3):
+        gens[k, 2 * k + 1, 2 * k], gens[k, 2 * k, 2 * k + 1] = 1.0, -1.0
+    doc = {"schema": 1, "kind": "representation", "dim": 3, "structure": [],
+           "inner": NEAR_SINGULAR_INNER, "generators": gens.reshape(3, -1).tolist(),
+           "manifold": {"kind": "euclidean"}}
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--model", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    status = {r["check"]: r["status"] for r in report["records"]}
+    assert code == 0 and report["status"] == "pass"
+    assert status["slice-scan"] == status["orbifold-points"] == "pass"
 
 
 def test_load_rejects_lower_triangle_entries():

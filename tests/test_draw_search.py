@@ -69,8 +69,8 @@ def regular_point_reference(rep, seed):
 def regularize_reference(pair, h, seed):
     """One orthonormalised conjugate and one SVD per draw.
 
-    The exponentials come from the same stacked ``eigh`` as the library's;
-    the draw search is what is compared.
+    The exponentials come from the same metric root and stacked ``eigh`` as
+    the library's; the draw search is what is compared.
     """
     alg = pair.algebra
     rng = np.random.default_rng(seed)
@@ -78,16 +78,15 @@ def regularize_reference(pair, h, seed):
     for _ in range(REGULAR_DRAWS):
         z = rng.standard_normal(alg.dim)
         zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
-    chol = np.linalg.cholesky(alg.inner)
-    ad = alg.ad(np.array(zs))
-    skew = chol.T @ np.swapaxes(np.linalg.solve(chol, np.swapaxes(ad, 1, 2)), 1, 2)
+    root, root_inv = alg.metric_root
+    skew = root.T @ alg.ad(np.array(zs)) @ root_inv.T
     lam, vec = np.linalg.eigh(1j * skew)
     rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
-    ad_inv = np.linalg.solve(chol.T, rot @ chol.T)
+    ad_inv = root_inv.T @ rot @ root.T
     best_basis = h.basis
     best_rank = linalg.svd_rank(pair.project_p(h.basis))
     for m in ad_inv:
-        cand = linalg.orthonormalize(h.basis @ m.T, alg.inner)
+        cand = linalg.orthonormalize(h.basis @ m.T, alg.metric_root)
         r = linalg.svd_rank(pair.project_p(cand))
         if r > best_rank:
             best_rank, best_basis = r, cand

@@ -4,7 +4,14 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polaris import linalg
+from polaris.catalog import catalog_entry, su3_pair_conjugation
+from polaris.liealg import LieAlgebra, Subspace
+from polaris.polarity import regularize_basepoint
+from polaris.symspace import SymmetricSpaceError, cartan_decompose, maximal_abelian
 from polaris.transversal import OrbitGeodesic, TransversalSystem
+from polaris.weyl import restricted_roots
+
+from test_cli import NEAR_SINGULAR_INNER
 
 
 def gram_schmidt_reference(rows, gram=None, rtol=linalg.RANK_RTOL):
@@ -46,7 +53,7 @@ def test_orthonormalize_drops_dependent_rows():
 
 def test_orthonormalize_respects_gram():
     gram = np.diag([4.0, 1.0])
-    q = linalg.orthonormalize(np.array([[1.0, 0.0], [1.0, 1.0]]), gram)
+    q = linalg.orthonormalize(np.array([[1.0, 0.0], [1.0, 1.0]]), linalg.metric_root(gram))
     assert np.allclose(q @ gram @ q.T, np.eye(2), atol=1e-12)
 
 
@@ -87,15 +94,13 @@ def test_principal_angles_detect_equality_and_orthogonality():
 
 def test_principal_angles_resolve_small_angles():
     rng = np.random.default_rng(0)
-    gram = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-    for metric in (None, gram):
+    for metric in (None, linalg.metric_root(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))):
         for _ in range(100):
             # another orthonormal basis of the same plane reads as equal
             a = linalg.orthonormalize(rng.standard_normal((2, 5)), metric)
             t = rng.uniform(0.0, 2 * np.pi)
             b = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]) @ a
             assert np.max(linalg.principal_angles(a, b, metric)) < 1e-12
-            assert linalg.subspaces_equal(a, b, metric)
         # angles far below arccos resolution are kept, and orthogonal planes read pi/2
         e = linalg.orthonormalize(np.eye(5), metric)
         tilted = np.array([np.cos(1e-10) * e[0] + np.sin(1e-10) * e[2], e[1]])
@@ -113,7 +118,7 @@ def test_span_residual_inside_and_outside():
 def test_span_residual_accepts_stacks():
     rng = np.random.default_rng(4)
     gram = np.diag([1.0, 2.0, 3.0, 4.0])
-    basis = linalg.orthonormalize(rng.standard_normal((2, 4)), gram)
+    basis = linalg.orthonormalize(rng.standard_normal((2, 4)), linalg.metric_root(gram))
     x = rng.standard_normal((3, 2, 4))
     res = linalg.span_residual(basis, x, gram)
     assert res.shape == (3, 2)
@@ -176,9 +181,91 @@ def test_orthonormalize_matches_gram_schmidt(seed, k, n, rank, copies, metric, e
     want, lengths, cut = gram_schmidt_reference(rows, gram)
     # where no residual lies near the cut, both keep the same rows, to rounding
     assume(np.all((lengths > 10 * cut) | (lengths <= cut / 10)))
-    got = linalg.orthonormalize(rows, gram)
+    got = linalg.orthonormalize(rows, None if gram is None else linalg.metric_root(gram))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-10
+
+
+def cholesky_orthonormalize(rows, gram):
+    """``orthonormalize`` whitened by a Cholesky factor, the oracle of the
+    metric-root path."""
+    chol = np.linalg.cholesky(gram)
+    return linalg.orthonormalize(rows @ chol) @ np.linalg.inv(chol)
+
+
+def cholesky_principal_angles(a, b, gram):
+    chol = np.linalg.cholesky(gram)
+    return linalg.principal_angles(a @ chol, b @ chol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.floats(0.0, 12.0))
+def test_metric_root_agrees_with_a_cholesky_oracle(seed, n, log_cond):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n + 1))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cond = 10.0 ** log_cond
+    gram = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    gram = (gram + gram.T) / 2
+    # each root is exact for a gram within rounding of this one, so the two
+    # can differ by eps * cond: 1e-10 up to a condition number of about 5e4
+    tol = max(1e-10, 8 * np.finfo(float).eps * cond)
+    root = linalg.metric_root(gram)
+    rows = rng.standard_normal((k, n))
+    want = cholesky_orthonormalize(rows, gram)
+    got = linalg.orthonormalize(rows, root)
+    assert got.shape == want.shape
+    assert np.max(linalg.gram_norm(got - want, gram)) <= tol
+    other = cholesky_orthonormalize(rng.standard_normal((k, n)), gram)
+    angles = linalg.principal_angles(want, other, root)
+    assert np.max(np.abs(angles - cholesky_principal_angles(want, other, gram))) <= tol
+
+
+def test_principal_angles_take_an_inner_that_cholesky_rejects():
+    gram = np.array(NEAR_SINGULAR_INNER)
+    root = linalg.metric_root(gram)
+    e = linalg.orthonormalize(np.eye(3), root)
+    # the planes share e_1 and are otherwise orthogonal in the root's metric,
+    # to eps times the condition number 7e7 of L
+    angles = linalg.principal_angles(e[:2], e[1:], root)
+    assert np.allclose(np.sort(angles), [0.0, np.pi / 2], rtol=0.0, atol=1e-7)
+
+
+def moved(pair, rng):
+    """``pair`` in the basis of the rows f_i of a random invertible A, and
+    A^-1: coordinates x become x A^-1, the inner A G A^T, the involution
+    A^-T theta A^T."""
+    alg = pair.algebra
+    a = rng.standard_normal((alg.dim, alg.dim)) + 2 * np.eye(alg.dim)
+    a_inv = np.linalg.inv(a)
+    structure = np.einsum("ik,jl,klm,mp->ijp", a, a, alg.structure, a_inv)
+    algebra = LieAlgebra(f"{alg.name}:moved", structure, a @ alg.inner @ a.T)
+    return cartan_decompose(algebra, a_inv.T @ pair.involution @ a.T), a_inv
+
+
+def test_a_non_orthonormal_basis_keeps_ranks_roots_and_validation():
+    rng = np.random.default_rng(12)
+    bundle = catalog_entry("t2_cp2").build()
+    pair, h = bundle["pair"], bundle["subalgebra"]
+    other, a_inv = moved(pair, rng)
+    # the torus fixes the basepoint; a conjugate reaches orbit rank 2 in both bases
+    ranks = [linalg.svd_rank(p.project_p(regularize_basepoint(p, sub, seed=10).basis))
+             for p, sub in [(pair, h), (other, Subspace(h.ambient, h.basis @ a_inv))]]
+    assert ranks == [2, 2]
+    pair = su3_pair_conjugation()
+    other, a_inv = moved(pair, rng)
+    a = maximal_abelian(pair, seed=0)
+    want = restricted_roots(pair, a, seed=0)
+    got = restricted_roots(other, Subspace(a.ambient, a.basis @ a_inv), seed=0)
+    assert got.g0_dim == want.g0_dim
+    assert [m for _, m in got.roots] == [m for _, m in want.roots]
+    assert np.allclose([r for r, _ in got.roots], [r for r, _ in want.roots],
+                       rtol=0.0, atol=1e-8)
+    # both bases validate, and both reject an involution that is no automorphism
+    for p in (pair, other):
+        p.validate()
+        with pytest.raises(SymmetricSpaceError, match="automorphism"):
+            cartan_decompose(p.algebra, -p.involution)
 
 
 @pytest.fixture

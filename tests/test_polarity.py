@@ -210,14 +210,14 @@ def test_criterion_invariant_under_rebasing_and_conjugation(bundles):
         z = rng.standard_normal(pair.algebra.dim)
         ad = expm(pair.algebra.ad(0.3 * z))
         conj = Subspace(h.ambient, linalg.orthonormalize(
-            h.basis @ ad.T, pair.algebra.inner))
+            h.basis @ ad.T, pair.algebra.metric_root))
         assert pl.is_polar_homogeneous(pair, conj, seed=trial).polar == base
 
 
 def test_non_subalgebra_rejected(su3_conj_pair):
     rng = np.random.default_rng(8)
     rows = linalg.orthonormalize(rng.standard_normal((2, 8)),
-                                 su3_conj_pair.algebra.inner)
+                                 su3_conj_pair.algebra.metric_root)
     with pytest.raises(PolarityError):
         pl.is_polar_homogeneous(su3_conj_pair, Subspace("su3", rows), seed=0)
 

@@ -47,7 +47,7 @@ def slice_reference(rep, point):
     if rep.restrict_to_sphere and np.linalg.norm(point) < 1e-12:
         raise PolarityError("sphere actions need a nonzero base point")
     rows = rep.tangent_rows(point)
-    iso = linalg.orthonormalize(kernel_reference(rows.T), rep.algebra.inner)
+    iso = linalg.orthonormalize(kernel_reference(rows.T), rep.algebra.metric_root)
     blocked = np.vstack([rows, point[None]]) if rep.restrict_to_sphere else rows
     normal = kernel_reference(blocked)
     if len(iso):

@@ -66,7 +66,7 @@ def test_rank_of_su3_so3_with_diagonal_oracle(su3_conj_pair):
     alg = su3_conj_pair.algebra
     d1 = alg.coordinates(1j * np.diag([1.0, -1.0, 0]))
     d2 = alg.coordinates(1j * np.diag([1.0, 1.0, -2.0]))
-    oracle = Subspace(alg.name, linalg.orthonormalize([d1, d2], alg.inner))
+    oracle = Subspace(alg.name, linalg.orthonormalize([d1, d2], alg.metric_root))
     assert pl.is_abelian_subspace(alg, oracle).ok
     z = pl.centralizer_in(alg, d1 + 0.37 * d2, su3_conj_pair.p)
     assert z.dim == 2
@@ -90,7 +90,8 @@ def test_maximal_abelian_reproducible_across_seeds(su3_conj_pair):
 def test_maximal_abelian_fixed_seed_reproducible(su3_conj_pair):
     a1 = pl.maximal_abelian(su3_conj_pair, seed=9)
     a2 = pl.maximal_abelian(su3_conj_pair, seed=9)
-    ang = linalg.principal_angles(a1.basis, a2.basis, su3_conj_pair.algebra.inner)
+    ang = linalg.principal_angles(a1.basis, a2.basis,
+                                  su3_conj_pair.algebra.metric_root)
     assert np.max(ang) < 1e-8
 
 
@@ -179,7 +180,7 @@ def test_probe_agrees_with_lts_on_seeded_subspaces(su3_conj_pair, swap_pair):
             dim = int(rng.integers(1, 3))
             rows = linalg.orthonormalize(
                 rng.standard_normal((dim, pair.p.dim)) @ pair.p.basis,
-                pair.algebra.inner)
+                pair.algebra.metric_root)
             sub = Subspace(pair.algebra.name, rows)
             lts = pl.is_lie_triple_system(pair.algebra, sub)
             probe = cartan_hermann_probe(pair, None, sub,
@@ -194,7 +195,8 @@ def test_pair_probe_is_one_algebraic_evaluation(su3_conj_pair):
     alg = su3_conj_pair.algebra
     rng = np.random.default_rng(31)
     rows = linalg.orthonormalize(
-        rng.standard_normal((2, su3_conj_pair.p.dim)) @ su3_conj_pair.p.basis, alg.inner)
+        rng.standard_normal((2, su3_conj_pair.p.dim)) @ su3_conj_pair.p.basis,
+        alg.metric_root)
     sub = Subspace(alg.name, rows)
     sampler = BrokenGeodesicSampler(count=100, seed=5)
     res = cartan_hermann_probe(su3_conj_pair, None, sub, sampler)

@@ -73,7 +73,7 @@ def random_subspace(pair, where, dim, rng):
     ambient = {"p": pair.p.basis, "k": pair.k.basis, "g": np.eye(alg.dim)}[where]
     dim = min(dim, ambient.shape[0])
     rows = linalg.orthonormalize(rng.standard_normal((dim, ambient.shape[0])) @ ambient,
-                                 alg.inner)
+                                 alg.metric_root)
     return Subspace(alg.name, rows)
 
 
@@ -165,7 +165,8 @@ def test_polar_homogeneous_witness_matches_loops(pair_name, kind, seed):
         else centralizer_in(alg, x, alg.full_space())
     hreg = regularize_basepoint(pair, h, seed)
     coeffs = linalg.kernel(hreg.basis @ alg.inner @ pair.p.basis.T)
-    m = Subspace(alg.name, linalg.orthonormalize(coeffs @ pair.p.basis, alg.inner))
+    m = Subspace(alg.name, linalg.orthonormalize(coeffs @ pair.p.basis,
+                                                  alg.metric_root))
     lts_idx, lts_worst = lts_reference(alg, m)
     perp_idx, perp_worst = perp_reference(alg, m, hreg)
     lts_ok = robust_reference(lts_worst, SPAN_TOL)
