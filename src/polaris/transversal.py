@@ -9,24 +9,32 @@ horizontal bundles V_t / H_t through singular times, the extended skew
 tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
 Morse-Sturm conjugate/index scan.
 
-Work on the grid is stacked.  The geodesic keeps its parallel frame at the
-basepoint only, where every field starts; gamma' is constant in the
-parallel frame.  The N-Jacobi basis is held once, as arrays: its initial
-data as two (dim M, D) arrays, the values of its fields on the grid as one
-(n_fields, n_t, m) array, evaluated in closed form once per geodesic and
-cached on it for the transversal system.  Everything else evaluates the
-closed form only at the times it reads: the values of the one field of the
-RK4 cross-check of ``jacobi-scan``, the covariant derivatives at the
-vanishing times of the vertical fields and the times of the
-vertical-derivative claim, the values and derivatives at the live times of
-the focal refinement and the values at the focal times.  The focal scan
-decomposes only the grid times that can host a focal time: a stacked SVD
-at every ``FOCAL_COARSE_STRIDE``-th time, a Lipschitz bound of sigma_min
-from the mode data that rules out the times far from a small singular
-value, and one more stacked SVD of the rest; its result is the full-grid
-scan's.  Its grid-local minima are refined together by lockstep
-safeguarded Newton on sigma_min, one stacked SVD per round, and
-``focal_scan_counters`` reports its work.
+Work on the grid is stacked and builds only what it reads.  The geodesic
+keeps its parallel frame at the basepoint only, where every field starts;
+gamma' is constant in it.  The N-Jacobi basis is held as initial data and
+mode coefficients and never evaluated whole over the whole grid: the closed
+form runs at the focal scan's decomposed, refined and focal times and at
+the claim times, and over the grid only for the one field of the RK4
+cross-check and the r vertical fields of the transversal system.  The focal
+scan decomposes only the grid times that a Lipschitz bound of sigma_min
+cannot rule out, refines its grid-local minima together by lockstep
+safeguarded Newton, and gives the full-grid scan's result; its work is in
+``focal_scan_counters``.
+
+``MAX_GRID_ENTRIES`` is checked where each array is built, before it is
+allocated: n_t x D by ``OrbitGeodesic`` (its times, the RK4 cross-check's
+states), blocks of at most that many entries in the focal scan's two SVD
+passes (each time's values do not depend on its block), and n_t x D^2 by
+``TransversalSystem`` for its (n_t, m, m) stacks.  So only ``transversal``
+refuses the larger grids.  The peak traced memory (``tracemalloc``) of one
+``analyze`` record at the default step and direction, from a unit
+``find_regular_point`` at seeds 0 and 1, is mostly one focal block of 2^22
+entries (34 MB) on the two larger bundles:
+
+    bundle (D)      jacobi-scan   variational-completeness   transversal
+    ad so(8) (28)   5.8-8.1 MB    4.5-7.0 MB                 158 MB
+    ad so(10) (45)  35-41 MB      34-41 MB                   error, 1.6 MB
+    ad so(11) (55)  42-44 MB      42-43 MB                   error, 2.8 MB
 
 Variational completeness is decided on initial data (Bott-Samelson): a
 Jacobi field is fixed by its value and covariant derivative at the
@@ -43,27 +51,25 @@ whose N-Jacobi coefficients are the projections of those data on the
 orthonormal rows of ``n_jacobi_space``: one row space of n_gen rows.
 
 The vertical fibre at every grid time comes from one
-``linalg.row_space_stack`` call over the vertical fields' values
-(vectorised Jacobi rotations for up to three short rows per time, else one
-stacked SVD), whose counts of nonzero rows are the orbit rank and the rank
-test of the vertical fields at each time; the bundles are kept as
-projectors p_v and p_h, and only the start of the horizontal frame needs a
-basis of H_t.  The vertical-derivative claim is one stacked least-squares
-solve over every strided time and field, skipping the times where the
-vertical fields lose rank.  The transversal Jacobi equation has one
-solver, the Morse-Sturm scan in a nabla^h-parallel frame, whose roots take
-the SVD only where |det Y| <= sigma_min |Y|_F^(q-1) cannot rule out a
-small sigma_min, and its Morse index one piecewise-linear index form,
-assembled without a loop over its elements.  Every RK4 integration (the
-Jacobi cross-check, the horizontal frame and the Morse-Sturm scan) goes
-through one helper, ``_rk4_steps``, that returns each step's propagator of
-the linear system, and one blocked scan, ``_propagate``, that chains n
-propagators with about 2 sqrt(n) stacked matmuls instead of one per step
-(one block's, for the one constant step of the cross-check).  The
-symplectic form and the transversal-equation residual take stacks of
-fields, one column per field.  The focal scan is cached on the geodesic
-like the N-Jacobi fields, so checks that share a geodesic run it once.
-Tolerances, grid strides and draw counts are module constants.
+``linalg.row_space_stack`` call over the r vertical fields' values, whose
+counts of nonzero rows are the orbit rank and the rank test of the vertical
+fields at each time; the bundles are kept as projectors p_v and p_h, and
+only the start of the horizontal frame needs a basis of H_t.  The
+vertical-derivative claim is one stacked least-squares solve over every
+strided time and field, skipping the times where the vertical fields lose
+rank.  The transversal Jacobi equation has one solver, the Morse-Sturm scan
+in a nabla^h-parallel frame, whose roots take the SVD only where |det Y| <=
+sigma_min |Y|_F^(q-1) cannot rule out a small sigma_min, and its Morse
+index one piecewise-linear index form, assembled without a loop over its
+elements.  Every RK4 integration (the Jacobi cross-check, the horizontal
+frame and the Morse-Sturm scan) goes through one helper, ``_rk4_steps``,
+that returns each step's propagator of the linear system, and one blocked
+scan, ``_propagate``, that chains n propagators with about 2 sqrt(n)
+stacked matmuls instead of one per step (one block's, for the one constant
+step of the cross-check).  The symplectic form and the transversal-equation
+residual take stacks of fields, one column per field.  The focal scan is
+cached on the geodesic like the basis modes, so checks that share a
+geodesic run it once.  Tolerances, strides and draw counts are constants.
 
 The O'Neill check reads the A-tensor at the basepoint only, in closed form
 from the same Killing initial data, and builds no grid.  Along the
@@ -103,13 +109,22 @@ PROBE_DRAWS = 64            # normal directions drawn by the eigenfield probe
 PROBE_MIN_EIG = 1e-6        # least |shape-operator eigenvalue| the probe accepts
 ONEILL_SEPARATION = 0.08    # larger separation of the O'Neill quotient estimate
 RESCALE_ETA = 0.3           # rescale-probe separation / distance to the singular point
-# Most grid times x D^2 that one geodesic may hold whole on a D-dimensional
-# ambient space: about 9x the largest catalog grid.
+# Most entries of one array over a grid: n_t x D for a geodesic in R^D, one focal
+# scan block, n_t x D^2 for the transversal stacks (9x the largest catalog grid).
 MAX_GRID_ENTRIES = 2 ** 22
 
 
 class TransversalError(ValueError):
     pass
+
+
+def _check_grid_budget(n_times: float, per_time: int) -> None:
+    """Raise unless an array of ``per_time`` entries at each of ``n_times``
+    grid times fits in ``MAX_GRID_ENTRIES``; checked before it is built."""
+    if not n_times * per_time <= MAX_GRID_ENTRIES:
+        raise TransversalError(
+            f"a grid of {n_times:.4g} times x {per_time} entries exceeds "
+            f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
 
 
 def _unit_vector(v, dim: int, name: str) -> np.ndarray:
@@ -137,9 +152,10 @@ class OrbitGeodesic:
     ``direction`` must be a unit normal to the orbit at ``point`` (tangent
     to the model); None takes the first unit normal from ``linalg.kernel``
     (orthogonal to ``point`` too on a sphere action).  The point, the
-    direction and the span must be finite, and the grid within
-    ``MAX_GRID_ENTRIES``.  The sign convention of the shape operator is
-    fixed by the position normal on a Euclidean orbit: S_(p/|p|) = -(1/|p|) id.
+    direction and the span must be finite, and n_t x D within
+    ``MAX_GRID_ENTRIES`` (larger arrays check their own sizes).  The sign
+    convention of the shape operator is fixed by the position normal on a
+    Euclidean orbit: S_(p/|p|) = -(1/|p|) id.
     """
 
     def __init__(self, rep: OrthogonalRep, manifold: ModelManifold,
@@ -157,11 +173,7 @@ class OrbitGeodesic:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= 0.0 <= hi):
             raise TransversalError("the grid span must be finite and contain the basepoint time 0")
         # the float count, checked before anything is allocated
-        n_grid = (hi - lo) / step + 1
-        if not n_grid * point.size ** 2 <= MAX_GRID_ENTRIES:
-            raise TransversalError(
-                f"a grid of {n_grid:.4g} times x {point.size}^2 entries exceeds "
-                f"MAX_GRID_ENTRIES = {MAX_GRID_ENTRIES}; use a shorter span or a larger step")
+        _check_grid_budget((hi - lo) / step + 1, point.size)
         manifold.validate_point(point)
         rows = rep.tangent_rows(point)
         if direction is None:
@@ -374,42 +386,16 @@ def _cached(owner, key: str, make):
 
 def _basis_modes(geod: OrbitGeodesic):
     """Mode coefficients (a, b), each (m, dim M), of the N-Jacobi basis."""
-    key = "basis_modes"
-    if key not in geod._cache:
+    def make():
         j0, dj0 = n_jacobi_space(geod)
         to_modes = geod.frame @ geod._modes[1]
-        geod._cache[key] = ((j0 @ to_modes).T, (dj0 @ to_modes).T)
-    return geod._cache[key]
+        return (j0 @ to_modes).T, (dj0 @ to_modes).T
+    return _cached(geod, "basis_modes", make)
 
 
 def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
     """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
     return _closed_form(geod, *_basis_modes(geod), np.array([t]))[0]
-
-
-def _basis_on_grid(geod: OrbitGeodesic, derivative: bool = False) -> np.ndarray:
-    """The N-Jacobi basis fields' frame values (or covariant derivatives) at
-    every grid time, shape (n_fields, n_t, m) in the row order of
-    ``n_jacobi_space``."""
-    out = _closed_form(geod, *_basis_modes(geod), geod.times, derivative)
-    return np.ascontiguousarray(np.moveaxis(out, 2, 0))
-
-
-def _basis_derivatives(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
-    """The N-Jacobi basis fields' covariant derivatives at the grid times
-    ``index``, shape (len(index), n_fields, m): one row per field, as
-    ``_basis_on_grid(geod, derivative=True)[:, index]`` holds them."""
-    return np.swapaxes(_closed_form(geod, *_basis_modes(geod), geod.times[index],
-                                    derivative=True), 1, 2)
-
-
-def lambda_fields(geod: OrbitGeodesic) -> np.ndarray:
-    """The frame values of the N-Jacobi basis on the grid (closed form),
-    shape (n_fields, n_t, m), cached on ``geod``.  Their covariant
-    derivatives are read only at a few grid times, the vanishing times of
-    the vertical fields and the times of the vertical-derivative claim, and
-    evaluated there (``_basis_derivatives``)."""
-    return _cached(geod, "lambda_fields", lambda: _basis_on_grid(geod))
 
 
 def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
@@ -430,10 +416,16 @@ def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
 def _grid_singular_values(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
     """Singular values, descending, of the matrix solution at the grid times
     ``index``: the closed form at those times only, one column per field,
-    and one stacked SVD.  Both run time by time, so each time gets the
-    values that the fields over the whole grid give it."""
-    return np.linalg.svd(_closed_form(geod, *_basis_modes(geod), geod.times[index]),
-                         compute_uv=False)
+    and one stacked SVD, in blocks of at most ``MAX_GRID_ENTRIES`` entries.
+    Both run time by time, so each time gets the values that the fields
+    over the whole grid, in one block, give it."""
+    per_block = max(1, MAX_GRID_ENTRIES // geod.dim ** 2)
+    out = np.empty((index.shape[0], geod.dim))
+    for i in range(0, index.shape[0], per_block):
+        block = geod.times[index[i:i + per_block]]
+        out[i:i + per_block] = np.linalg.svd(_closed_form(geod, *_basis_modes(geod), block),
+                                             compute_uv=False)
+    return out
 
 
 def focal_points(geod: OrbitGeodesic) -> list:
@@ -460,9 +452,20 @@ def focal_points(geod: OrbitGeodesic) -> list:
     result is the full-grid scan's.  The scan is cached on ``geod``; every
     call returns a fresh list, and ``focal_scan_counters`` gives its work.
     """
-    key = "focal_points"
-    if key in geod._cache:
-        return list(geod._cache[key][0])
+    return list(_cached(geod, "focal_scan", lambda: _focal_scan(geod))[0])
+
+
+def focal_scan_counters(geod: OrbitGeodesic) -> dict:
+    """Deterministic work counters of the focal scan of ``geod``, run if it
+    has not run: ``grid_points``, the grid times; ``decomposed``, the grid
+    times whose matrix solution went to the SVD; ``refinements``, the
+    grid-local minima refined; ``refinement_rounds``, the lockstep Newton
+    rounds that refined them."""
+    return dict(_cached(geod, "focal_scan", lambda: _focal_scan(geod))[1])
+
+
+def _focal_scan(geod: OrbitGeodesic):
+    """The scan of ``focal_points``, uncached: its focal list and counters."""
     n = geod.times.shape[0]
     stride = FOCAL_COARSE_STRIDE
     coarse = np.unique(np.r_[0:n:stride, n - 1])
@@ -494,19 +497,7 @@ def focal_points(geod: OrbitGeodesic) -> list:
                 out.append((float(t_star), mult))
     counters = {"grid_points": int(n), "decomposed": int(coarse.shape[0] + rest.shape[0]),
                 "refinements": int(minima.shape[0]), "refinement_rounds": rounds}
-    geod._cache[key] = (out, counters)
-    return list(out)
-
-
-def focal_scan_counters(geod: OrbitGeodesic) -> dict:
-    """Deterministic work counters of the focal scan of ``geod``, run if it
-    has not run: ``grid_points``, the grid times; ``decomposed``, the grid
-    times whose matrix solution went to the SVD; ``refinements``, the
-    grid-local minima refined; ``refinement_rounds``, the lockstep Newton
-    rounds that refined them."""
-    if "focal_points" not in geod._cache:
-        focal_points(geod)
-    return dict(geod._cache["focal_points"][1])
+    return out, counters
 
 
 def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
@@ -690,7 +681,8 @@ class TransversalSystem:
 
     The vertical fibre is {J(t)} + {J'(t) : J vanishing at t} over the
     vertical Jacobi fields, with the division construction carrying the
-    rank through isolated zeros.
+    rank through isolated zeros.  Only the r vertical fields are evaluated
+    over the grid, and n_t x D^2 must be within ``MAX_GRID_ENTRIES``.
     """
 
     def __init__(self, geod: OrbitGeodesic):
@@ -698,9 +690,9 @@ class TransversalSystem:
         n_t = geod.times.shape[0]
         if n_t < 3:
             raise TransversalError("the transversal system needs at least 3 grid times")
+        # the (n_t, m, m) projector and tensor stacks, checked before any is built
+        _check_grid_budget(n_t, geod.point.size ** 2)
         m = geod.dim
-        vals = lambda_fields(geod)
-        self.lambda_values = vals
         # vertical Jacobi fields: the span of the Killing data (A x, P_x A xi)
         # in N-Jacobi coefficients; the orbit-tangent part of P_x A xi is -S_xi A x
         values, derivs = geod.killing_data
@@ -715,19 +707,22 @@ class TransversalSystem:
         self.vanishing = np.zeros(0, int)
         self.gamma_coords = geod.frame.T @ geod.direction    # gamma' is parallel
         if r:
-            # one row-space call gives the rank test and the vertical fibre's rows
-            w = self.upsilon_coeffs @ np.swapaxes(vals, 0, 1)
+            # the r vertical fields alone over the grid, (n_t, r, m), in closed
+            # form from their modes; one row-space call gives the rank test and
+            # the vertical fibre's rows
+            modes = tuple(x @ self.upsilon_coeffs.T for x in _basis_modes(geod))
+            w = np.swapaxes(_closed_form(geod, *modes, geod.times), 1, 2)
             rows = linalg.row_space_stack(w, VERTICAL_RANK_RTOL)
             np.matmul(np.swapaxes(rows, 1, 2), rows, out=self.p_v)
             self.orbit_rank = np.count_nonzero(np.any(rows, axis=-1), axis=-1)
             # division construction through isolated zeros of vertical fields,
             # the times where fewer than r rows survive the rank cut
             self.vanishing = np.flatnonzero(self.orbit_rank != r)
-            dvals = _basis_derivatives(geod, self.vanishing)
-            for k, dv in zip(self.vanishing, dvals):
+            dws = np.swapaxes(_closed_form(geod, *modes, geod.times[self.vanishing],
+                                           derivative=True), 1, 2)
+            for k, dw in zip(self.vanishing, dws):
                 vanish = linalg.kernel(w[k].T, 1e-6)
-                dw = vanish @ (self.upsilon_coeffs @ dv)
-                basis = linalg.row_space_stack(np.vstack([w[k], dw]))
+                basis = linalg.row_space_stack(np.vstack([w[k], vanish @ dw]))
                 rank = np.count_nonzero(np.any(basis, axis=1))
                 if rank != r:
                     raise TransversalError(
@@ -735,7 +730,7 @@ class TransversalSystem:
                         f"{geod.times[k]:.4f}; a vertical-field zero is not "
                         "isolated at grid resolution")
                 self.p_v[k] = basis.T @ basis
-            del w, rows, dvals
+            del w, rows, dws
         self.p_h = np.eye(m)[None, :, :] - self.p_v
         # extended A-tensor from centered differences of the projectors
         dp_v = np.empty_like(self.p_v)
@@ -763,9 +758,11 @@ def horizontal_frame(system: TransversalSystem) -> np.ndarray:
     step; projection-only stepping would drift at first order in the step
     and mask the claim residuals this frame is used to verify.
     """
-    key = "hframe"
-    if key in system._cache:
-        return system._cache[key]
+    return _cached(system, "hframe", lambda: _parallel_horizontal_frame(system))
+
+
+def _parallel_horizontal_frame(system: TransversalSystem) -> np.ndarray:
+    """``horizontal_frame``, uncached."""
     a = system.a
     # the midpoint tensor (a_k + a_{k+1}) / 2 is O(h^2) accurate
     steps = _rk4_steps(a[:-1], (a[:-1] + a[1:]) / 2, a[1:], system.geod.step)
@@ -777,9 +774,7 @@ def horizontal_frame(system: TransversalSystem) -> np.ndarray:
     # unnormalised product at each time is the stepwise re-orthonormalised
     # frame: one stacked QR replaces one QR per step.
     frame = _propagate(steps, start)
-    frame = np.swapaxes(linalg.orthonormalize_stack(np.swapaxes(frame, 1, 2)), 1, 2)
-    system._cache[key] = frame
-    return frame
+    return np.swapaxes(linalg.orthonormalize_stack(np.swapaxes(frame, 1, 2)), 1, 2)
 
 
 def claim_residuals(system: TransversalSystem) -> dict:
@@ -792,8 +787,9 @@ def claim_residuals(system: TransversalSystem) -> dict:
     """
     g = system.geod
     ks = np.arange(CLAIM_STRIDE, g.times.shape[0] - CLAIM_STRIDE, CLAIM_STRIDE)
-    v = np.swapaxes(system.lambda_values[:, ks], 0, 1)          # (n_k, n_f, m)
-    dv = _basis_derivatives(g, ks)
+    # the basis at the strided times only, (n_k, n_f, m)
+    v, dv = (np.swapaxes(_closed_form(g, *_basis_modes(g), g.times[ks], d), 1, 2)
+             for d in (False, True))
     w = system.upsilon_coeffs @ v                                # (n_k, r, m)
     dw = system.upsilon_coeffs @ dv
     p_vt = np.swapaxes(system.p_v[ks], 1, 2)

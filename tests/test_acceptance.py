@@ -17,13 +17,14 @@ from polaris.cli import analyze
 from polaris.liealg import Subspace
 from polaris.symspace import BrokenGeodesicSampler, cartan_hermann_probe
 from polaris.transversal import OrbitGeodesic, claim_residuals, \
-    conjugate_scan, discala_olmos_probe, horizontal_frame, lambda_fields, \
+    conjugate_scan, discala_olmos_probe, horizontal_frame, \
     oneill_check, rescale_probe, symplectic_form, \
     transversal_equation_residual, transversal_system, \
     variational_completeness_probe
-from polaris.transversal import _basis_on_grid
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, \
     reduction_isometry_check, restricted_roots, weyl_group_closure
+
+from grid_oracle import basis_on_grid
 
 PI = float(np.pi)
 
@@ -138,7 +139,7 @@ def test_criterion_06_transversal_jacobi(bundles):
     system = transversal_system(geod)
     scan = conjugate_scan(system)
     assert abs(scan.conjugate_points[0][0] - PI / 2) < 1e-4
-    proj = system.p_h @ np.moveaxis(lambda_fields(geod), 0, 2)
+    proj = system.p_h @ basis_on_grid(geod)
     assert transversal_equation_residual(system, proj) < 1e-6
     claims = claim_residuals(system)
     assert claims["vertical-derivative"] < 1e-6
@@ -168,14 +169,12 @@ def test_criterion_07_symplectic(bundles):
         geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], d,
                              span=(0.0, PI), step=1e-3)
         system = transversal_system(geod)
-        vals, dvals = system.lambda_values, _basis_on_grid(geod, derivative=True)
-        y, dy = (np.moveaxis(x, 0, 2) for x in (vals, dvals))
+        y, dy = basis_on_grid(geod), basis_on_grid(geod, derivative=True)
         w = symplectic_form(y, dy)                  # every pair of fields
         assert np.max(np.ptp(w, axis=0)) < 1e-8, name
         assert np.max(np.abs(w)) < 1e-10, name      # Lagrangian
         ups = system.upsilon_coeffs
-        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, vals),
-                            np.einsum("rf,ftm->tmr", ups, dvals))
+        w = symplectic_form(y @ ups.T, dy @ ups.T)
         assert np.max(np.abs(w), initial=0.0) < 1e-10, name   # isotropic
     report(7, "symplectic form on Jacobi fields")
 

@@ -769,6 +769,27 @@ def test_oversized_grid_ends_in_error_records():
     assert all("MAX_GRID_ENTRIES" in r.value["reason"] for r in report.records)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scan_and_vc_pass_where_only_transversal_exceeds_the_budget(seed):
+    # ad so(10) on R^45 at the default step: 3143 grid times fit as n_t x D,
+    # only the transversal stacks' n_t x D^2 exceed MAX_GRID_ENTRIES
+    alg = pl.build_classical("special-orthogonal", 10)
+    rep = polarity.OrthogonalRep(alg, alg.ad(np.eye(alg.dim)), alg.dim, name="ad_so10")
+    point = polarity.find_regular_point(rep, seed)
+    bundle = {"rep": rep, "manifold": ModelManifold("euclidean", rep.space_dim),
+              "basepoint": point / np.linalg.norm(point)}
+    report = analyze(bundle, GEODESIC_CHECKS, seed=seed)
+    assert [r.status for r in report.records] == ["pass", "pass", "error"]
+    assert "MAX_GRID_ENTRIES" in report.records[2].value["reason"]
+    if seed == 1:
+        # the second focal pass alone holds more than MAX_GRID_ENTRIES entries,
+        # so it runs in blocks
+        scan = report.records[0].value["focal_scan"]
+        n = scan["grid_points"]
+        coarse = np.unique(np.r_[0:n:transversal.FOCAL_COARSE_STRIDE, n - 1]).shape[0]
+        assert (scan["decomposed"] - coarse) * rep.space_dim ** 2 > transversal.MAX_GRID_ENTRIES
+
+
 SPAN_ENDS = st.sampled_from([-np.inf, np.inf, np.nan, 1e9, 0.0])
 
 

@@ -34,7 +34,9 @@ from polaris.polarity import REGULAR_DRAWS, OrthogonalRep, find_regular_point, \
 from polaris.symspace import ModelManifold
 from polaris.transversal import FOCAL_SV_TOL, MAX_STEP, PROBE_DRAWS, PROBE_MIN_EIG, \
     OrbitGeodesic, TransversalError, TransversalSystem, _matrix_solution, \
-    discala_olmos_probe, focal_points, lambda_fields, variational_completeness_probe
+    discala_olmos_probe, focal_points, variational_completeness_probe
+
+from grid_oracle import basis_on_grid
 
 RES_TOL = 1e-12
 TANGENCY_TOL = 1e-3         # the eigenfield verdict of analyze's variational-completeness
@@ -147,7 +149,7 @@ def gram_upsilon(geod):
     combinations tangent to the orbits at every grid time, the null space of
     q = sum_k n_k n_k^T over the orbit-normal parts n_k of the field values."""
     span = linalg.row_space_stack(np.swapaxes(killing_restrictions(geod), 0, 1))
-    normal = np.swapaxes(lambda_fields(geod), 0, 1)
+    normal = np.swapaxes(basis_on_grid(geod), 1, 2)
     normal = normal - (normal @ np.swapaxes(span, 1, 2)) @ span
     evals, evecs = np.linalg.eigh(np.tensordot(normal, normal, axes=([0, 2], [0, 2])))
     return evecs[:, evals < 1e-10 * max(float(evals[-1]), 1.0)].T
@@ -159,7 +161,7 @@ def grid_kernel_reference(geod):
     the Gram-Schmidt span of the Killing fields' values over the grid."""
     raw = killing_restrictions(geod)
     killing = linalg.orthonormalize(raw.reshape(raw.shape[0], -1))
-    values = lambda_fields(geod)
+    values = np.moveaxis(basis_on_grid(geod), 2, 0)
     values = values.reshape(values.shape[0], -1)      # one grid function per row
     worst = 0.0
     for t_star, _ in focal_points(geod):

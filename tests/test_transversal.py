@@ -11,12 +11,14 @@ from polaris.cli import analyze
 from polaris.symspace import ModelManifold
 from polaris.transversal import OrbitGeodesic, TransversalError, \
     claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
-    horizontal_frame, jacobi_integrate, killing_basis, lambda_fields, n_jacobi_space, oneill_check, rescale_probe, shape_operator, \
-    symplectic_form, transversal_equation_residual, transversal_system, \
-    variational_completeness_probe
-from polaris.transversal import _basis_modes, _basis_on_grid, _index_form, \
+    horizontal_frame, jacobi_integrate, killing_basis, n_jacobi_space, oneill_check, \
+    rescale_probe, shape_operator, symplectic_form, transversal_equation_residual, \
+    transversal_system, variational_completeness_probe
+from polaris.transversal import _basis_modes, _index_form, \
     _matrix_solution, _pl_index, _propagate, _refine_minima, _rk4_steps, \
     _sigma_lipschitz, focal_scan_counters
+
+from grid_oracle import basis_on_grid
 
 PI = float(np.pi)
 
@@ -70,11 +72,6 @@ def grid_frames(geod):
 def ambient(geod, y):
     """Ambient vectors of a field's frame coordinates y, (n_t, m)."""
     return np.einsum("tdm,tm->td", grid_frames(geod), y)
-
-
-def columns(fields):
-    """(n_fields, n_t, m) field stacks as (n_t, m, n_fields) column stacks."""
-    return np.moveaxis(fields, 0, 2)
 
 
 def rotation_rep_r2():
@@ -143,6 +140,23 @@ def test_grid_budget_checked_before_allocation(bundles):
     assert peak < 1e6
     # the largest grid of the catalog fits, 9x over
     assert 12567 * 6 ** 2 * 9 < transversal.MAX_GRID_ENTRIES
+
+
+def test_transversal_budget_checked_before_its_stacks(bundles):
+    # 1e6 grid times: the geodesic's n_t x D fits, the system's n_t x D^2 does not
+    b = bundles["su2_adjoint"]
+    geod = OrbitGeodesic(b["rep"], b["manifold"], b["basepoint"], -b["basepoint"],
+                         span=(0.0, 1e3))
+    n_t, d = geod.times.shape[0], geod.point.size
+    assert n_t * d <= transversal.MAX_GRID_ENTRIES < n_t * d ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(TransversalError, match="MAX_GRID_ENTRIES"):
+            transversal_system(geod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_shape_operator_position_normal(bundles):
@@ -299,24 +313,24 @@ def test_rk4_on_an_empty_span_keeps_the_start(bundles):
 def test_grid_evaluator_matches_jacobi_integrate(bundles):
     for name in ("su2_adjoint", "hopf_s1_s3", "so3_s2xs2"):
         geod = geod_for(bundles, name)
-        grid, dgrid = lambda_fields(geod), _basis_on_grid(geod, derivative=True)
+        grid, dgrid = basis_on_grid(geod), basis_on_grid(geod, derivative=True)
         for j, (j0, dj0) in enumerate(zip(*n_jacobi_space(geod))):
             y, dy = jacobi_integrate(geod, j0, dj0)
-            assert np.max(np.abs(grid[j] - y)) < 1e-12, name
-            assert np.max(np.abs(dgrid[j] - dy)) < 1e-12, name
+            assert np.max(np.abs(grid[:, :, j] - y)) < 1e-12, name
+            assert np.max(np.abs(dgrid[:, :, j] - dy)) < 1e-12, name
 
 
 def test_closed_form_at_some_times_is_the_grid_evaluation_there(bundles):
     # the claims and the focal refinement evaluate a few times on their own
     geod = geod_for(bundles, "su2_diag_double")
     for derivative in (False, True):
-        grid = _basis_on_grid(geod, derivative)
+        grid = basis_on_grid(geod, derivative)
         for count in (1, 2, 61):
             index = np.random.default_rng(count).choice(geod.times.shape[0], count,
                                                         replace=False)
             some = transversal._closed_form(geod, *_basis_modes(geod), geod.times[index],
                                             derivative)
-            assert np.array_equal(np.moveaxis(some, 2, 0), grid[:, index])
+            assert np.array_equal(some, grid[index])
 
 
 def test_product_fields_solve_blockwise(bundles):
@@ -409,7 +423,7 @@ GEODESIC_ENTRIES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
 def grid_minima(geod):
     """The interior grid-local minima of sigma_min, from the SVD at every
     grid time."""
-    smin = np.linalg.svd(columns(lambda_fields(geod)), compute_uv=False)[:, -1]
+    smin = np.linalg.svd(basis_on_grid(geod), compute_uv=False)[:, -1]
     k = np.arange(1, smin.shape[0] - 1)
     return k[(smin[k] <= smin[k - 1]) & (smin[k] <= smin[k + 1])]
 
@@ -521,6 +535,15 @@ def test_pruned_focal_scan_decomposes_at_most_a_quarter_of_the_grid(bundles, nam
     assert counters["refinements"] >= len(focal_points(geod))
 
 
+@pytest.mark.parametrize("name", GEODESIC_ENTRIES)
+def test_focal_scan_in_one_time_blocks_equals_the_unsplit_scan(bundles, name, monkeypatch):
+    whole, split = geod_for(bundles, name), geod_for(bundles, name)
+    want = focal_points(whole), focal_scan_counters(whole)
+    # a budget below one time's m^2 entries puts every time in its own block
+    monkeypatch.setattr(transversal, "MAX_GRID_ENTRIES", 1)
+    assert (focal_points(split), focal_scan_counters(split)) == want
+
+
 # -- Killing restrictions ---------------------------------------------------------------
 
 def test_trivial_action_zero_killing_space():
@@ -539,8 +562,8 @@ def test_rotation_killing_field_grows_linearly():
     assert killing_basis(geod).shape == (1, 4)
     # the one vertical field is the Killing field's restriction, up to sign
     system = transversal_system(geod)
-    vertical = system.upsilon_coeffs @ np.swapaxes(system.lambda_values, 0, 1)
-    assert np.allclose(np.linalg.norm(vertical[:, 0], axis=1), 1.0 + geod.times, atol=1e-10)
+    vertical = basis_on_grid(geod) @ system.upsilon_coeffs.T
+    assert np.allclose(np.linalg.norm(vertical[:, :, 0], axis=1), 1.0 + geod.times, atol=1e-10)
 
 
 def test_hopf_killing_space_one_dimensional(bundles):
@@ -748,16 +771,16 @@ def fixture_systems(bundles):
 def qr_vertical_projector(system):
     """p_v from a rank SVD, QR rows of the vertical fields and the division
     construction at the times where their rank drops, one time at a time."""
-    vals, dvals = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
+    y, dy = basis_on_grid(system.geod), basis_on_grid(system.geod, derivative=True)
     ups = system.upsilon_coeffs
-    w = np.einsum("rf,ftm->trm", ups, vals)
+    w = np.einsum("rf,tmf->trm", ups, y)
     s = np.linalg.svd(w, compute_uv=False)
     full = np.all(s > np.maximum(transversal.VERTICAL_RANK_RTOL * s[:, :1], 1e-12), axis=-1)
     vertical = np.zeros(w.shape)
     vertical[full] = linalg.orthonormalize_stack(w[full])
     for k in np.flatnonzero(~full):
         vanish = linalg.kernel(w[k].T, 1e-6)
-        vertical[k] = linalg.orthonormalize(np.vstack([w[k], vanish @ (ups @ dvals[:, k])]))
+        vertical[k] = linalg.orthonormalize(np.vstack([w[k], vanish @ (ups @ dy[k].T)]))
     return np.einsum("trm,trn->tmn", vertical, vertical)
 
 
@@ -765,18 +788,18 @@ def lstsq_vertical_claim(system):
     """The vertical-derivative claim with one least-squares solve per
     strided time and field, skipping times where the vertical fields lose
     rank."""
-    vals, dvals = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
+    y, dy = basis_on_grid(system.geod), basis_on_grid(system.geod, derivative=True)
     ups = system.upsilon_coeffs
     worst = 0.0
-    for k in range(transversal.CLAIM_STRIDE, vals.shape[1] - transversal.CLAIM_STRIDE,
+    for k in range(transversal.CLAIM_STRIDE, y.shape[0] - transversal.CLAIM_STRIDE,
                    transversal.CLAIM_STRIDE):
-        wk = ups @ vals[:, k]
-        dwk = ups @ dvals[:, k]
+        wk = ups @ y[k].T
+        dwk = ups @ dy[k].T
         s = np.linalg.svd(wk, compute_uv=False)
         if np.any(s <= np.maximum(transversal.VERTICAL_RANK_RTOL * s[:1], 1e-12)):
             continue
-        for j in range(vals.shape[0]):
-            v, dv = vals[j, k], dvals[j, k]
+        for j in range(y.shape[2]):
+            v, dv = y[k, :, j], dy[k, :, j]
             vert = system.p_v[k] @ v
             if wk.shape[0]:
                 alpha = np.linalg.lstsq(wk.T, vert, rcond=None)[0]
@@ -814,6 +837,26 @@ def test_claims_skip_the_origin_crossing(bundles):
     assert rec.status == "pass" and rec.residual < 1e-10
 
 
+def test_system_and_claims_evaluate_only_the_vertical_fields_over_the_grid(
+        bundles, monkeypatch):
+    # the basis is read at the claim and vanishing times only; over the whole
+    # grid the closed form is asked for the r vertical fields alone
+    real_closed_form = transversal._closed_form
+    widths = []
+
+    def counting_closed_form(geod, a, b, times, derivative=False):
+        if len(times) == geod.times.shape[0]:
+            widths.append(a.shape[1])
+        return real_closed_form(geod, a, b, times, derivative)
+
+    monkeypatch.setattr(transversal, "_closed_form", counting_closed_form)
+    for name in GEODESIC_FIXTURES:
+        widths.clear()
+        system = transversal.TransversalSystem(geod_for(bundles, name))
+        claim_residuals(system)
+        assert widths == [system.rank], name
+
+
 def test_system_and_claims_make_no_qr_or_lstsq_call(bundles, monkeypatch):
     calls = []
     for fn in ("qr", "lstsq"):
@@ -839,13 +882,13 @@ def test_claims_hold_on_hopf(bundles):
 
 def test_projected_fields_satisfy_transversal_equation(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
-    proj = system.p_h @ columns(lambda_fields(system.geod))
+    proj = system.p_h @ basis_on_grid(system.geod)
     assert transversal_equation_residual(system, proj) < 1e-6
 
 
 def test_transversal_residual_takes_the_worst_column(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3", step=2.5e-4))
-    proj = system.p_h @ columns(lambda_fields(system.geod))
+    proj = system.p_h @ basis_on_grid(system.geod)
     each = [transversal_equation_residual(system, proj[:, :, j:j + 1])
             for j in range(proj.shape[2])]
     assert abs(transversal_equation_residual(system, proj) - max(each)) <= 1e-12 * max(each)
@@ -855,12 +898,12 @@ def test_transversal_residual_takes_the_worst_column(bundles):
 
 def test_symplectic_antisymmetry_and_drift(bundles):
     geod = geod_for(bundles, "hopf_s1_s3")
-    y, dy = lambda_fields(geod), _basis_on_grid(geod, derivative=True)
+    y, dy = basis_on_grid(geod), basis_on_grid(geod, derivative=True)
     j0, dj0 = (x[0] for x in n_jacobi_space(geod))
     other = jacobi_integrate(geod, dj0 if np.linalg.norm(dj0) else
                              geod.normal_basis[0], j0)
-    w = symplectic_form(np.stack([y[0], other[0]], axis=2),
-                        np.stack([dy[0], other[1]], axis=2))
+    w = symplectic_form(np.stack([y[:, :, 0], other[0]], axis=2),
+                        np.stack([dy[:, :, 0], other[1]], axis=2))
     assert w.shape == (geod.times.shape[0], 2, 2)
     assert np.max(np.abs(w + np.swapaxes(w, 1, 2))) < 1e-14
     assert np.max(np.abs(w[:, 0, 0])) < 1e-14
@@ -871,21 +914,21 @@ def test_lambda_lagrangian_upsilon_isotropic(bundles):
     for name in ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
                  "hopf_s1_s3", "so2_s2", "so3_s2xs2"):
         system = transversal_system(geod_for(bundles, name))
-        y, dy = system.lambda_values, _basis_on_grid(system.geod, derivative=True)
-        assert np.max(np.abs(symplectic_form(columns(y), columns(dy)))) < 1e-10, name
+        y, dy = basis_on_grid(system.geod), basis_on_grid(system.geod, derivative=True)
+        assert np.max(np.abs(symplectic_form(y, dy))) < 1e-10, name
         ups = system.upsilon_coeffs
-        w = symplectic_form(np.einsum("rf,ftm->tmr", ups, y),
-                            np.einsum("rf,ftm->tmr", ups, dy))
+        w = symplectic_form(y @ ups.T, dy @ ups.T)
         assert np.max(np.abs(w), initial=0.0) < 1e-10, name
 
 
 def test_symplectic_form_matches_pairwise_products(bundles):
     geod = geod_for(bundles, "so3_s2xs2")
-    y, dy = lambda_fields(geod), _basis_on_grid(geod, derivative=True)
-    w = symplectic_form(columns(y), columns(dy))
-    for i in range(y.shape[0]):
-        for j in range(y.shape[0]):
-            pair = np.einsum("tm,tm->t", dy[i], y[j]) - np.einsum("tm,tm->t", y[i], dy[j])
+    y, dy = basis_on_grid(geod), basis_on_grid(geod, derivative=True)
+    w = symplectic_form(y, dy)
+    for i in range(y.shape[2]):
+        for j in range(y.shape[2]):
+            pair = np.einsum("tm,tm->t", dy[:, :, i], y[:, :, j]) \
+                - np.einsum("tm,tm->t", y[:, :, i], dy[:, :, j])
             assert np.max(np.abs(w[:, i, j] - pair)) < 1e-14
 
 
