@@ -458,7 +458,8 @@ def _check_reduction(work, tol, step):
              "one_sided_excess": report.max_one_sided_excess,
              "quotient_search": {"starts": report.n_pairs * budget.restarts,
                                  "iterations": report.iterations,
-                                 "evaluations": report.evaluations}}
+                                 "evaluations": report.evaluations,
+                                 "certified": report.certified}}
     return ok, value, report.max_relative_error, tol
 
 

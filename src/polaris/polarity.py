@@ -10,7 +10,9 @@ Lie-triple-system condition on m = p \\cap h^perp together with
 bracket tests (see ``liealg``).  Every witness is the first entry, in
 lexicographic order, within rounding of the largest (``linalg.first_max``).
 The regular point and the regular conjugate of h are each the first of
-``REGULAR_DRAWS`` seeded draws of maximal rank, all ranked by one stacked SVD.
+``REGULAR_DRAWS`` seeded draws of maximal rank.  The points are ranked by
+one stacked SVD; the conjugates one at a time, up to the first whose rank
+no conjugate can exceed.
 
 Each representation test is a tolerance-free pass and a cheap verdict at a
 given tolerance.  The pass of ``is_polar_rep`` and ``cohomogeneity`` is the
@@ -338,10 +340,12 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
     Conjugation acts through Ad(exp Z) = exp(ad Z) for seeded random Z, so
     no matrix realization is needed.  With the ad-invariant inner product
     G = L L^T, L its ``metric_root``, the matrix S = L^T (ad Z) L^-T is
-    skew, so every exp(-ad Z) = L^-T exp(-S) L^T comes from one stacked
-    eigendecomposition of iS.
-    One stacked SVD ranks h (draw 0) and its conjugates; Gram-Schmidt keeps
-    the rank, so only the first of maximal rank is orthonormalised.
+    skew, so exp(-ad Z) = L^-T exp(-S) L^T comes from an eigendecomposition
+    of iS.  h (draw 0) and then its conjugates, in draw order, are ranked by
+    the rank of their projection to p, one at a time.  No conjugate of h
+    ranks above min(dim h, dim p), so the search stops at the first draw
+    that reaches it.  Gram-Schmidt keeps the rank, so only the first of
+    maximal rank is orthonormalised.
     """
     alg = pair.algebra
     rng = np.random.default_rng(seed)
@@ -351,14 +355,19 @@ def regularize_basepoint(pair: SymmetricPair, h: Subspace, seed: int = 0) -> Sub
         zs.append(z / max(alg.norm(z), 1e-12) * rng.uniform(0.2, 2.5))
     _check_ad_invariant(alg)
     root, root_inv = alg.metric_root
-    skew = root.T @ alg.ad(np.array(zs)) @ root_inv.T             # per draw
-    lam, vec = np.linalg.eigh(1j * skew)
-    rot = ((vec * np.exp(1j * lam)[:, None, :]) @ np.conj(np.swapaxes(vec, 1, 2))).real
-    ad_inv = root_inv.T @ rot @ root.T                             # exp(-ad z)
-    conj = np.concatenate([h.basis[None], h.basis @ np.swapaxes(ad_inv, 1, 2)])
-    best = int(np.argmax(linalg.svd_rank(pair.project_p(conj))))
+    bound = min(h.dim, pair.p.dim)
+    best, best_rank = h.basis, linalg.svd_rank(pair.project_p(h.basis))
+    for ad_z in alg.ad(np.array(zs)):
+        if best_rank >= bound:
+            break
+        lam, vec = np.linalg.eigh(1j * (root.T @ ad_z @ root_inv.T))
+        rot = ((vec * np.exp(1j * lam)) @ np.conj(vec.T)).real
+        conj = h.basis @ (root_inv.T @ rot @ root.T).T                # exp(-ad z) h
+        rank = linalg.svd_rank(pair.project_p(conj))
+        if rank > best_rank:
+            best, best_rank = conj, rank
     return Subspace(h.ambient,
-                    h.basis if best == 0 else linalg.orthonormalize(conj[best], alg.metric_root))
+                    h.basis if best is h.basis else linalg.orthonormalize(best, alg.metric_root))
 
 
 def is_polar_homogeneous(pair: SymmetricPair, h: Subspace, seed: int = 0,

@@ -10,8 +10,15 @@ the section/W distance of two points is that of their images folded into
 one chamber.  Orbit space distances come from a multi-start modified Newton
 descent on the orbit point itself, with the exact Hessian of the chart
 X -> exp(X) m re-centred at every iterate, run in lockstep over every start
-of every pair of a stacked call.  Group elements are exponentiated from
-eigendecompositions of Hermitian matrices, so the module needs numpy only.
+of every pair of a stacked call.  A start retires only at a second-order
+point: where the gradient vanishes but the Hessian has negative curvature,
+it steps along it.  On a polar representation the orbits are taut, so the
+height function <p, .> on an orbit has no local maximum but the global one
+(R. Bott and H. Samelson, Amer. J. Math. 80, 1958; R. Palais and C.-L.
+Terng, LNM 1353, 1988): there, with ``polar=True``, the first start that
+retires at a second-order point solves its pair and the pair's other
+starts stop.  Group elements are exponentiated from eigendecompositions of
+Hermitian matrices, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -199,71 +206,104 @@ class QuotientDistance:
     starts: int                     # Newton starts, over every pair
     iterations: int                 # lockstep Newton iterations until every start retired
     evaluations: int                # start evaluations, summed over the lockstep passes
+    certified: int                  # pairs solved by a second-order certificate (``polar``)
 
 
 def _second_kind_elements(rep: OrthogonalRep, t: np.ndarray) -> np.ndarray:
     """g(t) = E_0(t_0) ... E_{n-1}(t_{n-1}), E_i(t) = exp(t A_i), for t of shape (..., n).
 
-    Each E_i comes from the eigendecomposition of the Hermitian matrix i A_i.
+    With the eigenpairs (lam_k, v_k) of the Hermitian matrix i A_i,
+    E_i(t) = sum_k exp(-i t lam_k) v_k v_k^H is real, and equals
+    cos(t lam) @ Re(v v^H) + sin(t lam) @ Im(v v^H): the E_i(t) of every t
+    come from two real (..., d) @ (d, d^2) products.
     """
+    n, d = rep.n_generators, rep.space_dim
     lam, vec = np.linalg.eigh(1j * rep.generators)
-    phase = np.exp(-1j * t[..., None] * lam)
-    exps = ((vec * phase[..., None, :]) @ np.conj(np.swapaxes(vec, -1, -2))).real
-    g = exps[..., 0, :, :]
-    for i in range(1, t.shape[-1]):
-        g = g @ exps[..., i, :, :]
+    outer = np.einsum("iak,ibk->ikab", vec, np.conj(vec)).reshape(n, d, d * d)
+    phase = t[..., None] * lam                                      # (..., n, d)
+    cos, sin = np.cos(phase), np.sin(phase)
+    g = None
+    for i in range(n):
+        e = (cos[..., i, :] @ outer[i].real + sin[..., i, :] @ outer[i].imag) \
+            .reshape(t.shape[:-1] + (d, d))
+        g = e if g is None else g @ e
     return g
 
 
-def _chart_derivatives(gens: np.ndarray, p: np.ndarray, m: np.ndarray):
+def _chart_derivatives(gens: np.ndarray, ap: np.ndarray, m: np.ndarray):
     """Gradient and Hessian of f(x) = -<p, exp(X) m>, X = sum_i x_i A_i, at x = 0.
 
     grad_i = (A_i p).m and H_ij = ((A_i p).(A_j m) + (A_j p).(A_i m)) / 2, for
-    stacks ``p`` and ``m`` of shape (..., d).
+    a stack ``m`` of shape (..., d) and the stack ``ap`` of A_i p, shape
+    (..., n, d): p is fixed along a search, so its caller forms A_i p once.
     """
-    ap = np.einsum("iab,...b->...ia", gens, p)
     hess = ap @ np.swapaxes(np.einsum("iab,...b->...ia", gens, m), -1, -2)
     return np.einsum("...ia,...a->...i", ap, m), (hess + np.swapaxes(hess, -1, -2)) / 2
 
 
 def _lockstep_newton(gens: np.ndarray, p: np.ndarray, m: np.ndarray, noise: np.ndarray,
-                     iterations: int):
+                     owner: np.ndarray, iterations: int, polar: bool):
     """Minimise f = -<p, m> over the orbit points m of k starts at once.
 
     Each iteration models f to second order in the chart X -> exp(X) m,
-    X = sum_i x_i A_i (``_chart_derivatives``), takes the Newton direction of
-    that Hessian with each |eigenvalue| floored at ``EIG_FLOOR`` times the
-    largest (so it descends away from saddles instead of creeping past
-    them), and backtracks from the unit step by Armijo along exp(s X) m,
-    whose one eigendecomposition of i X serves every trial step.  A start
-    retires when max|grad| <= GTOL or when its line search can no longer
-    decrease f by more than ``noise``, its rounding level.  Nocedal and Wright, Numerical
-    Optimization, section 3.4; Absil, Mahony and Sepulchre, Optimization
-    Algorithms on Matrix Manifolds, chapter 6.  Returns the final points,
-    the iterations run and the start evaluations summed over the passes.
+    X = sum_i x_i A_i (``_chart_derivatives``, with A_i p formed once per
+    start), takes the Newton direction of that Hessian with each
+    |eigenvalue| floored at the larger of ``EIG_FLOOR`` times the largest
+    and ``noise`` (so it descends away from saddles instead of creeping
+    past them), and backtracks from the unit step by Armijo along
+    exp(s X) m, whose one eigendecomposition of i X serves every trial
+    step.  A start is at a second-order point when the Hessian's least
+    eigenvalue is at least minus that floor.  A start whose max|grad| <=
+    GTOL retires there if it is at a second-order point; otherwise it steps
+    along the eigenvector of the least eigenvalue, downhill, with the model
+    decrease grad.v + lam/2 as the Armijo slope.  A start whose line search
+    can no longer decrease f by more than ``noise``, its rounding level,
+    retires too.  With ``polar``, a start that retires at a second-order
+    point solves its pair ``owner``, and the pair's other starts stop.
+    Nocedal and Wright, Numerical Optimization, section 3.4; Absil, Mahony
+    and Sepulchre, Optimization Algorithms on Matrix Manifolds, chapter 6.
+    Returns the final points, the iterations run, the start evaluations
+    summed over the passes and the solved pairs.
     """
     m = np.array(m, float)
+    ap = np.einsum("iab,kb->kia", gens, p)
     active = np.ones(m.shape[0], bool)
+    solved = np.zeros(owner.max() + 1, bool)
     evaluations = 0
     for it in range(iterations):
         idx = np.flatnonzero(active)
         if not idx.size:
-            return m, it, evaluations
+            return m, it, evaluations, solved
         evaluations += idx.size
-        grad, hess = _chart_derivatives(gens, p[idx], m[idx])
-        searching = np.max(np.abs(grad), axis=1) > GTOL
-        active[idx[~searching]] = False
-        idx, grad, hess = idx[searching], grad[searching], hess[searching]
+        grad, hess = _chart_derivatives(gens, ap[idx], m[idx])
         lam, vec = np.linalg.eigh(hess)
-        lam = np.abs(lam)
-        floor = np.maximum(EIG_FLOOR * np.max(lam, axis=1), noise[idx])
-        lam = np.maximum(lam, floor[:, None])
+        size = np.abs(lam)
+        floor = np.maximum(EIG_FLOOR * np.max(size, axis=1), noise[idx])
+        second_order = lam[:, 0] >= -floor
+        converged = np.max(np.abs(grad), axis=1) <= GTOL
+        done = converged & second_order
+        if polar:
+            solved[owner[idx[done]]] = True
+            done = solved[owner[idx]]
+        moving = ~done
+        if not moving.all():
+            active[idx[done]] = False
+            idx, grad, vec, size, floor, converged, second_order = (
+                v[moving] for v in (idx, grad, vec, size, floor, converged, second_order))
+            if not idx.size:
+                continue
         along = np.einsum("kij,ki->kj", vec, grad)
-        x = -np.einsum("kij,kj->ki", vec, along / lam)
-        slope = -np.sum(along ** 2 / lam, axis=1)
+        size = np.maximum(size, floor[:, None])
+        x = -np.einsum("kij,kj->ki", vec, along / size)
+        slope = -np.sum(along ** 2 / size, axis=1)
+        saddle = np.flatnonzero(converged)          # converged, but not at a second-order point
+        if saddle.size:
+            downhill = -np.copysign(1.0, along[saddle, 0])
+            x[saddle] = downhill[:, None] * vec[saddle, :, 0]
+            slope[saddle] = downhill * along[saddle, 0] - size[saddle, 0] / 2
         w, u = np.linalg.eigh(1j * np.einsum("ki,iab->kab", x, gens))
         a = np.einsum("kab,ka->kb", u, p[idx])                # conj(U^H p)
-        b = np.einsum("kab,ka->kb", np.conj(u), m[idx])       # U^H m
+        b = np.conj(np.einsum("kab,ka->kb", u, m[idx]))       # U^H m
         f0 = -np.sum(a * b, axis=1).real
         accepted = np.zeros(idx.size, bool)
         step = np.ones(idx.size)
@@ -279,7 +319,10 @@ def _lockstep_newton(gens: np.ndarray, p: np.ndarray, m: np.ndarray, noise: np.n
             step[trial] *= 0.5
             trial = trial[-step[trial] * slope[trial] > noise[idx[trial]]]
         active[idx] = accepted            # the rest stalled at rounding level
-    return m, iterations, evaluations
+        if polar:
+            solved[owner[idx[~accepted & second_order]]] = True
+            active &= ~solved[owner]
+    return m, iterations, evaluations, solved
 
 
 def _ambient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -290,17 +333,27 @@ def _ambient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray) -> np.nd
 
 
 def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
-                      config: QuotientOptimizerConfig | None = None) -> QuotientDistance:
+                      config: QuotientOptimizerConfig | None = None, *,
+                      polar: bool = False) -> QuotientDistance:
     """Upper bound for the orbit-space distance min_g |p - g q|.
 
     The distance falls as <p, g q> rises (on the sphere too).  The ``probes``
     seeded samples g(t) = prod_i exp(t_i A_i) in canonical coordinates of the
-    second kind are scored by that value in one batched pass, and the best
-    ``restarts`` orbit points g(t) q start a modified Newton descent of
-    -<p, m> over the orbit, ``evals`` iterations at most.  The least ambient
-    distance at a final orbit point approximates an infimum and is an upper
-    bound.  On a Euclidean model each pair is searched at the scale where
-    its largest entry lies in [0.5, 1), and the result scaled back: the
+    second kind (``_second_kind_elements``) are scored by that value in one
+    batched pass, and the best ``restarts`` orbit points g(t) q start a
+    modified Newton descent of -<p, m> over the orbit (``_lockstep_newton``),
+    ``evals`` iterations at most.  The least ambient distance at a final
+    orbit point approximates an infimum and is an upper bound.
+
+    ``polar=True`` is the caller's word that ``rep`` is polar.  Then a start
+    that retires at a second-order point has reached the global maximum of
+    <p, .> on the orbit of q and solves its pair: the pair's other starts
+    stop, and ``certified`` counts the pairs so solved.  ``value`` is still
+    the least distance over all of a pair's starts.  Without the flag every
+    start runs until it retires, and ``certified`` is 0.
+
+    On a Euclidean model each pair is searched at the scale where its
+    largest entry lies in [0.5, 1), and the result scaled back: the
     distance is homogeneous, and the search then works from 1e-300 to 1e300.
 
     ``p`` and ``q`` may be stacks of B pairs, shape (B, d); then ``value``
@@ -335,7 +388,7 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     n = rep.n_generators
     if n == 0:
         value, point = _ambient_distance(rep, p, q), q.copy()
-        n_starts = iterations = evaluations = 0
+        n_starts = iterations = evaluations = certified = 0
     else:
         rng = np.random.default_rng(cfg.seed)
         samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
@@ -343,20 +396,22 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
         moved = q @ np.swapaxes(_second_kind_elements(rep, samples), 1, 2)  # (probes, B, d)
         restarts = min(max(cfg.restarts, 1), cfg.probes)
         n_starts = p.shape[0] * restarts
-        order = np.argsort(-np.sum(moved * p, axis=-1), axis=0)[:restarts].T
+        order = np.argsort(-np.einsum("tbd,bd->bt", moved, p), axis=1)[:, :restarts]
         pick = np.arange(p.shape[0])
         starts = moved[order, pick[:, None]].reshape(-1, p.shape[1])  # (B * restarts, d)
         owner = np.repeat(pick, restarts)                              # pair of each start
         noise = ROUNDING * np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
-        m, iterations, evaluations = _lockstep_newton(rep.generators, p[owner], starts,
-                                                      noise[owner], cfg.evals)
+        m, iterations, evaluations, solved = _lockstep_newton(
+            rep.generators, p[owner], starts, noise[owner], owner, cfg.evals, polar)
+        certified = int(np.count_nonzero(solved))
         dist = _ambient_distance(rep, p[owner], m).reshape(-1, restarts)
         best = np.argmin(dist, axis=1)
         value, point = dist[pick, best], m.reshape(-1, restarts, p.shape[1])[pick, best]
     value, point = np.ldexp(value, scale), np.ldexp(point, scale[:, None])
     if single:
-        return QuotientDistance(float(value[0]), point[0], n_starts, iterations, evaluations)
-    return QuotientDistance(value, point, n_starts, iterations, evaluations)
+        return QuotientDistance(float(value[0]), point[0], n_starts, iterations, evaluations,
+                                certified)
+    return QuotientDistance(value, point, n_starts, iterations, evaluations, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +432,7 @@ class ReductionReport:
     n_pairs: int
     iterations: int                   # of the one stacked quotient_distance call
     evaluations: int
+    certified: int                    # pairs it solved by a second-order certificate
 
 
 def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
@@ -390,6 +446,9 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
     reported separately from the relative discrepancy.  All pairs are drawn
     first and go to one stacked ``quotient_distance`` call; without a
     ``config`` it runs ``QuotientOptimizerConfig(seed=sampler.seed + 1)``.
+    A representation with a section is polar, so the call passes
+    ``polar=True``: each pair stops at its first start that retires at a
+    second-order point.
     """
     cfg = sampler or ReductionSampler()
     rng = np.random.default_rng(cfg.seed)
@@ -399,8 +458,8 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
     folded = _chamber(group, xy @ section.basis.T) @ section.basis
     dw = _ambient_distance(rep, folded[0::2], folded[1::2])
     found = quotient_distance(rep, xy[0::2], xy[1::2],
-                              config or QuotientOptimizerConfig(seed=cfg.seed + 1))
+                              config or QuotientOptimizerConfig(seed=cfg.seed + 1), polar=True)
     rel = np.abs(found.value - dw) / np.maximum(dw, 1e-3)
     return ReductionReport(float(np.max(rel, initial=0.0)),
                            float(np.max(found.value - dw, initial=-np.inf)), cfg.pairs,
-                           found.iterations, found.evaluations)
+                           found.iterations, found.evaluations, found.certified)

@@ -266,6 +266,30 @@ def test_basepoint_search_is_at_most_two_svds(svd_calls):
     assert len(svd_calls) <= 2
 
 
+@pytest.mark.parametrize("name", ["t2_cp2", "hermann_su3"])
+def test_basepoint_search_stops_at_the_rank_bound(monkeypatch, name):
+    # no conjugate of h projects to p with rank above min(dim h, dim p), so
+    # the search stops at the first draw that reaches it; on both su(3)
+    # pairs the first conjugate does, where all REGULAR_DRAWS used to be
+    # conjugated.  The result is still the 64-draw reference's, bitwise.
+    pair, h = SUBALGEBRAS[name]
+    pair.algebra.metric_root            # cached before the count starts
+    conjugated = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        conjugated.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    for seed in range(40):
+        conjugated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            got = regularize_basepoint(pair, h, seed)
+        assert sum(conjugated) <= 2, (seed, conjugated)
+        assert np.array_equal(got.basis, regularize_reference(pair, h, seed)), seed
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(MODELS)), SEEDS)
 def test_initial_data_probes_give_the_grid_verdicts(name, seed):

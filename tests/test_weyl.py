@@ -3,17 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 import polaris as pl
 from polaris.catalog import catalog_list
 from polaris.cli import _Work, analyze
 from polaris.liealg import Subspace
 from polaris.weyl import QuotientOptimizerConfig, ReductionSampler, RestrictedRootSystem, \
-    WeylError, _chart_derivatives, quotient_distance, reduction_isometry_check, \
-    restricted_roots, weyl_group_closure
+    WeylError, _chart_derivatives, _second_kind_elements, quotient_distance, \
+    reduction_isometry_check, restricted_roots, weyl_group_closure
 
-from families import enumerate_weyl_group
+from families import enumerate_weyl_group, s_representation, symmetric_pair
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +237,7 @@ def test_chart_gradient_and_hessian_match_central_differences(bundles, name):
         p, m = rng.standard_normal((2, rep.space_dim))
         if rep.restrict_to_sphere:
             p, m = p / np.linalg.norm(p), m / np.linalg.norm(m)
-        grad, hess = _chart_derivatives(rep.generators, p, m)
+        grad, hess = _chart_derivatives(rep.generators, rep.generators @ p, m)
         central = np.array([(chart_value(rep, p, m, h * e) - chart_value(rep, p, m, -h * e))
                             / (2 * h) for e in eye])
         assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
@@ -324,7 +324,7 @@ def test_stacked_rows_end_converged_or_at_rounding_level(bundles, name):
     found = quotient_distance(rep, p, q, STACK_CONFIG)
     for i in range(40):
         f = -float(p[i] @ found.point[i])
-        grad, _ = _chart_derivatives(rep.generators, p[i], found.point[i])
+        grad, _ = _chart_derivatives(rep.generators, rep.generators @ p[i], found.point[i])
         if np.max(np.abs(grad)) <= 1e-10:
             continue
         x_grad = np.einsum("i,iab->ab", grad / np.linalg.norm(grad), rep.generators)
@@ -408,6 +408,101 @@ def test_reduction_records_count_the_quotient_search(seed):
         assert search["starts"] == 4 * record.value["pairs"]
         assert 1 <= search["iterations"] <= 20
         assert search["starts"] <= search["evaluations"]
+        assert search["certified"] == record.value["pairs"]
+
+
+# -- probe elements and the second-order search ----------------------------------------
+
+def skew_exponential(a):
+    """exp(a) for a real skew matrix, from its real Schur form a = Z T Z^T:
+    each 2x2 block [[0, b], [c, 0]] of T, bc = -w^2, exponentiates to
+    [[cos w, b sin(w)/w], [c sin(w)/w, cos w]].  scipy's ``expm`` is off by
+    up to 1.1e-13 on these factors (so3_sym_traceless, |t A| up to 7); this
+    is exact to a few units of rounding."""
+    t, z = schur(a, output="real")
+    e = np.eye(len(a))
+    for i in np.flatnonzero(np.diag(t, -1)):
+        b, c = t[i, i + 1], t[i + 1, i]
+        w = np.sqrt(-b * c)
+        e[i:i + 2, i:i + 2] = [[np.cos(w), b * np.sinc(w / np.pi)],
+                               [c * np.sinc(w / np.pi), np.cos(w)]]
+    return z @ e @ z.T
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", "su2_diag_double",
+                                  "hopf_s1_s3", "so2_s2", "so3_s2xs2", "trivial"])
+def test_second_kind_elements_are_products_of_exponentials(bundles, name):
+    # on the odd-dimensional spaces every generator has a zero mode (an
+    # eigenvalue 0 of i A_i); the trivial representation has no other modes
+    rep = pl.OrthogonalRep(pl.build_classical("torus", 2), np.zeros((2, 3, 3)), 3,
+                           name="trivial") if name == "trivial" else bundles[name]["rep"]
+    t = np.random.default_rng(29).uniform(-np.pi, np.pi, (25, rep.n_generators))
+    t[0] = 0.0
+    g = _second_kind_elements(rep, t)
+    for ti, gi in zip(t, g):
+        want = np.linalg.multi_dot([skew_exponential(x * a) for x, a in zip(ti, rep.generators)]
+                                   + [np.eye(rep.space_dim)])
+        assert np.max(np.abs(gi - want)) <= 1e-14
+    assert np.max(np.abs(g @ np.swapaxes(g, 1, 2) - np.eye(rep.space_dim))) <= 1e-14
+
+
+def section_pairs_across_chambers(bundles, name, count, seed):
+    """Section pairs (p, q) whose Sigma/W distance is below |p - q| by at
+    least 0.1, with that distance from the enumerated Weyl group."""
+    rep, section, roots = weyl_for_rep(bundles, name)
+    images = enumerate_weyl_group(roots)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.uniform(-1.5, 1.5, (2, section.dim))
+        folded = float(np.min(np.linalg.norm(x - images @ y, axis=1)))
+        if folded < np.linalg.norm(x - y) - 0.1:
+            pairs.append((x @ section.basis, y @ section.basis, folded))
+    return rep, pairs
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless"])
+def test_one_start_on_a_section_pair_leaves_its_saddle(bundles, name):
+    # with one probe, the identity, the one start is q itself: a critical
+    # point of <p, .> on the orbit of q, but not its maximum when q is in
+    # another Weyl chamber than p.  The start steps along the Hessian's
+    # negative curvature instead of retiring with |p - q|.
+    rep, pairs = section_pairs_across_chambers(bundles, name, 8, seed=41)
+    for p, q, folded in pairs:
+        found = quotient_distance(rep, p, q, QuotientOptimizerConfig(restarts=1, probes=1))
+        assert abs(found.value - folded) <= 1e-10, (found.value, folded)
+
+
+@pytest.mark.parametrize("name", ["su2_adjoint", "so3_sym_traceless", ("so", 3, 2),
+                                  ("so", 4, 3), ("su/so", 4)],
+                         ids=["su2_adjoint", "so3_sym_traceless", "so(3)+so(2)", "so(4)+so(3)",
+                              "su(4)/so(4)"])
+def test_polar_search_agrees_with_the_full_multistart(bundles, name):
+    # on a polar representation every local maximum of <p, .> on an orbit is
+    # global, so the first start that retires at one solves its pair
+    rep = bundles[name]["rep"] if isinstance(name, str) else \
+        s_representation(symmetric_pair(*name))["rep"]
+    for seed in range(4):
+        p, q = random_pairs(rep, 20, seed)
+        config = QuotientOptimizerConfig(restarts=4, evals=2500, probes=100, seed=seed)
+        full = quotient_distance(rep, p, q, config)
+        fast = quotient_distance(rep, p, q, config, polar=True)
+        assert np.all(np.abs(fast.value - full.value) <= 1e-12 * full.value)
+        assert fast.iterations <= full.iterations
+        assert (full.certified, fast.certified) == (0, 20)
+
+
+def test_polar_search_retires_each_pair_on_its_own(bundles):
+    # a pair solved early stops only its own starts: every pair of a stacked
+    # call ends where a call on that pair alone ends
+    rep = bundles["so3_sym_traceless"]["rep"]
+    p, q = random_pairs(rep, 12, 37)
+    stacked = quotient_distance(rep, p, q, STACK_CONFIG, polar=True)
+    alone = [quotient_distance(rep, p[i], q[i], STACK_CONFIG, polar=True) for i in range(12)]
+    assert np.all(np.abs(stacked.value - [d.value for d in alone]) <= 1e-12 * stacked.value)
+    assert stacked.iterations == max(d.iterations for d in alone)
+    assert stacked.evaluations == sum(d.evaluations for d in alone)
+    assert stacked.certified == sum(d.certified for d in alone) == 12
 
 
 @pytest.mark.parametrize("p, q, match", [
