@@ -1,4 +1,8 @@
-"""Polarity, hyperpolarity and variational-completeness checks for isometric actions."""
+"""Polarity, hyperpolarity and variational-completeness checks for isometric actions.
+
+The names imported here are the public surface, ``__all__``; the rest of
+each module is internal.
+"""
 
 from .liealg import (CheckResult, LieAlgebra, Subspace, build_classical,
                      centralizer_in, direct_sum, is_abelian_subspace,

@@ -528,8 +528,7 @@ def _check_cartan_probe(work, tol, step):
     srep = work.bundle.get("srep")
     pair = srep[0] if srep is not None else _need(work.bundle, "pair", "cartan-probe")
     a = maximal_abelian(pair, work.seed)
-    res = cartan_hermann_probe(pair, None, a,
-                               BrokenGeodesicSampler(count=100, seed=work.seed), tol)
+    res = cartan_hermann_probe(pair, a, BrokenGeodesicSampler(seed=work.seed), tol)
     return res.ok, {}, res.residual, tol
 
 

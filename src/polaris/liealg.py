@@ -139,9 +139,6 @@ class LieAlgebra:
         """(L, L^-1) with inner = L L^T, from ``linalg.metric_root`` once."""
         return linalg.metric_root(self.inner)
 
-    def full_space(self) -> Subspace:
-        return Subspace(self.name, linalg.orthonormalize(np.eye(self.dim), self.metric_root))
-
     def restrict(self, basis: np.ndarray, name: str) -> LieAlgebra:
         """The subalgebra spanned by inner-orthonormal ``basis`` rows, in that basis.
 

@@ -2,16 +2,15 @@
 
 Covers the Cartan split of an algebra along an involution, maximal abelian
 subspaces of the -1 eigenspace with a maximality certificate, the curvature
-tensor R(X,Y)Z = -[[X,Y],Z] of compact type, and a sampled totally-geodesic
-probe along once-broken geodesics.  The pair's invariants (automorphism,
-bracket grading) are stacked brackets over all basis pairs, and on a pair
-the probe's residual is the Lie-triple-system residual of ``liealg``.  The
-model manifolds (Euclidean space, the unit sphere, a product of two round
-spheres) are Riemannian products of flat and round-sphere factors: each
-carries closed-form geodesics, parallel transport, curvature, distance and
-log, one pass over its factors, so that every downstream derivative check
-has an exact cross-check path.  On a manifold the probe transports a whole
-basis per leg and reads all basis triples from one stacked curvature call.
+tensor R(X,Y)Z = -[[X,Y],Z] of compact type, and the appendix's
+Cartan/Hermann probe on a symmetric pair.  The pair's invariants
+(automorphism, bracket grading) are stacked brackets over all basis pairs,
+and the probe's residual is the Lie-triple-system residual of ``liealg``.
+The model manifolds (Euclidean space, the unit sphere, a product of two
+round spheres) are Riemannian products of flat and round-sphere factors:
+each carries closed-form geodesics, parallel frames, curvature and log, one
+pass over its factors, so that every downstream derivative check has an
+exact cross-check path.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ class ModelManifold:
     radius: ``euclidean`` is one flat factor, ``sphere`` one unit sphere and
     ``product-spheres`` two spheres of ``radii`` whose ambient dimensions are
     ``split``.  Every method is one pass over the factors.  Tangent vectors
-    of ``project_tangent``, ``transport`` and ``curvature`` may be (..., D)
-    stacks, whose leading axes broadcast.
+    of ``project_tangent`` and ``curvature`` may be (..., D) stacks, whose
+    leading axes broadcast.
     """
 
     kind: str                       # "euclidean" | "sphere" | "product-spheres"
@@ -124,15 +123,6 @@ class ModelManifold:
         gam, _ = self.geodesic(p, v, np.array([1.0]))
         return gam[0]
 
-    def transport(self, p: np.ndarray, v: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-        """Parallel transport of tangent x along s -> exp_p(s v) from 0 to t."""
-        p = np.asarray(p, float)
-        v = np.asarray(v, float)
-        x = np.asarray(x, float)
-        return np.concatenate([
-            _sphere_transport(p[s], v[s], r, t, x[..., s]) if r else x[..., s]
-            for s, r in self.factors], axis=-1)
-
     def curvature(self, p: np.ndarray, u: np.ndarray, v: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
         """R(u, v)w at p, with R(u, v)w = (<v,w>u - <u,w>v) / r^2 on a sphere
@@ -142,14 +132,6 @@ class ModelManifold:
             (_dot(v[..., s], w[..., s])[..., None] * u[..., s]
              - _dot(u[..., s], w[..., s])[..., None] * v[..., s]) / r**2 if r
             else np.zeros_like(u[..., s]) for s, r in self.factors], axis=-1)
-
-    def distance(self, p: np.ndarray, q: np.ndarray) -> float:
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        # the hypot of the factor distances; one factor gives its own distance
-        return float(np.hypot.reduce([
-            r * np.arccos(np.clip(np.dot(p[s], q[s]) / r**2, -1.0, 1.0)) if r
-            else np.linalg.norm(p[s] - q[s]) for s, r in self.factors]))
 
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Inverse exponential: the v with exp(p, v) = q of least length."""
@@ -199,22 +181,6 @@ def _sphere_geodesic(p, v, radius, times):
     dgam = s * (-np.sin(ang)[:, None] * phat[None, :]
                 + np.cos(ang)[:, None] * vhat[None, :])
     return gam, dgam
-
-
-def _sphere_transport(p, v, radius, t, x):
-    """Transport of a vector or an (..., d) stack x along one sphere factor."""
-    s = np.linalg.norm(v)
-    if s < 1e-15:
-        return x
-    ang = s * t / radius
-    phat = p / radius
-    vhat = v / s
-    a = (x @ phat)[..., None]
-    b = (x @ vhat)[..., None]
-    rest = x - a * phat - b * vhat
-    phat_t = np.cos(ang) * phat + np.sin(ang) * vhat
-    vhat_t = -np.sin(ang) * phat + np.cos(ang) * vhat
-    return rest + a * phat_t + b * vhat_t
 
 
 def _sphere_log(p, q, radius):
@@ -400,76 +366,35 @@ def sectional_curvature(pair: SymmetricPair, x: np.ndarray, y: np.ndarray) -> fl
 
 @dataclass(frozen=True)
 class BrokenGeodesicSampler:
-    count: int = 100
     leg_min: float = 0.1
     leg_max: float = 1.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise SymmetricSpaceError("sampler needs at least one broken geodesic")
         if self.leg_min <= 0 or self.leg_max <= self.leg_min:
             raise SymmetricSpaceError("sampler legs must satisfy 0 < leg_min < leg_max")
 
 
-def cartan_hermann_probe(space, base, s: Subspace,
+def cartan_hermann_probe(pair: SymmetricPair, s: Subspace,
                          sampler: BrokenGeodesicSampler | None = None,
                          tol: float = SPAN_TOL) -> CheckResult:
-    """Sampled curvature-invariance test along once-broken geodesics.
+    """Curvature invariance of ``s`` along once-broken geodesics of a pair.
 
-    For each sampled broken geodesic the basis of ``s`` is parallel
-    transported leg by leg (first leg direction inside s, post-break
-    direction inside the transported copy) and the worst out-of-span
-    residual of R(u,v)w against the transported span is reported.  On a
-    symmetric pair the transport is by the group, i.e. the identity in the
-    left-translated frame, so every sample gives the same purely algebraic
-    residual, the Lie-triple-system residual of s (the residuals of
-    -[[u, v], w] and [w, [u, v]] are the same set): it is evaluated once, and
-    a failure is witnessed by the first sample's legs.
+    Along a broken geodesic (first leg inside s, the second inside the
+    transported copy) the basis of s is parallel transported leg by leg, and
+    the residual is the worst out-of-span residual of R(u,v)w against the
+    transported span.  On a symmetric pair the transport is by the group,
+    i.e. the identity in the left-translated frame, so every broken geodesic
+    gives the same purely algebraic residual, the Lie-triple-system residual
+    of s (the residuals of -[[u, v], w] and [w, [u, v]] are the same set): it
+    is evaluated once, and a failure is witnessed by one seeded pair of legs.
     """
     sampler = sampler or BrokenGeodesicSampler()
-    rng = np.random.default_rng(sampler.seed)
-    worst = 0.0
-    witness = None
-    if isinstance(space, SymmetricPair):
-        alg = space.algebra
-        outside = linalg.span_residual(space.p.basis, s.basis, alg.inner)
-        if np.max(outside, initial=0.0) > 1e-8:
-            raise SymmetricSpaceError("probe subspace must lie inside p")
-        len1, len2 = rng.uniform(sampler.leg_min, sampler.leg_max, size=2)
-        worst = float(np.max(triple_residuals(alg, s), initial=0.0))
-        witness = (0, float(len1), float(len2))
-    else:
-        manifold: ModelManifold = space
-        manifold.validate_point(base)
-        off = linalg.gram_norm(s.basis - manifold.project_tangent(base, s.basis))
-        if np.max(off, initial=0.0) > 1e-8:
-            raise SymmetricSpaceError("probe subspace must be tangent at base")
-        if s.dim == 0:
-            # a point is totally geodesic, and it has no direction to draw
-            return CheckResult(True, 0.0, tol, None)
-        for idx in range(sampler.count):
-            len1, len2 = rng.uniform(sampler.leg_min, sampler.leg_max, size=2)
-            u1 = _draw_unit(rng, s.dim) @ s.basis
-            rows1 = linalg.orthonormalize(manifold.transport(base, u1, len1, s.basis))
-            q1 = manifold.exp(base, len1 * u1)
-            u2 = _draw_unit(rng, rows1.shape[0]) @ rows1
-            rows2 = linalg.orthonormalize(manifold.transport(q1, u2, len2, rows1))
-            q2 = manifold.exp(q1, len2 * u2)
-            # R(u_i, u_j)u_l over all basis triples, in one stacked evaluation
-            curv = manifold.curvature(q2, rows2[:, None, None], rows2[None, :, None],
-                                      rows2[None, None])
-            res = float(np.max(linalg.span_residual(rows2, curv), initial=0.0))
-            if res > worst:
-                worst, witness = res, (idx, float(len1), float(len2))
+    alg = pair.algebra
+    outside = linalg.span_residual(pair.p.basis, s.basis, alg.inner)
+    if np.max(outside, initial=0.0) > 1e-8:
+        raise SymmetricSpaceError("probe subspace must lie inside p")
+    worst = float(np.max(triple_residuals(alg, s), initial=0.0))
     failed = linalg.robust_failure(worst, tol, "Cartan/Hermann probe")
-    return CheckResult(not failed, worst, tol, witness if failed else None)
-
-
-def _draw_unit(rng, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    while n < 1e-12:
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-    return v / n
+    legs = np.random.default_rng(sampler.seed).uniform(sampler.leg_min, sampler.leg_max, 2)
+    return CheckResult(not failed, worst, tol, tuple(map(float, legs)) if failed else None)

@@ -32,9 +32,14 @@ refuses the larger grids.  The peak traced memory (``tracemalloc``) of one
 entries (34 MB) on the two larger bundles:
 
     bundle (D)      jacobi-scan   variational-completeness   transversal
-    ad so(8) (28)   5.8-8.1 MB    4.5-7.0 MB                 158 MB
+    ad so(8) (28)   5.8-8.3 MB    4.6-7.2 MB                 157.9 MB
     ad so(10) (45)  35-41 MB      34-41 MB                   error, 1.6 MB
     ad so(11) (55)  42-44 MB      42-43 MB                   error, 2.8 MB
+
+On ad so(8) one (n_t, m, m) stack is 19.7 MB.  The system keeps four (p_v,
+p_h, A and R - 3A^2) and frees its stencil stacks once read, so its
+constructor peaks at five (98.6 MB); the record's peak is the horizontal
+frame's RK4 propagators, four stacks more than the system's.
 
 Variational completeness is decided on initial data (Bott-Samelson): a
 Jacobi field is fixed by its value and covariant derivative at the
@@ -431,8 +436,9 @@ def _grid_singular_values(geod: OrbitGeodesic, index: np.ndarray) -> np.ndarray:
 def focal_points(geod: OrbitGeodesic) -> list:
     """Focal times of the start orbit: roots of the matrix-solution sigma_min.
 
-    Interior grid-local minima t_k of the smallest singular value are refined
-    toward its zero in [t_(k-1), t_(k+1)], all at once by lockstep
+    Interior grid-local minima t_k of the smallest singular value, other
+    than the basepoint t = 0 where every normal N-Jacobi field vanishes, are
+    refined toward its zero in [t_(k-1), t_(k+1)], all at once by lockstep
     safeguarded Newton (``_refine_minima``); a refined time where sigma_min
     is below ``FOCAL_SV_TOL`` counts as a focal time with multiplicity the
     number of singular values below the threshold there, and one within 10
@@ -483,6 +489,8 @@ def _focal_scan(geod: OrbitGeodesic):
     # |Y(t)|_2 <= sigma_max(t_j) + L |t - t_j| bounds the norm near the grid
     slack = FOCAL_SV_ROUNDING * (float(np.max(svals[:, 0])) + lip * stride)
     candidates = np.flatnonzero(bound[1:-1] < FOCAL_SV_TOL + 2 * slack) + 1
+    # every normal N-Jacobi field vanishes at the basepoint, which is no focal time
+    candidates = candidates[candidates != geod.base_index]
     rest = np.setdiff1d(np.r_[candidates - 1, candidates, candidates + 1], coarse)
     if rest.size:
         smin[rest] = _grid_singular_values(geod, rest)[:, -1]
@@ -739,8 +747,9 @@ class TransversalSystem:
         dp_v[0] = (-3 * self.p_v[0] + 4 * self.p_v[1] - self.p_v[2]) / (2 * h)
         dp_v[-1] = (3 * self.p_v[-1] - 4 * self.p_v[-2] + self.p_v[-3]) / (2 * h)
         a_raw = (self.p_h - self.p_v) @ dp_v
-        self.a_asymmetry = float(np.max(np.abs(a_raw + np.transpose(a_raw, (0, 2, 1))))) / 2
+        del dp_v
         self.a = (a_raw - np.transpose(a_raw, (0, 2, 1))) / 2
+        del a_raw
         rhat = geod.curvature
         self.r_script = self.p_h @ rhat @ self.p_h - 3 * (self.a @ self.a)
         self._cache = {}

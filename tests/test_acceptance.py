@@ -195,8 +195,7 @@ def test_criterion_08_variational_completeness(bundles):
 
 def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
     a = pl.maximal_abelian(su3_conj_pair, seed=7)
-    res = cartan_hermann_probe(su3_conj_pair, None, a,
-                               BrokenGeodesicSampler(count=100, seed=1))
+    res = cartan_hermann_probe(su3_conj_pair, a, BrokenGeodesicSampler(seed=1))
     assert res.ok and res.residual < 1e-8
     rng = np.random.default_rng(31)
     alg = su3_conj_pair.algebra
@@ -207,8 +206,7 @@ def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
             alg.metric_root)
         sub = Subspace(alg.name, rows)
         lts = pl.is_lie_triple_system(alg, sub)
-        probe = cartan_hermann_probe(su3_conj_pair, None, sub,
-                                     BrokenGeodesicSampler(count=4, seed=100 + i))
+        probe = cartan_hermann_probe(su3_conj_pair, sub, BrokenGeodesicSampler(seed=100 + i))
         assert not probe.ok and probe.residual > 1e-3
         assert lts.ok == probe.ok
         passes.append(probe.ok)
@@ -217,8 +215,7 @@ def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         sub = Subspace(alg.name, q @ a.basis)
         lts = pl.is_lie_triple_system(alg, sub)
-        probe = cartan_hermann_probe(su3_conj_pair, None, sub,
-                                     BrokenGeodesicSampler(count=4, seed=200 + i))
+        probe = cartan_hermann_probe(su3_conj_pair, sub, BrokenGeodesicSampler(seed=200 + i))
         assert probe.ok and lts.ok
     report(9, "Cartan/Hermann probe vs Lie triple systems")
 

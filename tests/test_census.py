@@ -3,12 +3,16 @@
 The census profiles the command line over the catalog at seed 0, one
 ``--text`` run and one representation, symmetric-pair and lie-algebra
 document, and collects every function or method whose code is in
-``src/polaris`` (dunders aside) that no call reached.  Each one must be a
-name the benchmark traces or calls (read by ``bench_names``) or stand in
-``KEPT`` with the reason it stays.  A ``KEPT`` entry that is reached, or no
-longer defined, fails too, so nothing is added unreached and nothing dead
-lingers.  The same runs pin where metric roots come from: no Cholesky
-factor in the package, and one ``linalg.metric_root`` per ``LieAlgebra``.
+``src/polaris`` (dunders aside) that no call reached.  Each one must be
+public, a function that ``polaris.__all__`` exports, or a name the
+benchmark traces or calls (read by ``bench_names``), or stand in ``KEPT``
+with the reason it stays: the public function that calls it, the README
+row that names it, or the open ROADMAP item that will call it.  Code that
+only tests read lives in ``tests/`` (``oracles``, ``grid_oracle``).  A
+``KEPT`` entry that is reached, public, or not a package function fails
+too, so nothing is added unreached and nothing dead lingers.  The same
+runs pin where metric roots come from: no Cholesky factor in the package,
+and one ``linalg.metric_root`` per ``LieAlgebra``.
 """
 
 import contextlib
@@ -33,19 +37,9 @@ from bench_names import traced_names, workload_attributes
 SRC = Path(polaris.__file__).resolve().parent
 
 KEPT = {
-    "liealg.LieAlgebra.dot": "criterion 02, through sectional_curvature",
-    "symspace.curvature_operator": "criterion 02, through sectional_curvature",
-    "symspace.sectional_curvature": "criterion 02",
-    "transversal.transversal_equation_residual": "criterion 06; ROADMAP item 9 records it",
-    "transversal.symplectic_form": "criterion 07; ROADMAP item 9 records it",
-    # the manifold branch of cartan_hermann_probe, which analyze does not take
-    "symspace.ModelManifold.transport": "appendix probe on manifolds, ROADMAP items 12-13",
-    "symspace._sphere_transport": "appendix probe on manifolds, ROADMAP items 12-13",
-    "symspace._draw_unit": "appendix probe on manifolds, ROADMAP items 12-13",
-    "liealg.LieAlgebra.killing": "test oracle of the Killing form",
-    "liealg.LieAlgebra.full_space": "test oracle of centralizer_in",
-    "symspace.ModelManifold.distance": "test oracle of the model geodesics",
-    "polarity.find_regular_point": "test oracle of the regular-point search",
+    "liealg.LieAlgebra.dot": "called by the public sectional_curvature",
+    "liealg.LieAlgebra.killing": "named by the README's polaris.liealg row",
+    "transversal.transversal_equation_residual": "ROADMAP item 9 records it",
 }
 
 
@@ -95,6 +89,13 @@ DOCUMENTS = {
                        "generators": [[0.0, -1.0, 1.0, 0.0]],
                        "manifold": {"kind": "euclidean"}},
 }
+
+
+def public_functions() -> set:
+    """``module.qualname`` of every package function that ``polaris.__all__``
+    exports."""
+    exported = filter(None, (_function(getattr(polaris, name)) for name in polaris.__all__))
+    return {f"{fn.__module__.removeprefix('polaris.')}.{fn.__qualname__}" for fn in exported}
 
 
 def reached_code(tmp_path) -> set:
@@ -157,10 +158,16 @@ def test_every_unreached_function_is_benchmarked_or_kept(census):
     reached = census[0]
     unreached = {name for code, name in defined_functions().items() if code not in reached}
     bench = {f"{module}.{name}" for module, name in traced_names() + workload_attributes()}
-    assert all(KEPT.values())
-    # unreached and unexplained, then kept but reached or no longer defined
-    assert (sorted(unreached - bench - KEPT.keys()),
-            sorted(KEPT.keys() - (unreached - bench))) == ([], [])
+    public = public_functions()
+    # unreached and unexplained, then kept but reached, public or benchmarked
+    assert (sorted(unreached - public - bench - KEPT.keys()),
+            sorted(KEPT.keys() - (unreached - public - bench))) == ([], [])
+
+
+def test_kept_entries_are_package_functions_with_reasons():
+    assert all(reason.strip() for reason in KEPT.values())
+    assert KEPT.keys() <= set(defined_functions().values())
+    assert not KEPT.keys() & public_functions()
 
 
 def test_one_metric_root_per_algebra_and_no_cholesky(census):

@@ -8,6 +8,8 @@ from polaris.cli import SLICE_SCAN_POINTS, _sample_points
 from polaris.liealg import Subspace
 from polaris.polarity import PolarityError, _slices, regularize_basepoint
 
+from oracles import full_space
+
 
 def trivial_rep(space_dim, n_gen=2):
     alg = pl.build_classical("torus", n_gen)
@@ -229,7 +231,7 @@ def test_random_torus_subalgebras_get_a_verdict(su3_block_pair):
     seen_negative = False
     for trial in range(6):
         x = rng.standard_normal(8)
-        z = pl.centralizer_in(alg, x, alg.full_space())
+        z = pl.centralizer_in(alg, x, full_space(alg))
         if z.dim < 2:
             continue
         h = Subspace(alg.name, z.basis[:2])

@@ -159,6 +159,26 @@ def test_transversal_budget_checked_before_its_stacks(bundles):
     assert peak < 1e6
 
 
+def test_transversal_system_frees_its_stencil_stacks():
+    # p_v, p_h and A are kept; the stencil dp_v and the raw tensor are freed
+    # once read, so the constructor peaks near five (n_t, m, m) stacks
+    alg = pl.build_classical("special-orthogonal", 5)
+    rep = pl.OrthogonalRep(alg, alg.ad(np.eye(alg.dim)), alg.dim, name="ad_so5")
+    point = pl.find_regular_point(rep, 0)
+    point /= np.linalg.norm(point)
+    direction = linalg.complement(rep.tangent_rows(point), rep.space_dim)[0]
+    geod = OrbitGeodesic(rep, ModelManifold("euclidean", rep.space_dim), point, direction)
+    geod.killing_data
+    stack = geod.times.shape[0] * geod.dim ** 2 * 8
+    tracemalloc.start()
+    try:
+        transversal.TransversalSystem(geod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * stack
+
+
 def test_shape_operator_position_normal(bundles):
     # Euclidean orbit with the outward position normal: S = -(1/|p|) id
     b = bundles["su2_adjoint"]
@@ -422,9 +442,10 @@ GEODESIC_ENTRIES = ("su2_adjoint", "so3_sym_traceless", "su2_diag_double",
 
 def grid_minima(geod):
     """The interior grid-local minima of sigma_min, from the SVD at every
-    grid time."""
+    grid time, other than the basepoint."""
     smin = np.linalg.svd(basis_on_grid(geod), compute_uv=False)[:, -1]
     k = np.arange(1, smin.shape[0] - 1)
+    k = k[k != geod.base_index]
     return k[(smin[k] <= smin[k - 1]) & (smin[k] <= smin[k + 1])]
 
 
@@ -512,6 +533,21 @@ def test_pruned_focal_scan_finds_a_focal_time_wherever_it_falls(bundles, step, o
     focal = focal_points(geod)
     assert focal == full_grid_focal_points(geod)
     assert len(focal) == 1 and abs(focal[0][0] - 1.0) < 1e-8 and focal[0][1] == 2
+
+
+@pytest.mark.parametrize("name", GEODESIC_ENTRIES)
+def test_two_sided_span_has_no_focal_time_at_the_basepoint(bundles, name):
+    # every normal N-Jacobi field vanishes at t = 0, which is no focal time;
+    # ahead of the basepoint the scan sees what the one-sided span sees
+    geod = geod_for(bundles, name, span=(-1.5, 1.5))
+    focal = focal_points(geod)
+    assert all(abs(t) > 10 * geod.step for t, _ in focal)
+    ahead = [(t, m) for t, m in focal if t > 0]
+    want = [(t, m) for t, m in focal_points(geod_for(bundles, name)) if t <= 1.5]
+    assert [m for _, m in ahead] == [m for _, m in want]
+    assert all(abs(t - u) <= 1e-6 for (t, _), (u, _) in zip(ahead, want))
+    if name == "su2_adjoint":       # polar, so variationally complete
+        assert variational_completeness_probe(geod).ok
 
 
 @pytest.mark.parametrize("name", GEODESIC_ENTRIES)
@@ -681,7 +717,11 @@ def test_trivial_action_rank_zero():
 
 def test_a_tensor_properties(bundles):
     system = transversal_system(geod_for(bundles, "hopf_s1_s3"))
-    assert system.a_asymmetry < 1e-8
+    # the stencil (p_h - p_v) dp_v is skew already, since p_v is a projector:
+    # the same centered and one-sided differences of p_v as the system's
+    dp_v = np.gradient(system.p_v, system.geod.step, axis=0, edge_order=2)
+    a_raw = (system.p_h - system.p_v) @ dp_v
+    assert float(np.max(np.abs(a_raw + np.swapaxes(a_raw, 1, 2)))) / 2 < 1e-8
     # block-offdiagonal: A maps H to V and V to H
     for k in (10, 1000, 2500):
         a = system.a[k]

@@ -23,6 +23,8 @@ from polaris.linalg import SPAN_TOL, TIE_RTOL, WITNESS_FLOOR, IndeterminateVerdi
 from polaris.polarity import PAIRING_TOL, find_regular_point, is_polar_homogeneous, \
     is_polar_rep, regularize_basepoint
 
+from oracles import full_space
+
 RES_TOL = 1e-12
 PAIRS = {"conjugation": su3_pair_conjugation(), "block": su3_pair_block()}
 # on su(2)+su(2) a line leaves m a Lie triple system with [m, m] not perp h,
@@ -162,7 +164,7 @@ def test_polar_homogeneous_witness_matches_loops(pair_name, kind, seed):
     x = np.random.default_rng(seed).standard_normal(alg.dim)
     # a line is a subalgebra; the centralizer of a generic element is a maximal torus
     h = Subspace(alg.name, x[None, :] / alg.norm(x)) if kind == "line" \
-        else centralizer_in(alg, x, alg.full_space())
+        else centralizer_in(alg, x, full_space(alg))
     hreg = regularize_basepoint(pair, h, seed)
     coeffs = linalg.kernel(hreg.basis @ alg.inner @ pair.p.basis.T)
     m = Subspace(alg.name, linalg.orthonormalize(coeffs @ pair.p.basis,
