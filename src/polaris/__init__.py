@@ -12,10 +12,10 @@ from .polarity import (OrthogonalRep, PolarityVerdict, cohomogeneity,
                        find_regular_point, is_hyperpolar_homogeneous,
                        is_polar_homogeneous, is_polar_rep, orbifold_point_test,
                        slice_rep)
-from .symspace import (BrokenGeodesicSampler, ModelManifold, SymmetricPair,
-                       cartan_decompose, cartan_hermann_probe,
-                       curvature_operator, involution_from_matrix_map,
-                       maximal_abelian, sectional_curvature)
+from .symspace import (ModelManifold, SymmetricPair, cartan_decompose,
+                       cartan_hermann_probe, curvature_operator,
+                       involution_from_matrix_map, maximal_abelian,
+                       sectional_curvature)
 from .weyl import (QuotientOptimizerConfig, ReductionSampler, ReflectionGroup,
                    RestrictedRootSystem, quotient_distance,
                    reduction_isometry_check, restricted_roots,

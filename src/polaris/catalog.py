@@ -198,14 +198,14 @@ def _hermann_su3() -> dict:
     return {"pair": pair, "subalgebra": h}
 
 
-def footnote_curve(times: np.ndarray, radius: float = R_PRODUCT):
+def footnote_curve(times: np.ndarray):
     """The cohomogeneity-one product geodesic, reparametrised to unit speed.
 
-    The raw curve t -> ((cos t, sin t, 0), (R sin(t/R^2), R cos(t/R^2), 0))
-    is a geodesic of speed sqrt(1 + 1/R^2); the arclength reparametrisation
-    keeps its image and normality to the diagonal orbits.
+    The raw curve t -> ((cos t, sin t, 0), (R sin(t/R^2), R cos(t/R^2), 0)),
+    R = ``R_PRODUCT``, is a geodesic of speed sqrt(1 + 1/R^2); the arclength
+    reparametrisation keeps its image and normality to the diagonal orbits.
     """
-    r = radius
+    r = R_PRODUCT
     c = 1.0 / np.sqrt(1.0 + 1.0 / r ** 2)
     t = np.asarray(times, float) * c
     gam = np.stack([np.cos(t), np.sin(t), np.zeros_like(t),
@@ -235,7 +235,6 @@ def _so3_s2xs2() -> dict:
         "basepoint": gam[0],
         "direction": dgam[0],
         "span": (0.0, float(np.pi)),
-        "curve": footnote_curve,
     }
 
 

@@ -34,8 +34,8 @@ from .liealg import LieAlgebra, LieAlgebraError, Subspace
 from .polarity import PAIRING_TOL, OrthogonalRep, PolarityError, _check_ad_invariant, \
     _check_subalgebra, _orbifold_results, _regular_pairing, _slice_pairings, \
     _slice_verdicts, _verdict, is_hyperpolar_homogeneous, is_polar_homogeneous
-from .symspace import BrokenGeodesicSampler, ModelManifold, SymmetricSpaceError, \
-    cartan_decompose, cartan_hermann_probe, maximal_abelian
+from .symspace import ModelManifold, SymmetricSpaceError, cartan_decompose, \
+    cartan_hermann_probe, maximal_abelian
 from .transversal import DEFAULT_STEP, MAX_STEP, OrbitGeodesic, TransversalError, \
     _field_on_grid, claim_residuals, conjugate_scan, discala_olmos_probe, focal_points, \
     focal_scan_counters, jacobi_integrate, n_jacobi_space, \
@@ -265,7 +265,7 @@ def _manifold(man, space_dim: int) -> ModelManifold:
     """The model manifold of a representation document (Euclidean if absent)."""
     man = {"kind": "euclidean"} if man is None else man
     kind = man.get("kind", "euclidean") if isinstance(man, dict) else None
-    if kind not in ("euclidean", "sphere", "unit-sphere", "product-spheres"):
+    if kind not in ("euclidean", "sphere", "product-spheres"):
         raise ModelError(f"manifold: expected an object whose kind is euclidean, "
                          f"sphere or product-spheres, got {man!r}")
     if kind == "product-spheres":
@@ -276,7 +276,7 @@ def _manifold(man, space_dim: int) -> ModelManifold:
             raise ModelError(f"manifold.split: expected two positive integers, got {split!r}")
         args = {"radii": tuple(radii.tolist()), "split": tuple(split)}
     else:
-        kind, args = "euclidean" if kind == "euclidean" else "sphere", {}
+        args = {}
     try:
         return ModelManifold(kind, space_dim, **args)
     except SymmetricSpaceError as exc:
@@ -528,7 +528,7 @@ def _check_cartan_probe(work, tol, step):
     srep = work.bundle.get("srep")
     pair = srep[0] if srep is not None else _need(work.bundle, "pair", "cartan-probe")
     a = maximal_abelian(pair, work.seed)
-    res = cartan_hermann_probe(pair, a, BrokenGeodesicSampler(seed=work.seed), tol)
+    res = cartan_hermann_probe(pair, a, tol)
     return res.ok, {}, res.residual, tol
 
 

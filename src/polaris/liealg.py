@@ -190,7 +190,7 @@ class LieAlgebra:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, jacobi_tol: float = JACOBI_TOL) -> None:
+    def validate(self) -> None:
         c = self.structure
         n = self.dim
         if c.shape != (n, n, n):
@@ -202,8 +202,8 @@ class LieAlgebra:
         # Given antisymmetry, the Jacobi identity on all basis triples says
         # exactly that ad is a homomorphism: [ad e_i, ad e_j] = sum_k c_ijk ad e_k.
         worst = commutator_residual(self.ad(np.eye(n)), c)
-        if worst > jacobi_tol:
-            raise LieAlgebraError(f"Jacobi identity residual {worst:.2e} > {jacobi_tol:.1e}")
+        if worst > JACOBI_TOL:
+            raise LieAlgebraError(f"Jacobi identity residual {worst:.2e} > {JACOBI_TOL:.1e}")
         g = self.inner
         if g.shape != (n, n):
             raise LieAlgebraError(f"inner product must be ({n},{n})")

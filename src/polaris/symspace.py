@@ -31,6 +31,7 @@ DEGENERATE_PLANE_TOL = 1e-10  # relative Gram determinant of a degenerate plane
 ABELIAN_ATTEMPTS = 16       # generic draws maximal_abelian tries
 ABELIAN_CERTIFICATES = 8    # independent draws that must reproduce a candidate
 ABELIAN_ANGLE_TOL = 1e-8    # principal-angle tolerance for two centralizers to agree
+POINT_TOL = 1e-9            # distance of a model point from each sphere factor
 
 
 class SymmetricSpaceError(ValueError):
@@ -90,12 +91,12 @@ class ModelManifold:
     def dim(self) -> int:
         return sum(s.stop - s.start - (r > 0) for s, r in self.factors)
 
-    def validate_point(self, p: np.ndarray, tol: float = 1e-9) -> None:
+    def validate_point(self, p: np.ndarray) -> None:
         p = np.asarray(p, float)
         if p.shape != (self.ambient_dim,):
             raise SymmetricSpaceError(f"point must have dimension {self.ambient_dim}")
         for s, r in self.factors:
-            if r and abs(math.hypot(*p[s]) - r) > tol:      # hypot cannot overflow
+            if r and abs(math.hypot(*p[s]) - r) > POINT_TOL:  # hypot cannot overflow
                 raise SymmetricSpaceError(f"point not on the sphere of radius {r:g} "
                                           f"in coordinates {s.start}..{s.stop - 1}")
 
@@ -144,8 +145,9 @@ class ModelManifold:
         """Parallel orthonormal frames F(t) of the tangent space along exp(tv).
 
         Returns (frames, curvature_matrix): frames has shape (n_t, D, m) and
-        the matrix of R(., gamma')gamma' is constant in these frames.  Each
-        factor contributes a diagonal block.
+        the matrix of R(., gamma')gamma' is constant and diagonal in these
+        frames, one block per factor.  ``OrbitGeodesic`` reads its Jacobi
+        rates off that diagonal, so every model kind must keep it diagonal.
         """
         times = np.asarray(times, float)
         p = np.asarray(p, float)
@@ -364,19 +366,7 @@ def sectional_curvature(pair: SymmetricPair, x: np.ndarray, y: np.ndarray) -> fl
 # Cartan/Hermann probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BrokenGeodesicSampler:
-    leg_min: float = 0.1
-    leg_max: float = 1.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.leg_min <= 0 or self.leg_max <= self.leg_min:
-            raise SymmetricSpaceError("sampler legs must satisfy 0 < leg_min < leg_max")
-
-
 def cartan_hermann_probe(pair: SymmetricPair, s: Subspace,
-                         sampler: BrokenGeodesicSampler | None = None,
                          tol: float = SPAN_TOL) -> CheckResult:
     """Curvature invariance of ``s`` along once-broken geodesics of a pair.
 
@@ -387,14 +377,15 @@ def cartan_hermann_probe(pair: SymmetricPair, s: Subspace,
     i.e. the identity in the left-translated frame, so every broken geodesic
     gives the same purely algebraic residual, the Lie-triple-system residual
     of s (the residuals of -[[u, v], w] and [w, [u, v]] are the same set): it
-    is evaluated once, and a failure is witnessed by one seeded pair of legs.
+    is evaluated once, and a failure is witnessed by the worst basis triple,
+    as ``is_lie_triple_system`` witnesses it.
     """
-    sampler = sampler or BrokenGeodesicSampler()
     alg = pair.algebra
     outside = linalg.span_residual(pair.p.basis, s.basis, alg.inner)
     if np.max(outside, initial=0.0) > 1e-8:
         raise SymmetricSpaceError("probe subspace must lie inside p")
-    worst = float(np.max(triple_residuals(alg, s), initial=0.0))
-    failed = linalg.robust_failure(worst, tol, "Cartan/Hermann probe")
-    legs = np.random.default_rng(sampler.seed).uniform(sampler.leg_min, sampler.leg_max, 2)
-    return CheckResult(not failed, worst, tol, tuple(map(float, legs)) if failed else None)
+    res = triple_residuals(alg, s)
+    worst = float(np.max(res, initial=0.0))
+    if not linalg.robust_failure(worst, tol, "Cartan/Hermann probe"):
+        return CheckResult(True, worst, tol)
+    return CheckResult(False, worst, tol, linalg.first_max(res) + (worst,))

@@ -156,8 +156,9 @@ class OrbitGeodesic:
 
     ``direction`` must be a unit normal to the orbit at ``point`` (tangent
     to the model); None takes the first unit normal from ``linalg.kernel``
-    (orthogonal to ``point`` too on a sphere action).  The point, the
-    direction and the span must be finite, and n_t x D within
+    (orthogonal to ``point`` too on a sphere action).  A given direction is
+    checked to tolerance, then projected exactly onto the model tangent and
+    off the orbit, and renormalised.  The point, the direction and the span must be finite, and n_t x D within
     ``MAX_GRID_ENTRIES`` (larger arrays check their own sizes).  The sign
     convention of the shape operator is fixed by the position normal on a
     Euclidean orbit: S_(p/|p|) = -(1/|p|) id.
@@ -188,6 +189,12 @@ class OrbitGeodesic:
                 raise TransversalError("the orbit has no normal direction at the basepoint")
             direction = normals[0]
         direction = _check_normal(manifold, point, rows, direction, "direction")
+        # accepted within tolerance, used exactly: a direction drawn as the
+        # small normal part of a larger vector carries that vector's rounding
+        rank, _, right = linalg.svd_bases(rows)
+        direction = manifold.project_tangent(point, direction)
+        direction = direction - linalg.project_span(right[:rank], direction)
+        direction = direction / np.linalg.norm(direction)
         self.rep = rep
         self.manifold = manifold
         self.point = point
@@ -203,14 +210,13 @@ class OrbitGeodesic:
             point, direction, self.times[self.base_index:self.base_index + 1])
         self.frame = frames[0]
         self.dim = self.frame.shape[1]
-        evals, evecs = np.linalg.eigh(self.curvature)
+        # diagonal in the parallel frame: a column's rate is sqrt(its entry),
+        # 1 on a flat column, where the closed form is a + t b
+        evals = np.diag(self.curvature)
         if float(np.min(evals)) < -1e-10:
             raise TransversalError("model curvature operator must be positive semidefinite")
-        self._modes = (np.clip(evals, 0.0, None), evecs)
-        # the curved modes and their rates sqrt(eigenvalue), 1 on a flat mode,
-        # where the closed form is a + t b
-        self._curved = self._modes[0] > 1e-12
-        self._rates = np.sqrt(np.where(self._curved, self._modes[0], 1.0))
+        self._curved = evals > 1e-12
+        self._rates = np.sqrt(np.where(self._curved, evals, 1.0))
         # the orbit lies in the model: one SVD in the frame splits its tangent space
         rank, _, right = linalg.svd_bases(rows @ self.frame)
         self.orbit_tangent = right[:rank] @ self.frame.T
@@ -220,8 +226,7 @@ class OrbitGeodesic:
         self._cache = {}
 
 
-def shape_operator(rep: OrthogonalRep, point, direction,
-                   orbit_basis: np.ndarray | None = None):
+def shape_operator(rep: OrthogonalRep, point, direction, orbit_basis: np.ndarray):
     """Orbit shape operator S_xi on an orthonormal orbit-tangent basis.
 
     Entries are <grad_{u_a} X_b^*, xi> for Killing fields realising the basis;
@@ -230,9 +235,9 @@ def shape_operator(rep: OrthogonalRep, point, direction,
     gives an (..., k, k) stack of matrices from one contraction.
     """
     rows = rep.tangent_rows(np.asarray(point, float))
-    basis = orbit_basis if orbit_basis is not None else linalg.orthonormalize(rows)
-    # kill[b, :, a] = X_b u_a, X_b the Killing field realising basis[b]
-    kill = np.tensordot(basis @ np.linalg.pinv(rows.T).T, rep.generators, 1) @ basis.T
+    # kill[b, :, a] = X_b u_a, X_b the Killing field realising orbit_basis[b]
+    kill = np.tensordot(orbit_basis @ np.linalg.pinv(rows.T).T, rep.generators, 1) \
+        @ orbit_basis.T
     s = np.einsum("...x,bxa->...ab", np.asarray(direction, float), kill)
     return (s + np.swapaxes(s, -1, -2)) / 2
 
@@ -255,15 +260,15 @@ def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
     """Closed-form Jacobi fields at an array of times.
 
     Columns of ``a`` and ``b`` (shape (m, n)) are the initial values and
-    covariant derivatives at the basepoint time 0, in the eigenbasis of the
-    curvature matrix.  Returns the frame values of every column at every
-    time, shape (n_times, m, n), or with ``derivative`` their covariant
-    derivatives.  Y(t) = q diag(c(t)) a + q diag(s(t)) b is linear in the
-    2m mode coefficients (c(t), s(t)), so each time is one (1, 2m) x
-    (2m, m n) product, taken time by time in one stacked matmul: a time's
+    covariant derivatives at the basepoint time 0, in the parallel frame,
+    where the curvature matrix is diagonal.  Returns the frame values of
+    every column at every time, shape (n_times, m, n), or with ``derivative``
+    their covariant derivatives.  Y(t) = diag(c(t)) a + diag(s(t)) b is
+    linear in the 2m coefficients (c(t), s(t)), so each time is one (1, 2m)
+    x (2m, m n) product, taken time by time in one stacked matmul: a time's
     values do not depend on the other times evaluated with it.
     """
-    q, curved, r = geod._modes[1], geod._curved, geod._rates
+    curved, r = geod._curved, geod._rates
     times = np.asarray(times, float)
     rt = np.multiply.outer(times, r)
     cos = np.where(curved, np.cos(rt), 1.0)
@@ -273,7 +278,7 @@ def _closed_form(geod: OrbitGeodesic, a: np.ndarray, b: np.ndarray,
     else:
         coef = np.concatenate([cos, np.where(curved, sin / r, times[:, None])], axis=1)
     m, n = a.shape
-    terms = q.T[:, :, None] * np.stack([a, b])[:, :, None, :]    # [., k, i, j] = q_ik x_kj
+    terms = np.eye(m)[:, :, None] * np.stack([a, b])[:, :, None, :]  # [., k, i, j] = d_ik x_kj
     return (coef[:, None, :] @ terms.reshape(2 * m, m * n)).reshape(-1, m, n)
 
 
@@ -303,8 +308,7 @@ def jacobi_integrate(geod: OrbitGeodesic, j0, dj0, method: str = "closed-form"):
 def _field_on_grid(geod: OrbitGeodesic, j0, dj0, derivative: bool = False) -> np.ndarray:
     """Closed-form frame values (or covariant derivatives) at every grid time,
     (n_t, m), of the Jacobi field with ambient basepoint data (j0, dj0)."""
-    a, b = ((geod._modes[1].T @ (geod.frame.T @ np.asarray(x, float)))[:, None]
-            for x in (j0, dj0))
+    a, b = ((geod.frame.T @ np.asarray(x, float))[:, None] for x in (j0, dj0))
     return _closed_form(geod, a, b, geod.times, derivative)[:, :, 0]
 
 
@@ -393,8 +397,7 @@ def _basis_modes(geod: OrbitGeodesic):
     """Mode coefficients (a, b), each (m, dim M), of the N-Jacobi basis."""
     def make():
         j0, dj0 = n_jacobi_space(geod)
-        to_modes = geod.frame @ geod._modes[1]
-        return (j0 @ to_modes).T, (dj0 @ to_modes).T
+        return (j0 @ geod.frame).T, (dj0 @ geod.frame).T
     return _cached(geod, "basis_modes", make)
 
 
@@ -406,11 +409,11 @@ def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
 def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
     """A constant L with |sigma_min(t) - sigma_min(t')| <= L |t - t'| for all t, t'.
 
-    sigma_min is that of the matrix solution Y(t) = q M(t), q orthogonal.  Row
-    i of M(t) is a_i cos(r_i t) + b_i sin(r_i t) / r_i (a_i + t b_i on a flat
-    mode, where r_i = 0 here), so its derivative has norm at most
-    r_i |a_i| + |b_i| and |Y'(t)|_2 <= |M'(t)|_F <= L = sqrt(sum_i
-    (r_i |a_i| + |b_i|)^2); sigma_min is 1-Lipschitz in the spectral norm.
+    sigma_min is that of the matrix solution M(t).  Row i of M(t) is
+    a_i cos(r_i t) + b_i sin(r_i t) / r_i (a_i + t b_i on a flat mode, where
+    r_i = 0 here), so its derivative has norm at most r_i |a_i| + |b_i| and
+    |M'(t)|_2 <= |M'(t)|_F <= L = sqrt(sum_i (r_i |a_i| + |b_i|)^2);
+    sigma_min is 1-Lipschitz in the spectral norm.
     """
     a, b = _basis_modes(geod)
     rate = np.where(geod._curved, geod._rates, 0.0)

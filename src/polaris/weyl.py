@@ -40,6 +40,9 @@ ARMIJO_C1 = 1e-4            # sufficient-decrease constant of the backtracking s
 ROUNDING = 16 * np.finfo(float).eps   # rounding level of f, relative to |p| |q|
 EIG_FLOOR = 1e-8            # least |eigenvalue| of the Newton model, relative to the largest
 ROOT_DRAWS = 8              # generic elements H of a drawn by restricted_roots
+SIGN_TOL = 1e-10            # least |coordinate| that fixes a root's lexicographic sign
+QUOTIENT_BOX = float(np.pi)  # probes of the quotient search: coordinates in [-box, box]
+REDUCTION_BOX = 1.5         # section pairs of the reduction check: coordinates in [-box, box]
 
 
 class WeylError(ValueError):
@@ -54,10 +57,10 @@ class RestrictedRootSystem:
     roots: tuple            # ((vector, multiplicity), ...)
     g0_dim: int
 
-    def positive(self, tol: float = 1e-10) -> list:
+    def positive(self) -> list:
         """One representative per +- pair, by lexicographic sign convention."""
         return [(np.asarray(vec), mult) for vec, mult in self.roots
-                if next((x for x in np.asarray(vec) if abs(x) > tol), 0.0) > 0]
+                if next((x for x in np.asarray(vec) if abs(x) > SIGN_TOL), 0.0) > 0]
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,13 @@ def _chamber(group: ReflectionGroup, coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuotientOptimizerConfig:
+    """The quotient search: ``probes`` seeded samples with coordinates in
+    [-``QUOTIENT_BOX``, ``QUOTIENT_BOX``] place ``restarts`` Newton starts,
+    which run at most ``evals`` lockstep iterations."""
+
     restarts: int = 32
     evals: int = 500          # Newton iterations at most, shared by every start in lockstep
     probes: int = 400         # cheap global samples used to place the starts
-    box: float = float(np.pi)
     seed: int = 0
 
 
@@ -360,9 +366,8 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
     has shape (B,) and ``point`` (B, d).  Every pair shares the one probe set
     drawn from ``config.seed``, and one lockstep Newton runs all B x
     restarts starts together.  Pairs that are not finite stacks of equal
-    shape in R^space_dim, and a config without probes, with a negative
-    ``evals`` or with a box that is not positive and finite, raise
-    ``WeylError``.
+    shape in R^space_dim, and a config without probes or with a negative
+    ``evals``, raise ``WeylError``.
     """
     cfg = config or QuotientOptimizerConfig()
     p = np.asarray(p, float)
@@ -372,10 +377,9 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
                         f"(B, {rep.space_dim}); got {p.shape} and {q.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise WeylError("p and q must be finite")
-    if cfg.probes < 1 or cfg.evals < 0 or not (math.isfinite(cfg.box) and cfg.box > 0):
-        raise WeylError(f"the search needs at least one probe, a non-negative iteration "
-                        f"budget and a positive finite box; got probes={cfg.probes}, "
-                        f"evals={cfg.evals}, box={cfg.box}")
+    if cfg.probes < 1 or cfg.evals < 0:
+        raise WeylError(f"the search needs at least one probe and a non-negative iteration "
+                        f"budget; got probes={cfg.probes}, evals={cfg.evals}")
     single = p.ndim == 1
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     # On R^d the distance is homogeneous of degree 1, so each pair is searched
@@ -391,7 +395,7 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
         n_starts = iterations = evaluations = certified = 0
     else:
         rng = np.random.default_rng(cfg.seed)
-        samples = rng.uniform(-cfg.box, cfg.box, (cfg.probes, n))
+        samples = rng.uniform(-QUOTIENT_BOX, QUOTIENT_BOX, (cfg.probes, n))
         samples[0] = 0.0
         moved = q @ np.swapaxes(_second_kind_elements(rep, samples), 1, 2)  # (probes, B, d)
         restarts = min(max(cfg.restarts, 1), cfg.probes)
@@ -421,7 +425,6 @@ def quotient_distance(rep: OrthogonalRep, p: np.ndarray, q: np.ndarray,
 @dataclass(frozen=True)
 class ReductionSampler:
     pairs: int = 200
-    box: float = 1.5
     seed: int = 0
 
 
@@ -452,7 +455,7 @@ def reduction_isometry_check(rep: OrthogonalRep, section: Subspace,
     """
     cfg = sampler or ReductionSampler()
     rng = np.random.default_rng(cfg.seed)
-    xy = rng.uniform(-cfg.box, cfg.box, (2 * cfg.pairs, section.dim)) @ section.basis
+    xy = rng.uniform(-REDUCTION_BOX, REDUCTION_BOX, (2 * cfg.pairs, section.dim)) @ section.basis
     if rep.restrict_to_sphere:
         xy = xy / np.linalg.norm(xy, axis=1, keepdims=True)
     folded = _chamber(group, xy @ section.basis.T) @ section.basis

@@ -15,7 +15,7 @@ from polaris import linalg
 from polaris.catalog import catalog_entry, catalog_list, footnote_curve
 from polaris.cli import analyze
 from polaris.liealg import Subspace
-from polaris.symspace import BrokenGeodesicSampler, cartan_hermann_probe
+from polaris.symspace import cartan_hermann_probe
 from polaris.transversal import OrbitGeodesic, claim_residuals, \
     conjugate_scan, discala_olmos_probe, horizontal_frame, \
     oneill_check, rescale_probe, symplectic_form, \
@@ -195,7 +195,7 @@ def test_criterion_08_variational_completeness(bundles):
 
 def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
     a = pl.maximal_abelian(su3_conj_pair, seed=7)
-    res = cartan_hermann_probe(su3_conj_pair, a, BrokenGeodesicSampler(seed=1))
+    res = cartan_hermann_probe(su3_conj_pair, a)
     assert res.ok and res.residual < 1e-8
     rng = np.random.default_rng(31)
     alg = su3_conj_pair.algebra
@@ -206,7 +206,7 @@ def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
             alg.metric_root)
         sub = Subspace(alg.name, rows)
         lts = pl.is_lie_triple_system(alg, sub)
-        probe = cartan_hermann_probe(su3_conj_pair, sub, BrokenGeodesicSampler(seed=100 + i))
+        probe = cartan_hermann_probe(su3_conj_pair, sub)
         assert not probe.ok and probe.residual > 1e-3
         assert lts.ok == probe.ok
         passes.append(probe.ok)
@@ -215,7 +215,7 @@ def test_criterion_09_cartan_hermann_probe(su3_conj_pair):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         sub = Subspace(alg.name, q @ a.basis)
         lts = pl.is_lie_triple_system(alg, sub)
-        probe = cartan_hermann_probe(su3_conj_pair, sub, BrokenGeodesicSampler(seed=200 + i))
+        probe = cartan_hermann_probe(su3_conj_pair, sub)
         assert probe.ok and lts.ok
     report(9, "Cartan/Hermann probe vs Lie triple systems")
 

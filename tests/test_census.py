@@ -13,8 +13,18 @@ only tests read lives in ``tests/`` (``oracles``, ``grid_oracle``).  A
 too, so nothing is added unreached and nothing dead lingers.  The same
 runs pin where metric roots come from: no Cholesky factor in the package,
 and one ``linalg.metric_root`` per ``LieAlgebra``.
+
+A second census pins the package's settable values, read from the source:
+every defaulted parameter of a function or method, and every defaulted
+dataclass field that is not ``init=False``.  A value stays settable only
+when callers outside ``tests/`` set it to different values, when it is the
+seed or tolerance of a public decision function, or when the benchmark
+passes it (``oneill_check``'s ``step``, until ROADMAP item 11 drops it).
+Any other value is a module constant.  ``SETTABLE`` lists the survivors,
+so a new option, or one deleted, fails until it is listed or struck.
 """
 
+import ast
 import contextlib
 import functools
 import importlib
@@ -41,6 +51,69 @@ KEPT = {
     "liealg.LieAlgebra.killing": "named by the README's polaris.liealg row",
     "transversal.transversal_equation_residual": "ROADMAP item 9 records it",
 }
+
+
+SETTABLE = {
+    "catalog": "CatalogEntry.default_checks CatalogEntry.expected",
+    "cli": "_array(dtype) _array(shape) _squares(dtype) analyze(checks) analyze(seed) "
+           "analyze(step) analyze(tol) emit_report(fmt) main(argv)",
+    "liealg": "CheckResult.witness LieAlgebra.realization Subspace.validate(gram) "
+              "build_classical(metric_scale) build_classical(name) direct_sum(name) "
+              "is_abelian_subspace(tol) is_lie_triple_system(tol)",
+    "linalg": "_rank_mask(rtol) gram_norm(gram) kernel(rtol) orthonormalize(root) "
+              "orthonormalize(rtol) principal_angles(root) project_span(gram) "
+              "robust_failure(tol) robust_failure(what) row_space_stack(rtol) "
+              "span_residual(gram) svd_bases(rtol)",
+    "polarity": "OrthogonalRep.name OrthogonalRep.restrict_to_sphere cohomogeneity(seed) "
+                "find_regular_point(seed) is_hyperpolar_homogeneous(seed) "
+                "is_hyperpolar_homogeneous(tol) is_polar_homogeneous(seed) "
+                "is_polar_homogeneous(tol) is_polar_rep(seed) is_polar_rep(tol) "
+                "orbifold_point_test(seed) orbifold_point_test(tol) regularize_basepoint(seed)",
+    "symspace": "ModelManifold.radii ModelManifold.split cartan_hermann_probe(tol) "
+                "maximal_abelian(seed)",
+    "transversal": "OrbitGeodesic.__init__(span) OrbitGeodesic.__init__(step) "
+                   "_closed_form(derivative) _field_on_grid(derivative) "
+                   "discala_olmos_probe(seed) jacobi_integrate(method) oneill_check(qconfig) "
+                   "oneill_check(step) rescale_probe(lambdas) rescale_probe(seed) "
+                   "variational_completeness_probe(angle_tol)",
+    "weyl": "QuotientOptimizerConfig.evals QuotientOptimizerConfig.probes "
+            "QuotientOptimizerConfig.restarts QuotientOptimizerConfig.seed "
+            "ReductionSampler.pairs ReductionSampler.seed quotient_distance(config) "
+            "quotient_distance(polar) reduction_isometry_check(config) "
+            "reduction_isometry_check(sampler) restricted_roots(seed)",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_false(value) -> bool:
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field" \
+        and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in value.keywords)
+
+
+def settable_values(node, prefix: str = "") -> list:
+    """``qualname(param)`` of each defaulted parameter and ``Class.field`` of
+    each defaulted dataclass field under ``node``, nested scopes included."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out += [f"{prefix}{child.name}({name})" for name in names]
+            out += settable_values(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                out += [f"{prefix}{child.name}.{st.target.id}" for st in child.body
+                        if isinstance(st, ast.AnnAssign) and st.value is not None
+                        and not _init_false(st.value)]
+            out += settable_values(child, f"{prefix}{child.name}.")
+    return out
 
 
 def _function(member):
@@ -176,3 +249,10 @@ def test_one_metric_root_per_algebra_and_no_cholesky(census):
     assert algebras and len({id(alg) for alg in algebras}) == len(algebras)
     assert {root for root in roots if not isinstance(root, LieAlgebra)} <= {"build_classical"}
     assert factored == []
+
+
+def test_settable_values_are_the_census_survivors():
+    found = {path.stem: sorted(settable_values(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} \
+        == {module: sorted(names.split()) for module, names in SETTABLE.items()}

@@ -169,6 +169,8 @@ def su2_pair_doc():
     # the unit sphere of R^0 is empty
     ({"schema": 1, "kind": "representation", "dim": 0, "generators": [],
       "manifold": {"kind": "sphere"}}, "manifold"),
+    # the unit sphere is kind "sphere"; there is no alias
+    ({**circle_rep_doc(), "manifold": {"kind": "unit-sphere"}}, "manifold"),
 ])
 def test_load_rejects_malformed_field_naming_it(doc, field):
     with pytest.raises(ModelError) as err:

@@ -162,7 +162,7 @@ def test_slice_rep_is_valid_where_the_scans_call_it():
         for _, isotropy, gens in groups:
             for iso, g in zip(isotropy, gens):
                 sl = pl.OrthogonalRep(rep.algebra.restrict(iso, "iso"), g, g.shape[-1])
-                sl.algebra.validate(jacobi_tol=1e-8)
+                sl.algebra.validate()
                 sl.validate()
 
 
