@@ -100,6 +100,15 @@ class ModelManifold:
                 raise SymmetricSpaceError(f"point not on the sphere of radius {r:g} "
                                           f"in coordinates {s.start}..{s.stop - 1}")
 
+    def radial_rows(self, p: np.ndarray) -> np.ndarray:
+        """(k, D) rows normal to the model at ``p``, one per sphere factor:
+        the point's part in that factor, zero elsewhere (none when flat)."""
+        p = np.asarray(p, float)
+        rows = np.zeros((len(self.factors), self.ambient_dim))
+        for row, (s, r) in zip(rows, self.factors):
+            row[s] = p[s]
+        return rows[[r > 0 for _, r in self.factors]]
+
     def project_tangent(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         p = np.asarray(p, float)
         x = np.asarray(x, float)

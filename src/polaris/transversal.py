@@ -6,8 +6,8 @@ is a constant matrix for every supported model, so Jacobi fields have a
 closed-form eigenmode solution with an RK4 fallback for cross-checks.  On
 top of the Jacobi layer sit the focal-point scan, the extended vertical and
 horizontal bundles V_t / H_t through singular times, the extended skew
-tensor A_t, the transversal Jacobi equation, the symplectic pairing, and a
-Morse-Sturm conjugate/index scan.
+tensor A_t, the transversal Jacobi equation, the symplectic pairing, and
+the quotient's conjugate points with their Morse-Sturm index check.
 
 Work on the grid is stacked and builds only what it reads.  The geodesic
 keeps its parallel frame at the basepoint only, where every field starts;
@@ -62,19 +62,22 @@ fields at each time; the bundles are kept as projectors p_v and p_h, and
 only the start of the horizontal frame needs a basis of H_t.  The
 vertical-derivative claim is one stacked least-squares solve over every
 strided time and field, skipping the times where the vertical fields lose
-rank.  The transversal Jacobi equation has one solver, the Morse-Sturm scan
-in a nabla^h-parallel frame, whose roots take the SVD only where |det Y| <=
-sigma_min |Y|_F^(q-1) cannot rule out a small sigma_min, and its Morse
-index one piecewise-linear index form, assembled without a loop over its
-elements.  Every RK4 integration (the Jacobi cross-check, the horizontal
-frame and the Morse-Sturm scan) goes through one helper, ``_rk4_steps``,
-that returns each step's propagator of the linear system, and one blocked
-scan, ``_propagate``, that chains n propagators with about 2 sqrt(n)
-stacked matmuls instead of one per step (one block's, for the one constant
-step of the cross-check).  The symplectic form and the transversal-equation
-residual take stacks of fields, one column per field.  The focal scan is
-cached on the geodesic like the basis modes, so checks that share a
-geodesic run it once.  Tolerances, strides and draw counts are constants.
+rank.  The quotient's conjugate points are not integrated: they are the
+focal times whose vanishing N-Jacobi fields are not all Killing
+restrictions (Wilking), read off the focal scan's kernels and the Killing
+span, the data that the VC probe reads.  The transversal Jacobi equation
+gives their independent check, the Morse index of one piecewise-linear
+index form in a nabla^h-parallel frame, assembled without a loop over its
+elements.  Every RK4 integration (the Jacobi cross-check and the
+horizontal frame) goes through one helper, ``_rk4_steps``, that returns
+each step's propagator of the linear system, and one blocked scan,
+``_propagate``, that chains n propagators with about 2 sqrt(n) stacked
+matmuls instead of one per step (one block's, for the one constant step of
+the cross-check).  The symplectic form and the transversal-equation
+residual take stacks of fields, one column per field.  The focal scan,
+with the right singular vectors of each focal time's kernel, is cached on
+the geodesic like the basis modes, so checks that share a geodesic run it
+once.  Tolerances, strides and draw counts are constants.
 
 The O'Neill check reads the A-tensor at the basepoint only, in closed form
 from the same Killing initial data, and builds no grid.  Along the
@@ -107,6 +110,7 @@ FOCAL_SV_TOL = 1e-7         # singular values below it mark focal/conjugate time
 FOCAL_COARSE_STRIDE = 16    # grid stride of the focal scan's first SVD pass
 FOCAL_LIPSCHITZ_SAFETY = 1.1    # factor on the focal scan's Lipschitz bound of sigma_min
 FOCAL_SV_ROUNDING = 1e-12   # rounding of a computed sigma_min, relative to |Y|_2
+KILLING_ANGLE_TOL = 1e-6    # angle from the Killing span below which a field is Killing
 VERTICAL_RANK_RTOL = 1e-8   # relative rank cut of the vertical Jacobi fields
 CLAIM_STRIDE = 50           # grid stride of the vertical-derivative claim check
 INDEX_ELEMENTS = 64         # elements of the piecewise-linear Morse-Sturm index form
@@ -156,7 +160,7 @@ class OrbitGeodesic:
 
     ``direction`` must be a unit normal to the orbit at ``point`` (tangent
     to the model); None takes the first unit normal from ``linalg.kernel``
-    (orthogonal to ``point`` too on a sphere action).  A given direction is
+    (orthogonal to the model's ``radial_rows`` too).  A given direction is
     checked to tolerance, then projected exactly onto the model tangent and
     off the orbit, and renormalised.  The point, the direction and the span must be finite, and n_t x D within
     ``MAX_GRID_ENTRIES`` (larger arrays check their own sizes).  The sign
@@ -183,8 +187,7 @@ class OrbitGeodesic:
         manifold.validate_point(point)
         rows = rep.tangent_rows(point)
         if direction is None:
-            blocked = np.vstack([rows, point[None, :]]) if rep.restrict_to_sphere else rows
-            normals = linalg.kernel(blocked)
+            normals = linalg.kernel(np.vstack([rows, manifold.radial_rows(point)]))
             if normals.shape[0] == 0:
                 raise TransversalError("the orbit has no normal direction at the basepoint")
             direction = normals[0]
@@ -401,11 +404,6 @@ def _basis_modes(geod: OrbitGeodesic):
     return _cached(geod, "basis_modes", make)
 
 
-def _matrix_solution(geod: OrbitGeodesic, t: float) -> np.ndarray:
-    """(m, m) matrix whose columns are the N-Jacobi basis fields at time t."""
-    return _closed_form(geod, *_basis_modes(geod), np.array([t]))[0]
-
-
 def _sigma_lipschitz(geod: OrbitGeodesic) -> float:
     """A constant L with |sigma_min(t) - sigma_min(t')| <= L |t - t'| for all t, t'.
 
@@ -473,8 +471,18 @@ def focal_scan_counters(geod: OrbitGeodesic) -> dict:
     return dict(_cached(geod, "focal_scan", lambda: _focal_scan(geod))[1])
 
 
+def _focal_kernels(geod: OrbitGeodesic) -> list:
+    """The ``_initial_data`` rows of the N-Jacobi fields that vanish at each
+    focal time of ``focal_points``, one (multiplicity, 2D) array per time:
+    the scan's right singular vectors below ``FOCAL_SV_TOL`` there."""
+    data = _initial_data(geod.point, *n_jacobi_space(geod))
+    kernels = _cached(geod, "focal_scan", lambda: _focal_scan(geod))[2]
+    return [kernel @ data for kernel in kernels]
+
+
 def _focal_scan(geod: OrbitGeodesic):
-    """The scan of ``focal_points``, uncached: its focal list and counters."""
+    """The scan of ``focal_points``, uncached: its focal list, counters and
+    the N-Jacobi coefficient rows of each focal time's kernel."""
     n = geod.times.shape[0]
     stride = FOCAL_COARSE_STRIDE
     coarse = np.unique(np.r_[0:n:stride, n - 1])
@@ -499,16 +507,16 @@ def _focal_scan(geod: OrbitGeodesic):
         smin[rest] = _grid_singular_values(geod, rest)[:, -1]
     minima = candidates[(smin[candidates] <= smin[candidates - 1])
                         & (smin[candidates] <= smin[candidates + 1])]
-    refined, s_at, rounds = _refine_minima(geod, minima)
-    out = []
-    for t_star, s in zip(refined, s_at):
+    refined, s_at, vh_at, rounds = _refine_minima(geod, minima)
+    out, kernels = [], []
+    for t_star, s, vh in zip(refined, s_at, vh_at):
         if s[-1] < FOCAL_SV_TOL:
-            mult = int(np.sum(s < FOCAL_SV_TOL))
             if not out or abs(out[-1][0] - t_star) > 10 * geod.step:
-                out.append((float(t_star), mult))
+                out.append((float(t_star), int(np.sum(s < FOCAL_SV_TOL))))
+                kernels.append(vh[s < FOCAL_SV_TOL])
     counters = {"grid_points": int(n), "decomposed": int(coarse.shape[0] + rest.shape[0]),
                 "refinements": int(minima.shape[0]), "refinement_rounds": rounds}
-    return out, counters
+    return out, counters, kernels
 
 
 def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
@@ -525,8 +533,9 @@ def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
     t and of sigma (sigma <= 4 eps (|t sigma'| + sigma_max)) or its bracket
     is under 1e-14.  Each time's arithmetic is its own, so it does not
     depend on the other minima.  Returns the refined times, the singular
-    values there (descending, one row each, from one stacked SVD) and the
-    rounds run.
+    values there (descending, one row each) and their right singular
+    vectors (one (m, m) stack each), from one stacked SVD, and the rounds
+    run.
     """
     times = geod.times
     modes = _basis_modes(geod)
@@ -550,7 +559,8 @@ def _refine_minima(geod: OrbitGeodesic, index: np.ndarray):
         inside = (newton > lo[live]) & (newton < hi[live])
         t[live] = np.where(done, at, np.where(inside, newton, (lo[live] + hi[live]) / 2))
         live = live[~done & (hi[live] - lo[live] >= 1e-14)]
-    return t, np.linalg.svd(_closed_form(geod, *modes, t), compute_uv=False), rounds
+    _, s, vh = np.linalg.svd(_closed_form(geod, *modes, t))
+    return t, s, vh, rounds
 
 
 def _initial_data(point, values, derivatives) -> np.ndarray:
@@ -606,23 +616,22 @@ class VariationalCompletenessReport:
     records: list
 
 
-def variational_completeness_probe(geod: OrbitGeodesic,
-                                   angle_tol: float = 1e-6) -> VariationalCompletenessReport:
+def variational_completeness_probe(geod: OrbitGeodesic, angle_tol: float = KILLING_ANGLE_TOL
+                                   ) -> VariationalCompletenessReport:
     """Check that every vanishing N-Jacobi field is a Killing restriction.
 
     At each focal time, every right singular vector c of the matrix
     solution whose singular value is below ``FOCAL_SV_TOL`` gives an
     N-Jacobi field that vanishes there, with initial data (c j0, c dj0)
-    from ``n_jacobi_space``.  The angle of its row (c j0, |x| c dj0)
-    (``_initial_data``) from the span ``killing_basis`` is zero exactly when
-    the field is a Killing restriction.  Each record carries the worst
-    angle at its focal time, and the report the worst over all of them.
+    from ``n_jacobi_space``; the focal scan keeps those vectors.  The angle
+    of its row (c j0, |x| c dj0) (``_initial_data``) from the span
+    ``killing_basis`` is zero exactly when the field is a Killing
+    restriction.  Each record carries the worst angle at its focal time,
+    and the report the worst over all of them.
     """
-    data = _initial_data(geod.point, *n_jacobi_space(geod))      # (dim M, 2D)
     records = []
-    for t_star, mult in focal_points(geod):
-        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star))
-        angles = _span_angles(killing_basis(geod), vh[svals < FOCAL_SV_TOL] @ data)
+    for (t_star, mult), rows in zip(focal_points(geod), _focal_kernels(geod)):
+        angles = _span_angles(killing_basis(geod), rows)
         records.append(FocalKernelRecord(t_star, mult, float(np.max(angles, initial=0.0))))
     worst = max([0.0, *(r.angle for r in records)])
     return VariationalCompletenessReport(worst < angle_tol, worst, records)
@@ -852,7 +861,7 @@ def symplectic_form(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Morse-Sturm scan
+# quotient conjugate points and the Morse-Sturm index
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -865,75 +874,44 @@ class ConjugateScanReport:
 def conjugate_scan(system: TransversalSystem) -> ConjugateScanReport:
     """Conjugate points and Morse index of Y'' + R(t) Y = 0 on the horizontal.
 
-    The matrix solution with Y(a) = 0, Y'(a) = I runs in a nabla^h-parallel
-    frame orthogonal to gamma'; the index of the associated form is the
-    negative-eigenvalue count of a piecewise-linear discretisation, checked
-    against the sum of interior conjugate multiplicities.
+    The conjugate points come from the focal data (Wilking): along a
+    horizontal geodesic, t > 0 is a quotient conjugate time of multiplicity
+    dim{J in Lambda : J(t) = 0} - dim{J in W : J(t) = 0}, Lambda the
+    N-Jacobi space and W the Killing restrictions.  At each focal time the
+    first is the focal multiplicity, and the second the number of principal
+    angles below ``KILLING_ANGLE_TOL`` between ``killing_basis`` and the
+    vanishing fields' initial data.  The index is the negative-eigenvalue
+    count of a piecewise-linear discretisation of the index form of R in a
+    nabla^h-parallel frame orthogonal to gamma', from the basepoint on;
+    ``sturm_consistent`` checks it against the sum of interior conjugate
+    multiplicities (Morse index theorem), two independent derivations.
     """
     g = system.geod
+    conj = []
+    for (t, mult), rows in zip(focal_points(g), _focal_kernels(g)):
+        angles = linalg.principal_angles(killing_basis(g), linalg.orthonormalize(rows))
+        excess = mult - int(np.sum(angles < KILLING_ANGLE_TOL))
+        if t > 0 and excess > 0:
+            conj.append((t, excess))
     frame = horizontal_frame(system)
-    gp0 = system.p_h[0] @ system.gamma_coords
+    b, h = g.base_index, g.step
+    gp0 = system.p_h[b] @ system.gamma_coords
     gp0 = gp0 / np.linalg.norm(gp0)
-    base = frame[0].T          # rows: horizontal basis at t0
+    base = frame[b].T          # rows: horizontal basis at the basepoint
     trans = linalg.orthonormalize(base - np.outer(base @ gp0, gp0))
-    coeff0 = trans @ frame[0]  # (q, q') coordinates in the moving frame
+    coeff0 = trans @ frame[b]  # (q, q') coordinates in the moving frame
     q_dim = trans.shape[0]
-    if q_dim == 0:
-        return ConjugateScanReport([], 0, True)
-    n_t = g.times.shape[0]
-    # R in the moving frame, restricted transversally
-    r_frame = np.swapaxes(frame, 1, 2) @ (system.r_script @ frame)
-    r_red = coeff0 @ r_frame @ coeff0.T
-    h = g.step
-    idx = np.arange(0, n_t, 2)
-    steps = _rk4_steps(_pair_generator(-r_red[idx[:-1]]), _pair_generator(-r_red[idx[:-1] + 1]),
-                       _pair_generator(-r_red[idx[1:]]), 2 * h)
-    start = np.vstack([np.zeros((q_dim, q_dim)), np.eye(q_dim)])
-    sol = _propagate(steps, start)[:, :q_dim]
+    # the index form reads R at every other grid time from the basepoint on
+    idx = np.arange(b, g.times.shape[0], 2)
     times = g.times[idx]
-    conj = _matrix_roots(sol, times)
-    index = _pl_index(r_red[idx], times, q_dim)
+    index = 0
+    if q_dim:
+        # R in the moving frame, restricted transversally
+        r_red = coeff0 @ (np.swapaxes(frame[idx], 1, 2) @ (system.r_script[idx] @ frame[idx])) \
+            @ coeff0.T
+        index = _pl_index(r_red, times, q_dim)
     interior = sum(m for t, m in conj if t < times[-1] - 2 * h)
     return ConjugateScanReport(conj, index, index == interior)
-
-
-def _matrix_roots(sol: np.ndarray, times: np.ndarray) -> list:
-    """Roots (time, multiplicity) of the (n, q, q) matrix solution ``sol``.
-
-    For k >= 2: where det Y is zero at t_k or changes sign toward t_(k+1)
-    (linear interpolation), else at a grid-local minimum of sigma_min below
-    100 FOCAL_SV_TOL; the multiplicity is read at the root's nearest time.
-    As |det Y| <= sigma_min |Y|_F^(q-1), a time with |det Y| above twice
-    (rounding slack) 100 FOCAL_SV_TOL |Y|_F^(q-1) is no such minimum, so the
-    SVD runs only at the other times, their neighbours and the nearest times.
-    """
-    n, q = sol.shape[0], sol.shape[-1]
-    cut = 100 * FOCAL_SV_TOL
-    dets = np.linalg.det(sol)
-    k = np.arange(2, n - 1)
-    crossing = (dets[k] == 0.0) | (dets[k] * dets[k + 1] < 0)
-    bound = 2 * cut * np.linalg.norm(sol[k], axis=(1, 2)) ** (q - 1)
-    live = k[~crossing & ~(np.abs(dets[k]) > bound)]       # a NaN det stays live
-    svals = np.full(sol.shape[:2], np.nan)
-    index = np.unique(np.r_[live - 1, live, live + 1])
-    svals[index] = np.linalg.svd(sol[index], compute_uv=False)
-    smin = svals[:, -1]
-    minima = live[(smin[live] < smin[live - 1]) & (smin[live] <= smin[live + 1])
-                  & (smin[live] < cut)]
-    at = np.sort(np.r_[k[crossing], minima])
-    roots = times[at]
-    sign = dets[at] * dets[at + 1] < 0          # else a zero det or a minimum: t_k
-    j = at[sign]
-    roots[sign] -= dets[j] * (times[j + 1] - times[j]) / (dets[j + 1] - dets[j])
-    near = np.argmin(np.abs(times - roots[:, None]), axis=1)
-    rest = np.unique(near[np.isnan(smin[near])])
-    svals[rest] = np.linalg.svd(sol[rest], compute_uv=False)
-    out = []
-    for root, s in zip(roots, svals[near]):
-        mult = max(int(np.sum(s < max(FOCAL_SV_TOL, 2 * s[-1]))), 1)
-        if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
-            out.append((float(root), mult))
-    return out
 
 
 def _pl_index(r_vals: np.ndarray, times: np.ndarray, q_dim: int) -> int:

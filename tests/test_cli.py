@@ -588,6 +588,15 @@ def test_bad_designated_orbifold_point_is_an_error_record_naming_it(entry, name,
         (clean.status, clean.verdict, clean.value, clean.residual)
 
 
+def test_default_direction_on_a_product_of_spheres_is_tangent():
+    # the default normal avoids the radial row of each sphere factor
+    bundle = dict(catalog_entry("so3_s2xs2").build(), direction=None)
+    checks = ["jacobi-scan", "variational-completeness", "transversal"]
+    scan, vc, trans = analyze(bundle, checks).records
+    assert [r.status for r in (scan, vc, trans)] == ["pass"] * 3
+    assert scan.verdict == {"focal": [[1.202235, 1]]}
+
+
 def test_jacobi_scan_reports_focal_scan_counters():
     (rec,) = analyze("su2_adjoint", ["jacobi-scan"]).records
     counters = rec.value["focal_scan"]

@@ -33,10 +33,10 @@ from polaris.polarity import REGULAR_DRAWS, OrthogonalRep, find_regular_point, \
     regularize_basepoint
 from polaris.symspace import ModelManifold
 from polaris.transversal import FOCAL_SV_TOL, MAX_STEP, PROBE_DRAWS, PROBE_MIN_EIG, \
-    OrbitGeodesic, TransversalError, TransversalSystem, _matrix_solution, \
+    OrbitGeodesic, TransversalError, TransversalSystem, \
     discala_olmos_probe, focal_points, variational_completeness_probe
 
-from grid_oracle import basis_on_grid
+from grid_oracle import basis_on_grid, matrix_solution
 
 RES_TOL = 1e-12
 TANGENCY_TOL = 1e-3         # the eigenfield verdict of analyze's variational-completeness
@@ -165,7 +165,7 @@ def grid_kernel_reference(geod):
     values = values.reshape(values.shape[0], -1)      # one grid function per row
     worst = 0.0
     for t_star, _ in focal_points(geod):
-        _, svals, vh = np.linalg.svd(_matrix_solution(geod, t_star))
+        _, svals, vh = np.linalg.svd(matrix_solution(geod, t_star))
         for flat in vh[svals < FOCAL_SV_TOL] @ values:
             norm = np.linalg.norm(flat)
             if norm < 1e-14:

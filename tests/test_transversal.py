@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polaris as pl
 from polaris import cli, linalg, transversal
@@ -15,10 +15,10 @@ from polaris.transversal import OrbitGeodesic, TransversalError, \
     rescale_probe, shape_operator, symplectic_form, transversal_equation_residual, \
     transversal_system, variational_completeness_probe
 from polaris.transversal import _basis_modes, _index_form, \
-    _matrix_solution, _pl_index, _propagate, _refine_minima, _rk4_steps, \
+    _pl_index, _propagate, _refine_minima, _rk4_steps, \
     _sigma_lipschitz, focal_scan_counters
 
-from grid_oracle import basis_on_grid
+from grid_oracle import basis_on_grid, matrix_solution, morse_sturm_roots
 
 PI = float(np.pi)
 
@@ -56,7 +56,7 @@ def golden_min(f, a, b):
 
 
 def min_singular(geod, t):
-    return float(np.linalg.svd(_matrix_solution(geod, t), compute_uv=False)[-1])
+    return float(np.linalg.svd(matrix_solution(geod, t), compute_uv=False)[-1])
 
 
 def grid_gamma(geod):
@@ -463,7 +463,7 @@ def accepted(geod, refined, s_at):
 def full_grid_focal_points(geod):
     """The focal scan without pruning: the SVD at every grid time and the
     library's refinement of every grid-local minimum of sigma_min."""
-    refined, s_at, _ = _refine_minima(geod, grid_minima(geod))
+    refined, s_at, _, _ = _refine_minima(geod, grid_minima(geod))
     return accepted(geod, refined, s_at)
 
 
@@ -473,7 +473,7 @@ def golden_focal_points(geod):
     times = geod.times
     refined = [golden_min(lambda t: min_singular(geod, t), times[k - 1], times[k + 1])
                for k in grid_minima(geod)]
-    s_at = [np.linalg.svd(_matrix_solution(geod, t), compute_uv=False) for t in refined]
+    s_at = [np.linalg.svd(matrix_solution(geod, t), compute_uv=False) for t in refined]
     return accepted(geod, refined, s_at)
 
 
@@ -995,80 +995,44 @@ def test_scan_hopf_conjugate_and_index(bundles):
     assert report.sturm_consistent
 
 
-def loop_matrix_roots(sol, times):
-    """The conjugate-root scan with the SVD at every time and one pass of a
-    loop over the times: the scan before its pruning, kept as its oracle."""
-    dets = np.linalg.det(sol)
-    svals = np.linalg.svd(sol, compute_uv=False)
-    smin = svals[:, -1]
-    n = times.shape[0]
-    out = []
-    for k in range(2, n - 1):
-        root = None
-        if dets[k] == 0.0 or (dets[k] * dets[k + 1] < 0):
-            t0, t1 = times[k], times[k + 1]
-            d0, d1 = dets[k], dets[k + 1]
-            root = t0 if d0 == 0 else t0 - d0 * (t1 - t0) / (d1 - d0)
-        elif smin[k] < smin[k - 1] and smin[k] <= smin[k + 1] \
-                and smin[k] < 100 * transversal.FOCAL_SV_TOL:
-            root = times[k]
-        if root is not None:
-            kk = int(np.argmin(np.abs(times - root)))
-            mult = int(np.sum(svals[kk] < max(transversal.FOCAL_SV_TOL, 2 * smin[kk])))
-            mult = max(mult, 1)
-            if not out or abs(out[-1][0] - root) > 4 * (times[1] - times[0]):
-                out.append((float(root), mult))
-    return out
-
-
 @pytest.mark.parametrize("step", [1e-3, 2.5e-4])
-def test_pruned_root_scan_is_the_loop_on_the_catalog(bundles, step, monkeypatch):
-    seen, real = [], transversal._matrix_roots
-
-    def recorded(sol, times):
-        seen.append((sol, times))
-        return real(sol, times)
-
-    monkeypatch.setattr(transversal, "_matrix_roots", recorded)
-    for name in GEODESIC_FIXTURES:
-        conjugate_scan(transversal.TransversalSystem(geod_for(bundles, name, step=step)))
-    assert len(seen) == len(GEODESIC_FIXTURES) - 1       # su2_adjoint: no transversal q
-    for sol, times in seen:
-        assert real(sol, times) == loop_matrix_roots(sol, times)
-    assert any(loop_matrix_roots(*args) for args in seen)       # hopf_s1_s3's
+def test_hopf_first_conjugate_is_pi_over_two(step):
+    # the quotient S^2(1/2) of the Hopf action has its first conjugate
+    # point at pi/2, which the focal data give to rounding at any step
+    (rec,) = analyze("hopf_s1_s3", ["transversal"], step=step).records
+    assert rec.status == "pass"
+    assert abs(rec.verdict["first_conjugate"] - PI / 2) <= 1e-12
 
 
-# one diagonal entry of a synthetic solution, a function of t and the grid step:
-# a simple root, a root on a grid time (an exact det zero when not rotated),
-# two roots 1-5 steps apart, a tangential minimum of |f| just below or above
-# 100 FOCAL_SV_TOL, and no root
-def _entry(kind, c, a, j):
-    return {"simple": lambda t, h: t - c,
-            "on-grid": lambda t, h: t - t[int(c / h)],
-            "close": lambda t, h: (t - c) * (t - c - j * h),
-            "tangent": lambda t, h: a * 100 * transversal.FOCAL_SV_TOL + (t - c) ** 2,
-            "none": lambda t, h: 1.0 + t}[kind]
+@pytest.mark.parametrize("lo", [-0.5, -2.0])
+def test_conjugate_points_and_index_run_from_the_basepoint(bundles, lo):
+    # times before the basepoint change neither count
+    one_sided = conjugate_scan(transversal_system(geod_for(bundles, "hopf_s1_s3",
+                                                           span=(0.0, 2.0))))
+    report = conjugate_scan(transversal_system(geod_for(bundles, "hopf_s1_s3",
+                                                        span=(lo, 2.0))))
+    for r in (one_sided, report):
+        [(t, mult)] = r.conjugate_points
+        assert abs(t - PI / 2) <= 1e-12 and mult == 1
+        assert r.index == 1 and r.sturm_consistent
 
 
-ENTRIES = st.builds(_entry, st.sampled_from(["simple", "on-grid", "close", "tangent", "none"]),
-                    st.floats(0.3, 2.5), st.floats(0.0, 2.0), st.integers(1, 5))
-
-
-@settings(max_examples=150, deadline=None)
-@given(entries=st.lists(ENTRIES, min_size=1, max_size=3), n=st.integers(4, 800),
-       rotated=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_pruned_root_scan_is_the_loop_on_synthetic_solutions(entries, n, rotated, scale,
-                                                              seed):
-    times = np.linspace(0.0, 3.0, n)
-    h = times[1]
-    diag = np.stack([f(times, h) for f in entries], axis=1) * scale
-    sol = diag[:, :, None] * np.eye(len(entries))
-    if rotated:
-        rng = np.random.default_rng(seed)
-        u, v = (np.linalg.qr(rng.standard_normal((len(entries),) * 2))[0] for _ in "uv")
-        sol = u @ sol @ v
-    assert transversal._matrix_roots(sol, times) == loop_matrix_roots(sol, times)
+@settings(max_examples=24, deadline=None)
+@given(name=st.sampled_from(GEODESIC_ENTRIES), seed=st.integers(0, 2 ** 32 - 1),
+       step=st.sampled_from([2.5e-4, 1e-3]), span=st.sampled_from([(0.0, PI), (0.0, 3.3)]))
+def test_conjugate_points_agree_with_the_rk4_morse_sturm_oracle(bundles, name, seed, step,
+                                                                 span):
+    system = transversal_system(moved_geodesic(bundles, name, seed, step, span))
+    got = conjugate_scan(system).conjugate_points
+    want, times = morse_sturm_roots(system)
+    # the oracle merges roots within 4 of its steps, and both scans leave
+    # the last steps of the grid to the index's interior rule
+    merge = 4 * (times[1] - times[0])
+    assume(all(b - a > merge for (a, _), (b, _) in zip(got, got[1:])))
+    got, want = ([(t, m) for t, m in roots if t < times[-1] - 2 * step]
+                 for roots in (got, want))
+    assert [m for _, m in got] == [m for _, m in want]
+    assert all(abs(t - u) <= 1e-4 for (t, _), (u, _) in zip(got, want))
 
 
 def loop_index_form(r_vals, times, q_dim):
